@@ -24,18 +24,7 @@ from typing import Optional, Union
 
 from .charform import characteristic_formula, encode_term
 from .formulas import BLLogic, CCLogic, formula_text, mc_cc, mc_mts
-from .preorders import (
-    CCSim,
-    PartialBisim,
-    PreorderKind,
-    Refinement,
-    Simulation,
-    distinguishing_formula,
-    greatest_ccsim,
-    greatest_pbsim,
-    greatest_refinement,
-    greatest_simulation,
-)
+from .preorders import CCSim, PartialBisim, PreorderKind, Refinement, Simulation, decide
 from .selfcheck import SelfCheckConfig, property_ids, run_selfcheck
 from .systems import Action, PointedLTS, PointedMTS, sorted_actions
 from .terms import term_labels, term_text
@@ -101,13 +90,6 @@ def _system_kind(system: System) -> str:
     return "mts" if isinstance(system, PointedMTS) else "lts"
 
 
-def _pick_state(system: System, wanted: Optional[str], side: str) -> str:
-    state = wanted if wanted is not None else system.init
-    if state not in system.states:
-        raise CliError(f"{state!r} is not a state of the {side} system")
-    return state
-
-
 def _cmd_check(args: argparse.Namespace) -> int:
     left = _load_system(args.left, args.strict)
     right = _load_system(args.right, args.strict)
@@ -115,25 +97,19 @@ def _cmd_check(args: argparse.Namespace) -> int:
         if not (isinstance(left, PointedMTS) and isinstance(right, PointedMTS)):
             raise CliError("refine compares two mts files")
         kind: PreorderKind = Refinement()
-        rel = greatest_refinement(left, right)
     else:
         if not (isinstance(left, PointedLTS) and isinstance(right, PointedLTS)):
             raise CliError(f"{args.kind} compares two lts files")
         if args.kind == "ccsim":
             kind = CCSim()
-            rel = greatest_ccsim(left, right)
         elif args.kind == "pbsim":
             kind = PartialBisim(_parse_bisimset(args.bisimset))
-            rel = greatest_pbsim(left, right, kind.bset)
         else:
             kind = Simulation()
-            rel = greatest_simulation(left, right)
-    left_state = _pick_state(left, args.left_state, "left")
-    right_state = _pick_state(right, args.right_state, "right")
+    left_state = left.init if args.left_state is None else args.left_state
+    right_state = right.init if args.right_state is None else args.right_state
+    rel, witness = decide(kind, left, left_state, right, right_state)
     related = (left_state, right_state) in rel
-    witness = None
-    if not related and args.kind in ("refine", "ccsim"):
-        witness = distinguishing_formula(kind, left, left_state, right, right_state)
     if args.format == "json":
         _emit_json(
             {
@@ -401,14 +377,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except CliError as exc:
+    except (CliError, ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, TypeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except RecursionError:
+        # Exit 1 would read as "does not hold".
+        print("error: input nested too deeply", file=sys.stderr)
         return 2
 
 

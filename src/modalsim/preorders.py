@@ -11,29 +11,38 @@ Four preorder kinds are supported:
 * :class:`PartialBisim` between LTSs read as plain systems: every move of
   the left is matched rightwards, moves of the right on actions in the
   bisimulation set are matched leftwards.  This is exactly covariant-
-  contravariant simulation after reclassifying the alphabet, and
-  :func:`greatest_pbsim` is implemented by that delegation;
+  contravariant simulation after reclassifying the alphabet, and it is
+  computed that way;
 * :class:`Simulation`: partial bisimulation with the empty bisimulation set.
 
-``greatest_*`` computes the greatest relation of a kind by iterated removal
-from the full state product.  :func:`oracle_greatest` recomputes it by brute
-force (enumerating every subset of the product) and exists purely so the
-fixpoint can be tested against an independent path; it is capped at products
-of 12 pairs.
+All four run through one engine, a support-counter worklist over interned
+states and labels (after Henzinger, Henzinger and Kopke, FOCS 1995, and
+Bloom and Paige, SCP 1995).  For the leftward clause it counts, per
+``(p2, a, q)``, the ``a``-answers ``q2`` of ``q`` with ``(p2, q2)`` still
+related; for the rightward clause, per ``(p, a, q2)``, the ``a``-answers
+``p2`` of ``p`` likewise.  Pairs with an unanswerable step fall in round 1;
+a removal in round ``k`` that empties a counter removes the pairs it
+supported in round ``k + 1``.  So a pair's rank is the round in which
+removing, together, all pairs that violate the relation at the start of the
+round removes it, every pair its violation cites has a smaller rank, and
+the cost is the product plus the matched transitions, not rounds times the
+product.
+:func:`oracle_greatest` recomputes the relation by brute force (enumerating
+every subset of the product) and exists purely so the fixpoint can be
+tested against an independent path; it is capped at products of 12 pairs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Callable, Optional, Union
+from dataclasses import dataclass
+from typing import Iterable, Optional, Union
 
 from .formulas import Box, Diamond, Formula, conj, disj
 from .systems import (
     Action,
-    CCSignature,
     PointedLTS,
     PointedMTS,
-    SuccIndex,
+    Transition,
     sorted_actions,
     successor_index,
 )
@@ -97,87 +106,6 @@ def compose_relations(r1: Relation, r2: Relation) -> Relation:
     return Relation(frozenset(pairs), r1.left, r2.right)
 
 
-# A violation of a candidate pair is (label, clause, witness state) where
-# clause 1 is the leftward obligation (diamond side when turned into a
-# distinguishing formula) and clause 2 the rightward one (box side).
-Violation = tuple[Action, int, str]
-ViolationFinder = Callable[[str, str, set[Pair]], Optional[Violation]]
-
-
-def _refinement_finder(p_sys: PointedMTS, q_sys: PointedMTS) -> tuple[ViolationFinder, dict]:
-    p_must = successor_index(p_sys.states, p_sys.must)
-    p_may = successor_index(p_sys.states, p_sys.may)
-    q_must = successor_index(q_sys.states, q_sys.must)
-    q_may = successor_index(q_sys.states, q_sys.may)
-    ctx = {"left_diamond": q_must, "right_box": p_may}
-
-    def find(p: str, q: str, rel: set[Pair]) -> Optional[Violation]:
-        labels = sorted_actions(set(p_must[p]) | set(q_may[q]))
-        for a in labels:
-            for p2 in p_must[p].get(a, ()):
-                if not any((p2, q2) in rel for q2 in q_must[q].get(a, ())):
-                    return (a, 1, p2)
-            for q2 in q_may[q].get(a, ()):
-                if not any((p2, q2) in rel for p2 in p_may[p].get(a, ())):
-                    return (a, 2, q2)
-        return None
-
-    return find, ctx
-
-
-def _ccsim_finder(p_sys: PointedLTS, q_sys: PointedLTS) -> tuple[ViolationFinder, dict]:
-    sig = p_sys.signature
-    forward = sig.covariant | sig.bivariant
-    backward = sig.contravariant | sig.bivariant
-    p_succ = successor_index(p_sys.states, p_sys.transitions)
-    q_succ = successor_index(q_sys.states, q_sys.transitions)
-    ctx = {"left_diamond": q_succ, "right_box": p_succ}
-
-    def find(p: str, q: str, rel: set[Pair]) -> Optional[Violation]:
-        labels = sorted_actions(
-            (set(p_succ[p]) & forward) | (set(q_succ[q]) & backward)
-        )
-        for a in labels:
-            if a in forward:
-                for p2 in p_succ[p].get(a, ()):
-                    if not any((p2, q2) in rel for q2 in q_succ[q].get(a, ())):
-                        return (a, 1, p2)
-            if a in backward:
-                for q2 in q_succ[q].get(a, ()):
-                    if not any((p2, q2) in rel for p2 in p_succ[p].get(a, ())):
-                        return (a, 2, q2)
-        return None
-
-    return find, ctx
-
-
-def _fixpoint(
-    left_states: frozenset[str],
-    right_states: frozenset[str],
-    find: ViolationFinder,
-) -> tuple[frozenset[Pair], list[frozenset[Pair]], dict[Pair, tuple[int, Violation]]]:
-    rel: set[Pair] = {(p, q) for p in left_states for q in right_states}
-    rounds = [frozenset(rel)]
-    records: dict[Pair, tuple[int, Violation]] = {}
-    round_no = 0
-    while True:
-        # Violations are detected against the relation at the start of the
-        # round and removed together, so every blocking pair referenced by a
-        # violation was removed in a strictly earlier round.
-        bad = []
-        for pair in sorted(rel):
-            violation = find(pair[0], pair[1], rel)
-            if violation is not None:
-                bad.append((pair, violation))
-        if not bad:
-            return frozenset(rel), rounds, records
-        round_no += 1
-        for pair, violation in bad:
-            rel.discard(pair)
-            records[pair] = (round_no, violation)
-        rounds.append(frozenset(rel))
-
-
 def _check_mts_pair(p_sys: PointedMTS, q_sys: PointedMTS) -> None:
     if p_sys.actions != q_sys.actions:
         raise ValueError("refinement needs both systems over the same action set")
@@ -188,59 +116,234 @@ def _check_lts_pair(p_sys: PointedLTS, q_sys: PointedLTS) -> None:
         raise ValueError("covariant-contravariant simulation needs identical signatures")
 
 
+def _check_pb_pair(p_sys: PointedLTS, q_sys: PointedLTS, bset: frozenset[Action]) -> None:
+    if p_sys.signature.actions != q_sys.signature.actions:
+        raise ValueError("partial bisimulation needs both systems over the same alphabet")
+    stray = sorted_actions(bset - p_sys.signature.actions)
+    if stray:
+        raise ValueError(f"bisimulation set labels {stray} are outside the alphabet")
+
+
+Clauses = tuple[Iterable[Transition], Iterable[Transition], Iterable[Transition], Iterable[Transition]]
+
+
+def _prepare(
+    kind: PreorderKind,
+    p_sys: Union[PointedMTS, PointedLTS],
+    q_sys: Union[PointedMTS, PointedLTS],
+) -> Clauses:
+    """Check that the systems fit ``kind`` and return the transitions each
+    clause reads: ``(p_steps, q_answers, q_steps, p_answers)``.
+
+    The leftward clause asks every ``p_steps`` move of the left state to be
+    answered by a ``q_answers`` move of the right state on the same label
+    with related targets; the rightward clause asks the same of ``q_steps``
+    moves, answered by ``p_answers`` moves.  Partial bisimulation is
+    cc-simulation with the labels outside ``bset`` covariant and those
+    inside bivariant; simulation has the empty ``bset``.
+    """
+    if isinstance(kind, Refinement):
+        _check_mts_pair(p_sys, q_sys)
+        return p_sys.must, q_sys.must, q_sys.may, p_sys.may
+    if isinstance(kind, CCSim):
+        _check_lts_pair(p_sys, q_sys)
+        sig = p_sys.signature
+        forward = sig.covariant | sig.bivariant
+        backward = sig.contravariant | sig.bivariant
+    elif isinstance(kind, (PartialBisim, Simulation)):
+        backward = kind.bset if isinstance(kind, PartialBisim) else frozenset()
+        _check_pb_pair(p_sys, q_sys, backward)
+        forward = p_sys.signature.actions
+    else:
+        raise TypeError(f"unknown preorder kind: {kind!r}")
+    return (
+        [t for t in p_sys.transitions if t[1] in forward],
+        q_sys.transitions,
+        [t for t in q_sys.transitions if t[1] in backward],
+        p_sys.transitions,
+    )
+
+
+# Per state, its targets by label; states and labels are interned ints.
+Index = list[dict[int, list[int]]]
+
+
+def _index(
+    transitions: Iterable[Transition], state_id: dict[str, int], label_id: dict[Action, int]
+) -> tuple[Index, Index]:
+    """Successors (targets ascending) and predecessors of each state."""
+    succ: Index = [{} for _ in state_id]
+    pred: Index = [{} for _ in state_id]
+    for src, lab, dst in transitions:
+        s, a, d = state_id[src], label_id[lab], state_id[dst]
+        succ[s].setdefault(a, []).append(d)
+        pred[d].setdefault(a, []).append(s)
+    for row in succ:
+        for targets in row.values():
+            targets.sort()
+    return succ, pred
+
+
+def _masks(index: Index) -> list[int]:
+    return [sum(1 << a for a in row) for row in index]
+
+
+class _Game:
+    """One preorder check, solved by the support-counter worklist.
+
+    States are numbered in name order on each side and labels in
+    :func:`sorted_actions` order, so ascending numbers are the printed order
+    and the hot loop never hashes an :class:`Action`.  The pair ``(p, q)``
+    is the number ``p * len(right) + q``, and ``rank[pair]`` is the round in
+    which it leaves the relation (0 if it never does).
+    """
+
+    def __init__(self, left_states: Iterable[str], right_states: Iterable[str], clauses: Clauses):
+        self.left, self.right = sorted(left_states), sorted(right_states)
+        self.left_id = {s: i for i, s in enumerate(self.left)}
+        self.right_id = {s: i for i, s in enumerate(self.right)}
+        p_steps, q_answers, q_steps, p_answers = clauses
+        self.labels = sorted_actions({t[1] for rel in clauses for t in rel})
+        label_id = {a: i for i, a in enumerate(self.labels)}
+        self.p_steps, self.p_steps_pred = _index(p_steps, self.left_id, label_id)
+        self.q_answers, self.q_answers_pred = _index(q_answers, self.right_id, label_id)
+        self.q_steps, self.q_steps_pred = _index(q_steps, self.right_id, label_id)
+        self.p_answers, self.p_answers_pred = _index(p_answers, self.left_id, label_id)
+        self.rank = self._solve()
+
+    def _solve(self) -> list[int]:
+        # A counter starts at its answer count and is created at its first
+        # decrement.
+        m, labels = len(self.right), len(self.labels)
+        rank = [0] * (len(self.left) * m)
+        q_answer_masks, q_step_masks = _masks(self.q_answers), _masks(self.q_steps)
+        frontier = []
+        for p, (steps, answers) in enumerate(zip(_masks(self.p_steps), _masks(self.p_answers))):
+            for q in range(m):
+                if steps & ~q_answer_masks[q] or q_step_masks[q] & ~answers:
+                    rank[p * m + q] = 1
+                    frontier.append(p * m + q)
+        left_count: dict[int, int] = {}
+        right_count: dict[int, int] = {}
+        k = 1
+        while frontier:
+            k += 1
+            fallen = []
+            for pair in frontier:
+                p2, q2 = divmod(pair, m)
+                stepping = self.p_steps_pred[p2]
+                for a, answering in self.q_answers_pred[q2].items():
+                    movers = stepping.get(a)
+                    if movers is None:
+                        continue
+                    for q in answering:
+                        key = (p2 * labels + a) * m + q
+                        left = left_count.get(key, len(self.q_answers[q][a])) - 1
+                        left_count[key] = left
+                        if not left:
+                            for p in movers:
+                                if not rank[p * m + q]:
+                                    rank[p * m + q] = k
+                                    fallen.append(p * m + q)
+                stepping = self.q_steps_pred[q2]
+                for a, answering in self.p_answers_pred[p2].items():
+                    movers = stepping.get(a)
+                    if movers is None:
+                        continue
+                    for p in answering:
+                        key = (p * labels + a) * m + q2
+                        left = right_count.get(key, len(self.p_answers[p][a])) - 1
+                        right_count[key] = left
+                        if not left:
+                            for q in movers:
+                                if not rank[p * m + q]:
+                                    rank[p * m + q] = k
+                                    fallen.append(p * m + q)
+            frontier = fallen
+        return rank
+
+    def _violation(self, p: int, q: int) -> tuple[int, int, int]:
+        """(label, clause, witness state) of the first violation, in label,
+        clause and name order, of a removed pair against the relation at the
+        start of its round; clause 1 is the leftward one."""
+        rank, m = self.rank, len(self.right)
+        k = rank[p * m + q]
+
+        def held(pair: int) -> bool:
+            return not rank[pair] or rank[pair] >= k
+
+        steps, answers = self.p_steps[p], self.q_answers[q]
+        back, back_answers = self.q_steps[q], self.p_answers[p]
+        for a in sorted(steps.keys() | back.keys()):
+            for p2 in steps.get(a, ()):
+                if not any(held(p2 * m + q2) for q2 in answers.get(a, ())):
+                    return a, 1, p2
+            for q2 in back.get(a, ()):
+                if not any(held(p2 * m + q2) for p2 in back_answers.get(a, ())):
+                    return a, 2, q2
+
+    def formula(self, p: str, q: str) -> Formula:
+        """A distinguishing formula for a removed pair, built from its
+        violation; the pairs it cites fell earlier, so the recursion ends."""
+        m = len(self.right)
+        memo: dict[int, Formula] = {}
+
+        def build(p: int, q: int) -> Formula:
+            if p * m + q not in memo:
+                a, clause, w = self._violation(p, q)
+                if clause == 1:
+                    out: Formula = Diamond(
+                        self.labels[a], conj([build(w, q2) for q2 in self.q_answers[q].get(a, ())])
+                    )
+                else:
+                    out = Box(self.labels[a], disj([build(p2, w) for p2 in self.p_answers[p].get(a, ())]))
+                memo[p * m + q] = out
+            return memo[p * m + q]
+
+        return build(self.left_id[p], self.right_id[q])
+
+
+def _fixpoint(
+    left_states: frozenset[str], right_states: frozenset[str], clauses: Clauses
+) -> tuple[frozenset[Pair], _Game]:
+    """The greatest relation satisfying ``clauses`` (see :func:`_prepare`)
+    and the solved game, which holds the rank of every pair."""
+    game = _Game(left_states, right_states, clauses)
+    m = len(game.right)
+    related = frozenset((game.left[i // m], game.right[i % m]) for i, r in enumerate(game.rank) if not r)
+    return related, game
+
+
+def _greatest(kind: PreorderKind, p_sys, q_sys) -> Relation:
+    rel, _ = _fixpoint(p_sys.states, q_sys.states, _prepare(kind, p_sys, q_sys))
+    return Relation(rel)
+
+
 def greatest_refinement(p_sys: PointedMTS, q_sys: PointedMTS) -> Relation:
     """The greatest modal refinement relation between the two state sets."""
-    _check_mts_pair(p_sys, q_sys)
-    find, _ = _refinement_finder(p_sys, q_sys)
-    rel, _, _ = _fixpoint(p_sys.states, q_sys.states, find)
-    return Relation(rel)
+    return _greatest(Refinement(), p_sys, q_sys)
 
 
 def greatest_ccsim(p_sys: PointedLTS, q_sys: PointedLTS) -> Relation:
     """The greatest covariant-contravariant simulation between the two
     state sets; the systems must share one signature."""
-    _check_lts_pair(p_sys, q_sys)
-    find, _ = _ccsim_finder(p_sys, q_sys)
-    rel, _, _ = _fixpoint(p_sys.states, q_sys.states, find)
-    return Relation(rel)
-
-
-def _pb_signature(universe: frozenset[Action], bset: frozenset[Action]) -> CCSignature:
-    return CCSignature(
-        covariant=universe - bset,
-        contravariant=frozenset(),
-        bivariant=bset,
-    )
-
-
-def _reclass_for_pb(
-    p_sys: PointedLTS, q_sys: PointedLTS, bset: frozenset[Action]
-) -> tuple[PointedLTS, PointedLTS]:
-    universe = p_sys.signature.actions
-    if universe != q_sys.signature.actions:
-        raise ValueError("partial bisimulation needs both systems over the same alphabet")
-    stray = sorted_actions(bset - universe)
-    if stray:
-        raise ValueError(f"bisimulation set labels {stray} are outside the alphabet")
-    sig = _pb_signature(universe, frozenset(bset))
-    return replace(p_sys, signature=sig), replace(q_sys, signature=sig)
+    return _greatest(CCSim(), p_sys, q_sys)
 
 
 def greatest_pbsim(p_sys: PointedLTS, q_sys: PointedLTS, bset: frozenset[Action]) -> Relation:
     """The greatest partial bisimulation with bisimulation set ``bset``.
 
-    Computed by reclassifying the alphabet (actions outside ``bset``
-    covariant, actions inside bivariant) and delegating to
-    :func:`greatest_ccsim`; the two definitions coincide pair for pair.
+    This is covariant-contravariant simulation after reclassifying the
+    alphabet (actions outside ``bset`` covariant, actions inside
+    bivariant); the two definitions coincide pair for pair.
     """
-    left, right = _reclass_for_pb(p_sys, q_sys, bset)
-    return greatest_ccsim(left, right)
+    return _greatest(PartialBisim(frozenset(bset)), p_sys, q_sys)
 
 
 def greatest_simulation(p_sys: PointedLTS, q_sys: PointedLTS) -> Relation:
     """The plain simulation preorder: partial bisimulation with the empty
     bisimulation set."""
-    return greatest_pbsim(p_sys, q_sys, frozenset())
+    return _greatest(Simulation(), p_sys, q_sys)
 
 
 def fixpoint_rounds(
@@ -248,24 +351,15 @@ def fixpoint_rounds(
     p_sys: Union[PointedMTS, PointedLTS],
     q_sys: Union[PointedMTS, PointedLTS],
 ) -> list[frozenset[Pair]]:
-    """The chain of relations the removal loop passes through, starting at
-    the full product; mainly for inspection and property tests."""
-    if isinstance(kind, Refinement):
-        _check_mts_pair(p_sys, q_sys)
-        find, _ = _refinement_finder(p_sys, q_sys)
-    elif isinstance(kind, CCSim):
-        _check_lts_pair(p_sys, q_sys)
-        find, _ = _ccsim_finder(p_sys, q_sys)
-    elif isinstance(kind, PartialBisim):
-        p_sys, q_sys = _reclass_for_pb(p_sys, q_sys, kind.bset)
-        find, _ = _ccsim_finder(p_sys, q_sys)
-    elif isinstance(kind, Simulation):
-        p_sys, q_sys = _reclass_for_pb(p_sys, q_sys, frozenset())
-        find, _ = _ccsim_finder(p_sys, q_sys)
-    else:
-        raise TypeError(f"unknown preorder kind: {kind!r}")
-    _, rounds, _ = _fixpoint(p_sys.states, q_sys.states, find)
-    return rounds
+    """The relation at the start of each removal round, starting at the full
+    product and ending at the greatest relation; mainly for inspection and
+    property tests."""
+    _, game = _fixpoint(p_sys.states, q_sys.states, _prepare(kind, p_sys, q_sys))
+    pairs = [(p, q) for p in game.left for q in game.right]
+    chain = [frozenset(pairs)]
+    for k in range(1, max(game.rank, default=0) + 1):
+        chain.append(chain[-1].difference(pair for pair, r in zip(pairs, game.rank) if r == k))
+    return chain
 
 
 def _oracle_obligations(
@@ -351,12 +445,7 @@ def oracle_greatest(
     elif isinstance(kind, CCSim):
         _check_lts_pair(p_sys, q_sys)
     elif isinstance(kind, (PartialBisim, Simulation)):
-        bset = kind.bset if isinstance(kind, PartialBisim) else frozenset()
-        if p_sys.signature.actions != q_sys.signature.actions:
-            raise ValueError("partial bisimulation needs both systems over the same alphabet")
-        stray = sorted_actions(bset - p_sys.signature.actions)
-        if stray:
-            raise ValueError(f"bisimulation set labels {stray} are outside the alphabet")
+        _check_pb_pair(p_sys, q_sys, kind.bset if isinstance(kind, PartialBisim) else frozenset())
     else:
         raise TypeError(f"unknown preorder kind: {kind!r}")
     pairs = sorted((p, q) for p in p_sys.states for q in q_sys.states)
@@ -388,6 +477,29 @@ def oracle_greatest(
     return Relation(frozenset(pairs[i] for i in range(n) if union >> i & 1))
 
 
+def decide(
+    kind: PreorderKind,
+    p_sys: Union[PointedMTS, PointedLTS],
+    p: str,
+    q_sys: Union[PointedMTS, PointedLTS],
+    q: str,
+) -> tuple[Relation, Optional[Formula]]:
+    """The greatest relation of ``kind`` between the two systems and, when
+    it does not relate ``p`` to ``q`` and ``kind`` is :class:`Refinement`
+    or :class:`CCSim`, the distinguishing formula of
+    :func:`distinguishing_formula` for that pair, both from one fixpoint."""
+    clauses = _prepare(kind, p_sys, q_sys)
+    if p not in p_sys.states:
+        raise ValueError(f"{p!r} is not a state of the left system")
+    if q not in q_sys.states:
+        raise ValueError(f"{q!r} is not a state of the right system")
+    rel, game = _fixpoint(p_sys.states, q_sys.states, clauses)
+    witness = None
+    if (p, q) not in rel and isinstance(kind, (Refinement, CCSim)):
+        witness = game.formula(p, q)
+    return Relation(rel), witness
+
+
 def distinguishing_formula(
     kind: PreorderKind,
     p_sys: Union[PointedMTS, PointedLTS],
@@ -398,45 +510,12 @@ def distinguishing_formula(
     """A formula satisfied by ``(p_sys, p)`` but not by ``(q_sys, q)``, or
     ``None`` when the pair lies in the greatest relation of ``kind``.
 
-    Built from the removal round that deleted the pair: a failed leftward
-    obligation on ``a`` becomes ``<a>(...)`` over the opposing successors, a
-    failed rightward obligation becomes ``[a](...)``.  No minimality is
-    promised, only that it witnesses the failure.  Supported for
-    :class:`Refinement` and :class:`CCSim`.
+    Built from the violation that removed the pair in its round: a failed
+    leftward obligation on ``a`` becomes ``<a>(...)`` over the opposing
+    successors, a failed rightward obligation becomes ``[a](...)``.  No
+    minimality is promised, only that it witnesses the failure.  Supported
+    for :class:`Refinement` and :class:`CCSim`.
     """
-    if isinstance(kind, Refinement):
-        _check_mts_pair(p_sys, q_sys)
-        find, ctx = _refinement_finder(p_sys, q_sys)
-    elif isinstance(kind, CCSim):
-        _check_lts_pair(p_sys, q_sys)
-        find, ctx = _ccsim_finder(p_sys, q_sys)
-    else:
+    if not isinstance(kind, (Refinement, CCSim)):
         raise TypeError("distinguishing formulae exist for refinement and cc-simulation")
-    if p not in p_sys.states:
-        raise ValueError(f"{p!r} is not a state of the left system")
-    if q not in q_sys.states:
-        raise ValueError(f"{q!r} is not a state of the right system")
-    rel, _, records = _fixpoint(p_sys.states, q_sys.states, find)
-    if (p, q) in rel:
-        return None
-    left_diamond: SuccIndex = ctx["left_diamond"]
-    right_box: SuccIndex = ctx["right_box"]
-    memo: dict[Pair, Formula] = {}
-
-    def build(pair: Pair) -> Formula:
-        if pair in memo:
-            return memo[pair]
-        _, (a, clause, _witness) = records[pair]
-        pp, qq = pair
-        if clause == 1:
-            _, (_, _, p2) = records[pair]
-            blockers = left_diamond[qq].get(a, ())
-            out: Formula = Diamond(a, conj([build((p2, q2)) for q2 in blockers]))
-        else:
-            _, (_, _, q2) = records[pair]
-            movers = right_box[pp].get(a, ())
-            out = Box(a, disj([build((p2, q2)) for p2 in movers]))
-        memo[pair] = out
-        return out
-
-    return build((p, q))
+    return decide(kind, p_sys, p, q_sys, q)[1]

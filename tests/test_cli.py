@@ -192,6 +192,12 @@ def test_mc_exit_codes(files, capsys):
     assert run(capsys, "mc", path, "idle", "<coin>")[0] == 2
 
 
+def test_too_deep_input_is_an_error_not_a_verdict(files, capsys):
+    path = files("v.mts", VENDING)
+    code, out, err = run(capsys, "mc", path, "idle", "<coin>" * 1000 + "tt")
+    assert (code, out, err) == (2, "", "error: input nested too deeply\n")
+
+
 def test_charform_output(files, capsys):
     result = characteristic_formula(parse_term("a!0"), frozenset({"a"}))
     code, out, _ = run(capsys, "charform", "a!0", "--cc")

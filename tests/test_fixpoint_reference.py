@@ -1,0 +1,278 @@
+"""The round-by-round removal loop, kept as a test-only reference for the
+counter worklist in :mod:`modalsim.preorders`.
+
+Each round of the loop evaluates every pair still in the relation against
+the relation at the start of the round and removes the violators together,
+so the round that removes a pair is its rank.  The engine must reproduce the
+greatest relation, the chain of relations round by round and, for refinement
+and cc-simulation, the distinguishing formula text byte for byte.  The cases
+here go far beyond the brute-force oracle's 12-pair cap: chains up to 30
+steps, width-2 ladders up to 12 levels and random 40-state sparse pairs.
+"""
+
+import random
+from dataclasses import replace
+
+import pytest
+
+from modalsim.formulas import Box, Diamond, conj, disj, formula_text
+from modalsim.preorders import (
+    CCSim,
+    PartialBisim,
+    Refinement,
+    Simulation,
+    distinguishing_formula,
+    fixpoint_rounds,
+    greatest_ccsim,
+    greatest_pbsim,
+    greatest_refinement,
+    greatest_simulation,
+)
+from modalsim.systems import (
+    CCSignature,
+    action,
+    lts,
+    mts,
+    signature,
+    sorted_actions,
+    successor_index,
+)
+
+# ---------------------------------------------------------------- reference
+
+
+def _refinement_finder(p_sys, q_sys):
+    p_must = successor_index(p_sys.states, p_sys.must)
+    p_may = successor_index(p_sys.states, p_sys.may)
+    q_must = successor_index(q_sys.states, q_sys.must)
+    q_may = successor_index(q_sys.states, q_sys.may)
+
+    def find(p, q, rel):
+        for a in sorted_actions(set(p_must[p]) | set(q_may[q])):
+            for p2 in p_must[p].get(a, ()):
+                if not any((p2, q2) in rel for q2 in q_must[q].get(a, ())):
+                    return (a, 1, p2)
+            for q2 in q_may[q].get(a, ()):
+                if not any((p2, q2) in rel for p2 in p_may[p].get(a, ())):
+                    return (a, 2, q2)
+        return None
+
+    return find, q_must, p_may
+
+
+def _ccsim_finder(p_sys, q_sys):
+    sig = p_sys.signature
+    forward = sig.covariant | sig.bivariant
+    backward = sig.contravariant | sig.bivariant
+    p_succ = successor_index(p_sys.states, p_sys.transitions)
+    q_succ = successor_index(q_sys.states, q_sys.transitions)
+
+    def find(p, q, rel):
+        labels = sorted_actions((set(p_succ[p]) & forward) | (set(q_succ[q]) & backward))
+        for a in labels:
+            if a in forward:
+                for p2 in p_succ[p].get(a, ()):
+                    if not any((p2, q2) in rel for q2 in q_succ[q].get(a, ())):
+                        return (a, 1, p2)
+            if a in backward:
+                for q2 in q_succ[q].get(a, ()):
+                    if not any((p2, q2) in rel for p2 in p_succ[p].get(a, ())):
+                        return (a, 2, q2)
+        return None
+
+    return find, q_succ, p_succ
+
+
+def reference_finder(kind, p_sys, q_sys):
+    """(find, left-clause answers of the right system, right-clause answers
+    of the left system) for ``kind``."""
+    if isinstance(kind, Refinement):
+        return _refinement_finder(p_sys, q_sys)
+    if isinstance(kind, CCSim):
+        return _ccsim_finder(p_sys, q_sys)
+    bset = kind.bset if isinstance(kind, PartialBisim) else frozenset()
+    universe = p_sys.signature.actions
+    sig = CCSignature(covariant=universe - bset, contravariant=frozenset(), bivariant=bset)
+    return _ccsim_finder(replace(p_sys, signature=sig), replace(q_sys, signature=sig))
+
+
+def reference_fixpoint(left_states, right_states, find):
+    """(greatest relation, relation at the start of each round, pair ->
+    (round that removed it, its violation))."""
+    rel = {(p, q) for p in left_states for q in right_states}
+    rounds = [frozenset(rel)]
+    records = {}
+    round_no = 0
+    while True:
+        bad = []
+        for pair in sorted(rel):
+            violation = find(pair[0], pair[1], rel)
+            if violation is not None:
+                bad.append((pair, violation))
+        if not bad:
+            return frozenset(rel), rounds, records
+        round_no += 1
+        for pair, violation in bad:
+            rel.discard(pair)
+            records[pair] = (round_no, violation)
+        rounds.append(frozenset(rel))
+
+
+def cited_pairs(pair, violation, q_answers, p_answers):
+    """The pairs whose absence makes ``violation`` a violation."""
+    p, q = pair
+    a, clause, witness = violation
+    if clause == 1:
+        return [(witness, q2) for q2 in q_answers[q].get(a, ())]
+    return [(p2, witness) for p2 in p_answers[p].get(a, ())]
+
+
+def reference_formula(records, q_answers, p_answers, pair):
+    memo = {}
+
+    def build(pair):
+        if pair not in memo:
+            _, violation = records[pair]
+            cited = [build(c) for c in cited_pairs(pair, violation, q_answers, p_answers)]
+            a, clause, _ = violation
+            memo[pair] = Diamond(a, conj(cited)) if clause == 1 else Box(a, disj(cited))
+        return memo[pair]
+
+    return build(pair)
+
+
+# ---------------------------------------------------------------- cases
+
+A = action("a")
+
+
+def _names(rng, n):
+    # Sorted name order differs from path order, so tie-breaks by name matter.
+    return [f"s{i}" for i in rng.sample(range(10 * n), n)]
+
+
+def _chain(rng, n):
+    names = _names(rng, n + 1)
+    return names, [(names[i], "a", names[i + 1]) for i in range(n)]
+
+
+def _ladder(rng, levels):
+    names = _names(rng, 2 * levels + 1)
+    rungs = [names[1 + 2 * i : 3 + 2 * i] for i in range(levels)]
+    steps = [(names[0], "a", dst) for dst in rungs[0]]
+    for upper, lower in zip(rungs, rungs[1:]):
+        steps += [(src, "a", dst) for src in upper for dst in lower]
+    return names, steps
+
+
+def _one_label_pair(kind, left, right, cls):
+    if isinstance(kind, Refinement):
+        return tuple(mts(names, ["a"], steps, steps, names[0]) for names, steps in (left, right))
+    sig = signature(**{cls: ["a"]})
+    return tuple(lts(names, sig, steps, names[0]) for names, steps in (left, right))
+
+
+LINE_KINDS = [
+    ("refine", Refinement(), "cov"),
+    ("ccsim-cov", CCSim(), "cov"),
+    ("ccsim-con", CCSim(), "con"),
+    ("ccsim-bi", CCSim(), "bi"),
+    ("pbsim", PartialBisim(frozenset({A})), "cov"),
+    ("sim", Simulation(), "cov"),
+]
+
+
+def _line_cases():
+    rng = random.Random(2024)
+    for n in (1, 2, 5, 10, 20, 30):
+        for tag, kind, cls in LINE_KINDS:
+            long_, short = _chain(rng, n + 1), _chain(rng, n)
+            yield f"chain{n}-{tag}-down", kind, _one_label_pair(kind, long_, short, cls)
+            yield f"chain{n}-{tag}-up", kind, _one_label_pair(kind, short, long_, cls)
+    for levels in (1, 2, 4, 8, 12):
+        for tag, kind, cls in LINE_KINDS:
+            line, lad = _chain(rng, levels + 1), _ladder(rng, levels)
+            yield f"ladder{levels}-{tag}-in", kind, _one_label_pair(kind, line, lad, cls)
+            yield f"ladder{levels}-{tag}-out", kind, _one_label_pair(kind, lad, line, cls)
+
+
+def _sparse_steps(rng, names, labels, degree):
+    return {(s, rng.choice(labels), rng.choice(names)) for s in names for _ in range(degree)}
+
+
+def _perturbed(rng, steps, names, labels):
+    """A renamed copy of ``steps`` with some moves dropped and a few added, so
+    that the relation between the two is neither empty nor full."""
+    kept = {t for t in sorted(steps) if rng.random() < 0.85}
+    kept |= {(rng.choice(names), rng.choice(labels), rng.choice(names)) for _ in range(3)}
+    fresh = dict(zip(names, _names(rng, len(names))))
+    return [fresh[s] for s in names], {(fresh[s], a, fresh[d]) for s, a, d in kept}
+
+
+def _sparse_cases(n=40):
+    labels = ["a", "b", "c"]
+    for seed in (1, 2, 3):
+        rng = random.Random(seed)
+        names = _names(rng, n)
+        may = _sparse_steps(rng, names, labels, 2)
+        must = {t for t in sorted(may) if rng.random() < 0.5}
+        left_names, left_may = _perturbed(rng, may, names, labels)
+        rename = dict(zip(names, left_names))
+        left_must = {(rename[s], a, rename[d]) for s, a, d in sorted(must) if rng.random() < 0.8}
+        left = mts(left_names, labels, left_may | left_must, left_must, left_names[0])
+        right = mts(names, labels, may, must, names[0])
+        yield f"sparse{seed}-refine", Refinement(), (left, right)
+        trans = _sparse_steps(rng, names, labels, 2)
+        left_names, left_trans = _perturbed(rng, trans, names, labels)
+        sig = signature(cov=["a"], con=["b"], bi=["c"])
+        left, right = lts(left_names, sig, left_trans, left_names[0]), lts(names, sig, trans, names[0])
+        for kind in (CCSim(), PartialBisim(frozenset({action("b")})), Simulation()):
+            yield f"sparse{seed}-{type(kind).__name__}", kind, (left, right)
+
+
+CASES = list(_line_cases()) + list(_sparse_cases())
+
+
+def _greatest(kind, p, q):
+    if isinstance(kind, Refinement):
+        return greatest_refinement(p, q)
+    if isinstance(kind, CCSim):
+        return greatest_ccsim(p, q)
+    if isinstance(kind, PartialBisim):
+        return greatest_pbsim(p, q, kind.bset)
+    return greatest_simulation(p, q)
+
+
+# ---------------------------------------------------------------- tests
+
+
+@pytest.mark.parametrize("name,kind,systems", CASES, ids=[c[0] for c in CASES])
+def test_engine_reproduces_the_removal_loop(name, kind, systems):
+    p_sys, q_sys = systems
+    find, q_answers, p_answers = reference_finder(kind, p_sys, q_sys)
+    rel, rounds, records = reference_fixpoint(p_sys.states, q_sys.states, find)
+    assert _greatest(kind, p_sys, q_sys).pairs == rel
+    chain = fixpoint_rounds(kind, p_sys, q_sys)
+    assert chain == rounds
+    # Every pair a violation cites was removed strictly before the pair
+    # citing it, by the engine's ranks (the first round without the pair).
+    rank = {pair: k for k in range(1, len(chain)) for pair in chain[k - 1] - chain[k]}
+    for pair, (round_no, violation) in records.items():
+        for cited in cited_pairs(pair, violation, q_answers, p_answers):
+            assert rank[cited] < round_no
+    if not isinstance(kind, (Refinement, CCSim)):
+        return
+    removed = sorted(records)
+    picks = random.Random(name).sample(removed, min(6, len(removed)))
+    if (p_sys.init, q_sys.init) in records:
+        picks.append((p_sys.init, q_sys.init))
+    for p, q in picks:
+        expected = formula_text(reference_formula(records, q_answers, p_answers, (p, q)))
+        assert formula_text(distinguishing_formula(kind, p_sys, p, q_sys, q)) == expected
+
+
+def test_cases_reach_deep_fixpoints_beyond_the_oracle_cap():
+    depth = {name: len(fixpoint_rounds(kind, *systems)) - 1 for name, kind, systems in CASES}
+    assert depth["chain30-refine-down"] == 31
+    assert max(v for k, v in depth.items() if k.startswith("ladder12")) >= 12
+    assert all(depth[f"sparse{seed}-refine"] >= 1 for seed in (1, 2, 3))
