@@ -10,8 +10,8 @@ and is checked pointwise by :func:`check_satisfaction_condition`.
 
 The two institutions are connected by mapping an alphabet ``A`` to the
 decorated signature ``(cv(A), ct(A), {})``, sentences backwards via
-:func:`morphism_formula_map` (exactly the formula decoding) and models via
-:func:`morphism_model_map` (exactly the MTS encoding);
+:func:`~modalsim.translate.decode_formula` and models via
+:func:`~modalsim.translate.lts_of_mts`;
 :func:`check_morphism_condition` checks the resulting invariance.
 
 Some canonical models:
@@ -251,10 +251,6 @@ def check_satisfaction_condition(
 # The connecting morphism between the two institutions: alphabets map to
 # their decorated signatures, sentences come back by decoding, models go
 # forward by encoding.
-morphism_formula_map = decode_formula
-morphism_model_map = lts_of_mts
-
-
 def morphism_signature_map(alphabet: Iterable[Union[str, Action]]) -> CCSignature:
     labels = frozenset(action(a) for a in alphabet)
     return CCSignature(
@@ -268,9 +264,7 @@ def check_morphism_condition(m: PointedMTS, state: str, phi: Formula) -> bool:
     """Truth is invariant across the connecting morphism: the decoded
     sentence holds at an MTS state iff the sentence holds at the same state
     of the encoded model."""
-    return mc_mts(m, state, morphism_formula_map(phi)) == mc_cc(
-        morphism_model_map(m), state, phi
-    )
+    return mc_mts(m, state, decode_formula(phi)) == mc_cc(lts_of_mts(m), state, phi)
 
 
 def weakly_final_implementation(sig: CCSignature, state: str = "s") -> PointedLTS:

@@ -85,9 +85,6 @@ class Relation:
     left: str = ""
     right: str = ""
 
-    def relates(self, p: str, q: str) -> bool:
-        return (p, q) in self.pairs
-
     def __contains__(self, pair: Pair) -> bool:
         return pair in self.pairs
 
@@ -284,20 +281,31 @@ class _Game:
 
     def formula(self, p: str, q: str) -> Formula:
         """A distinguishing formula for a removed pair, built from its
-        violation; the pairs it cites fell earlier, so the recursion ends."""
+        violation; the pairs it cites fell earlier, so the recursion ends.
+
+        Every node is a modality over the operands its cited pairs give, so
+        keying nodes by ``(label, clause, operand identities)``, with
+        operands that are the same object as an earlier one dropped, makes
+        structurally equal sub-witnesses one object."""
         m = len(self.right)
         memo: dict[int, Formula] = {}
+        shared: dict[tuple[int, ...], Formula] = {}
 
         def build(p: int, q: int) -> Formula:
             if p * m + q not in memo:
                 a, clause, w = self._violation(p, q)
                 if clause == 1:
-                    out: Formula = Diamond(
-                        self.labels[a], conj([build(w, q2) for q2 in self.q_answers[q].get(a, ())])
-                    )
+                    cited = [build(w, q2) for q2 in self.q_answers[q].get(a, ())]
                 else:
-                    out = Box(self.labels[a], disj([build(p2, w) for p2 in self.p_answers[p].get(a, ())]))
-                memo[p * m + q] = out
+                    cited = [build(p2, w) for p2 in self.p_answers[p].get(a, ())]
+                operands = list({id(f): f for f in cited}.values())
+                key = (a, clause, *map(id, operands))
+                if key not in shared:
+                    if clause == 1:
+                        shared[key] = Diamond(self.labels[a], conj(operands))
+                    else:
+                        shared[key] = Box(self.labels[a], disj(operands))
+                memo[p * m + q] = shared[key]
             return memo[p * m + q]
 
         return build(self.left_id[p], self.right_id[q])
@@ -512,9 +520,13 @@ def distinguishing_formula(
 
     Built from the violation that removed the pair in its round: a failed
     leftward obligation on ``a`` becomes ``<a>(...)`` over the opposing
-    successors, a failed rightward obligation becomes ``[a](...)``.  No
-    minimality is promised, only that it witnesses the failure.  Supported
-    for :class:`Refinement` and :class:`CCSim`.
+    successors, a failed rightward obligation becomes ``[a](...)``.  Equal
+    sub-witnesses are one shared object, and a repeated operand of ``&`` or
+    ``|`` is dropped; the witness of a chain against a ladder of width 2
+    then prints in size linear in the levels, not doubling per level.
+    Printing still expands other shared subformulae.  No minimality is
+    promised, only that it witnesses the failure.  Supported for
+    :class:`Refinement` and :class:`CCSim`.
     """
     if not isinstance(kind, (Refinement, CCSim)):
         raise TypeError("distinguishing formulae exist for refinement and cc-simulation")

@@ -38,7 +38,7 @@ the docs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Union
+from typing import Callable, Iterable, Optional, Union
 
 from .formulas import (
     And,
@@ -273,41 +273,54 @@ def embed_formula(phi: Formula) -> Formula:
     return phi
 
 
+def _relabel(
+    phi: Formula, diamond: Callable[[Action], Action], box: Callable[[Action], Action]
+) -> Formula:
+    """``phi`` with every diamond label mapped by ``diamond`` and every box
+    label by ``box``.  A subformula shared in ``phi`` is mapped once and
+    stays shared in the result."""
+    memo: dict[int, Formula] = {}
+
+    def go(phi: Formula) -> Formula:
+        if id(phi) not in memo:
+            if isinstance(phi, (Bottom, Top)):
+                out = phi
+            elif isinstance(phi, And):
+                out = And(go(phi.left), go(phi.right))
+            elif isinstance(phi, Or):
+                out = Or(go(phi.left), go(phi.right))
+            elif isinstance(phi, Diamond):
+                out = Diamond(diamond(phi.action), go(phi.body))
+            elif isinstance(phi, Box):
+                out = Box(box(phi.action), go(phi.body))
+            else:
+                raise TypeError(f"not a formula: {phi!r}")
+            memo[id(phi)] = out
+        return memo[id(phi)]
+
+    return go(phi)
+
+
 def encode_formula(phi: Formula) -> Formula:
     """Formula companion of :func:`lts_of_mts`: ``<a>`` becomes
     ``<cv(a)>`` and ``[a]`` becomes ``[ct(a)]``."""
-    if isinstance(phi, (Bottom, Top)):
-        return phi
-    if isinstance(phi, And):
-        return And(encode_formula(phi.left), encode_formula(phi.right))
-    if isinstance(phi, Or):
-        return Or(encode_formula(phi.left), encode_formula(phi.right))
-    if isinstance(phi, Diamond):
-        return Diamond(cv(phi.action), encode_formula(phi.body))
-    if isinstance(phi, Box):
-        return Box(ct(phi.action), encode_formula(phi.body))
-    raise TypeError(f"not a formula: {phi!r}")
+    return _relabel(phi, cv, ct)
+
+
+def _base_of(mark: str, modality: str) -> Callable[[Action], Action]:
+    def base(a: Action) -> Action:
+        if a.mark != mark:
+            raise NotInEncodingRange(f"{modality} label {a} is not a {mark} copy")
+        return a.base
+
+    return base
 
 
 def decode_formula(phi: Formula) -> Formula:
     """Exact inverse of :func:`encode_formula`: strips ``cv`` off diamonds
     and ``ct`` off boxes.  Raises :class:`NotInEncodingRange` on any other
     modality label."""
-    if isinstance(phi, (Bottom, Top)):
-        return phi
-    if isinstance(phi, And):
-        return And(decode_formula(phi.left), decode_formula(phi.right))
-    if isinstance(phi, Or):
-        return Or(decode_formula(phi.left), decode_formula(phi.right))
-    if isinstance(phi, Diamond):
-        if phi.action.mark != CV:
-            raise NotInEncodingRange(f"diamond label {phi.action} is not a cv copy")
-        return Diamond(phi.action.base, decode_formula(phi.body))
-    if isinstance(phi, Box):
-        if phi.action.mark != CT:
-            raise NotInEncodingRange(f"box label {phi.action} is not a ct copy")
-        return Box(phi.action.base, decode_formula(phi.body))
-    raise TypeError(f"not a formula: {phi!r}")
+    return _relabel(phi, _base_of(CV, "diamond"), _base_of(CT, "box"))
 
 
 def approximate_formula(phi: Formula, sig: CCSignature) -> Formula:

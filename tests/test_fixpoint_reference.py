@@ -5,9 +5,10 @@ Each round of the loop evaluates every pair still in the relation against
 the relation at the start of the round and removes the violators together,
 so the round that removes a pair is its rank.  The engine must reproduce the
 greatest relation, the chain of relations round by round and, for refinement
-and cc-simulation, the distinguishing formula text byte for byte.  The cases
-here go far beyond the brute-force oracle's 12-pair cap: chains up to 30
-steps, width-2 ladders up to 12 levels and random 40-state sparse pairs.
+and cc-simulation, the distinguishing formula text byte for byte, where both
+drop a repeated operand of ``&`` and ``|``.  The cases here go far beyond
+the brute-force oracle's 12-pair cap: chains up to 30 steps, width-2 ladders
+up to 12 levels and random 40-state sparse pairs.
 """
 
 import random
@@ -15,7 +16,7 @@ from dataclasses import replace
 
 import pytest
 
-from modalsim.formulas import Box, Diamond, conj, disj, formula_text
+from modalsim.formulas import Box, Diamond, conj, disj, formula_text, mc_cc, mc_mts
 from modalsim.preorders import (
     CCSim,
     PartialBisim,
@@ -128,12 +129,18 @@ def cited_pairs(pair, violation, q_answers, p_answers):
 
 
 def reference_formula(records, q_answers, p_answers, pair):
+    """The witness of ``pair`` with every operand equal to an earlier one
+    dropped, first occurrences kept in order."""
     memo = {}
 
     def build(pair):
         if pair not in memo:
             _, violation = records[pair]
-            cited = [build(c) for c in cited_pairs(pair, violation, q_answers, p_answers)]
+            cited = []
+            for c in cited_pairs(pair, violation, q_answers, p_answers):
+                sub = build(c)
+                if sub not in cited:
+                    cited.append(sub)
             a, clause, _ = violation
             memo[pair] = Diamond(a, conj(cited)) if clause == 1 else Box(a, disj(cited))
         return memo[pair]
@@ -276,3 +283,29 @@ def test_cases_reach_deep_fixpoints_beyond_the_oracle_cap():
     assert depth["chain30-refine-down"] == 31
     assert max(v for k, v in depth.items() if k.startswith("ladder12")) >= 12
     assert all(depth[f"sparse{seed}-refine"] >= 1 for seed in (1, 2, 3))
+
+
+@pytest.mark.parametrize(
+    "kind,cls,chain_left",
+    [
+        (Refinement(), "cov", True),
+        (Refinement(), "cov", False),
+        # The longer chain escapes the ladder forwards on a covariant label
+        # and backwards on a contravariant one.
+        (CCSim(), "cov", True),
+        (CCSim(), "con", False),
+    ],
+    ids=["refine-chain-ladder", "refine-ladder-chain", "ccsim-chain-ladder", "ccsim-ladder-chain"],
+)
+def test_ladder_witness_prints_in_linear_size(kind, cls, chain_left):
+    # The two rungs of a level give equal sub-witnesses; printed as a tree
+    # without sharing they double the text per level.
+    n = 16
+    rng = random.Random(n)
+    sides = [_chain(rng, n + 1), _ladder(rng, n)]
+    p_sys, q_sys = _one_label_pair(kind, *(sides if chain_left else sides[::-1]), cls)
+    phi = distinguishing_formula(kind, p_sys, p_sys.init, q_sys, q_sys.init)
+    assert len(formula_text(phi)) <= 4 * n + 8
+    holds = mc_mts if isinstance(kind, Refinement) else mc_cc
+    assert holds(p_sys, p_sys.init, phi)
+    assert not holds(q_sys, q_sys.init, phi)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from modalsim.formulas import (
+    And,
     Bottom,
     Box,
     Diamond,
@@ -172,6 +173,18 @@ def test_formula_codecs():
     assert decode_formula(encoded) == phi
     with pytest.raises(NotInEncodingRange):
         decode_formula(Diamond(A, Top()))
+
+
+def test_formula_codecs_keep_shared_subformulae_shared():
+    # 12 levels of And(f, f): 26 distinct nodes, a tree of 2**12 leaves.
+    phi = Box(A, Top())
+    for _ in range(12):
+        phi = Diamond(B, And(phi, phi))
+    encoded = encode_formula(phi)
+    assert encoded.body.left is encoded.body.right
+    decoded = decode_formula(encoded)
+    assert decoded.body.left is decoded.body.right
+    assert decoded.action == B
 
 
 def test_approximation_by_class():
