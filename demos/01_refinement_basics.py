@@ -7,7 +7,8 @@ and invents no new behaviour.
 """
 
 from modalsim import (
-    greatest_refinement,
+    Refinement,
+    greatest,
     mts,
     print_system,
     universal_mts,
@@ -40,7 +41,7 @@ def main() -> None:
     )
     print(print_system(impl, "impl"))
 
-    rel = greatest_refinement(spec, impl)
+    rel = greatest(Refinement(), spec, impl)
     print(f"spec <= impl: {('idle', 'i') in rel}")
 
     # Dropping an obligation is not allowed: this machine never serves.
@@ -51,12 +52,12 @@ def main() -> None:
         must=[("i", "coin", "p")],
         init="i",
     )
-    print(f"spec <= lazy: {('idle', 'i') in greatest_refinement(spec, lazy)}")
+    print(f"spec <= lazy: {('idle', 'i') in greatest(Refinement(), spec, lazy)}")
 
     # The may-everything single state is below every system: it obliges
     # nothing and permits everything.
     loose = universal_mts(spec.actions)
-    rel = greatest_refinement(loose, spec)
+    rel = greatest(Refinement(), loose, spec)
     print(f"universal <= spec at every state: "
           f"{all((loose.init, s) in rel for s in sorted(spec.states))}")
 

@@ -12,7 +12,7 @@ from modalsim import (
     distinguishing_formula,
     CCSim,
     formula_text,
-    greatest_ccsim,
+    greatest,
     lts,
     mc_cc,
     parse_formula,
@@ -33,7 +33,7 @@ def main() -> None:
         ],
         init="p",
     )
-    rel = greatest_ccsim(system, system)
+    rel = greatest(CCSim(), system, system)
     print("ordered pairs:", sorted(rel.pairs))
 
     # r offers no covariant move and accepts b, so it sits below p, which

@@ -8,8 +8,9 @@ precise, one-sided way.
 """
 
 from modalsim import (
-    greatest_ccsim,
-    greatest_refinement,
+    CCSim,
+    Refinement,
+    greatest,
     lts,
     lts_of_mts,
     mts,
@@ -43,8 +44,8 @@ def main() -> None:
     # Round trips are one-sided: going classified -> modal -> classified
     # only grows the system upward in the simulation order, never down.
     back = strip_decorations(lts_of_mts(mts_of_lts(source)), target=sig)
-    forward = greatest_ccsim(source, back)
-    reverse = greatest_ccsim(back, source)
+    forward = greatest(CCSim(), source, back)
+    reverse = greatest(CCSim(), back, source)
     print(f"source <=cc stripped round trip: {('p', 'p') in forward}")
     print(f"stripped round trip <=cc source: {('p', 'p') in reverse}")
 
@@ -53,9 +54,9 @@ def main() -> None:
     spec = mts(["m"], ["a"], [], [], "m")
     modal_back = strip_decorations(mts_of_lts(lts_of_mts(spec)))
     print(f"modal round trip <= spec: "
-          f"{('m', 'm') in greatest_refinement(modal_back, spec)}")
+          f"{('m', 'm') in greatest(Refinement(), modal_back, spec)}")
     print(f"spec <= modal round trip: "
-          f"{('m', 'm') in greatest_refinement(spec, modal_back)}")
+          f"{('m', 'm') in greatest(Refinement(), spec, modal_back)}")
 
 
 if __name__ == "__main__":

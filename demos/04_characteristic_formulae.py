@@ -6,11 +6,12 @@ The leaner equivalent form drops boxes whose bound is vacuous.
 """
 
 from modalsim import (
+    Refinement,
     characteristic_formula,
     enumerate_mts_terms,
     expand_mts_term,
     formula_text,
-    greatest_refinement,
+    greatest,
     mc_mts,
     parse_term,
     term_text,
@@ -34,7 +35,7 @@ def main() -> None:
         for u in terms:
             left = expansions[t]
             right = expansions[u]
-            refines = (left.init, right.init) in greatest_refinement(left, right)
+            refines = (left.init, right.init) in greatest(Refinement(), left, right)
             satisfies = mc_mts(right, right.init, chi)
             assert refines == satisfies, (term_text(t), term_text(u))
             agreements += 1

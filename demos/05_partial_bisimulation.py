@@ -7,9 +7,10 @@ obligations) turns the same question into a refinement check.
 """
 
 from modalsim import (
+    PartialBisim,
+    Refinement,
     actions,
-    greatest_pbsim,
-    greatest_refinement,
+    greatest,
     lts,
     mts_of_plain_lts,
     plain_signature,
@@ -37,7 +38,7 @@ def main() -> None:
     )
 
     for bset in [frozenset(), actions("grant"), actions("fault")]:
-        rel = greatest_pbsim(supervised, plant, bset)
+        rel = greatest(PartialBisim(bset), supervised, plant)
         names = ", ".join(sorted(str(a) for a in bset)) or "(empty)"
         print(f"supervised <=B plant with B = {names}: {('i', 'idle') in rel}")
 
@@ -45,9 +46,9 @@ def main() -> None:
     # become obligations, so the refinement must run from plant to
     # supervised and upside down.
     for bset in [actions("grant"), actions("fault")]:
-        direct = greatest_pbsim(supervised, plant, bset)
-        modal = greatest_refinement(
-            mts_of_plain_lts(plant, bset), mts_of_plain_lts(supervised, bset)
+        direct = greatest(PartialBisim(bset), supervised, plant)
+        modal = greatest(
+            Refinement(), mts_of_plain_lts(plant, bset), mts_of_plain_lts(supervised, bset)
         ).inverse()
         names = ", ".join(sorted(str(a) for a in bset))
         print(f"modal reading agrees for B = {names}: {direct.pairs == modal.pairs}")

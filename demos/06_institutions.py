@@ -8,12 +8,13 @@ the modal world only the loosest one.
 """
 
 from modalsim import (
+    CCSim,
+    Refinement,
     canonical_witness,
     check_morphism_condition,
     check_satisfaction_condition,
     final_obstruction_pair,
-    greatest_ccsim,
-    greatest_refinement,
+    greatest,
     lts,
     mts_morphism,
     parse_formula,
@@ -54,17 +55,17 @@ def main() -> None:
     system = lts(["p", "q"], sig, [("p", "a", "q"), ("q", "b", "p")], "p")
     final = canonical_witness("weakly-final-cc", sig)
     initial = canonical_witness("universal-spec-cc", sig)
-    print(f"system <=cc final witness:   {('p', 's') in greatest_ccsim(system, final)}")
-    print(f"initial witness <=cc system: {('s', 'p') in greatest_ccsim(initial, system)}")
+    print(f"system <=cc final witness:   {('p', 's') in greatest(CCSim(), system, final)}")
+    print(f"initial witness <=cc system: {('s', 'p') in greatest(CCSim(), initial, system)}")
 
     # No modal system can sit above both of these at once: one forces an
     # endless obligation, the other forbids the first step.
     demanding, silent = final_obstruction_pair()
     loose = canonical_witness("weakly-initial-mts", demanding.actions)
     print(f"demanding <= may-everything: "
-          f"{(demanding.init, loose.init) in greatest_refinement(demanding, loose)}")
+          f"{(demanding.init, loose.init) in greatest(Refinement(), demanding, loose)}")
     print(f"silent <= may-everything:    "
-          f"{(silent.init, loose.init) in greatest_refinement(silent, loose)}")
+          f"{(silent.init, loose.init) in greatest(Refinement(), silent, loose)}")
 
 
 if __name__ == "__main__":

@@ -46,7 +46,7 @@ from .formulas import (
     formula_text,
     simplify,
 )
-from .preorders import greatest_refinement
+from .preorders import Refinement, greatest
 from .systems import Action, action, ct, cv, sorted_actions
 from .terms import (
     MustPrefix,
@@ -81,8 +81,8 @@ def is_omega_equivalent(t: Term, acts: Iterable[Union[str, Action]]) -> bool:
     ambient = frozenset(action(a) for a in acts)
     left = expand_mts_term(t, ambient)
     right = expand_mts_term(Omega(), ambient)
-    forward = greatest_refinement(left, right)
-    backward = greatest_refinement(right, left)
+    forward = greatest(Refinement(), left, right)
+    backward = greatest(Refinement(), right, left)
     return (left.init, right.init) in forward and (right.init, left.init) in backward
 
 

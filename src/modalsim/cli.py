@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Optional, Union
 
 from .charform import characteristic_formula, encode_term
-from .formulas import BLLogic, CCLogic, formula_text, mc_cc, mc_mts
+from .formulas import formula_text, mc_cc, mc_mts
 from .preorders import CCSim, PartialBisim, PreorderKind, Refinement, Simulation, decide
 from .selfcheck import SelfCheckConfig, property_ids, run_selfcheck
 from .systems import Action, PointedLTS, PointedMTS, sorted_actions
@@ -191,17 +191,10 @@ def _cmd_mc(args: argparse.Namespace) -> int:
     system = _load_system(args.file, args.strict)
     if args.state not in system.states:
         raise CliError(f"{args.state!r} is not a state of the system")
-    logic = (
-        BLLogic(system.actions)
-        if isinstance(system, PointedMTS)
-        else CCLogic(system.signature)
-    )
     try:
-        phi = parse_formula(args.formula, logic)
+        phi = parse_formula(args.formula)
     except ParseError as exc:
         raise CliError(f"formula: {exc}") from exc
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
     if isinstance(system, PointedMTS):
         holds = mc_mts(system, args.state, phi)
     else:

@@ -19,7 +19,7 @@ several property suites exploit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
 from .systems import (
     Action,
@@ -329,11 +329,23 @@ def disj(parts: Sequence[Formula]) -> Formula:
 def simplify(phi: Formula) -> Formula:
     """Constant propagation only: ``tt``/``ff`` units and absorbers for the
     binary connectives plus ``[a]tt = tt``.  Nothing stronger, so outputs
-    stay predictable."""
+    stay predictable.  A subformula shared in ``phi`` is simplified once
+    and stays shared in the result."""
+    memo: dict[int, Formula] = {}
+
+    def go(phi: Formula) -> Formula:
+        if id(phi) not in memo:
+            memo[id(phi)] = _simplify_node(phi, go)
+        return memo[id(phi)]
+
+    return go(phi)
+
+
+def _simplify_node(phi: Formula, recur: Callable[[Formula], Formula]) -> Formula:
     if isinstance(phi, (Bottom, Top)):
         return phi
     if isinstance(phi, And):
-        left, right = simplify(phi.left), simplify(phi.right)
+        left, right = recur(phi.left), recur(phi.right)
         if isinstance(left, Bottom) or isinstance(right, Bottom):
             return Bottom()
         if isinstance(left, Top):
@@ -342,7 +354,7 @@ def simplify(phi: Formula) -> Formula:
             return left
         return And(left, right)
     if isinstance(phi, Or):
-        left, right = simplify(phi.left), simplify(phi.right)
+        left, right = recur(phi.left), recur(phi.right)
         if isinstance(left, Top) or isinstance(right, Top):
             return Top()
         if isinstance(left, Bottom):
@@ -351,9 +363,9 @@ def simplify(phi: Formula) -> Formula:
             return left
         return Or(left, right)
     if isinstance(phi, Diamond):
-        return Diamond(phi.action, simplify(phi.body))
+        return Diamond(phi.action, recur(phi.body))
     if isinstance(phi, Box):
-        body = simplify(phi.body)
+        body = recur(phi.body)
         if isinstance(body, Top):
             return Top()
         return Box(phi.action, body)

@@ -9,12 +9,15 @@ condition, truth is invariant under this round trip, holds for both logics
 and is checked pointwise by :func:`check_satisfaction_condition`.
 
 The two institutions are connected by mapping an alphabet ``A`` to the
-decorated signature ``(cv(A), ct(A), {})``, sentences backwards via
+decorated signature ``(cv(A), ct(A), {})`` of
+:func:`~modalsim.translate.morphism_signature_map`, sentences backwards via
 :func:`~modalsim.translate.decode_formula` and models via
 :func:`~modalsim.translate.lts_of_mts`;
 :func:`check_morphism_condition` checks the resulting invariance.
 
-Some canonical models:
+Some canonical models, with "simulates" meaning
+``greatest(CCSim(), ...)`` and "refines" ``greatest(Refinement(), ...)``
+of :mod:`modalsim.preorders`:
 
 * :func:`weakly_final_implementation`: one state looping on every covariant
   label; every same-signature model simulates into it (signatures without
@@ -22,8 +25,8 @@ Some canonical models:
 * :func:`universal_specification`: one state looping on every contravariant
   label; it simulates into every same-signature model (again bivariant
   free);
-* :func:`weakly_initial_mts`: the one-state may-everything MTS, which
-  refines into every MTS over its alphabet.
+* :func:`~modalsim.systems.universal_mts`: the one-state may-everything
+  MTS, which refines into every MTS over its alphabet (weakly initial).
 
 No MTS plays the weakly final role, and no LTS model is weakly initial once
 a bivariant label exists; :func:`final_obstruction_pair` and
@@ -39,15 +42,9 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Union
 
 from .formulas import (
-    And,
-    Bottom,
-    Box,
     CCLogic,
     BLLogic,
-    Diamond,
     Formula,
-    Or,
-    Top,
     check_wf,
     mc_cc,
     mc_mts,
@@ -58,21 +55,31 @@ from .systems import (
     PointedLTS,
     PointedMTS,
     action,
-    ct,
-    cv,
     signature,
     sorted_actions,
     universal_mts,
 )
-from .translate import decode_formula, lts_of_mts
+from .translate import decode_formula, lts_of_mts, relabel
 
 
 def _freeze_mapping(mapping: Mapping[Action, Action]) -> tuple[tuple[Action, Action], ...]:
     return tuple(sorted(mapping.items(), key=lambda kv: str(kv[0])))
 
 
+class _LabelMap:
+    """The label map both morphism kinds share, as sorted ``pairs``."""
+
+    pairs: tuple[tuple[Action, Action], ...]
+
+    def apply(self, a: Action) -> Action:
+        for k, v in self.pairs:
+            if k == a:
+                return v
+        raise KeyError(f"label {a} not in the source alphabet")
+
+
 @dataclass(frozen=True)
-class MtsSignatureMorphism:
+class MtsSignatureMorphism(_LabelMap):
     """A total label map between two alphabets."""
 
     source: frozenset[Action]
@@ -87,15 +94,9 @@ class MtsSignatureMorphism:
         if stray:
             raise ValueError(f"morphism images {stray} are outside the target alphabet")
 
-    def apply(self, a: Action) -> Action:
-        for k, v in self.pairs:
-            if k == a:
-                return v
-        raise KeyError(f"label {a} not in the source alphabet")
-
 
 @dataclass(frozen=True)
-class CCSignatureMorphism:
+class CCSignatureMorphism(_LabelMap):
     """A total, class-preserving label map between two signatures."""
 
     source: CCSignature
@@ -118,12 +119,6 @@ class CCSignatureMorphism:
                     raise ValueError(
                         f"{name} label {a} maps to {lookup[a]}, which is not {name}"
                     )
-
-    def apply(self, a: Action) -> Action:
-        for k, v in self.pairs:
-            if k == a:
-                return v
-        raise KeyError(f"label {a} not in the source alphabet")
 
 
 SignatureMorphism = Union[MtsSignatureMorphism, CCSignatureMorphism]
@@ -160,17 +155,12 @@ def identity_morphism(
 
 def compose_morphisms(f: SignatureMorphism, g: SignatureMorphism) -> SignatureMorphism:
     """``f`` after ``g``: the source of ``f`` must be the target of ``g``."""
-    if isinstance(f, MtsSignatureMorphism) != isinstance(g, MtsSignatureMorphism):
+    if type(f) is not type(g):
         raise TypeError("cannot compose morphisms of different institutions")
-    if isinstance(f, MtsSignatureMorphism):
-        if g.target != f.source:
-            raise ValueError("composition needs target(g) == source(f)")
-        mapping = {k: f.apply(v) for k, v in g.pairs}
-        return MtsSignatureMorphism(g.source, f.target, _freeze_mapping(mapping))
     if g.target != f.source:
         raise ValueError("composition needs target(g) == source(f)")
     mapping = {k: f.apply(v) for k, v in g.pairs}
-    return CCSignatureMorphism(g.source, f.target, _freeze_mapping(mapping))
+    return type(f)(g.source, f.target, _freeze_mapping(mapping))
 
 
 def sen_map(f: SignatureMorphism, phi: Formula) -> Formula:
@@ -179,7 +169,7 @@ def sen_map(f: SignatureMorphism, phi: Formula) -> Formula:
     Class preservation keeps well-formedness, which is asserted on the way
     out.
     """
-    out = _relabel(phi, f)
+    out = relabel(phi, f.apply, f.apply)
     if isinstance(f, CCSignatureMorphism):
         logic: Union[BLLogic, CCLogic] = CCLogic(f.target)
     else:
@@ -187,20 +177,6 @@ def sen_map(f: SignatureMorphism, phi: Formula) -> Formula:
     problems = check_wf(out, logic)
     assert not problems, f"sentence translation broke well-formedness: {problems}"
     return out
-
-
-def _relabel(phi: Formula, f: SignatureMorphism) -> Formula:
-    if isinstance(phi, (Bottom, Top)):
-        return phi
-    if isinstance(phi, And):
-        return And(_relabel(phi.left, f), _relabel(phi.right, f))
-    if isinstance(phi, Or):
-        return Or(_relabel(phi.left, f), _relabel(phi.right, f))
-    if isinstance(phi, Diamond):
-        return Diamond(f.apply(phi.action), _relabel(phi.body, f))
-    if isinstance(phi, Box):
-        return Box(f.apply(phi.action), _relabel(phi.body, f))
-    raise TypeError(f"not a formula: {phi!r}")
 
 
 def reduct(
@@ -248,18 +224,6 @@ def check_satisfaction_condition(
     return there == back
 
 
-# The connecting morphism between the two institutions: alphabets map to
-# their decorated signatures, sentences come back by decoding, models go
-# forward by encoding.
-def morphism_signature_map(alphabet: Iterable[Union[str, Action]]) -> CCSignature:
-    labels = frozenset(action(a) for a in alphabet)
-    return CCSignature(
-        covariant=frozenset(cv(a) for a in labels),
-        contravariant=frozenset(ct(a) for a in labels),
-        bivariant=frozenset(),
-    )
-
-
 def check_morphism_condition(m: PointedMTS, state: str, phi: Formula) -> bool:
     """Truth is invariant across the connecting morphism: the decoded
     sentence holds at an MTS state iff the sentence holds at the same state
@@ -285,11 +249,6 @@ def universal_specification(sig: CCSignature, state: str = "s") -> PointedLTS:
     return PointedLTS(frozenset({state}), sig, loops, state)
 
 
-def weakly_initial_mts(alphabet: Iterable[Union[str, Action]], state: str = "u") -> PointedMTS:
-    """The may-everything one-state MTS; weakly initial among MTSs."""
-    return universal_mts(alphabet, state)
-
-
 WITNESS_KINDS = ("weakly-final-cc", "universal-spec-cc", "weakly-initial-mts")
 
 
@@ -309,7 +268,7 @@ def canonical_witness(
     if kind == "weakly-initial-mts":
         if isinstance(sig, CCSignature):
             raise TypeError("this witness needs a plain alphabet")
-        return weakly_initial_mts(sig)
+        return universal_mts(sig)
     raise ValueError(f"unknown witness kind {kind!r}; pick one of {WITNESS_KINDS}")
 
 

@@ -15,6 +15,10 @@ Four preorder kinds are supported:
   computed that way;
 * :class:`Simulation`: partial bisimulation with the empty bisimulation set.
 
+:func:`greatest` returns the greatest relation of a kind; :func:`decide`
+also returns a distinguishing formula for an unrelated pair, from the same
+fixpoint.
+
 All four run through one engine, a support-counter worklist over interned
 states and labels (after Henzinger, Henzinger and Kopke, FOCS 1995, and
 Bloom and Paige, SCP 1995).  For the leftward clause it counts, per
@@ -82,14 +86,12 @@ class Relation:
     """A relation between the state sets of two systems."""
 
     pairs: frozenset[Pair]
-    left: str = ""
-    right: str = ""
 
     def __contains__(self, pair: Pair) -> bool:
         return pair in self.pairs
 
     def inverse(self) -> "Relation":
-        return Relation(frozenset((q, p) for p, q in self.pairs), self.right, self.left)
+        return Relation(frozenset((q, p) for p, q in self.pairs))
 
 
 def compose_relations(r1: Relation, r2: Relation) -> Relation:
@@ -100,7 +102,7 @@ def compose_relations(r1: Relation, r2: Relation) -> Relation:
     for b, c in r2.pairs:
         for a in by_left.get(b, ()):
             pairs.add((a, c))
-    return Relation(frozenset(pairs), r1.left, r2.right)
+    return Relation(frozenset(pairs))
 
 
 def _check_mts_pair(p_sys: PointedMTS, q_sys: PointedMTS) -> None:
@@ -322,36 +324,18 @@ def _fixpoint(
     return related, game
 
 
-def _greatest(kind: PreorderKind, p_sys, q_sys) -> Relation:
+def greatest(
+    kind: PreorderKind,
+    p_sys: Union[PointedMTS, PointedLTS],
+    q_sys: Union[PointedMTS, PointedLTS],
+) -> Relation:
+    """The greatest relation of ``kind`` between the two state sets.
+
+    Refinement needs two MTSs over one action set, cc-simulation two LTSs
+    over one signature, and partial bisimulation and simulation two LTSs
+    over one alphabet (their signature classes are ignored)."""
     rel, _ = _fixpoint(p_sys.states, q_sys.states, _prepare(kind, p_sys, q_sys))
     return Relation(rel)
-
-
-def greatest_refinement(p_sys: PointedMTS, q_sys: PointedMTS) -> Relation:
-    """The greatest modal refinement relation between the two state sets."""
-    return _greatest(Refinement(), p_sys, q_sys)
-
-
-def greatest_ccsim(p_sys: PointedLTS, q_sys: PointedLTS) -> Relation:
-    """The greatest covariant-contravariant simulation between the two
-    state sets; the systems must share one signature."""
-    return _greatest(CCSim(), p_sys, q_sys)
-
-
-def greatest_pbsim(p_sys: PointedLTS, q_sys: PointedLTS, bset: frozenset[Action]) -> Relation:
-    """The greatest partial bisimulation with bisimulation set ``bset``.
-
-    This is covariant-contravariant simulation after reclassifying the
-    alphabet (actions outside ``bset`` covariant, actions inside
-    bivariant); the two definitions coincide pair for pair.
-    """
-    return _greatest(PartialBisim(frozenset(bset)), p_sys, q_sys)
-
-
-def greatest_simulation(p_sys: PointedLTS, q_sys: PointedLTS) -> Relation:
-    """The plain simulation preorder: partial bisimulation with the empty
-    bisimulation set."""
-    return _greatest(Simulation(), p_sys, q_sys)
 
 
 def fixpoint_rounds(

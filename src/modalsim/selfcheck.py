@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from importlib import resources
-from typing import Callable, Iterable, Iterator, Optional, Union
+from typing import Callable, Iterator, Optional, Union
 
 from .charform import characteristic_formula, encode_term
 from .formulas import (
@@ -63,14 +63,10 @@ from .preorders import (
     PartialBisim,
     PreorderKind,
     Refinement,
-    Relation,
     Simulation,
     compose_relations,
     distinguishing_formula,
-    greatest_ccsim,
-    greatest_pbsim,
-    greatest_refinement,
-    greatest_simulation,
+    greatest,
     oracle_greatest,
 )
 from .sampling import (
@@ -98,7 +94,7 @@ from .systems import (
     PointedLTS,
     PointedMTS,
     Transition,
-    plain_signature,
+    _triple_key,
     signature,
     sorted_actions,
     universal_mts,
@@ -108,7 +104,6 @@ from .systems import (
 from .terms import (
     Omega,
     Term,
-    Zero,
     canonical_term,
     enumerate_lts_terms,
     enumerate_mts_terms,
@@ -286,24 +281,8 @@ def run_selfcheck(config: SelfCheckConfig = SelfCheckConfig()) -> SelfCheckRepor
 # shared helpers
 
 
-def _triple_key(t: Transition) -> tuple[str, str, str]:
-    return (t[0], str(t[1]), t[2])
-
-
 def _show_pair(p: Union[PointedMTS, PointedLTS], q: Union[PointedMTS, PointedLTS]) -> str:
     return f"left system:\n{print_system(p)}right system:\n{print_system(q)}"
-
-
-def _greatest(kind: PreorderKind, p, q) -> Relation:
-    if isinstance(kind, Refinement):
-        return greatest_refinement(p, q)
-    if isinstance(kind, CCSim):
-        return greatest_ccsim(p, q)
-    if isinstance(kind, PartialBisim):
-        return greatest_pbsim(p, q, kind.bset)
-    if isinstance(kind, Simulation):
-        return greatest_simulation(p, q)
-    raise TypeError(f"unknown preorder kind: {kind!r}")
 
 
 def _mts_reductions(m: PointedMTS) -> Iterator[PointedMTS]:
@@ -377,7 +356,7 @@ def _random_bset(rng: random.Random, acts: frozenset[Action]) -> frozenset[Actio
 
 
 def _oracle_disagreement(kind: PreorderKind, p, q) -> bool:
-    return _greatest(kind, p, q).pairs != oracle_greatest(kind, p, q).pairs
+    return greatest(kind, p, q).pairs != oracle_greatest(kind, p, q).pairs
 
 
 def _oracle_case(kind: PreorderKind, p, q, failures: list[str], what: str) -> None:
@@ -517,8 +496,8 @@ def _prop_pbsim_empty(cfg: SelfCheckConfig, rng: random.Random):
         p = random_plain_lts(rng, acts, left_bound, prefix="p")
         right_bound = max(1, min(cfg.max_states, ORACLE_PRODUCT_CAP // len(p.states)))
         q = random_plain_lts(rng, acts, right_bound, prefix="q")
-        empty = greatest_pbsim(p, q, frozenset()).pairs
-        if empty != greatest_simulation(p, q).pairs:
+        empty = greatest(PartialBisim(frozenset()), p, q).pairs
+        if empty != greatest(Simulation(), p, q).pairs:
             failures.append(f"empty-set partial bisimulation differs from simulation on\n{_show_pair(p, q)}")
         elif empty != oracle_greatest(Simulation(), p, q).pairs:
             failures.append(f"empty-set partial bisimulation differs from the simulation oracle on\n{_show_pair(p, q)}")
@@ -535,11 +514,11 @@ def _prop_refinement_laws(cfg: SelfCheckConfig, rng: random.Random):
         p = random_mts(rng, acts, cfg.max_states, prefix="p")
         q = random_mts(rng, acts, cfg.max_states, prefix="q")
         r = random_mts(rng, acts, cfg.max_states, prefix="r")
-        identity = greatest_refinement(p, p)
+        identity = greatest(Refinement(), p, p)
         if any((s, s) not in identity for s in p.states):
             failures.append(f"refinement is not reflexive on\n{print_system(p)}")
-        through = compose_relations(greatest_refinement(p, q), greatest_refinement(q, r))
-        if not through.pairs <= greatest_refinement(p, r).pairs:
+        through = compose_relations(greatest(Refinement(), p, q), greatest(Refinement(), q, r))
+        if not through.pairs <= greatest(Refinement(), p, r).pairs:
             failures.append(f"refinement is not transitive through\n{print_system(q)}")
         if len(failures) >= _FAILURE_CAP:
             break
@@ -554,11 +533,11 @@ def _prop_ccsim_laws(cfg: SelfCheckConfig, rng: random.Random):
         p = random_lts(rng, sig, cfg.max_states, prefix="p")
         q = random_lts(rng, sig, cfg.max_states, prefix="q")
         r = random_lts(rng, sig, cfg.max_states, prefix="r")
-        identity = greatest_ccsim(p, p)
+        identity = greatest(CCSim(), p, p)
         if any((s, s) not in identity for s in p.states):
             failures.append(f"cc-simulation is not reflexive on\n{print_system(p)}")
-        through = compose_relations(greatest_ccsim(p, q), greatest_ccsim(q, r))
-        if not through.pairs <= greatest_ccsim(p, r).pairs:
+        through = compose_relations(greatest(CCSim(), p, q), greatest(CCSim(), q, r))
+        if not through.pairs <= greatest(CCSim(), p, r).pairs:
             failures.append(f"cc-simulation is not transitive through\n{print_system(q)}")
         if len(failures) >= _FAILURE_CAP:
             break
@@ -579,7 +558,7 @@ def _prop_distinguishing(cfg: SelfCheckConfig, rng: random.Random):
             kind = CCSim()
             logic = CCLogic(p.signature)
             holds = mc_cc
-        rel = _greatest(kind, p, q)
+        rel = greatest(kind, p, q)
         pp, qq = random_state(rng, p), random_state(rng, q)
         phi = distinguishing_formula(kind, p, pp, q, qq)
         related = (pp, qq) in rel
@@ -650,7 +629,7 @@ def _prop_refinement_truth(cfg: SelfCheckConfig, rng: random.Random):
     failures: list[str] = []
     for _ in range(cfg.cases):
         p, q = random_mts_pair(rng, cfg.max_states, cfg.max_labels)
-        rel = greatest_refinement(p, q)
+        rel = greatest(Refinement(), p, q)
         phi = random_bl_formula(rng, p.actions, cfg.max_formula_depth)
         sat_p = satisfying_states_mts(p, phi)
         sat_q = satisfying_states_mts(q, phi)
@@ -670,7 +649,7 @@ def _prop_ccsim_truth(cfg: SelfCheckConfig, rng: random.Random):
     failures: list[str] = []
     for _ in range(cfg.cases):
         p, q = random_lts_pair(rng, cfg.max_states)
-        rel = greatest_ccsim(p, q)
+        rel = greatest(CCSim(), p, q)
         phi = random_cc_formula(rng, p.signature, cfg.max_formula_depth)
         sat_p = satisfying_states_cc(p, phi)
         sat_q = satisfying_states_cc(q, phi)
@@ -842,9 +821,9 @@ def _prop_golden_files(cfg: SelfCheckConfig, rng: random.Random):
 @prop("translate.embedding-preserves-ccsim")
 def _prop_embedding_corollary(cfg: SelfCheckConfig, rng: random.Random):
     def disagreement(p: PointedLTS, q: PointedLTS) -> Optional[str]:
-        cc = greatest_ccsim(p, q).pairs
+        cc = greatest(CCSim(), p, q).pairs
         mp, mq = mts_of_lts(p), mts_of_lts(q)
-        ref = greatest_refinement(mp, mq).pairs
+        ref = greatest(Refinement(), mp, mq).pairs
         for pp in sorted(p.states):
             for qq in sorted(q.states):
                 if ((pp, qq) in cc) != ((pp, qq) in ref):
@@ -873,8 +852,8 @@ def _prop_embedding_corollary(cfg: SelfCheckConfig, rng: random.Random):
 def _prop_encoding_corollary(cfg: SelfCheckConfig, rng: random.Random):
     def disagrees(m: PointedMTS, n: PointedMTS) -> bool:
         return (
-            greatest_refinement(m, n).pairs
-            != greatest_ccsim(lts_of_mts(m), lts_of_mts(n)).pairs
+            greatest(Refinement(), m, n).pairs
+            != greatest(CCSim(), lts_of_mts(m), lts_of_mts(n)).pairs
         )
 
     failures: list[str] = []
@@ -979,9 +958,9 @@ def _prop_plain_reading(cfg: SelfCheckConfig, rng: random.Random):
         p = random_plain_lts(rng, acts, cfg.max_states, prefix="p")
         q = random_plain_lts(rng, acts, cfg.max_states, prefix="q")
         bset = _random_bset(rng, acts)
-        direct = greatest_pbsim(p, q, bset).pairs
-        through = greatest_refinement(
-            mts_of_plain_lts(q, bset), mts_of_plain_lts(p, bset)
+        direct = greatest(PartialBisim(bset), p, q).pairs
+        through = greatest(
+            Refinement(), mts_of_plain_lts(q, bset), mts_of_plain_lts(p, bset)
         ).inverse().pairs
         if direct != through:
             failures.append(
@@ -1181,14 +1160,14 @@ def _prop_composition_mts(cfg: SelfCheckConfig, rng: random.Random):
     a = Action("a")
     pin = PointedMTS(frozenset({"m"}), frozenset({a}), frozenset(), frozenset(), "m")
     pin_back = strip_decorations(mts_of_lts(lts_of_mts(pin)))
-    if ("m", "m") not in greatest_refinement(pin_back, pin):
+    if ("m", "m") not in greatest(Refinement(), pin_back, pin):
         failures.append("the round trip is not below the one-state pinned system")
-    if ("m", "m") in greatest_refinement(pin, pin_back):
+    if ("m", "m") in greatest(Refinement(), pin, pin_back):
         failures.append("the inequality is not strict on the one-state pinned system")
     for _ in range(cfg.cases):
         m = random_mts(rng, random_alphabet(rng, cfg.max_labels), cfg.max_states)
         back = strip_decorations(mts_of_lts(lts_of_mts(m)))
-        rel = greatest_refinement(back, m)
+        rel = greatest(Refinement(), back, m)
         for s in sorted(m.states):
             if (s, s) not in rel:
                 failures.append(
@@ -1205,15 +1184,15 @@ def _prop_composition_lts(cfg: SelfCheckConfig, rng: random.Random):
     failures: list[str] = []
     pin = PointedLTS(frozenset({"p"}), signature(cov=["a"]), frozenset(), "p")
     pin_img = strip_decorations(lts_of_mts(mts_of_lts(pin)), target=pin.signature)
-    if ("p", "p") not in greatest_ccsim(pin, pin_img):
+    if ("p", "p") not in greatest(CCSim(), pin, pin_img):
         failures.append("the one-state pinned system is not below its round trip")
-    if ("p", "p") in greatest_ccsim(pin_img, pin):
+    if ("p", "p") in greatest(CCSim(), pin_img, pin):
         failures.append("the inequality is not strict on the one-state pinned system")
     for _ in range(cfg.cases):
         sig = random_signature(rng, cfg.max_labels)
         p = random_lts(rng, sig, cfg.max_states)
         image = strip_decorations(lts_of_mts(mts_of_lts(p)), target=sig)
-        rel = greatest_ccsim(p, image)
+        rel = greatest(CCSim(), p, image)
         for s in sorted(p.states):
             if (s, s) not in rel:
                 failures.append(
@@ -1233,16 +1212,16 @@ def _prop_decorated_bridge(cfg: SelfCheckConfig, rng: random.Random):
     pin_q = PointedMTS(
         frozenset({"q"}), frozenset({a}), frozenset({("q", a, "q")}), frozenset(), "q"
     )
-    if ("p", "q") not in greatest_refinement(mts_of_lts(pin_p), pin_q):
+    if ("p", "q") not in greatest(Refinement(), mts_of_lts(pin_p), pin_q):
         failures.append("pinned pair lost the embedded refinement")
-    if ("p", "q") in greatest_ccsim(decorate_by_class(pin_p), lts_of_mts(pin_q)):
+    if ("p", "q") in greatest(CCSim(), decorate_by_class(pin_p), lts_of_mts(pin_q)):
         failures.append("pinned pair unexpectedly satisfies the decorated simulation")
     for _ in range(cfg.cases):
         sig = random_signature(rng, cfg.max_labels, classes=(COVARIANT, CONTRAVARIANT))
         p = random_lts(rng, sig, cfg.max_states, prefix="p")
         q = random_mts(rng, sig.actions, cfg.max_states, prefix="q")
-        bridge = greatest_ccsim(decorate_by_class(p), lts_of_mts(q))
-        target = greatest_refinement(mts_of_lts(p), q)
+        bridge = greatest(CCSim(), decorate_by_class(p), lts_of_mts(q))
+        target = greatest(Refinement(), mts_of_lts(p), q)
         for pair in sorted(bridge.pairs):
             if pair[0] in p.states and pair not in target:
                 failures.append(
@@ -1259,8 +1238,8 @@ def _prop_eliminate_bivariant(cfg: SelfCheckConfig, rng: random.Random):
     failures: list[str] = []
     for _ in range(cfg.cases):
         p, q = random_lts_pair(rng, cfg.max_states)
-        before = greatest_ccsim(p, q).pairs
-        after = greatest_ccsim(eliminate_bivariant(p), eliminate_bivariant(q)).pairs
+        before = greatest(CCSim(), p, q).pairs
+        after = greatest(CCSim(), eliminate_bivariant(p), eliminate_bivariant(q)).pairs
         for pp in sorted(p.states):
             for qq in sorted(q.states):
                 if ((pp, qq) in before) != ((pp, qq) in after):
@@ -1302,7 +1281,7 @@ def _larsen_mismatches(
     acts: frozenset[Action],
     literal: bool,
 ) -> list[str]:
-    big = greatest_refinement(universe, universe)
+    big = greatest(Refinement(), universe, universe)
     mismatches: list[str] = []
     for t in terms:
         result = characteristic_formula(t, acts, literal_prefix_clause=literal)
@@ -1384,7 +1363,7 @@ def _prop_cc_transport(cfg: SelfCheckConfig, rng: random.Random):
         frozenset(right_states), encoded_sig, frozenset(right_trans), sorted(right_states)[0]
     )
 
-    big = greatest_ccsim(left, right)
+    big = greatest(CCSim(), left, right)
     failures: list[str] = []
     for t in terms:
         phi = encode_formula(characteristic_formula(t, acts).formula)
@@ -1544,7 +1523,7 @@ def _prop_weakly_final(cfg: SelfCheckConfig, rng: random.Random):
         sig = random_signature(rng, cfg.max_labels, classes=(COVARIANT, CONTRAVARIANT))
         w = weakly_final_implementation(sig)
         p = random_lts(rng, sig, cfg.max_states)
-        rel = greatest_ccsim(p, w)
+        rel = greatest(CCSim(), p, w)
         if any((s, w.init) not in rel for s in p.states):
             failures.append(f"some state does not simulate into the candidate on\n{print_system(p)}")
             if len(failures) >= _FAILURE_CAP:
@@ -1559,7 +1538,7 @@ def _prop_universal_spec(cfg: SelfCheckConfig, rng: random.Random):
         sig = random_signature(rng, cfg.max_labels, classes=(COVARIANT, CONTRAVARIANT))
         w = universal_specification(sig)
         p = random_lts(rng, sig, cfg.max_states)
-        rel = greatest_ccsim(w, p)
+        rel = greatest(CCSim(), w, p)
         if any((w.init, s) not in rel for s in p.states):
             failures.append(f"the candidate does not simulate into some state of\n{print_system(p)}")
             if len(failures) >= _FAILURE_CAP:
@@ -1574,7 +1553,7 @@ def _prop_weakly_initial_mts(cfg: SelfCheckConfig, rng: random.Random):
         acts = random_alphabet(rng, cfg.max_labels)
         u = universal_mts(acts)
         m = random_mts(rng, acts, cfg.max_states)
-        rel = greatest_refinement(u, m)
+        rel = greatest(Refinement(), u, m)
         if any((u.init, s) not in rel for s in m.states):
             failures.append(f"the may-everything system is not below every state of\n{print_system(m)}")
             if len(failures) >= _FAILURE_CAP:
@@ -1613,19 +1592,17 @@ def _small_lts_candidates(sig: CCSignature) -> Iterator[PointedLTS]:
 def _prop_no_weakly_final(cfg: SelfCheckConfig, rng: random.Random):
     demanding, silent = final_obstruction_pair()
     failures: list[str] = []
-    if (demanding.init, demanding.init) not in greatest_refinement(demanding, demanding):
+    if (demanding.init, demanding.init) not in greatest(Refinement(), demanding, demanding):
         failures.append("the demanding obstruction system does not even reach itself")
-    if (silent.init, silent.init) not in greatest_refinement(silent, silent):
+    if (silent.init, silent.init) not in greatest(Refinement(), silent, silent):
         failures.append("the silent obstruction system does not even reach itself")
     count = 0
     for candidate in _small_mts_candidates(demanding.actions):
         count += 1
-        from_demanding = (demanding.init, candidate.init) in greatest_refinement(
-            demanding, candidate
+        from_demanding = (demanding.init, candidate.init) in greatest(
+            Refinement(), demanding, candidate
         )
-        from_silent = (silent.init, candidate.init) in greatest_refinement(
-            silent, candidate
-        )
+        from_silent = (silent.init, candidate.init) in greatest(Refinement(), silent, candidate)
         if from_demanding and from_silent:
             failures.append(
                 f"candidate admits arrows from both obstruction systems:\n{print_system(candidate)}"
@@ -1639,17 +1616,15 @@ def _prop_no_weakly_final(cfg: SelfCheckConfig, rng: random.Random):
 def _prop_no_weakly_initial(cfg: SelfCheckConfig, rng: random.Random):
     looping, silent = initial_obstruction_pair()
     failures: list[str] = []
-    if (looping.init, looping.init) not in greatest_ccsim(looping, looping):
+    if (looping.init, looping.init) not in greatest(CCSim(), looping, looping):
         failures.append("the looping obstruction system does not even reach itself")
-    if (silent.init, silent.init) not in greatest_ccsim(silent, silent):
+    if (silent.init, silent.init) not in greatest(CCSim(), silent, silent):
         failures.append("the silent obstruction system does not even reach itself")
     count = 0
     for candidate in _small_lts_candidates(looping.signature):
         count += 1
-        into_looping = (candidate.init, looping.init) in greatest_ccsim(
-            candidate, looping
-        )
-        into_silent = (candidate.init, silent.init) in greatest_ccsim(candidate, silent)
+        into_looping = (candidate.init, looping.init) in greatest(CCSim(), candidate, looping)
+        into_silent = (candidate.init, silent.init) in greatest(CCSim(), candidate, silent)
         if into_looping and into_silent:
             failures.append(
                 f"candidate admits arrows into either obstruction system:\n{print_system(candidate)}"

@@ -91,10 +91,6 @@ def actions(*names: Union[str, Action]) -> frozenset[Action]:
     return frozenset(action(n) for n in names)
 
 
-def action_set(names: Iterable[Union[str, Action]]) -> frozenset[Action]:
-    return frozenset(action(n) for n in names)
-
-
 def sorted_actions(labels: Iterable[Action]) -> list[Action]:
     """Labels in canonical (printed) order; used wherever determinism matters."""
     return sorted(labels, key=str)
@@ -146,7 +142,7 @@ def signature(
     con: Iterable[Union[str, Action]] = (),
     bi: Iterable[Union[str, Action]] = (),
 ) -> CCSignature:
-    return CCSignature(action_set(cov), action_set(con), action_set(bi))
+    return CCSignature(actions(*cov), actions(*con), actions(*bi))
 
 
 def plain_signature(labels: Iterable[Union[str, Action]]) -> CCSignature:
@@ -199,7 +195,7 @@ def mts(
     """Convenience constructor coercing strings to labels."""
     return PointedMTS(
         states=frozenset(str(s) for s in states),
-        actions=action_set(acts),
+        actions=actions(*acts),
         may=_transitions(may),
         must=_transitions(must),
         init=str(init),
@@ -226,7 +222,7 @@ def universal_mts(acts: Iterable[Union[str, Action]], state: str = "u") -> Point
     Every MTS over the same alphabet refines it from its single state, which
     also makes it the weakly initial model among MTSs over that alphabet.
     """
-    labels = action_set(acts)
+    labels = actions(*acts)
     return PointedMTS(
         states=frozenset({state}),
         actions=labels,

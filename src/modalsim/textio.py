@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 from .formulas import (
     And,
@@ -56,6 +56,7 @@ from .systems import (
     PointedMTS,
     System,
     Transition,
+    _triple_key,
     ct,
     cv,
     is_name_token,
@@ -335,10 +336,6 @@ def _show_state(s: str) -> str:
         return s
     escaped = s.replace("\\", "\\\\").replace('"', '\\"')
     return f'"{escaped}"'
-
-
-def _triple_key(t: Transition) -> tuple[str, str, str]:
-    return (t[0], str(t[1]), t[2])
 
 
 def print_system(system: System, name: Optional[str] = None) -> str:

@@ -32,7 +32,9 @@ have no counterpart by ``ff``/``tt``; sound but deliberately one-sided,
 complete only for existential formulae or alphabets without covariant
 labels).  No map reflecting arbitrary box properties back through the
 embedding is provided; whether a compositional one exists is left open in
-the docs.
+the docs.  The encoding and decoding, and sentence translation along a
+signature morphism, are one walk, :func:`relabel`, with different label
+maps.
 """
 
 from __future__ import annotations
@@ -56,6 +58,8 @@ from .systems import (
     CCSignature,
     PointedLTS,
     PointedMTS,
+    _triple_key,
+    actions,
     ct,
     cv,
     rename_actions,
@@ -116,19 +120,26 @@ def embedding_report(p: PointedLTS) -> TranslationReport:
     )
 
 
-def lts_of_mts(m: PointedMTS) -> PointedLTS:
-    """Encode an MTS as an LTS over decorated copies of its alphabet."""
-    sig = CCSignature(
-        covariant=frozenset(cv(a) for a in m.actions),
-        contravariant=frozenset(ct(a) for a in m.actions),
+def morphism_signature_map(alphabet: Iterable[Union[str, Action]]) -> CCSignature:
+    """The decorated signature ``(cv(A), ct(A), {})`` of an alphabet ``A``:
+    what :func:`lts_of_mts` encodes over, and the signature map of the
+    morphism connecting the MTS institution to the LTS one."""
+    labels = actions(*alphabet)
+    return CCSignature(
+        covariant=frozenset(cv(a) for a in labels),
+        contravariant=frozenset(ct(a) for a in labels),
         bivariant=frozenset(),
     )
+
+
+def lts_of_mts(m: PointedMTS) -> PointedLTS:
+    """Encode an MTS as an LTS over decorated copies of its alphabet."""
     trans = {(s, ct(a), d) for (s, a, d) in m.may} | {
         (s, cv(a), d) for (s, a, d) in m.must
     }
     return PointedLTS(
         states=m.states,
-        signature=sig,
+        signature=morphism_signature_map(m.actions),
         transitions=frozenset(trans),
         init=m.init,
     )
@@ -167,7 +178,7 @@ def mts_of_encoded_lts(p: PointedLTS) -> PointedMTS:
         )
     may = {(s, lab.base, d) for (s, lab, d) in p.transitions if lab.mark == CT}
     must = {(s, lab.base, d) for (s, lab, d) in p.transitions if lab.mark == CV}
-    for triple in sorted(must - may, key=lambda t: (t[0], str(t[1]), t[2])):
+    for triple in sorted(must - may, key=_triple_key):
         s, a, d = triple
         raise NotInEncodingRange(
             f"transition ({s}, {cv(a)}, {d}) has no ({s}, {ct(a)}, {d}) twin"
@@ -246,13 +257,7 @@ def decorate_by_class(p: PointedLTS) -> PointedLTS:
         mapping[lab] = cv(lab)
     for lab in sig.contravariant:
         mapping[lab] = ct(lab)
-    universe = sig.actions
-    target = CCSignature(
-        covariant=frozenset(cv(a) for a in universe),
-        contravariant=frozenset(ct(a) for a in universe),
-        bivariant=frozenset(),
-    )
-    return rename_actions(p, mapping, target)
+    return rename_actions(p, mapping, morphism_signature_map(sig.actions))
 
 
 def eliminate_bivariant(p: PointedLTS) -> PointedLTS:
@@ -273,7 +278,7 @@ def embed_formula(phi: Formula) -> Formula:
     return phi
 
 
-def _relabel(
+def relabel(
     phi: Formula, diamond: Callable[[Action], Action], box: Callable[[Action], Action]
 ) -> Formula:
     """``phi`` with every diamond label mapped by ``diamond`` and every box
@@ -304,7 +309,7 @@ def _relabel(
 def encode_formula(phi: Formula) -> Formula:
     """Formula companion of :func:`lts_of_mts`: ``<a>`` becomes
     ``<cv(a)>`` and ``[a]`` becomes ``[ct(a)]``."""
-    return _relabel(phi, cv, ct)
+    return relabel(phi, cv, ct)
 
 
 def _base_of(mark: str, modality: str) -> Callable[[Action], Action]:
@@ -320,7 +325,7 @@ def decode_formula(phi: Formula) -> Formula:
     """Exact inverse of :func:`encode_formula`: strips ``cv`` off diamonds
     and ``ct`` off boxes.  Raises :class:`NotInEncodingRange` on any other
     modality label."""
-    return _relabel(phi, _base_of(CV, "diamond"), _base_of(CT, "box"))
+    return relabel(phi, _base_of(CV, "diamond"), _base_of(CT, "box"))
 
 
 def approximate_formula(phi: Formula, sig: CCSignature) -> Formula:

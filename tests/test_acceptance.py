@@ -13,7 +13,7 @@ import sys
 import time
 
 from modalsim.formulas import Bottom, Box, Top, mc_cc, mc_mts
-from modalsim.preorders import greatest_ccsim, greatest_refinement
+from modalsim.preorders import CCSim, Refinement, greatest
 from modalsim.selfcheck import SelfCheckConfig, run_property
 from modalsim.systems import action, lts, mts, signature
 from modalsim.translate import (
@@ -145,23 +145,23 @@ def test_criterion_4_composition_bounds():
 
     pin_mts = mts(["m"], ["a"], [], [], "m")
     back = strip_decorations(mts_of_lts(lts_of_mts(pin_mts)))
-    mts_pin_ok = ("m", "m") in greatest_refinement(back, pin_mts) and (
+    mts_pin_ok = ("m", "m") in greatest(Refinement(), back, pin_mts) and (
         "m",
         "m",
-    ) not in greatest_refinement(pin_mts, back)
+    ) not in greatest(Refinement(), pin_mts, back)
 
     pin_lts = lts(["p"], signature(cov=["a"]), [], "p")
     image = strip_decorations(lts_of_mts(mts_of_lts(pin_lts)), target=pin_lts.signature)
-    lts_pin_ok = ("p", "p") in greatest_ccsim(pin_lts, image) and (
+    lts_pin_ok = ("p", "p") in greatest(CCSim(), pin_lts, image) and (
         "p",
         "p",
-    ) not in greatest_ccsim(image, pin_lts)
+    ) not in greatest(CCSim(), image, pin_lts)
 
     bridge_q = mts(["q"], ["a"], [("q", "a", "q")], [], "q")
-    bridge_ok = ("p", "q") in greatest_refinement(mts_of_lts(pin_lts), bridge_q) and (
+    bridge_ok = ("p", "q") in greatest(Refinement(), mts_of_lts(pin_lts), bridge_q) and (
         "p",
         "q",
-    ) not in greatest_ccsim(decorate_by_class(pin_lts), lts_of_mts(bridge_q))
+    ) not in greatest(CCSim(), decorate_by_class(pin_lts), lts_of_mts(bridge_q))
 
     ok = _all_pass(reports) and mts_pin_ok and lts_pin_ok and bridge_ok
     _report(4, "round-trip composition bounds hold; both converses fail on the pins", ok)

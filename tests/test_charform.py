@@ -14,7 +14,7 @@ from modalsim.formulas import (
     mc_cc,
     mc_mts,
 )
-from modalsim.preorders import greatest_refinement
+from modalsim.preorders import Refinement, greatest
 from modalsim.systems import action, cv, ct, signature
 from modalsim.terms import (
     MustPrefix,
@@ -82,9 +82,9 @@ def test_characterisation_on_a_hand_pair():
     chi_must = characteristic_formula(MUST_A, ["a"]).formula
     # a!0 refines a.0 but not the other way around; satisfaction of the
     # characteristic formulae says exactly the same.
-    assert (may_exp.init, must_exp.init) in greatest_refinement(may_exp, must_exp)
+    assert (may_exp.init, must_exp.init) in greatest(Refinement(), may_exp, must_exp)
     assert mc_mts(must_exp, must_exp.init, chi_may)
-    assert (must_exp.init, may_exp.init) not in greatest_refinement(must_exp, may_exp)
+    assert (must_exp.init, may_exp.init) not in greatest(Refinement(), must_exp, may_exp)
     assert not mc_mts(may_exp, may_exp.init, chi_must)
 
 
@@ -98,7 +98,7 @@ def test_characterisation_across_all_small_terms():
             refines = (
                 expansions[t].init,
                 expansions[u].init,
-            ) in greatest_refinement(expansions[t], expansions[u])
+            ) in greatest(Refinement(), expansions[t], expansions[u])
             holds = mc_mts(expansions[u], expansions[u].init, formulas[t].formula)
             lean = mc_mts(expansions[u], expansions[u].init, formulas[t].simplified)
             assert refines == holds
@@ -132,3 +132,22 @@ def test_encoded_formula_separates_encoded_terms():
     optional = expand_lts_term(encode_term(MAY_A), sig)
     assert mc_cc(forced, forced.init, chi_cc)
     assert not mc_cc(optional, optional.init, chi_cc)
+
+
+def _dag_nodes(phi):
+    seen, stack = set(), [phi]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(getattr(node, f) for f in ("left", "right", "body") if hasattr(node, f))
+    return len(seen)
+
+
+def test_simplified_must_chain_stays_linear():
+    depth = 13
+    term = Zero()
+    for _ in range(depth):
+        term = MustPrefix(A, term)
+    result = characteristic_formula(term, ["a", "b"])
+    assert _dag_nodes(result.simplified) <= 8 * depth

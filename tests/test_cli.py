@@ -192,6 +192,20 @@ def test_mc_exit_codes(files, capsys):
     assert run(capsys, "mc", path, "idle", "<coin>")[0] == 2
 
 
+def test_mc_ill_formed_formula_lists_every_problem(files, capsys):
+    path = files("u.mts", UNIVERSAL)
+    code, out, err = run(capsys, "mc", path, "u", "<x>tt & [y]tt")
+    assert (code, out) == (2, "")
+    assert err == "error: label x is not in the alphabet; label y is not in the alphabet\n"
+
+
+def test_mc_diamond_on_a_contravariant_label_is_an_error(files, capsys):
+    path = files("ccex.lts", CCEX)
+    code, out, err = run(capsys, "mc", path, "p", "<b>tt")
+    assert (code, out) == (2, "")
+    assert err == "error: diamond modality needs a covariant or bivariant label: b\n"
+
+
 def test_too_deep_input_is_an_error_not_a_verdict(files, capsys):
     path = files("v.mts", VENDING)
     code, out, err = run(capsys, "mc", path, "idle", "<coin>" * 1000 + "tt")

@@ -24,10 +24,7 @@ from modalsim.preorders import (
     Simulation,
     distinguishing_formula,
     fixpoint_rounds,
-    greatest_ccsim,
-    greatest_pbsim,
-    greatest_refinement,
-    greatest_simulation,
+    greatest,
 )
 from modalsim.systems import (
     CCSignature,
@@ -240,16 +237,6 @@ def _sparse_cases(n=40):
 CASES = list(_line_cases()) + list(_sparse_cases())
 
 
-def _greatest(kind, p, q):
-    if isinstance(kind, Refinement):
-        return greatest_refinement(p, q)
-    if isinstance(kind, CCSim):
-        return greatest_ccsim(p, q)
-    if isinstance(kind, PartialBisim):
-        return greatest_pbsim(p, q, kind.bset)
-    return greatest_simulation(p, q)
-
-
 # ---------------------------------------------------------------- tests
 
 
@@ -258,7 +245,7 @@ def test_engine_reproduces_the_removal_loop(name, kind, systems):
     p_sys, q_sys = systems
     find, q_answers, p_answers = reference_finder(kind, p_sys, q_sys)
     rel, rounds, records = reference_fixpoint(p_sys.states, q_sys.states, find)
-    assert _greatest(kind, p_sys, q_sys).pairs == rel
+    assert greatest(kind, p_sys, q_sys).pairs == rel
     chain = fixpoint_rounds(kind, p_sys, q_sys)
     assert chain == rounds
     # Every pair a violation cites was removed strictly before the pair

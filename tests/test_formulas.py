@@ -123,6 +123,13 @@ def test_simplify_laws():
     assert simplify(Diamond(A, And(Top(), Top()))) == Diamond(A, Top())
 
 
+def test_simplify_keeps_a_shared_subformula_shared():
+    f = Diamond(A, And(Top(), Box(B, Bottom())))
+    out = simplify(And(f, f))
+    assert out == And(Diamond(A, Box(B, Bottom())), Diamond(A, Box(B, Bottom())))
+    assert out.left is out.right
+
+
 def test_modal_depth_and_existential():
     phi = Diamond(A, Box(B, Or(Top(), Diamond(A, Bottom()))))
     assert modal_depth(phi) == 3

@@ -14,18 +14,16 @@ from modalsim.institutions import (
     final_obstruction_pair,
     identity_morphism,
     initial_obstruction_pair,
-    morphism_signature_map,
     mts_morphism,
     reduct,
     sen_map,
     universal_specification,
     weakly_final_implementation,
-    weakly_initial_mts,
 )
-from modalsim.preorders import greatest_ccsim, greatest_refinement
+from modalsim.preorders import CCSim, Refinement, greatest
 from modalsim.sampling import random_bl_formula, random_mts
-from modalsim.systems import action, actions, cv, ct, lts, mts, signature
-from modalsim.translate import decode_formula, lts_of_mts
+from modalsim.systems import action, actions, cv, ct, lts, mts, signature, universal_mts
+from modalsim.translate import decode_formula, lts_of_mts, morphism_signature_map
 
 A = action("a")
 B = action("b")
@@ -90,6 +88,13 @@ def test_sen_map_relabels_modalities():
     )
 
 
+def test_sen_map_keeps_a_shared_subformula_shared():
+    f = Diamond(A, Box(B, Top()))
+    out = sen_map(COLLAPSE, And(f, f))
+    assert out == And(Diamond(X, Box(X, Top())), Diamond(X, Box(X, Top())))
+    assert out.left is out.right
+
+
 def test_reduct_pulls_transitions_back():
     model = mts(["s"], ["x"], [("s", "x", "s")], [("s", "x", "s")], "s")
     back = reduct(model, COLLAPSE)
@@ -143,7 +148,7 @@ def test_connecting_morphism_pieces():
 def test_weakly_final_implementation_receives_everything():
     witness = weakly_final_implementation(CCEX.signature)
     assert witness.transitions == frozenset({("s", A, "s")})
-    rel = greatest_ccsim(CCEX, witness)
+    rel = greatest(CCSim(), CCEX, witness)
     for state in sorted(CCEX.states):
         assert (state, witness.init) in rel
 
@@ -151,7 +156,7 @@ def test_weakly_final_implementation_receives_everything():
 def test_universal_specification_reaches_everything():
     witness = universal_specification(CCEX.signature)
     assert witness.transitions == frozenset({("s", B, "s")})
-    rel = greatest_ccsim(witness, CCEX)
+    rel = greatest(CCSim(), witness, CCEX)
     for state in sorted(CCEX.states):
         assert (witness.init, state) in rel
 
@@ -169,8 +174,8 @@ def test_weakly_initial_mts_is_below_everything():
         must=[("idle", "coin", "paid"), ("paid", "tea", "served")],
         init="idle",
     )
-    witness = weakly_initial_mts(vending.actions)
-    rel = greatest_refinement(witness, vending)
+    witness = universal_mts(vending.actions)
+    rel = greatest(Refinement(), witness, vending)
     for state in sorted(vending.states):
         assert (witness.init, state) in rel
 
@@ -179,7 +184,7 @@ def test_canonical_witness_dispatch():
     sig = signature(cov=["a"], con=["b"])
     assert canonical_witness("weakly-final-cc", sig) == weakly_final_implementation(sig)
     assert canonical_witness("universal-spec-cc", sig) == universal_specification(sig)
-    assert canonical_witness("weakly-initial-mts", ["a"]) == weakly_initial_mts(["a"])
+    assert canonical_witness("weakly-initial-mts", ["a"]) == universal_mts(["a"])
     assert set(WITNESS_KINDS) == {
         "weakly-final-cc",
         "universal-spec-cc",
@@ -199,22 +204,22 @@ def test_canonical_witness_dispatch():
 
 def test_final_obstruction_pair_pulls_apart():
     demanding, silent = final_obstruction_pair()
-    assert (demanding.init, demanding.init) in greatest_refinement(demanding, demanding)
-    assert (silent.init, silent.init) in greatest_refinement(silent, silent)
+    assert (demanding.init, demanding.init) in greatest(Refinement(), demanding, demanding)
+    assert (silent.init, silent.init) in greatest(Refinement(), silent, silent)
     # Neither obstruction system reaches the other, and the may-everything
     # system receives neither arrow: its loop is never forced and never
     # absent.
-    assert (demanding.init, silent.init) not in greatest_refinement(demanding, silent)
-    assert (silent.init, demanding.init) not in greatest_refinement(silent, demanding)
-    loose = weakly_initial_mts(demanding.actions)
-    assert (demanding.init, loose.init) not in greatest_refinement(demanding, loose)
-    assert (silent.init, loose.init) not in greatest_refinement(silent, loose)
+    assert (demanding.init, silent.init) not in greatest(Refinement(), demanding, silent)
+    assert (silent.init, demanding.init) not in greatest(Refinement(), silent, demanding)
+    loose = universal_mts(demanding.actions)
+    assert (demanding.init, loose.init) not in greatest(Refinement(), demanding, loose)
+    assert (silent.init, loose.init) not in greatest(Refinement(), silent, loose)
 
 
 def test_initial_obstruction_pair_pulls_apart():
     looping, silent = initial_obstruction_pair()
     assert looping.signature.bivariant == actions("c")
-    assert (looping.init, looping.init) in greatest_ccsim(looping, looping)
-    assert (silent.init, silent.init) in greatest_ccsim(silent, silent)
-    assert (looping.init, silent.init) not in greatest_ccsim(looping, silent)
-    assert (silent.init, looping.init) not in greatest_ccsim(silent, looping)
+    assert (looping.init, looping.init) in greatest(CCSim(), looping, looping)
+    assert (silent.init, silent.init) in greatest(CCSim(), silent, silent)
+    assert (looping.init, silent.init) not in greatest(CCSim(), looping, silent)
+    assert (silent.init, looping.init) not in greatest(CCSim(), silent, looping)

@@ -14,10 +14,7 @@ from modalsim.preorders import (
     compose_relations,
     distinguishing_formula,
     fixpoint_rounds,
-    greatest_ccsim,
-    greatest_pbsim,
-    greatest_refinement,
-    greatest_simulation,
+    greatest,
     oracle_greatest,
 )
 from modalsim.sampling import random_lts_pair, random_mts_pair, random_plain_lts
@@ -38,7 +35,7 @@ CCEX = lts(
 
 
 def test_ccsim_chain_on_the_two_class_example():
-    rel = greatest_ccsim(CCEX, CCEX)
+    rel = greatest(CCSim(), CCEX, CCEX)
     assert ("r", "p") in rel
     assert ("p", "q") in rel
     assert ("r", "q") in rel
@@ -60,11 +57,11 @@ def test_ccsim_distinguishing_formulas_separate():
 def test_refinement_against_the_universal_system():
     u = universal_mts(["a"])
     demanding = mts(["m"], ["a"], [("m", "a", "m")], [("m", "a", "m")], "m")
-    assert ("u", "m") in greatest_refinement(u, demanding)
-    assert ("m", "u") not in greatest_refinement(demanding, u)
+    assert ("u", "m") in greatest(Refinement(), u, demanding)
+    assert ("m", "u") not in greatest(Refinement(), demanding, u)
     loose = mts(["n"], ["a"], [("n", "a", "n")], [], "n")
-    assert ("u", "n") in greatest_refinement(u, loose)
-    assert ("n", "u") in greatest_refinement(loose, u)
+    assert ("u", "n") in greatest(Refinement(), u, loose)
+    assert ("n", "u") in greatest(Refinement(), loose, u)
 
 
 def test_refinement_clauses_by_hand():
@@ -83,9 +80,9 @@ def test_refinement_clauses_by_hand():
         init="t0",
     )
     # The spec's may move can be dropped or promoted: spec is below impl.
-    assert ("s0", "t0") in greatest_refinement(spec, impl)
+    assert ("s0", "t0") in greatest(Refinement(), spec, impl)
     # The impl's must move has no counterpart in the spec.
-    assert ("t0", "s0") not in greatest_refinement(impl, spec)
+    assert ("t0", "s0") not in greatest(Refinement(), impl, spec)
 
 
 def test_partial_bisimulation_depends_on_the_set():
@@ -96,16 +93,16 @@ def test_partial_bisimulation_depends_on_the_set():
         [("q0", "a", "q1"), ("q0", "b", "q2")],
         "q0",
     )
-    assert ("p0", "q0") in greatest_pbsim(p, q, frozenset({A}))
-    assert ("p0", "q0") not in greatest_pbsim(p, q, frozenset({A, B}))
-    assert ("p0", "q0") in greatest_simulation(p, q)
-    assert ("q0", "p0") not in greatest_simulation(q, p)
+    assert ("p0", "q0") in greatest(PartialBisim(frozenset({A})), p, q)
+    assert ("p0", "q0") not in greatest(PartialBisim(frozenset({A, B})), p, q)
+    assert ("p0", "q0") in greatest(Simulation(), p, q)
+    assert ("q0", "p0") not in greatest(Simulation(), q, p)
 
 
 def test_pbsim_rejects_labels_outside_the_alphabet():
     p = lts(["p0"], plain_signature(["a"]), [], "p0")
     with pytest.raises(ValueError):
-        greatest_pbsim(p, p, frozenset({action("z")}))
+        greatest(PartialBisim(frozenset({action("z")})), p, p)
 
 
 def test_relation_helpers():
@@ -144,11 +141,11 @@ def test_mismatched_alphabets_are_rejected():
     one = mts(["s"], ["a"], [], [], "s")
     two = mts(["t"], ["b"], [], [], "t")
     with pytest.raises(ValueError):
-        greatest_refinement(one, two)
+        greatest(Refinement(), one, two)
     left = lts(["s"], signature(cov=["a"]), [], "s")
     right = lts(["t"], signature(con=["a"]), [], "t")
     with pytest.raises(ValueError):
-        greatest_ccsim(left, right)
+        greatest(CCSim(), left, right)
 
 
 @settings(max_examples=40)
@@ -156,7 +153,7 @@ def test_mismatched_alphabets_are_rejected():
 def test_fixpoint_matches_oracle_on_small_refinement_pairs(seed):
     rng = random.Random(seed)
     p, q = random_mts_pair(rng, max_states=3, max_labels=2)
-    assert greatest_refinement(p, q).pairs == oracle_greatest(Refinement(), p, q).pairs
+    assert greatest(Refinement(), p, q).pairs == oracle_greatest(Refinement(), p, q).pairs
 
 
 @settings(max_examples=40)
@@ -164,7 +161,7 @@ def test_fixpoint_matches_oracle_on_small_refinement_pairs(seed):
 def test_fixpoint_matches_oracle_on_small_ccsim_pairs(seed):
     rng = random.Random(seed)
     p, q = random_lts_pair(rng, max_states=3)
-    assert greatest_ccsim(p, q).pairs == oracle_greatest(CCSim(), p, q).pairs
+    assert greatest(CCSim(), p, q).pairs == oracle_greatest(CCSim(), p, q).pairs
 
 
 @settings(max_examples=40)
@@ -172,7 +169,7 @@ def test_fixpoint_matches_oracle_on_small_ccsim_pairs(seed):
 def test_refinement_distinguishing_formulas_separate(seed):
     rng = random.Random(seed)
     p, q = random_mts_pair(rng, max_states=3, max_labels=2)
-    rel = greatest_refinement(p, q)
+    rel = greatest(Refinement(), p, q)
     logic = BLLogic(p.actions)
     for pp in sorted(p.states):
         for qq in sorted(q.states):

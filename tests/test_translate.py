@@ -12,7 +12,7 @@ from modalsim.formulas import (
     mc_cc,
     mc_mts,
 )
-from modalsim.preorders import greatest_ccsim, greatest_pbsim, greatest_refinement
+from modalsim.preorders import CCSim, PartialBisim, Refinement, greatest
 from modalsim.sampling import random_lts_pair, random_mts_pair
 from modalsim.systems import action, cv, ct, lts, mts, plain_signature, signature
 from modalsim.translate import (
@@ -217,20 +217,20 @@ def test_embedding_preserves_formula_truth_at_original_states():
 def test_composition_bound_pins():
     pin_mts = mts(["m"], ["a"], [], [], "m")
     back = strip_decorations(mts_of_lts(lts_of_mts(pin_mts)))
-    assert ("m", "m") in greatest_refinement(back, pin_mts)
-    assert ("m", "m") not in greatest_refinement(pin_mts, back)
+    assert ("m", "m") in greatest(Refinement(), back, pin_mts)
+    assert ("m", "m") not in greatest(Refinement(), pin_mts, back)
 
     pin_lts = lts(["p"], signature(cov=["a"]), [], "p")
     image = strip_decorations(lts_of_mts(mts_of_lts(pin_lts)), target=pin_lts.signature)
-    assert ("p", "p") in greatest_ccsim(pin_lts, image)
-    assert ("p", "p") not in greatest_ccsim(image, pin_lts)
+    assert ("p", "p") in greatest(CCSim(), pin_lts, image)
+    assert ("p", "p") not in greatest(CCSim(), image, pin_lts)
 
 
 def test_decorated_bridge_converse_fails_on_the_pinned_pair():
     p = lts(["p"], signature(cov=["a"]), [], "p")
     q = mts(["q"], ["a"], [("q", "a", "q")], [], "q")
-    assert ("p", "q") in greatest_refinement(mts_of_lts(p), q)
-    assert ("p", "q") not in greatest_ccsim(decorate_by_class(p), lts_of_mts(q))
+    assert ("p", "q") in greatest(Refinement(), mts_of_lts(p), q)
+    assert ("p", "q") not in greatest(CCSim(), decorate_by_class(p), lts_of_mts(q))
 
 
 @settings(max_examples=40)
@@ -238,8 +238,8 @@ def test_decorated_bridge_converse_fails_on_the_pinned_pair():
 def test_embedding_corollary_on_random_pairs(seed):
     rng = random.Random(seed)
     p, q = random_lts_pair(rng, max_states=3)
-    cc = greatest_ccsim(p, q)
-    ref = greatest_refinement(mts_of_lts(p), mts_of_lts(q))
+    cc = greatest(CCSim(), p, q)
+    ref = greatest(Refinement(), mts_of_lts(p), mts_of_lts(q))
     for pp in p.states:
         for qq in q.states:
             assert ((pp, qq) in cc) == ((pp, qq) in ref)
@@ -251,8 +251,8 @@ def test_encoding_corollary_on_random_pairs(seed):
     rng = random.Random(seed)
     m, n = random_mts_pair(rng, max_states=3, max_labels=2)
     assert (
-        greatest_refinement(m, n).pairs
-        == greatest_ccsim(lts_of_mts(m), lts_of_mts(n)).pairs
+        greatest(Refinement(), m, n).pairs
+        == greatest(CCSim(), lts_of_mts(m), lts_of_mts(n)).pairs
     )
 
 
@@ -270,8 +270,8 @@ def test_plain_reading_matches_partial_bisimulation(seed):
     p = lts(p.states, plain_signature(labels), rng.sample(sorted(triples_p, key=str), rng.randint(0, len(triples_p))), p.init)
     q = lts(q.states, plain_signature(labels), rng.sample(sorted(triples_q, key=str), rng.randint(0, len(triples_q))), q.init)
     bset = frozenset(rng.sample([A, B], rng.randint(0, 2)))
-    direct = greatest_pbsim(p, q, bset).pairs
-    through = greatest_refinement(
-        mts_of_plain_lts(q, bset), mts_of_plain_lts(p, bset)
+    direct = greatest(PartialBisim(bset), p, q).pairs
+    through = greatest(
+        Refinement(), mts_of_plain_lts(q, bset), mts_of_plain_lts(p, bset)
     ).inverse().pairs
     assert direct == through
