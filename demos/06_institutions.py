@@ -10,7 +10,6 @@ the modal world only the loosest one.
 from modalsim import (
     CCSim,
     Refinement,
-    canonical_witness,
     check_morphism_condition,
     check_satisfaction_condition,
     final_obstruction_pair,
@@ -24,6 +23,9 @@ from modalsim import (
     signature,
     formula_text,
     mts,
+    universal_mts,
+    universal_specification,
+    weakly_final_implementation,
 )
 
 
@@ -53,15 +55,15 @@ def main() -> None:
     # contravariant labels.
     sig = signature(cov=["a"], con=["b"])
     system = lts(["p", "q"], sig, [("p", "a", "q"), ("q", "b", "p")], "p")
-    final = canonical_witness("weakly-final-cc", sig)
-    initial = canonical_witness("universal-spec-cc", sig)
+    final = weakly_final_implementation(sig)
+    initial = universal_specification(sig)
     print(f"system <=cc final witness:   {('p', 's') in greatest(CCSim(), system, final)}")
     print(f"initial witness <=cc system: {('s', 'p') in greatest(CCSim(), initial, system)}")
 
     # No modal system can sit above both of these at once: one forces an
     # endless obligation, the other forbids the first step.
     demanding, silent = final_obstruction_pair()
-    loose = canonical_witness("weakly-initial-mts", demanding.actions)
+    loose = universal_mts(demanding.actions)
     print(f"demanding <= may-everything: "
           f"{(demanding.init, loose.init) in greatest(Refinement(), demanding, loose)}")
     print(f"silent <= may-everything:    "

@@ -32,7 +32,7 @@ from .textio import (
     ParseError,
     parse_formula,
     parse_label,
-    parse_system,
+    parse_system_details,
     parse_term,
     print_system,
 )
@@ -68,9 +68,12 @@ def _read_text(path: str) -> str:
 
 def _load_system(path: str, strict: bool) -> System:
     try:
-        return parse_system(_read_text(path), strict=strict)
+        parsed = parse_system_details(_read_text(path), strict=strict)
     except ParseError as exc:
         raise CliError(f"{path}: {exc}") from exc
+    for warning in parsed.warnings:
+        print(f"warning: {path}: {warning}", file=sys.stderr)
+    return parsed.system
 
 
 def _parse_bisimset(text: str) -> frozenset[Action]:

@@ -27,6 +27,7 @@ from .systems import (
     PointedLTS,
     PointedMTS,
     SuccIndex,
+    Transition,
     successor_index,
 )
 
@@ -154,31 +155,22 @@ def _wf(phi: Formula, logic: LogicKind, problems: list[str]) -> None:
         _wf(phi.left, logic, problems)
         _wf(phi.right, logic, problems)
         return
-    if isinstance(phi, Diamond):
+    if isinstance(phi, (Diamond, Box)):
         if isinstance(logic, BLLogic):
             if phi.action not in logic.actions:
                 problems.append(f"label {phi.action} is not in the alphabet")
         else:
             sig = logic.signature
+            modality, side, allowed = (
+                ("diamond", "covariant", sig.covariant)
+                if isinstance(phi, Diamond)
+                else ("box", "contravariant", sig.contravariant)
+            )
             if phi.action not in sig.actions:
                 problems.append(f"label {phi.action} is not in the signature")
-            elif phi.action not in sig.covariant | sig.bivariant:
+            elif phi.action not in allowed | sig.bivariant:
                 problems.append(
-                    f"diamond modality needs a covariant or bivariant label: {phi.action}"
-                )
-        _wf(phi.body, logic, problems)
-        return
-    if isinstance(phi, Box):
-        if isinstance(logic, BLLogic):
-            if phi.action not in logic.actions:
-                problems.append(f"label {phi.action} is not in the alphabet")
-        else:
-            sig = logic.signature
-            if phi.action not in sig.actions:
-                problems.append(f"label {phi.action} is not in the signature")
-            elif phi.action not in sig.contravariant | sig.bivariant:
-                problems.append(
-                    f"box modality needs a contravariant or bivariant label: {phi.action}"
+                    f"{modality} modality needs a {side} or bivariant label: {phi.action}"
                 )
         _wf(phi.body, logic, problems)
         return
@@ -225,85 +217,54 @@ def _eval(
     return out
 
 
+def _state_test(
+    logic: LogicKind,
+    states: frozenset[str],
+    box_rel: frozenset[Transition],
+    dia_rel: frozenset[Transition],
+    phi: Formula,
+) -> Callable[[str], bool]:
+    """The one model-checking prologue: require ``phi`` to be well formed
+    under ``logic``, index the successors ``[a]`` ranges over (``box_rel``)
+    and those ``<a>`` ranges over (``dia_rel``), and return the test of
+    ``phi`` at a state.  All states share one memo."""
+    _require_wf(phi, logic)
+    box_succ = successor_index(states, box_rel)
+    dia_succ = box_succ if dia_rel is box_rel else successor_index(states, dia_rel)
+    memo: dict[tuple[int, str], bool] = {}
+
+    def holds(state: str) -> bool:
+        if state not in states:
+            raise ValueError(f"{state!r} is not a state of the system")
+        return _eval(phi, state, box_succ, dia_succ, memo)
+
+    return holds
+
+
 def mc_mts(m: PointedMTS, state: str, phi: Formula) -> bool:
     """Does ``state`` of ``m`` satisfy ``phi``?
 
     ``[a]`` ranges over may transitions, ``<a>`` over must transitions.
     """
-    _require_wf(phi, BLLogic(m.actions))
-    if state not in m.states:
-        raise ValueError(f"{state!r} is not a state of the system")
-    box_succ = successor_index(m.states, m.may)
-    dia_succ = successor_index(m.states, m.must)
-    return _eval(phi, state, box_succ, dia_succ, {})
+    return _state_test(BLLogic(m.actions), m.states, m.may, m.must, phi)(state)
 
 
 def mc_cc(p: PointedLTS, state: str, phi: Formula) -> bool:
     """Does ``state`` of ``p`` satisfy ``phi``?  Both modalities range over
     the single transition relation."""
-    _require_wf(phi, CCLogic(p.signature))
-    if state not in p.states:
-        raise ValueError(f"{state!r} is not a state of the system")
-    succ = successor_index(p.states, p.transitions)
-    return _eval(phi, state, succ, succ, {})
-
-
-def _sat_sets(
-    phi: Formula,
-    states: frozenset[str],
-    box_succ: SuccIndex,
-    dia_succ: SuccIndex,
-    memo: dict[int, frozenset[str]],
-) -> frozenset[str]:
-    key = id(phi)
-    if key in memo:
-        return memo[key]
-    if isinstance(phi, Bottom):
-        out: frozenset[str] = frozenset()
-    elif isinstance(phi, Top):
-        out = states
-    elif isinstance(phi, And):
-        out = _sat_sets(phi.left, states, box_succ, dia_succ, memo) & _sat_sets(
-            phi.right, states, box_succ, dia_succ, memo
-        )
-    elif isinstance(phi, Or):
-        out = _sat_sets(phi.left, states, box_succ, dia_succ, memo) | _sat_sets(
-            phi.right, states, box_succ, dia_succ, memo
-        )
-    elif isinstance(phi, Diamond):
-        body = _sat_sets(phi.body, states, box_succ, dia_succ, memo)
-        out = frozenset(
-            s
-            for s in states
-            if any(t in body for t in dia_succ.get(s, {}).get(phi.action, ()))
-        )
-    elif isinstance(phi, Box):
-        body = _sat_sets(phi.body, states, box_succ, dia_succ, memo)
-        out = frozenset(
-            s
-            for s in states
-            if all(t in body for t in box_succ.get(s, {}).get(phi.action, ()))
-        )
-    else:
-        raise TypeError(f"not a formula: {phi!r}")
-    memo[key] = out
-    return out
+    return _state_test(CCLogic(p.signature), p.states, p.transitions, p.transitions, phi)(state)
 
 
 def satisfying_states_mts(m: PointedMTS, phi: Formula) -> frozenset[str]:
-    """All states of ``m`` satisfying ``phi``; one bottom-up pass, so much
-    cheaper than calling :func:`mc_mts` per state."""
-    _require_wf(phi, BLLogic(m.actions))
-    box_succ = successor_index(m.states, m.may)
-    dia_succ = successor_index(m.states, m.must)
-    return _sat_sets(phi, m.states, box_succ, dia_succ, {})
+    """All states of ``m`` satisfying ``phi``."""
+    holds = _state_test(BLLogic(m.actions), m.states, m.may, m.must, phi)
+    return frozenset(s for s in m.states if holds(s))
 
 
 def satisfying_states_cc(p: PointedLTS, phi: Formula) -> frozenset[str]:
     """All states of ``p`` satisfying ``phi``."""
-    _require_wf(phi, CCLogic(p.signature))
-    succ = successor_index(p.states, p.transitions)
-    return _sat_sets(phi, p.states, succ, succ, {})
+    holds = _state_test(CCLogic(p.signature), p.states, p.transitions, p.transitions, phi)
+    return frozenset(s for s in p.states if holds(s))
 
 
 def conj(parts: Sequence[Formula]) -> Formula:
@@ -326,24 +287,49 @@ def disj(parts: Sequence[Formula]) -> Formula:
     return out
 
 
+def rebuild(
+    phi: Formula, node: Callable[[Formula, Callable[[Formula], Formula]], Formula]
+) -> Formula:
+    """The one bottom-up formula rebuild: ``node(psi, recur)`` gives the
+    image of a node ``psi`` of ``phi``, calling ``recur`` for the images of
+    the subformulae it keeps.  Each node is mapped once (keyed by identity
+    within this call), so a subformula shared in ``phi`` stays shared in the
+    result and the walk costs the size of the DAG, not of the tree."""
+    memo: dict[int, Formula] = {}
+
+    def recur(psi: Formula) -> Formula:
+        if id(psi) not in memo:
+            memo[id(psi)] = node(psi, recur)
+        return memo[id(psi)]
+
+    return recur(phi)
+
+
+def _same_connective(phi: Formula, recur: Callable[[Formula], Formula]) -> Formula:
+    """``phi``'s own connective or constant over the images of its
+    subformulae under ``recur``."""
+    if isinstance(phi, (Bottom, Top)):
+        return phi
+    if isinstance(phi, And):
+        return And(recur(phi.left), recur(phi.right))
+    if isinstance(phi, Or):
+        return Or(recur(phi.left), recur(phi.right))
+    if isinstance(phi, Diamond):
+        return Diamond(phi.action, recur(phi.body))
+    if isinstance(phi, Box):
+        return Box(phi.action, recur(phi.body))
+    raise TypeError(f"not a formula: {phi!r}")
+
+
 def simplify(phi: Formula) -> Formula:
     """Constant propagation only: ``tt``/``ff`` units and absorbers for the
     binary connectives plus ``[a]tt = tt``.  Nothing stronger, so outputs
     stay predictable.  A subformula shared in ``phi`` is simplified once
     and stays shared in the result."""
-    memo: dict[int, Formula] = {}
-
-    def go(phi: Formula) -> Formula:
-        if id(phi) not in memo:
-            memo[id(phi)] = _simplify_node(phi, go)
-        return memo[id(phi)]
-
-    return go(phi)
+    return rebuild(phi, _simplify_node)
 
 
 def _simplify_node(phi: Formula, recur: Callable[[Formula], Formula]) -> Formula:
-    if isinstance(phi, (Bottom, Top)):
-        return phi
     if isinstance(phi, And):
         left, right = recur(phi.left), recur(phi.right)
         if isinstance(left, Bottom) or isinstance(right, Bottom):
@@ -362,31 +348,18 @@ def _simplify_node(phi: Formula, recur: Callable[[Formula], Formula]) -> Formula
         if isinstance(right, Bottom):
             return left
         return Or(left, right)
-    if isinstance(phi, Diamond):
-        return Diamond(phi.action, recur(phi.body))
     if isinstance(phi, Box):
         body = recur(phi.body)
         if isinstance(body, Top):
             return Top()
         return Box(phi.action, body)
-    raise TypeError(f"not a formula: {phi!r}")
+    return _same_connective(phi, recur)
 
 
 def replace_subformula(phi: Formula, old: Formula, new: Formula) -> Formula:
-    """Replace every occurrence of ``old`` (by structural equality)."""
-    if phi == old:
-        return new
-    if isinstance(phi, (Bottom, Top)):
-        return phi
-    if isinstance(phi, And):
-        return And(replace_subformula(phi.left, old, new), replace_subformula(phi.right, old, new))
-    if isinstance(phi, Or):
-        return Or(replace_subformula(phi.left, old, new), replace_subformula(phi.right, old, new))
-    if isinstance(phi, Diamond):
-        return Diamond(phi.action, replace_subformula(phi.body, old, new))
-    if isinstance(phi, Box):
-        return Box(phi.action, replace_subformula(phi.body, old, new))
-    raise TypeError(f"not a formula: {phi!r}")
+    """Replace every occurrence of ``old`` (by structural equality).  A
+    subformula shared in ``phi`` is visited once and stays shared."""
+    return rebuild(phi, lambda psi, recur: new if psi == old else _same_connective(psi, recur))
 
 
 def subformulas(phi: Formula) -> Iterable[Formula]:

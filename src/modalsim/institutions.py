@@ -57,7 +57,6 @@ from .systems import (
     action,
     signature,
     sorted_actions,
-    universal_mts,
 )
 from .translate import decode_formula, lts_of_mts, relabel
 
@@ -247,29 +246,6 @@ def universal_specification(sig: CCSignature, state: str = "s") -> PointedLTS:
         raise ValueError("weak initiality needs a signature without bivariant labels")
     loops = frozenset((state, a, state) for a in sig.contravariant)
     return PointedLTS(frozenset({state}), sig, loops, state)
-
-
-WITNESS_KINDS = ("weakly-final-cc", "universal-spec-cc", "weakly-initial-mts")
-
-
-def canonical_witness(
-    kind: str,
-    sig: Union[CCSignature, Iterable[Union[str, Action]]],
-) -> Union[PointedLTS, PointedMTS]:
-    """Dispatch to one of the three canonical witness builders by name."""
-    if kind == "weakly-final-cc":
-        if not isinstance(sig, CCSignature):
-            raise TypeError("this witness needs a signature")
-        return weakly_final_implementation(sig)
-    if kind == "universal-spec-cc":
-        if not isinstance(sig, CCSignature):
-            raise TypeError("this witness needs a signature")
-        return universal_specification(sig)
-    if kind == "weakly-initial-mts":
-        if isinstance(sig, CCSignature):
-            raise TypeError("this witness needs a plain alphabet")
-        return universal_mts(sig)
-    raise ValueError(f"unknown witness kind {kind!r}; pick one of {WITNESS_KINDS}")
 
 
 def final_obstruction_pair(label: Union[str, Action] = "a") -> tuple[PointedMTS, PointedMTS]:

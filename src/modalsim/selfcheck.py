@@ -723,7 +723,7 @@ def _prop_formula_roundtrip(cfg: SelfCheckConfig, rng: random.Random):
         m = random_mts(rng, acts, cfg.max_states)
         phi = random_bl_formula(rng, acts, cfg.max_formula_depth)
         text = formula_text(phi)
-        back = parse_formula(text, BLLogic(acts))
+        back = parse_formula(text)
         if formula_text(back) != text:
             failures.append(f"formula text is not a parse/print fixpoint: {text}")
         elif satisfying_states_mts(m, back) != satisfying_states_mts(m, phi):

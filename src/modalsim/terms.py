@@ -23,6 +23,7 @@ from .systems import (
     CCSignature,
     PointedLTS,
     PointedMTS,
+    Transition,
     action,
     sorted_actions,
 )
@@ -167,6 +168,26 @@ def _must_moves(t: Term) -> list[tuple[Action, Term]]:
     raise TypeError(f"not a term: {t!r}")
 
 
+def _expand(t: Term, loop_labels: list[Action]) -> tuple[str, dict[str, Term], set[Transition]]:
+    """The one expansion loop: the canonical name of ``t``, every reachable
+    canonical subterm by name, and the may moves between them (``w`` looping
+    on ``loop_labels``)."""
+    root = canonical_term(t)
+    states: dict[str, Term] = {}
+    moves: set[Transition] = set()
+    queue = [root]
+    while queue:
+        node = queue.pop()
+        name = term_text(node)
+        if name in states:
+            continue
+        states[name] = node
+        for a, nxt in _may_moves(node, loop_labels):
+            moves.add((name, a, term_text(nxt)))
+            queue.append(nxt)
+    return term_text(root), states, moves
+
+
 def expand_mts_term(t: Term, acts: Iterable[Union[str, Action]]) -> PointedMTS:
     """The sub-MTS of the universal MTS over ``acts`` reachable from ``t``.
 
@@ -177,29 +198,18 @@ def expand_mts_term(t: Term, acts: Iterable[Union[str, Action]]) -> PointedMTS:
     stray = sorted_actions(term_labels(t) - ambient)
     if stray:
         raise ValueError(f"term labels {stray} are outside the ambient action set")
-    loop_labels = sorted_actions(ambient)
-    root = canonical_term(t)
-    states: dict[str, Term] = {}
-    may: set[tuple[str, Action, str]] = set()
-    must: set[tuple[str, Action, str]] = set()
-    queue = [root]
-    while queue:
-        node = queue.pop()
-        name = term_text(node)
-        if name in states:
-            continue
-        states[name] = node
-        for a, nxt in _may_moves(node, loop_labels):
-            may.add((name, a, term_text(nxt)))
-            queue.append(nxt)
-        for a, nxt in _must_moves(node):
-            must.add((name, a, term_text(nxt)))
+    root, states, may = _expand(t, sorted_actions(ambient))
+    must = {
+        (name, a, term_text(nxt))
+        for name, node in states.items()
+        for a, nxt in _must_moves(node)
+    }
     return PointedMTS(
         states=frozenset(states),
         actions=ambient,
         may=frozenset(may),
         must=frozenset(must),
-        init=term_text(root),
+        init=root,
     )
 
 
@@ -216,25 +226,12 @@ def expand_lts_term(t: Term, sig: CCSignature) -> PointedLTS:
     stray = sorted_actions(term_labels(t) - sig.actions)
     if stray:
         raise ValueError(f"term labels {stray} are outside the signature")
-    loop_labels = sorted_actions(sig.contravariant)
-    root = canonical_term(t)
-    states: dict[str, Term] = {}
-    trans: set[tuple[str, Action, str]] = set()
-    queue = [root]
-    while queue:
-        node = queue.pop()
-        name = term_text(node)
-        if name in states:
-            continue
-        states[name] = node
-        for a, nxt in _may_moves(node, loop_labels):
-            trans.add((name, a, term_text(nxt)))
-            queue.append(nxt)
+    root, states, trans = _expand(t, sorted_actions(sig.contravariant))
     return PointedLTS(
         states=frozenset(states),
         signature=sig,
         transitions=frozenset(trans),
-        init=term_text(root),
+        init=root,
     )
 
 

@@ -26,9 +26,11 @@ yields an equal system and no warnings.
 
 Formulae and terms have small expression grammars matching the canonical
 printers :func:`~modalsim.formulas.formula_text` and
-:func:`~modalsim.terms.term_text` (re-exported here): modalities bind
-tighter than ``&``, which binds tighter than ``|``; prefixes bind tighter
-than ``+``; ``0`` and ``w`` are reserved term atoms.
+:func:`~modalsim.terms.term_text`: modalities bind tighter than ``&``,
+which binds tighter than ``|``; prefixes bind tighter than ``+``; ``0``
+and ``w`` are reserved term atoms.  Parsing checks syntax only;
+well-formedness under a logic is checked where formulae are evaluated,
+by :func:`~modalsim.formulas.check_wf`.
 """
 
 from __future__ import annotations
@@ -43,11 +45,8 @@ from .formulas import (
     Box,
     Diamond,
     Formula,
-    LogicKind,
     Or,
     Top,
-    check_wf,
-    formula_text,
 )
 from .systems import (
     Action,
@@ -62,20 +61,18 @@ from .systems import (
     is_name_token,
     sorted_actions,
 )
-from .terms import MustPrefix, Omega, Prefix, Sum, Term, Zero, term_text
+from .terms import MustPrefix, Omega, Prefix, Sum, Term, Zero
 
 __all__ = [
     "ParseError",
     "ParsedSystem",
     "TERM_KINDS",
-    "formula_text",
     "parse_formula",
     "parse_label",
     "parse_system",
     "parse_system_details",
     "parse_term",
     "print_system",
-    "term_text",
 ]
 
 
@@ -453,19 +450,11 @@ def _label_from_stream(cur: _Cursor) -> Action:
 _FORMULA_TOKEN = re.compile(r"[A-Za-z0-9_]+|[<>\[\]()&|]")
 
 
-def parse_formula(text: str, logic: Optional[LogicKind] = None) -> Formula:
-    """Parse a formula; with a logic given, also require well-formedness.
-
-    Syntax errors raise :class:`ParseError`; well-formedness problems raise
-    a plain :class:`ValueError` listing them.
-    """
+def parse_formula(text: str) -> Formula:
+    """Parse a formula; syntax errors raise :class:`ParseError`."""
     cur = _Cursor(_scan_tokens(text, _FORMULA_TOKEN))
     phi = _formula(cur)
     cur.expect_end()
-    if logic is not None:
-        problems = check_wf(phi, logic)
-        if problems:
-            raise ValueError("; ".join(problems))
     return phi
 
 

@@ -34,7 +34,8 @@ labels).  No map reflecting arbitrary box properties back through the
 embedding is provided; whether a compositional one exists is left open in
 the docs.  The encoding and decoding, and sentence translation along a
 signature morphism, are one walk, :func:`relabel`, with different label
-maps.
+maps; it and :func:`approximate_formula` rebuild formulae through the one
+memoised walk :func:`~modalsim.formulas.rebuild`.
 """
 
 from __future__ import annotations
@@ -43,13 +44,13 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Union
 
 from .formulas import (
-    And,
     Bottom,
     Box,
     Diamond,
     Formula,
-    Or,
     Top,
+    _same_connective,
+    rebuild,
 )
 from .systems import (
     CT,
@@ -282,28 +283,17 @@ def relabel(
     phi: Formula, diamond: Callable[[Action], Action], box: Callable[[Action], Action]
 ) -> Formula:
     """``phi`` with every diamond label mapped by ``diamond`` and every box
-    label by ``box``.  A subformula shared in ``phi`` is mapped once and
-    stays shared in the result."""
-    memo: dict[int, Formula] = {}
+    label by ``box``, through :func:`~modalsim.formulas.rebuild`, so a
+    subformula shared in ``phi`` is mapped once and stays shared."""
 
-    def go(phi: Formula) -> Formula:
-        if id(phi) not in memo:
-            if isinstance(phi, (Bottom, Top)):
-                out = phi
-            elif isinstance(phi, And):
-                out = And(go(phi.left), go(phi.right))
-            elif isinstance(phi, Or):
-                out = Or(go(phi.left), go(phi.right))
-            elif isinstance(phi, Diamond):
-                out = Diamond(diamond(phi.action), go(phi.body))
-            elif isinstance(phi, Box):
-                out = Box(box(phi.action), go(phi.body))
-            else:
-                raise TypeError(f"not a formula: {phi!r}")
-            memo[id(phi)] = out
-        return memo[id(phi)]
+    def node(phi: Formula, recur: Callable[[Formula], Formula]) -> Formula:
+        if isinstance(phi, Diamond):
+            return Diamond(diamond(phi.action), recur(phi.body))
+        if isinstance(phi, Box):
+            return Box(box(phi.action), recur(phi.body))
+        return _same_connective(phi, recur)
 
-    return go(phi)
+    return rebuild(phi, node)
 
 
 def encode_formula(phi: Formula) -> Formula:
@@ -336,20 +326,17 @@ def approximate_formula(phi: Formula, sig: CCSignature) -> Formula:
 
     Truth at an embedded state implies truth of the approximation at the
     original state.  The converse holds for existential formulae and for
-    signatures without covariant labels, and fails in general.
+    signatures without covariant labels, and fails in general.  A
+    subformula shared in ``phi`` is approximated once and stays shared.
     """
-    if isinstance(phi, (Bottom, Top)):
-        return phi
-    if isinstance(phi, And):
-        return And(approximate_formula(phi.left, sig), approximate_formula(phi.right, sig))
-    if isinstance(phi, Or):
-        return Or(approximate_formula(phi.left, sig), approximate_formula(phi.right, sig))
-    if isinstance(phi, Diamond):
-        if phi.action in sig.covariant | sig.bivariant:
-            return Diamond(phi.action, approximate_formula(phi.body, sig))
-        return Bottom()
-    if isinstance(phi, Box):
-        if phi.action in sig.contravariant | sig.bivariant:
-            return Box(phi.action, approximate_formula(phi.body, sig))
-        return Top()
-    raise TypeError(f"not a formula: {phi!r}")
+    forward = sig.covariant | sig.bivariant
+    backward = sig.contravariant | sig.bivariant
+
+    def node(phi: Formula, recur: Callable[[Formula], Formula]) -> Formula:
+        if isinstance(phi, Diamond):
+            return Diamond(phi.action, recur(phi.body)) if phi.action in forward else Bottom()
+        if isinstance(phi, Box):
+            return Box(phi.action, recur(phi.body)) if phi.action in backward else Top()
+        return _same_connective(phi, recur)
+
+    return rebuild(phi, node)

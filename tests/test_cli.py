@@ -69,6 +69,16 @@ def test_check_refine_unrelated_reports_a_witness(files, capsys):
     assert run(capsys, "mc", u, "u", witness)[0] == 1
 
 
+def test_repaired_must_line_is_reported_as_a_warning(files, capsys):
+    m = files("m.mts", "mts m\nactions: a\nstates: s\ninit: s\nmust: s a s\n")
+    warning = f"warning: {m}: line 5: must transition s a s has no may twin; adding it\n"
+    code, out, err = run(capsys, "check", "refine", m, m)
+    assert (code, out, err) == (0, "related\n", warning * 2)
+    code, out, err = run(capsys, "check", "refine", "--strict", m, m)
+    assert (code, out) == (2, "")
+    assert err == f"error: {m}: line 5, col 9: must transition s a s has no may twin\n"
+
+
 def test_check_ccsim_with_explicit_states(files, capsys):
     path = files("ccex.lts", CCEX)
     code, out, _ = run(

@@ -20,6 +20,7 @@ from modalsim.formulas import (
     mc_cc,
     mc_mts,
     modal_depth,
+    replace_subformula,
     satisfying_states_cc,
     satisfying_states_mts,
     simplify,
@@ -106,6 +107,27 @@ def test_satisfying_states_agree_with_mc():
         assert (s in states) == mc_mts(VENDING, s, phi)
 
 
+def test_satisfying_states_by_hand():
+    everything = frozenset({"idle", "paid", "served"})
+    for phi, want in [
+        (Top(), everything),
+        (Bottom(), frozenset()),
+        (Or(Diamond(COIN, Top()), Box(TEA, Bottom())), {"idle", "served"}),
+        (Diamond(COIN, Diamond(TEA, Top())), {"idle"}),
+        (Box(COIN, Diamond(TEA, Top())), everything),
+    ]:
+        assert satisfying_states_mts(VENDING, phi) == want
+    p = lts(["s", "t"], signature(cov=["a"], con=["b"]), [("s", "a", "t"), ("s", "b", "s")], "s")
+    for phi, want in [
+        (Diamond(A, Top()), {"s"}),
+        (Box(B, Bottom()), {"t"}),
+        (Box(B, Diamond(A, Top())), {"s", "t"}),
+        (Diamond(A, Box(B, Bottom())), {"s"}),
+        (And(Diamond(A, Top()), Box(B, Bottom())), set()),
+    ]:
+        assert satisfying_states_cc(p, phi) == want
+
+
 def test_conj_and_disj_edge_cases():
     assert conj([]) == Top()
     assert disj([]) == Bottom()
@@ -126,6 +148,13 @@ def test_simplify_laws():
 def test_simplify_keeps_a_shared_subformula_shared():
     f = Diamond(A, And(Top(), Box(B, Bottom())))
     out = simplify(And(f, f))
+    assert out == And(Diamond(A, Box(B, Bottom())), Diamond(A, Box(B, Bottom())))
+    assert out.left is out.right
+
+
+def test_replace_subformula_keeps_a_shared_subformula_shared():
+    f = Diamond(A, Top())
+    out = replace_subformula(And(f, f), Top(), Box(B, Bottom()))
     assert out == And(Diamond(A, Box(B, Bottom())), Diamond(A, Box(B, Bottom())))
     assert out.left is out.right
 

@@ -5,8 +5,6 @@ from hypothesis import given, settings, strategies as st
 
 from modalsim.formulas import And, Bottom, Box, Diamond, Top, mc_cc, mc_mts
 from modalsim.institutions import (
-    WITNESS_KINDS,
-    canonical_witness,
     cc_morphism,
     check_morphism_condition,
     check_satisfaction_condition,
@@ -151,6 +149,8 @@ def test_weakly_final_implementation_receives_everything():
     rel = greatest(CCSim(), CCEX, witness)
     for state in sorted(CCEX.states):
         assert (state, witness.init) in rel
+    with pytest.raises(ValueError):
+        weakly_final_implementation(signature(bi=["c"]))
 
 
 def test_universal_specification_reaches_everything():
@@ -159,6 +159,8 @@ def test_universal_specification_reaches_everything():
     rel = greatest(CCSim(), witness, CCEX)
     for state in sorted(CCEX.states):
         assert (witness.init, state) in rel
+    with pytest.raises(ValueError):
+        universal_specification(signature(bi=["c"]))
 
 
 def test_weakly_initial_mts_is_below_everything():
@@ -178,28 +180,6 @@ def test_weakly_initial_mts_is_below_everything():
     rel = greatest(Refinement(), witness, vending)
     for state in sorted(vending.states):
         assert (witness.init, state) in rel
-
-
-def test_canonical_witness_dispatch():
-    sig = signature(cov=["a"], con=["b"])
-    assert canonical_witness("weakly-final-cc", sig) == weakly_final_implementation(sig)
-    assert canonical_witness("universal-spec-cc", sig) == universal_specification(sig)
-    assert canonical_witness("weakly-initial-mts", ["a"]) == universal_mts(["a"])
-    assert set(WITNESS_KINDS) == {
-        "weakly-final-cc",
-        "universal-spec-cc",
-        "weakly-initial-mts",
-    }
-    with pytest.raises(ValueError):
-        canonical_witness("nonsense", sig)
-    with pytest.raises(TypeError):
-        canonical_witness("weakly-final-cc", ["a"])
-    with pytest.raises(TypeError):
-        canonical_witness("weakly-initial-mts", sig)
-    with pytest.raises(ValueError):
-        weakly_final_implementation(signature(bi=["c"]))
-    with pytest.raises(ValueError):
-        universal_specification(signature(bi=["c"]))
 
 
 def test_final_obstruction_pair_pulls_apart():

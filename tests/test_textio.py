@@ -2,10 +2,8 @@ import pytest
 
 from modalsim.formulas import (
     And,
-    BLLogic,
     Bottom,
     Box,
-    CCLogic,
     Diamond,
     Or,
     Top,
@@ -171,14 +169,6 @@ def test_formula_parsing_and_precedence():
     for text in ("<a>", "tt &", "tt tt", "a", "<a]tt", ""):
         with pytest.raises(ParseError):
             parse_formula(text)
-
-
-def test_formula_well_formedness_hook():
-    contra_only = CCLogic(signature(con=["a"]))
-    assert parse_formula("[a]ff", logic=contra_only) == Box(A, Bottom())
-    with pytest.raises(ValueError):
-        parse_formula("<a>tt", logic=contra_only)
-    assert parse_formula("<a>tt", logic=BLLogic(actions("a"))) == Diamond(A, Top())
 
 
 def test_formula_text_round_trip():

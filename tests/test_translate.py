@@ -195,6 +195,15 @@ def test_approximation_by_class():
     assert approximate_formula(Box(B, Bottom()), sig) == Box(B, Bottom())
 
 
+def test_approximation_keeps_a_shared_subformula_shared():
+    sig = signature(cov=["a"], con=["b"])
+    f = Diamond(A, And(Box(B, Bottom()), Box(A, Bottom())))
+    out = approximate_formula(And(f, f), sig)
+    want = Diamond(A, And(Box(B, Bottom()), Top()))
+    assert out == And(want, want)
+    assert out.left is out.right
+
+
 def test_approximation_soundness_hole_is_real():
     """[a]ff holds vacuously at a move-free state, yet its embedding can
     always step to the sink, so the converse direction fails."""
