@@ -16,6 +16,7 @@ unreadable files, parse failures or ill-formed queries.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -269,7 +270,11 @@ def _cmd_selfcheck(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and reused by every
+    later :func:`main` call in the process, because building it costs far
+    more than parsing one command line."""
     fmt = argparse.ArgumentParser(add_help=False)
     fmt.add_argument(
         "--format", choices=["text", "json"], default="text", help="output format"

@@ -93,69 +93,133 @@ def formula_text(phi: Formula) -> str:
     """Canonical concrete syntax with minimal parentheses.
 
     Modalities bind tightest, then ``&``, then ``|``; both binary
-    connectives print flat (left associated when re-parsed).
+    connectives print flat (left associated when re-parsed).  A subformula
+    with more than one parent is printed once per context and its text
+    copied, so the work is the size of the DAG plus the length of the
+    (tree) text, and only the texts of shared subformulae are held until
+    the call returns.
     """
-    return _text(phi, 0)
+    shared = _shared_nodes(phi)
+    memo: dict[tuple[int, int], str] = {}
+
+    def text(phi: Formula, level: int) -> str:
+        # level: 0 = or-context, 1 = and-context, 2 = modality body
+        if isinstance(phi, Bottom):
+            return "ff"
+        if isinstance(phi, Top):
+            return "tt"
+        key = (id(phi), level) if id(phi) in shared else None
+        if key in memo:
+            return memo[key]
+        if isinstance(phi, Diamond):
+            out = f"<{phi.action}>{text(phi.body, 2)}"
+        elif isinstance(phi, Box):
+            out = f"[{phi.action}]{text(phi.body, 2)}"
+        elif isinstance(phi, And):
+            out = f"{text(phi.left, 1)} & {text(phi.right, 1)}"
+            if level >= 2:
+                out = f"({out})"
+        elif isinstance(phi, Or):
+            out = f"{text(phi.left, 0)} | {text(phi.right, 0)}"
+            if level >= 1:
+                out = f"({out})"
+        else:
+            raise TypeError(f"not a formula: {phi!r}")
+        if key is not None:
+            memo[key] = out
+        return out
+
+    return text(phi, 0)
 
 
-def _text(phi: Formula, level: int) -> str:
-    # level: 0 = or-context, 1 = and-context, 2 = modality body
-    if isinstance(phi, Bottom):
-        return "ff"
-    if isinstance(phi, Top):
-        return "tt"
-    if isinstance(phi, Diamond):
-        return f"<{phi.action}>{_text(phi.body, 2)}"
-    if isinstance(phi, Box):
-        return f"[{phi.action}]{_text(phi.body, 2)}"
-    if isinstance(phi, And):
-        body = f"{_text(phi.left, 1)} & {_text(phi.right, 1)}"
-        return f"({body})" if level >= 2 else body
-    if isinstance(phi, Or):
-        body = f"{_text(phi.left, 0)} | {_text(phi.right, 0)}"
-        return f"({body})" if level >= 1 else body
-    raise TypeError(f"not a formula: {phi!r}")
+def _shared_nodes(phi: Formula) -> set[int]:
+    """Identities of the nodes of ``phi`` that have more than one parent."""
+    seen: set[int] = set()
+    shared: set[int] = set()
+    stack = [phi]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            shared.add(id(node))
+        else:
+            seen.add(id(node))
+            if isinstance(node, (And, Or)):
+                stack += (node.left, node.right)
+            elif isinstance(node, (Diamond, Box)):
+                stack.append(node.body)
+    return shared
 
 
 def modal_depth(phi: Formula) -> int:
-    if isinstance(phi, (Bottom, Top)):
-        return 0
-    if isinstance(phi, (And, Or)):
-        return max(modal_depth(phi.left), modal_depth(phi.right))
-    if isinstance(phi, (Diamond, Box)):
-        return 1 + modal_depth(phi.body)
-    raise TypeError(f"not a formula: {phi!r}")
+    memo: dict[int, int] = {}
+
+    def depth(phi: Formula) -> int:
+        out = memo.get(id(phi))
+        if out is not None:
+            return out
+        if isinstance(phi, (Bottom, Top)):
+            out = 0
+        elif isinstance(phi, (And, Or)):
+            out = max(depth(phi.left), depth(phi.right))
+        elif isinstance(phi, (Diamond, Box)):
+            out = 1 + depth(phi.body)
+        else:
+            raise TypeError(f"not a formula: {phi!r}")
+        memo[id(phi)] = out
+        return out
+
+    return depth(phi)
 
 
 def is_existential(phi: Formula) -> bool:
     """True when ``phi`` contains no box modality."""
-    if isinstance(phi, (Bottom, Top)):
-        return True
-    if isinstance(phi, (And, Or)):
-        return is_existential(phi.left) and is_existential(phi.right)
-    if isinstance(phi, Diamond):
-        return is_existential(phi.body)
-    if isinstance(phi, Box):
-        return False
-    raise TypeError(f"not a formula: {phi!r}")
+    memo: dict[int, bool] = {}
+
+    def existential(phi: Formula) -> bool:
+        out = memo.get(id(phi))
+        if out is not None:
+            return out
+        if isinstance(phi, (Bottom, Top)):
+            out = True
+        elif isinstance(phi, (And, Or)):
+            out = existential(phi.left) and existential(phi.right)
+        elif isinstance(phi, Diamond):
+            out = existential(phi.body)
+        elif isinstance(phi, Box):
+            out = False
+        else:
+            raise TypeError(f"not a formula: {phi!r}")
+        memo[id(phi)] = out
+        return out
+
+    return existential(phi)
 
 
 def check_wf(phi: Formula, logic: LogicKind) -> list[str]:
     """Well-formedness violations of ``phi`` under ``logic``, in
-    deterministic (discovery) order."""
+    deterministic (discovery) order, with a shared subformula's violations
+    repeated at each of its occurrences."""
     problems: list[str] = []
-    _wf(phi, logic, problems)
+    _wf(phi, logic, problems, {})
     return problems
 
 
-def _wf(phi: Formula, logic: LogicKind, problems: list[str]) -> None:
+def _wf(
+    phi: Formula, logic: LogicKind, problems: list[str], seen: dict[int, list[str]]
+) -> None:
+    # ``seen`` maps each visited node to the problems found below it, which
+    # a second visit replays instead of walking the subformula again.
     if isinstance(phi, (Bottom, Top)):
         return
-    if isinstance(phi, (And, Or)):
-        _wf(phi.left, logic, problems)
-        _wf(phi.right, logic, problems)
+    found = seen.get(id(phi))
+    if found is not None:
+        problems.extend(found)
         return
-    if isinstance(phi, (Diamond, Box)):
+    start = len(problems)
+    if isinstance(phi, (And, Or)):
+        _wf(phi.left, logic, problems, seen)
+        _wf(phi.right, logic, problems, seen)
+    elif isinstance(phi, (Diamond, Box)):
         if isinstance(logic, BLLogic):
             if phi.action not in logic.actions:
                 problems.append(f"label {phi.action} is not in the alphabet")
@@ -172,9 +236,10 @@ def _wf(phi: Formula, logic: LogicKind, problems: list[str]) -> None:
                 problems.append(
                     f"{modality} modality needs a {side} or bivariant label: {phi.action}"
                 )
-        _wf(phi.body, logic, problems)
-        return
-    raise TypeError(f"not a formula: {phi!r}")
+        _wf(phi.body, logic, problems, seen)
+    else:
+        raise TypeError(f"not a formula: {phi!r}")
+    seen[id(phi)] = problems[start:]
 
 
 def _require_wf(phi: Formula, logic: LogicKind) -> None:

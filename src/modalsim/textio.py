@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .formulas import (
     And,
@@ -86,54 +86,43 @@ class ParseError(ValueError):
         self.col = col
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     text: str
     line: int
     col: int
     quoted: bool = False
 
 
+# The scanners' patterns are strings that ``re`` compiles on first use and
+# caches, so importing this module compiles none of them.
+
+# One token of a system line per match: a bare token, a double-quoted one
+# (group 2 is the body, group 3 the closing quote, missing when the body
+# stops at a bad escape or the end of the line) or a comment.  Blanks are
+# the only characters no alternative matches.
+_LINE_TOKEN = r'([^ \t\r#"]+)|"((?:[^"\\]|\\["\\])*)(")?|#'
+_ESCAPE = r'\\(["\\])'
+
+
 def _tokenize_line(text: str, line: int) -> list[_Token]:
     out: list[_Token] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch in " \t\r":
-            i += 1
-            continue
-        if ch == "#":
+    for m in re.finditer(_LINE_TOKEN, text):
+        bare, body, closed = m.groups()
+        col = m.start() + 1
+        if bare is not None:
+            out.append(_Token(bare, line, col))
+        elif closed:
+            out.append(_Token(re.sub(_ESCAPE, r"\1", body), line, col, True))
+        elif body is None:
             break
-        col = i + 1
-        if ch == '"':
-            i += 1
-            parts: list[str] = []
-            while True:
-                if i >= n:
-                    raise ParseError("unterminated quote", line, col)
-                ch = text[i]
-                if ch == "\\":
-                    if i + 1 >= n:
-                        raise ParseError("dangling backslash inside quotes", line, i + 1)
-                    nxt = text[i + 1]
-                    if nxt not in ('"', "\\"):
-                        raise ParseError(f"unknown escape \\{nxt}", line, i + 1)
-                    parts.append(nxt)
-                    i += 2
-                    continue
-                if ch == '"':
-                    i += 1
-                    break
-                parts.append(ch)
-                i += 1
-            out.append(_Token("".join(parts), line, col, quoted=True))
-            continue
-        j = i
-        while j < n and text[j] not in ' \t\r#"':
-            j += 1
-        out.append(_Token(text[i:j], line, col))
-        i = j
+        else:
+            stop = m.end()
+            if stop == len(text):
+                raise ParseError("unterminated quote", line, col)
+            # The body stopped at a backslash that starts no valid escape.
+            if stop + 1 == len(text):
+                raise ParseError("dangling backslash inside quotes", line, stop + 1)
+            raise ParseError(f"unknown escape \\{text[stop + 1]}", line, stop + 1)
     return out
 
 
@@ -189,7 +178,17 @@ def parse_system_details(text: str, strict: bool = False) -> ParsedSystem:
     states: dict[str, _Token] = {}
     init_tok: Optional[_Token] = None
     rels: dict[str, list[_RelEntry]] = {"may": [], "must": [], "trans": []}
+    labels: dict[str, Action] = {}
     last_line = 1
+
+    def label(tok: _Token) -> Action:
+        # Each distinct label text is parsed once per file.
+        if tok.quoted:
+            raise ParseError("labels cannot be quoted", tok.line, tok.col)
+        lab = labels.get(tok.text)
+        if lab is None:
+            lab = labels[tok.text] = parse_label(tok.text, tok.line, tok.col)
+        return lab
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         last_line = lineno
@@ -233,9 +232,7 @@ def parse_system_details(text: str, strict: bool = False) -> ParsedSystem:
             else:
                 target = classes["cov" if directive == "actions" else directive]
             for tok in operands:
-                if tok.quoted:
-                    raise ParseError("labels cannot be quoted", tok.line, tok.col)
-                target.setdefault(parse_label(tok.text, tok.line, tok.col), tok)
+                target.setdefault(label(tok), tok)
         elif directive == "states":
             for tok in operands:
                 states.setdefault(tok.text, tok)
@@ -253,10 +250,7 @@ def parse_system_details(text: str, strict: bool = False) -> ParsedSystem:
                     head.col,
                 )
             src, labtok, dst = operands
-            if labtok.quoted:
-                raise ParseError("labels cannot be quoted", labtok.line, labtok.col)
-            lab = parse_label(labtok.text, labtok.line, labtok.col)
-            rels[directive].append((src, lab, labtok, dst))
+            rels[directive].append((src, label(labtok), labtok, dst))
 
     if kind is None:
         raise ParseError("expected an 'mts' or 'lts' header line", last_line, 1)
@@ -410,28 +404,24 @@ class _Cursor:
         return (last.line, last.col + len(last.text))
 
 
-def _scan_tokens(text: str, pattern: re.Pattern) -> list[_Token]:
+def _scanner(token: str) -> str:
+    """One match per newline, run of blanks, token or stray character."""
+    return rf"(?P<newline>\n)|[ \t\r]+|(?P<token>{token})|(?P<bad>.)"
+
+
+def _scan_tokens(text: str, scanner: str) -> list[_Token]:
     tokens: list[_Token] = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            col += 1
-            i += 1
-            continue
-        m = pattern.match(text, i)
-        if not m:
-            raise ParseError(f"unexpected character {ch!r}", line, col)
-        tokens.append(_Token(m.group(), line, col))
-        col += m.end() - i
-        i = m.end()
+    line, line_start = 1, 0
+    for m in re.finditer(scanner, text):
+        kind = m.lastgroup
+        if kind == "token":
+            tokens.append(_Token(m.group(), line, m.start() - line_start + 1))
+        elif kind == "newline":
+            line, line_start = line + 1, m.end()
+        elif kind == "bad":
+            raise ParseError(
+                f"unexpected character {m.group()!r}", line, m.start() - line_start + 1
+            )
     return tokens
 
 
@@ -447,12 +437,12 @@ def _label_from_stream(cur: _Cursor) -> Action:
     return Action(name=tok.text)
 
 
-_FORMULA_TOKEN = re.compile(r"[A-Za-z0-9_]+|[<>\[\]()&|]")
+_FORMULA_SCANNER = _scanner(r"[A-Za-z0-9_]+|[<>\[\]()&|]")
 
 
 def parse_formula(text: str) -> Formula:
     """Parse a formula; syntax errors raise :class:`ParseError`."""
-    cur = _Cursor(_scan_tokens(text, _FORMULA_TOKEN))
+    cur = _Cursor(_scan_tokens(text, _FORMULA_SCANNER))
     phi = _formula(cur)
     cur.expect_end()
     return phi
@@ -495,7 +485,7 @@ def _unary(cur: _Cursor) -> Formula:
     raise ParseError(f"expected a formula, found {tok.text!r}", tok.line, tok.col)
 
 
-_TERM_TOKEN = re.compile(r"[A-Za-z0-9_]+|[+.!()]")
+_TERM_SCANNER = _scanner(r"[A-Za-z0-9_]+|[+.!()]")
 
 TERM_KINDS = ("mts", "lts")
 
@@ -507,7 +497,7 @@ def parse_term(text: str, kind: str = "mts") -> Term:
     """
     if kind not in TERM_KINDS:
         raise ValueError(f"unknown term kind {kind!r}; pick one of {TERM_KINDS}")
-    cur = _Cursor(_scan_tokens(text, _TERM_TOKEN))
+    cur = _Cursor(_scan_tokens(text, _TERM_SCANNER))
     t = _term(cur, kind)
     cur.expect_end()
     return t

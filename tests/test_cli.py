@@ -105,6 +105,37 @@ def test_check_pbsim_depends_on_the_bisimset(files, capsys):
     assert err.startswith("error:")
 
 
+# main() builds its argument parser once per process; the next three tests
+# check that one call leaves nothing behind for the next.
+
+
+def test_reused_parser_forgets_the_bisimset(files, capsys):
+    p = files("p.lts", "lts p\ncov: a b\nstates: p\ninit: p\ntrans: p b p\n")
+    q = files("q.lts", "lts q\ncov: a b\nstates: q\ninit: q\ntrans: q a q\ntrans: q b q\n")
+    assert run(capsys, "check", "pbsim", p, q, "--bisimset", "a") == (1, "not related\n", "")
+    assert run(capsys, "check", "pbsim", p, q) == (0, "related\n", "")
+
+
+def test_reused_parser_forgets_earlier_properties(capsys):
+    ids = property_ids()[:2]
+    for pid in ids:
+        code, out, _ = run(
+            capsys, "selfcheck", "--cases", "2", "--format", "json", "--property", pid
+        )
+        assert code == 0
+        assert [p["id"] for p in json.loads(out)["properties"]] == [pid]
+
+
+def test_usage_error_does_not_spoil_the_next_call(files, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["check", "refine", "--bisimset"])
+    assert info.value.code == 2
+    assert "expected one argument" in capsys.readouterr().err
+    u = files("u.mts", UNIVERSAL)
+    m = files("m.mts", DEMANDING)
+    assert run(capsys, "check", "refine", u, m) == (0, "related\n", "")
+
+
 def test_check_kind_mismatch_is_an_error(files, capsys):
     path = files("ccex.lts", CCEX)
     code, _, err = run(capsys, "check", "refine", path, path)

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -26,8 +27,11 @@ from modalsim.formulas import (
     simplify,
     subformulas,
 )
+from modalsim.charform import characteristic_formula
+from modalsim.preorders import Refinement, distinguishing_formula
 from modalsim.sampling import random_bl_formula, random_cc_formula
 from modalsim.systems import action, lts, mts, signature
+from modalsim.terms import MustPrefix, Zero
 
 A = action("a")
 B = action("b")
@@ -55,6 +59,81 @@ def test_formula_text_precedence():
     assert formula_text(Box(A, And(Top(), Top()))) == "[a](tt & tt)"
     assert formula_text(Diamond(A, Or(Top(), Bottom()))) == "<a>(tt | ff)"
     assert formula_text(Diamond(A, Box(B, Bottom()))) == "<a>[b]ff"
+
+
+def reference_text(phi, level=0):
+    """The printed tree of ``phi``, written apart from ``formula_text``.
+    ``level`` is the context: 0 under ``|``, 1 under ``&``, 2 under a
+    modality."""
+    if isinstance(phi, Bottom):
+        return "ff"
+    if isinstance(phi, Top):
+        return "tt"
+    if isinstance(phi, (Diamond, Box)):
+        opening, closing = "<>" if isinstance(phi, Diamond) else "[]"
+        return f"{opening}{phi.action}{closing}{reference_text(phi.body, 2)}"
+    if isinstance(phi, And):
+        text = f"{reference_text(phi.left, 1)} & {reference_text(phi.right, 1)}"
+        return f"({text})" if level >= 2 else text
+    text = f"{reference_text(phi.left, 0)} | {reference_text(phi.right, 0)}"
+    return f"({text})" if level >= 1 else text
+
+
+def test_formula_text_matches_the_tree_printer_on_random_formulae():
+    rng = random.Random(6)
+    sig = signature(cov=["a"], con=["b"], bi=["c"])
+    for _ in range(200):
+        phi = random_bl_formula(rng, frozenset({A, B}), 6)
+        psi = random_cc_formula(rng, sig, 6)
+        # The same two nodes under &, a modality and |, so each is printed
+        # in every context.
+        shared = Or(And(phi, psi), Or(And(Box(A, phi), Diamond(B, psi)), Or(phi, psi)))
+        for chi in (phi, psi, shared):
+            assert formula_text(chi) == reference_text(chi)
+
+
+def test_formula_text_matches_the_tree_printer_on_shared_dags():
+    n = 16
+    chain = [f"c{i}" for i in range(n + 2)]
+    steps = [(chain[i], "a", chain[i + 1]) for i in range(n + 1)]
+    left = mts(states=chain, acts=["a"], may=steps, must=steps, init=chain[0])
+    rungs = [(f"x{i}", f"y{i}") for i in range(n)]
+    ladder = [("r", "a", dst) for dst in rungs[0]]
+    for upper, lower in zip(rungs, rungs[1:]):
+        ladder += [(src, "a", dst) for src in upper for dst in lower]
+    states = ["r"] + [s for rung in rungs for s in rung]
+    right = mts(states=states, acts=["a"], may=ladder, must=ladder, init="r")
+    witness = distinguishing_formula(Refinement(), left, "c0", right, "r")
+    assert formula_text(witness) == reference_text(witness)
+
+    term = Zero()
+    for _ in range(12):
+        term = MustPrefix(A, term)
+    simplified = characteristic_formula(term, ["a", "b"]).simplified
+    assert formula_text(simplified) == reference_text(simplified)
+
+
+def test_walks_of_a_shared_formula_cost_its_dag_size():
+    # 40 levels of <b>(f & f) over [a]tt: 82 nodes, a tree of about 2**42.
+    f = Box(A, Top())
+    for _ in range(40):
+        f = Diamond(B, And(f, f))
+    m = mts(states=["s"], acts=["a", "b"], may=[("s", "a", "s"), ("s", "b", "s")],
+            must=[("s", "b", "s")], init="s")
+    start = time.perf_counter()
+    assert check_wf(f, BLLogic(m.actions)) == []
+    assert mc_mts(m, "s", f)
+    assert modal_depth(f) == 41
+    assert not is_existential(f)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_check_wf_repeats_a_shared_subformula_problem_at_each_occurrence():
+    inner = Box(action("x"), Top())
+    outer = Diamond(action("y"), inner)
+    phi = And(And(outer, inner), outer)
+    x, y = (f"label {name} is not in the alphabet" for name in "xy")
+    assert check_wf(phi, BLLogic(frozenset({A}))) == [y, x, x, y, x]
 
 
 def test_mc_mts_diamond_needs_a_must_edge():

@@ -147,6 +147,54 @@ def test_error_positions():
     assert "unknown directive" in e.message
 
 
+def position(parse, *args):
+    with pytest.raises(ParseError) as info:
+        parse(*args)
+    return info.value.line, info.value.col, info.value.message
+
+
+def test_scanner_positions():
+    # Tabs and carriage returns count one column each; only '\n' starts a line.
+    assert position(parse_formula, "<a>tt &\n\t\r $") == (
+        2, 4, "unexpected character '$'"
+    )
+    for kind in ("mts", "lts"):
+        assert position(parse_term, "a.\n\t\r  b.%0", kind) == (
+            2, 7, "unexpected character '%'"
+        )
+
+    # A comment may follow a bare token directly.
+    assert parse_system("mts m\nstates: s#c\ninit: s#x\n").states == {"s"}
+    assert position(parse_system, "mts m\nstates: s#c\ninit: t#x\n") == (
+        3, 7, "undeclared state 't'"
+    )
+
+    # Quoted and bare tokens split where a quote opens or closes.
+    mixed = 'mts m\nactions: x\nstates: a"b c"d "e\\"f"\ninit: d\n'
+    system = parse_system(mixed + 'may: "b c" x a\n')
+    assert system.states == {"a", "b c", "d", 'e"f'}
+    assert system.may == {("b c", action("x"), "a")}
+    assert position(parse_system, mixed + 'may: "b c"\tx"q"\n') == (
+        5, 13, "undeclared state 'q'"
+    )
+    assert position(parse_system, 'mts m\nstates: "ab\\') == (
+        2, 12, "dangling backslash inside quotes"
+    )
+    assert position(parse_system, 'mts m\nstates: "a\\x"\n') == (
+        2, 11, "unknown escape \\x"
+    )
+
+    # An unclosed decorated label, in each place a label is read.
+    unclosed = "expected ')' to close the label"
+    assert position(parse_label, "cv(a") == (1, 5, unclosed)
+    assert position(parse_system, "mts m\nactions: cv(a\n") == (2, 14, unclosed)
+    assert position(
+        parse_system, "mts m\nactions: a\nstates: s\ninit: s\nmay: s cv(a s\n"
+    ) == (5, 12, unclosed)
+    assert position(parse_formula, "<cv(a>tt") == (1, 6, "expected ')', found '>'")
+    assert position(parse_term, "cv(a.0") == (1, 5, "expected ')', found '.'")
+
+
 def test_parse_label_structure():
     assert parse_label("a") == A
     assert parse_label("cv(a)") == cv(A)
