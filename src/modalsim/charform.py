@@ -90,16 +90,15 @@ class _Builder:
     def __init__(self, ambient: list[Action], literal_prefix_clause: bool):
         self.ambient = ambient
         self.literal = literal_prefix_clause
-        self._chi: dict[str, Formula] = {}
-        self._gamma: dict[tuple[str, Action], Formula] = {}
+        self._chi: dict[Term, Formula] = {}
+        self._gamma: dict[tuple[Term, Action], Formula] = {}
 
     def chi(self, t: Term) -> Formula:
-        key = term_text(t)
-        if key not in self._chi:
+        if t not in self._chi:
             parts = list(self.delta(t))
             parts.extend(Box(a, self.gamma(t, a)) for a in self.ambient)
-            self._chi[key] = conj(parts)
-        return self._chi[key]
+            self._chi[t] = conj(parts)
+        return self._chi[t]
 
     def delta(self, t: Term) -> list[Formula]:
         if isinstance(t, (Zero, Omega, Prefix)):
@@ -107,14 +106,11 @@ class _Builder:
         if isinstance(t, MustPrefix):
             return [Diamond(t.action, self.chi(t.rest))]
         if isinstance(t, Sum):
-            merged: dict[str, Formula] = {}
-            for part in self.delta(t.left) + self.delta(t.right):
-                merged.setdefault(formula_text(part), part)
-            return [merged[k] for k in sorted(merged)]
+            return sorted(dict.fromkeys(self.delta(t.left) + self.delta(t.right)), key=formula_text)
         raise TypeError(f"not a term: {t!r}")
 
     def gamma(self, t: Term, a: Action) -> Formula:
-        key = (term_text(t), a)
+        key = (t, a)
         if key in self._gamma:
             return self._gamma[key]
         if isinstance(t, Zero):
@@ -160,18 +156,16 @@ def _simplified(
     t: Term,
     ambient: frozenset[Action],
     ordered: list[Action],
-    memo: dict[str, Formula],
-    omega_memo: dict[str, bool],
+    memo: dict[Term, Formula],
+    omega_memo: dict[Term, bool],
 ) -> Formula:
-    key = term_text(t)
-    if key in memo:
-        return memo[key]
+    if t in memo:
+        return memo[t]
 
     def omega_like(sub: Term) -> bool:
-        k = term_text(sub)
-        if k not in omega_memo:
-            omega_memo[k] = is_omega_equivalent(sub, ambient)
-        return omega_memo[k]
+        if sub not in omega_memo:
+            omega_memo[sub] = is_omega_equivalent(sub, ambient)
+        return omega_memo[sub]
 
     parts: list[Formula] = []
     musts = sorted(set(_must_moves(t)), key=lambda m: (str(m[0]), term_text(m[1])))
@@ -179,21 +173,18 @@ def _simplified(
         parts.append(Diamond(a, _simplified(nxt, ambient, ordered, memo, omega_memo)))
     mays = _may_moves(t, ordered)
     for a in ordered:
-        targets: dict[str, Term] = {}
-        for b, nxt in mays:
-            if b == a:
-                targets.setdefault(term_text(nxt), nxt)
+        targets = dict.fromkeys(nxt for b, nxt in mays if b is a)
         # Drop the box when some may successor is as loose as w: the bound
         # it would state is vacuous.  No a-successors at all gives [a]ff.
-        if any(omega_like(sub) for sub in targets.values()):
+        if any(omega_like(sub) for sub in targets):
             continue
         branches = [
-            _simplified(targets[k], ambient, ordered, memo, omega_memo)
-            for k in sorted(targets)
+            _simplified(sub, ambient, ordered, memo, omega_memo)
+            for sub in sorted(targets, key=term_text)
         ]
         parts.append(Box(a, disj(branches)))
     out = simplify(conj(parts))
-    memo[key] = out
+    memo[t] = out
     return out
 
 

@@ -24,6 +24,7 @@ from typing import Callable, Iterable, Sequence, Union
 from .systems import (
     Action,
     CCSignature,
+    Interned,
     PointedLTS,
     PointedMTS,
     SuccIndex,
@@ -32,44 +33,42 @@ from .systems import (
 )
 
 
-class Formula:
+class Formula(Interned):
     """Base class for modal formulae."""
 
     __slots__ = ()
 
+    def __repr__(self) -> str:
+        # The text of a formula with shared subformulae can be exponentially
+        # longer than the formula, so such a formula shows only its size.
+        nodes, shared = _shared_nodes(self)
+        if shared:
+            return f"<{type(self).__name__} of {len(nodes)} nodes besides tt and ff>"
+        return formula_text(self)
 
-@dataclass(frozen=True)
+
 class Bottom(Formula):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Top(Formula):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class And(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Or(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Diamond(Formula):
-    action: Action
-    body: Formula
+    __slots__ = ("action", "body")
 
 
-@dataclass(frozen=True)
 class Box(Formula):
-    action: Action
-    body: Formula
+    __slots__ = ("action", "body")
 
 
 @dataclass(frozen=True)
@@ -99,8 +98,8 @@ def formula_text(phi: Formula) -> str:
     (tree) text, and only the texts of shared subformulae are held until
     the call returns.
     """
-    shared = _shared_nodes(phi)
-    memo: dict[tuple[int, int], str] = {}
+    shared = _shared_nodes(phi)[1]
+    memo: dict[tuple[Formula, int], str] = {}
 
     def text(phi: Formula, level: int) -> str:
         # level: 0 = or-context, 1 = and-context, 2 = modality body
@@ -108,7 +107,7 @@ def formula_text(phi: Formula) -> str:
             return "ff"
         if isinstance(phi, Top):
             return "tt"
-        key = (id(phi), level) if id(phi) in shared else None
+        key = (phi, level) if phi in shared else None
         if key in memo:
             return memo[key]
         if isinstance(phi, Diamond):
@@ -124,7 +123,7 @@ def formula_text(phi: Formula) -> str:
             if level >= 1:
                 out = f"({out})"
         else:
-            raise TypeError(f"not a formula: {phi!r}")
+            raise TypeError(f"not a formula: {type(phi).__name__}")
         if key is not None:
             memo[key] = out
         return out
@@ -132,29 +131,31 @@ def formula_text(phi: Formula) -> str:
     return text(phi, 0)
 
 
-def _shared_nodes(phi: Formula) -> set[int]:
-    """Identities of the nodes of ``phi`` that have more than one parent."""
-    seen: set[int] = set()
-    shared: set[int] = set()
+def _shared_nodes(phi: Formula) -> tuple[set[Formula], set[Formula]]:
+    """The nodes of ``phi`` other than ``tt`` and ``ff``, and those of them
+    with more than one parent.  The constants are singletons, so they would
+    be shared in almost every formula; they print in O(1) anyway."""
+    seen: set[Formula] = set()
+    shared: set[Formula] = set()
     stack = [phi]
     while stack:
         node = stack.pop()
-        if id(node) in seen:
-            shared.add(id(node))
-        else:
-            seen.add(id(node))
+        if node in seen:
+            shared.add(node)
+        elif not isinstance(node, (Top, Bottom)):
+            seen.add(node)
             if isinstance(node, (And, Or)):
                 stack += (node.left, node.right)
             elif isinstance(node, (Diamond, Box)):
                 stack.append(node.body)
-    return shared
+    return seen, shared
 
 
 def modal_depth(phi: Formula) -> int:
-    memo: dict[int, int] = {}
+    memo: dict[Formula, int] = {}
 
     def depth(phi: Formula) -> int:
-        out = memo.get(id(phi))
+        out = memo.get(phi)
         if out is not None:
             return out
         if isinstance(phi, (Bottom, Top)):
@@ -165,7 +166,7 @@ def modal_depth(phi: Formula) -> int:
             out = 1 + depth(phi.body)
         else:
             raise TypeError(f"not a formula: {phi!r}")
-        memo[id(phi)] = out
+        memo[phi] = out
         return out
 
     return depth(phi)
@@ -173,10 +174,10 @@ def modal_depth(phi: Formula) -> int:
 
 def is_existential(phi: Formula) -> bool:
     """True when ``phi`` contains no box modality."""
-    memo: dict[int, bool] = {}
+    memo: dict[Formula, bool] = {}
 
     def existential(phi: Formula) -> bool:
-        out = memo.get(id(phi))
+        out = memo.get(phi)
         if out is not None:
             return out
         if isinstance(phi, (Bottom, Top)):
@@ -189,7 +190,7 @@ def is_existential(phi: Formula) -> bool:
             out = False
         else:
             raise TypeError(f"not a formula: {phi!r}")
-        memo[id(phi)] = out
+        memo[phi] = out
         return out
 
     return existential(phi)
@@ -205,13 +206,13 @@ def check_wf(phi: Formula, logic: LogicKind) -> list[str]:
 
 
 def _wf(
-    phi: Formula, logic: LogicKind, problems: list[str], seen: dict[int, list[str]]
+    phi: Formula, logic: LogicKind, problems: list[str], seen: dict[Formula, list[str]]
 ) -> None:
     # ``seen`` maps each visited node to the problems found below it, which
     # a second visit replays instead of walking the subformula again.
     if isinstance(phi, (Bottom, Top)):
         return
-    found = seen.get(id(phi))
+    found = seen.get(phi)
     if found is not None:
         problems.extend(found)
         return
@@ -239,7 +240,7 @@ def _wf(
         _wf(phi.body, logic, problems, seen)
     else:
         raise TypeError(f"not a formula: {phi!r}")
-    seen[id(phi)] = problems[start:]
+    seen[phi] = problems[start:]
 
 
 def _require_wf(phi: Formula, logic: LogicKind) -> None:
@@ -253,9 +254,9 @@ def _eval(
     state: str,
     box_succ: SuccIndex,
     dia_succ: SuccIndex,
-    memo: dict[tuple[int, str], bool],
+    memo: dict[tuple[Formula, str], bool],
 ) -> bool:
-    key = (id(phi), state)
+    key = (phi, state)
     if key in memo:
         return memo[key]
     if isinstance(phi, Bottom):
@@ -296,7 +297,7 @@ def _state_test(
     _require_wf(phi, logic)
     box_succ = successor_index(states, box_rel)
     dia_succ = box_succ if dia_rel is box_rel else successor_index(states, dia_rel)
-    memo: dict[tuple[int, str], bool] = {}
+    memo: dict[tuple[Formula, str], bool] = {}
 
     def holds(state: str) -> bool:
         if state not in states:
@@ -357,15 +358,15 @@ def rebuild(
 ) -> Formula:
     """The one bottom-up formula rebuild: ``node(psi, recur)`` gives the
     image of a node ``psi`` of ``phi``, calling ``recur`` for the images of
-    the subformulae it keeps.  Each node is mapped once (keyed by identity
-    within this call), so a subformula shared in ``phi`` stays shared in the
-    result and the walk costs the size of the DAG, not of the tree."""
-    memo: dict[int, Formula] = {}
+    the subformulae it keeps.  Each node is mapped once per call, so a
+    subformula shared in ``phi`` stays shared in the result and the walk
+    costs the size of the DAG, not of the tree."""
+    memo: dict[Formula, Formula] = {}
 
     def recur(psi: Formula) -> Formula:
-        if id(psi) not in memo:
-            memo[id(psi)] = node(psi, recur)
-        return memo[id(psi)]
+        if psi not in memo:
+            memo[psi] = node(psi, recur)
+        return memo[psi]
 
     return recur(phi)
 
@@ -422,9 +423,9 @@ def _simplify_node(phi: Formula, recur: Callable[[Formula], Formula]) -> Formula
 
 
 def replace_subformula(phi: Formula, old: Formula, new: Formula) -> Formula:
-    """Replace every occurrence of ``old`` (by structural equality).  A
-    subformula shared in ``phi`` is visited once and stays shared."""
-    return rebuild(phi, lambda psi, recur: new if psi == old else _same_connective(psi, recur))
+    """Replace every occurrence of ``old``.  A subformula shared in ``phi``
+    is visited once and stays shared."""
+    return rebuild(phi, lambda psi, recur: new if psi is old else _same_connective(psi, recur))
 
 
 def subformulas(phi: Formula) -> Iterable[Formula]:

@@ -285,29 +285,20 @@ class _Game:
         """A distinguishing formula for a removed pair, built from its
         violation; the pairs it cites fell earlier, so the recursion ends.
 
-        Every node is a modality over the operands its cited pairs give, so
-        keying nodes by ``(label, clause, operand identities)``, with
-        operands that are the same object as an earlier one dropped, makes
-        structurally equal sub-witnesses one object."""
+        Formulae are interned, so structurally equal sub-witnesses are one
+        object; a repeated operand is dropped, keeping first occurrences."""
         m = len(self.right)
         memo: dict[int, Formula] = {}
-        shared: dict[tuple[int, ...], Formula] = {}
 
         def build(p: int, q: int) -> Formula:
             if p * m + q not in memo:
                 a, clause, w = self._violation(p, q)
                 if clause == 1:
                     cited = [build(w, q2) for q2 in self.q_answers[q].get(a, ())]
+                    memo[p * m + q] = Diamond(self.labels[a], conj(list(dict.fromkeys(cited))))
                 else:
                     cited = [build(p2, w) for p2 in self.p_answers[p].get(a, ())]
-                operands = list({id(f): f for f in cited}.values())
-                key = (a, clause, *map(id, operands))
-                if key not in shared:
-                    if clause == 1:
-                        shared[key] = Diamond(self.labels[a], conj(operands))
-                    else:
-                        shared[key] = Box(self.labels[a], disj(operands))
-                memo[p * m + q] = shared[key]
+                    memo[p * m + q] = Box(self.labels[a], disj(list(dict.fromkeys(cited))))
             return memo[p * m + q]
 
         return build(self.left_id[p], self.right_id[q])

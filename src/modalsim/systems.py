@@ -16,6 +16,7 @@ translations that decorate or strip labels never have to parse strings.
 from __future__ import annotations
 
 import re
+import weakref
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Union
 
@@ -26,31 +27,75 @@ CV = "cv"
 CT = "ct"
 
 
-@dataclass(frozen=True)
-class Action:
+_NODES: dict[tuple, "_Entry"] = {}
+
+
+class _Entry(weakref.ref):
+    __slots__ = ("key",)
+
+
+def _forget(entry: _Entry, nodes: dict = _NODES) -> None:
+    # Runs when the node dies; a live node under the same key stays.
+    if nodes.get(entry.key) is entry:
+        del nodes[entry.key]
+
+
+class Interned:
+    """Base of the hash-consed labels, formulae and terms (Filliâtre and
+    Conchon, "Type-safe modular hash-consing", 2006).
+
+    A subclass names its fields in ``__slots__``; they are positional and
+    read-only.  Building a node equal to a live one returns that node, so
+    ``==`` and ``hash`` are identity and cost O(1) on any DAG.  The table
+    holds nodes weakly, so a node lives only as long as its users.
+    """
+
+    __slots__ = ("__weakref__",)
+
+    def __new__(cls, *fields):
+        key = (cls, *fields)
+        entry = _NODES.get(key)
+        node = None if entry is None else entry()
+        if node is None:
+            if len(fields) != len(cls.__slots__):
+                raise TypeError(f"{cls.__name__} takes fields {cls.__slots__}, got {len(fields)}")
+            node = object.__new__(cls)
+            for name, value in zip(cls.__slots__, fields):
+                object.__setattr__(node, name, value)
+            entry = _NODES[key] = _Entry(node, _forget)
+            entry.key = key
+        return node
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} nodes are immutable")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+
+class Action(Interned):
     """A transition label.
 
     ``mark`` is ``"plain"`` for ordinary named labels, ``"cv"`` or ``"ct"``
     for the covariant / contravariant copy of ``base``.  Decorations nest.
     """
 
-    name: str = ""
-    mark: str = PLAIN
-    base: "Action | None" = None
+    __slots__ = ("name", "mark", "base")
 
-    def __post_init__(self) -> None:
-        if self.mark == PLAIN:
-            if self.base is not None:
+    def __new__(cls, name: str = "", mark: str = PLAIN, base: "Action | None" = None) -> "Action":
+        if mark == PLAIN:
+            if base is not None:
                 raise ValueError("plain labels carry no base label")
-            if not _NAME_RE.match(self.name):
-                raise ValueError(f"bad label name: {self.name!r}")
-        elif self.mark in (CV, CT):
-            if self.base is None:
-                raise ValueError(f"{self.mark} labels need a base label")
-            if self.name:
-                raise ValueError(f"{self.mark} labels carry no name of their own")
+            if not _NAME_RE.match(name):
+                raise ValueError(f"bad label name: {name!r}")
+        elif mark in (CV, CT):
+            if base is None:
+                raise ValueError(f"{mark} labels need a base label")
+            if name:
+                raise ValueError(f"{mark} labels carry no name of their own")
         else:
-            raise ValueError(f"unknown label mark: {self.mark!r}")
+            raise ValueError(f"unknown label mark: {mark!r}")
+        return super().__new__(cls, name, mark, base)
 
     def __str__(self) -> str:
         if self.mark == PLAIN:

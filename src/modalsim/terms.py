@@ -15,12 +15,12 @@ from the root, so expanding equal terms always yields identical systems.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Union
 
 from .systems import (
     Action,
     CCSignature,
+    Interned,
     PointedLTS,
     PointedMTS,
     Transition,
@@ -29,44 +29,57 @@ from .systems import (
 )
 
 
-class Term:
+class Term(Interned):
     """Base class for process terms."""
 
     __slots__ = ()
 
+    def __repr__(self) -> str:
+        # As for formulae, a term with shared subterms shows only its size,
+        # since its text can be exponentially longer.
+        seen: set[Term] = set()
+        stack: list[Term] = [self]
+        shared = False
+        while stack:
+            t = stack.pop()
+            if t in seen:
+                shared = True
+            elif not isinstance(t, (Zero, Omega)):
+                seen.add(t)
+                stack += (t.left, t.right) if isinstance(t, Sum) else (t.rest,)
+        if shared:
+            return f"<{type(self).__name__} of {len(seen)} nodes besides 0 and w>"
+        return term_text(self)
 
-@dataclass(frozen=True)
+
 class Zero(Term):
     """The stopped process ``0``: no transitions at all."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
+
 class Omega(Term):
     """The loosest process ``w``."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
+
 class Prefix(Term):
     """``a.t``: a may prefix (MTS reading) or plain prefix (LTS reading)."""
 
-    action: Action
-    rest: Term
+    __slots__ = ("action", "rest")
 
 
-@dataclass(frozen=True)
 class MustPrefix(Term):
     """``a!t``: a must prefix; only meaningful for MTS terms."""
 
-    action: Action
-    rest: Term
+    __slots__ = ("action", "rest")
 
 
-@dataclass(frozen=True)
 class Sum(Term):
     """Binary choice ``t + t``."""
 
-    left: Term
-    right: Term
+    __slots__ = ("left", "right")
 
 
 def prefix(a: Union[str, Action], rest: Term) -> Prefix:
@@ -89,7 +102,7 @@ def term_text(t: Term) -> str:
         return f"{t.action}!{_prefix_body(t.rest)}"
     if isinstance(t, Sum):
         return f"{term_text(t.left)} + {term_text(t.right)}"
-    raise TypeError(f"not a term: {t!r}")
+    raise TypeError(f"not a term: {type(t).__name__}")
 
 
 def _prefix_body(t: Term) -> str:
@@ -258,11 +271,7 @@ def enumerate_terms(
         )
         nxt.extend(Sum(x, y) for x in level for y in level)
         level = nxt
-    seen: dict[str, Term] = {}
-    for t in level:
-        rep = canonical_term(t)
-        seen.setdefault(term_text(rep), rep)
-    return [seen[k] for k in sorted(seen)]
+    return sorted(dict.fromkeys(canonical_term(t) for t in level), key=term_text)
 
 
 def enumerate_mts_terms(acts: Iterable[Union[str, Action]], max_height: int) -> list[Term]:

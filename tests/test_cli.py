@@ -1,5 +1,6 @@
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -320,8 +321,12 @@ def test_selfcheck_subprocess_is_deterministic():
         "--format",
         "json",
     ]
-    one = subprocess.run(cmd, capture_output=True, text=True)
-    two = subprocess.run(cmd, capture_output=True, text=True)
+    # Nodes hash by identity, so set order can follow memory layout; runs
+    # under two hash seeds pin that no output depends on set order.
+    one, two = (
+        subprocess.run(cmd, capture_output=True, text=True, env={**os.environ, "PYTHONHASHSEED": seed})
+        for seed in ("0", "1")
+    )
     assert one.returncode == 0
     assert one.stdout == two.stdout
     payload = json.loads(one.stdout)

@@ -128,6 +128,25 @@ def test_walks_of_a_shared_formula_cost_its_dag_size():
     assert time.perf_counter() - start < 1.0
 
 
+def test_equal_formulae_are_one_node_and_show_in_their_dag_size():
+    # Two separate builds of 40 levels of <b>(f & f) over [a]tt: a tree of
+    # about 2**42 nodes, so a tree walk in ==, hash or repr never finishes.
+    def build():
+        f = Box(A, Top())
+        for _ in range(40):
+            f = Diamond(B, And(f, f))
+        return f
+
+    start = time.perf_counter()
+    x, y = build(), build()
+    assert x is y
+    assert x == y
+    assert hash(x) == hash(y)
+    assert repr(x) == "<Diamond of 81 nodes besides tt and ff>"
+    assert time.perf_counter() - start < 1.0
+    assert repr(And(Diamond(A, Top()), Or(Top(), Box(B, Bottom())))) == "<a>tt & (tt | [b]ff)"
+
+
 def test_check_wf_repeats_a_shared_subformula_problem_at_each_occurrence():
     inner = Box(action("x"), Top())
     outer = Diamond(action("y"), inner)

@@ -1,6 +1,16 @@
+import copy
+import gc
+import pickle
+
 import pytest
 
+from modalsim import systems
+from modalsim.formulas import And, Bottom, Diamond, Top
+from modalsim.terms import Sum, Zero
+from modalsim.textio import parse_formula
 from modalsim.systems import (
+    CT,
+    CV,
     Action,
     CCSignature,
     action,
@@ -143,3 +153,44 @@ def test_systems_are_hashable_values():
     assert one == two
     assert hash(one) == hash(two)
     assert len({one, two}) == 1
+
+
+def test_interned_constructor_contract():
+    assert cv("a") is cv("a")
+    text = "<a>(tt & [b]ff) | [cv(a)]<a>(tt & [b]ff)"
+    assert parse_formula(text) is parse_formula(text)
+    phi = parse_formula(text)
+    assert copy.deepcopy(phi) is phi
+    assert pickle.loads(pickle.dumps(phi)) is phi
+
+    for wrong_arity in (And, lambda: Diamond(action("a")), lambda: Sum(Zero())):
+        with pytest.raises(TypeError):
+            wrong_arity()
+    for fields, message in [
+        ({"name": "a b"}, "bad label name: 'a b'"),
+        ({"name": "a", "base": action("b")}, "plain labels carry no base label"),
+        ({"mark": CV}, "cv labels need a base label"),
+        ({"name": "x", "mark": CT, "base": action("b")}, "ct labels carry no name of their own"),
+        ({"mark": "zz"}, "unknown label mark: 'zz'"),
+    ]:
+        with pytest.raises(ValueError) as raised:
+            Action(**fields)
+        assert str(raised.value) == message
+
+    with pytest.raises(AttributeError):
+        phi.left = Bottom()
+    with pytest.raises(AttributeError):
+        action("a").name = "b"
+
+    # The table holds nodes weakly: a dropped formula of 10,000 nodes (tt,
+    # 5,000 diamonds over fresh labels, 4,999 conjunctions) leaves no entry.
+    gc.collect()
+    before = len(systems._NODES)
+    level = [Diamond(action(f"fresh{i}"), Top()) for i in range(5000)]
+    while len(level) > 1:
+        level = [And(*level[i:i + 2]) if i + 1 < len(level) else level[i]
+                 for i in range(0, len(level), 2)]
+    assert len(systems._NODES) >= before + 14999
+    del level
+    gc.collect()
+    assert len(systems._NODES) == before

@@ -41,6 +41,15 @@ def test_term_text_parenthesises_sums_under_prefixes():
     assert term_text(deeper) == "b!a.(0 + w)"
 
 
+def test_term_repr_is_its_text_unless_a_subterm_is_shared():
+    assert repr(Sum(prefix("a", Zero()), must_prefix("b", Omega()))) == "a.0 + b!w"
+    # 40 levels of a.t + b.t: 120 nodes, a text of about 2**41 prefixes.
+    t = Zero()
+    for _ in range(40):
+        t = Sum(prefix("a", t), prefix("b", t))
+    assert repr(t) == "<Sum of 120 nodes besides 0 and w>"
+
+
 def test_canonical_term_sorts_summands():
     messy = Sum(prefix("b", Zero()), Sum(prefix("a", Zero()), prefix("b", Zero())))
     tidy = canonical_term(messy)
