@@ -23,16 +23,17 @@ continuation; that variant breaks the characterisation already for ``a.0``
 and is kept behind ``literal_prefix_clause`` purely to demonstrate the
 failure.
 
-A leaner equivalent shape is also computed: one diamond per must
-transition of the expanded term, and one box per action whose may
-successors are all distinguishable from ``w`` (for the others the box is a
-tautology and is dropped).
+A leaner equivalent shape is read off one expansion of the term: one
+diamond per must transition, and one box per action whose may successors
+are all distinguishable from ``w`` (for the others the box is a tautology
+and is dropped), with one refinement fixpoint each way against the
+universal MTS telling which states are as loose as ``w``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Callable, Iterable, Union
 
 from .formulas import (
     Bottom,
@@ -47,7 +48,17 @@ from .formulas import (
     simplify,
 )
 from .preorders import Refinement, greatest
-from .systems import Action, action, ct, cv, sorted_actions
+from .systems import (
+    Action,
+    PointedMTS,
+    action,
+    ct,
+    cv,
+    rebuild,
+    sorted_actions,
+    successor_index,
+    universal_mts,
+)
 from .terms import (
     MustPrefix,
     Omega,
@@ -55,11 +66,8 @@ from .terms import (
     Sum,
     Term,
     Zero,
-    _may_moves,
-    _must_moves,
     canonical_term,
     expand_mts_term,
-    term_text,
 )
 from .translate import encode_formula
 
@@ -78,12 +86,17 @@ class CharFormResult:
 def is_omega_equivalent(t: Term, acts: Iterable[Union[str, Action]]) -> bool:
     """Is ``t`` refinement-equivalent to the loosest process ``w`` over the
     given alphabet?"""
-    ambient = frozenset(action(a) for a in acts)
-    left = expand_mts_term(t, ambient)
-    right = expand_mts_term(Omega(), ambient)
-    forward = greatest(Refinement(), left, right)
-    backward = greatest(Refinement(), right, left)
-    return (left.init, right.init) in forward and (right.init, left.init) in backward
+    expansion = expand_mts_term(t, acts)
+    return expansion.init in _omega_states(expansion)
+
+
+def _omega_states(m: PointedMTS) -> frozenset[str]:
+    """The states of ``m`` that are refinement-equivalent to ``w``, from one
+    refinement fixpoint each way against the universal MTS."""
+    u = universal_mts(m.actions)
+    forward = greatest(Refinement(), m, u)
+    backward = greatest(Refinement(), u, m)
+    return frozenset(s for s in m.states if (s, u.init) in forward and (u.init, s) in backward)
 
 
 class _Builder:
@@ -146,62 +159,51 @@ def characteristic_formula(
     ambient = frozenset(action(a) for a in acts)
     ordered = sorted_actions(ambient)
     root = canonical_term(t)
-    builder = _Builder(ordered, literal_prefix_clause)
-    formula = builder.chi(root)
-    simplified = _simplified(root, ambient, ordered, {}, {})
+    simplified = _simplified(expand_mts_term(root, ambient), ordered)
+    formula = _Builder(ordered, literal_prefix_clause).chi(root)
     return CharFormResult(term=root, actions=ambient, formula=formula, simplified=simplified)
 
 
-def _simplified(
-    t: Term,
-    ambient: frozenset[Action],
-    ordered: list[Action],
-    memo: dict[Term, Formula],
-    omega_memo: dict[Term, bool],
-) -> Formula:
-    if t in memo:
-        return memo[t]
+def _simplified(m: PointedMTS, ordered: list[Action]) -> Formula:
+    """The lean form, read off the expansion ``m`` of the term."""
+    must = successor_index(m.states, m.must)
+    may = successor_index(m.states, m.may)
+    loose = _omega_states(m)
+    memo: dict[str, Formula] = {}
 
-    def omega_like(sub: Term) -> bool:
-        if sub not in omega_memo:
-            omega_memo[sub] = is_omega_equivalent(sub, ambient)
-        return omega_memo[sub]
+    def lean(state: str) -> Formula:
+        if state not in memo:
+            parts = [Diamond(a, lean(nxt)) for a in ordered for nxt in must[state].get(a, ())]
+            for a in ordered:
+                targets = may[state].get(a, ())
+                # Drop the box when some may successor is as loose as w: the
+                # bound it would state is vacuous.  No a-successors gives [a]ff.
+                if loose.isdisjoint(targets):
+                    parts.append(Box(a, disj([lean(nxt) for nxt in targets])))
+            memo[state] = simplify(conj(parts))
+        return memo[state]
 
-    parts: list[Formula] = []
-    musts = sorted(set(_must_moves(t)), key=lambda m: (str(m[0]), term_text(m[1])))
-    for a, nxt in musts:
-        parts.append(Diamond(a, _simplified(nxt, ambient, ordered, memo, omega_memo)))
-    mays = _may_moves(t, ordered)
-    for a in ordered:
-        targets = dict.fromkeys(nxt for b, nxt in mays if b is a)
-        # Drop the box when some may successor is as loose as w: the bound
-        # it would state is vacuous.  No a-successors at all gives [a]ff.
-        if any(omega_like(sub) for sub in targets):
-            continue
-        branches = [
-            _simplified(sub, ambient, ordered, memo, omega_memo)
-            for sub in sorted(targets, key=term_text)
-        ]
-        parts.append(Box(a, disj(branches)))
-    out = simplify(conj(parts))
-    memo[t] = out
-    return out
+    return lean(m.init)
 
 
 def encode_term(t: Term) -> Term:
     """Term companion of the MTS-to-LTS encoding: may prefixes become
     contravariant copies, must prefixes split into a covariant and a
     contravariant branch."""
-    if isinstance(t, (Zero, Omega)):
-        return t
-    if isinstance(t, Prefix):
-        return Prefix(ct(t.action), encode_term(t.rest))
-    if isinstance(t, MustPrefix):
-        rest = encode_term(t.rest)
-        return Sum(Prefix(cv(t.action), rest), Prefix(ct(t.action), rest))
-    if isinstance(t, Sum):
-        return Sum(encode_term(t.left), encode_term(t.right))
-    raise TypeError(f"not a term: {t!r}")
+
+    def node(t: Term, recur: Callable[[Term], Term]) -> Term:
+        if isinstance(t, (Zero, Omega)):
+            return t
+        if isinstance(t, Prefix):
+            return Prefix(ct(t.action), recur(t.rest))
+        if isinstance(t, MustPrefix):
+            rest = recur(t.rest)
+            return Sum(Prefix(cv(t.action), rest), Prefix(ct(t.action), rest))
+        if isinstance(t, Sum):
+            return Sum(recur(t.left), recur(t.right))
+        raise TypeError(f"not a term: {t!r}")
+
+    return rebuild(t, node)
 
 
 def characteristic_formula_cc(t: Term, acts: Iterable[Union[str, Action]]) -> Formula:

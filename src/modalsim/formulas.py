@@ -29,6 +29,8 @@ from .systems import (
     PointedMTS,
     SuccIndex,
     Transition,
+    rebuild,
+    shared_nodes,
     successor_index,
 )
 
@@ -41,7 +43,7 @@ class Formula(Interned):
     def __repr__(self) -> str:
         # The text of a formula with shared subformulae can be exponentially
         # longer than the formula, so such a formula shows only its size.
-        nodes, shared = _shared_nodes(self)
+        nodes, shared = shared_nodes(self)
         if shared:
             return f"<{type(self).__name__} of {len(nodes)} nodes besides tt and ff>"
         return formula_text(self)
@@ -98,7 +100,7 @@ def formula_text(phi: Formula) -> str:
     (tree) text, and only the texts of shared subformulae are held until
     the call returns.
     """
-    shared = _shared_nodes(phi)[1]
+    shared = shared_nodes(phi)[1]
     memo: dict[tuple[Formula, int], str] = {}
 
     def text(phi: Formula, level: int) -> str:
@@ -131,26 +133,6 @@ def formula_text(phi: Formula) -> str:
     return text(phi, 0)
 
 
-def _shared_nodes(phi: Formula) -> tuple[set[Formula], set[Formula]]:
-    """The nodes of ``phi`` other than ``tt`` and ``ff``, and those of them
-    with more than one parent.  The constants are singletons, so they would
-    be shared in almost every formula; they print in O(1) anyway."""
-    seen: set[Formula] = set()
-    shared: set[Formula] = set()
-    stack = [phi]
-    while stack:
-        node = stack.pop()
-        if node in seen:
-            shared.add(node)
-        elif not isinstance(node, (Top, Bottom)):
-            seen.add(node)
-            if isinstance(node, (And, Or)):
-                stack += (node.left, node.right)
-            elif isinstance(node, (Diamond, Box)):
-                stack.append(node.body)
-    return seen, shared
-
-
 def modal_depth(phi: Formula) -> int:
     memo: dict[Formula, int] = {}
 
@@ -174,26 +156,7 @@ def modal_depth(phi: Formula) -> int:
 
 def is_existential(phi: Formula) -> bool:
     """True when ``phi`` contains no box modality."""
-    memo: dict[Formula, bool] = {}
-
-    def existential(phi: Formula) -> bool:
-        out = memo.get(phi)
-        if out is not None:
-            return out
-        if isinstance(phi, (Bottom, Top)):
-            out = True
-        elif isinstance(phi, (And, Or)):
-            out = existential(phi.left) and existential(phi.right)
-        elif isinstance(phi, Diamond):
-            out = existential(phi.body)
-        elif isinstance(phi, Box):
-            out = False
-        else:
-            raise TypeError(f"not a formula: {phi!r}")
-        memo[phi] = out
-        return out
-
-    return existential(phi)
+    return not any(isinstance(node, Box) for node in shared_nodes(phi)[0])
 
 
 def check_wf(phi: Formula, logic: LogicKind) -> list[str]:
@@ -351,24 +314,6 @@ def disj(parts: Sequence[Formula]) -> Formula:
     for part in parts[1:]:
         out = Or(out, part)
     return out
-
-
-def rebuild(
-    phi: Formula, node: Callable[[Formula, Callable[[Formula], Formula]], Formula]
-) -> Formula:
-    """The one bottom-up formula rebuild: ``node(psi, recur)`` gives the
-    image of a node ``psi`` of ``phi``, calling ``recur`` for the images of
-    the subformulae it keeps.  Each node is mapped once per call, so a
-    subformula shared in ``phi`` stays shared in the result and the walk
-    costs the size of the DAG, not of the tree."""
-    memo: dict[Formula, Formula] = {}
-
-    def recur(psi: Formula) -> Formula:
-        if psi not in memo:
-            memo[psi] = node(psi, recur)
-        return memo[psi]
-
-    return recur(phi)
 
 
 def _same_connective(phi: Formula, recur: Callable[[Formula], Formula]) -> Formula:

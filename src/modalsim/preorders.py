@@ -283,25 +283,34 @@ class _Game:
 
     def formula(self, p: str, q: str) -> Formula:
         """A distinguishing formula for a removed pair, built from its
-        violation; the pairs it cites fell earlier, so the recursion ends.
+        violation.  The pairs it cites fell earlier, so a loop collects the
+        pairs the witness needs, and they are built in rank order.
 
         Formulae are interned, so structurally equal sub-witnesses are one
         object; a repeated operand is dropped, keeping first occurrences."""
         m = len(self.right)
-        memo: dict[int, Formula] = {}
-
-        def build(p: int, q: int) -> Formula:
-            if p * m + q not in memo:
-                a, clause, w = self._violation(p, q)
+        root = self.left_id[p] * m + self.right_id[q]
+        steps: dict[int, tuple[int, int, list[int]]] = {}
+        stack = [root]
+        while stack:
+            pair = stack.pop()
+            if pair not in steps:
+                a, clause, w = self._violation(*divmod(pair, m))
                 if clause == 1:
-                    cited = [build(w, q2) for q2 in self.q_answers[q].get(a, ())]
-                    memo[p * m + q] = Diamond(self.labels[a], conj(list(dict.fromkeys(cited))))
+                    cited = [w * m + q2 for q2 in self.q_answers[pair % m].get(a, ())]
                 else:
-                    cited = [build(p2, w) for p2 in self.p_answers[p].get(a, ())]
-                    memo[p * m + q] = Box(self.labels[a], disj(list(dict.fromkeys(cited))))
-            return memo[p * m + q]
-
-        return build(self.left_id[p], self.right_id[q])
+                    cited = [p2 * m + w for p2 in self.p_answers[pair // m].get(a, ())]
+                steps[pair] = (a, clause, cited)
+                stack += cited
+        memo: dict[int, Formula] = {}
+        for pair in sorted(steps, key=self.rank.__getitem__):
+            a, clause, cited = steps[pair]
+            operands = list(dict.fromkeys(memo[c] for c in cited))
+            if clause == 1:
+                memo[pair] = Diamond(self.labels[a], conj(operands))
+            else:
+                memo[pair] = Box(self.labels[a], disj(operands))
+        return memo[root]
 
 
 def _fixpoint(

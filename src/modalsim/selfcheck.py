@@ -257,7 +257,19 @@ def run_property(pid: str, config: SelfCheckConfig) -> PropertyReport:
     return PropertyReport(pid, status, cases, tuple(failures))
 
 
+_LOWER_BOUNDS = (
+    ("cases", 0),
+    ("max_states", 1),
+    ("max_labels", 1),
+    ("max_formula_depth", 0),
+    ("term_height", 1),
+)
+
+
 def run_selfcheck(config: SelfCheckConfig = SelfCheckConfig()) -> SelfCheckReport:
+    for name, bound in _LOWER_BOUNDS:
+        if getattr(config, name) < bound:
+            raise ValueError(f"{name} must be at least {bound}, got {getattr(config, name)}")
     selected = config.properties or tuple(property_ids())
     unknown = sorted(set(selected) - set(_REGISTRY))
     if unknown:

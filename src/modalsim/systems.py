@@ -18,7 +18,7 @@ from __future__ import annotations
 import re
 import weakref
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Union
+from typing import Callable, Iterable, Mapping, Union
 
 _NAME_RE = re.compile(r"[A-Za-z0-9_]+\Z")
 
@@ -104,6 +104,45 @@ class Action(Interned):
 
     def __repr__(self) -> str:
         return f"Action({str(self)!r})"
+
+
+def shared_nodes(root: Interned) -> tuple[set[Interned], set[Interned]]:
+    """The nodes of ``root`` other than the field-less constants, and those
+    of them with more than one parent.  A node's subnodes are its fields
+    that are nodes but not labels.  The constants are singletons, so they
+    would be shared in almost every DAG; they print in O(1) anyway."""
+    seen: set[Interned] = set()
+    shared: set[Interned] = set()
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if node in seen:
+            shared.add(node)
+        elif node.__slots__:
+            seen.add(node)
+            for name in node.__slots__:
+                sub = getattr(node, name)
+                if isinstance(sub, Interned) and not isinstance(sub, Action):
+                    stack.append(sub)
+    return seen, shared
+
+
+def rebuild(
+    root: Interned, node: Callable[[Interned, Callable[[Interned], Interned]], Interned]
+) -> Interned:
+    """The one bottom-up rebuild of formulae and terms: ``node(sub, recur)``
+    gives the image of a node ``sub`` of ``root``, calling ``recur`` for the
+    images of the subnodes it keeps.  Each node is mapped once per call, so
+    a node shared in ``root`` stays shared in the result and the walk costs
+    the size of the DAG, not of the tree."""
+    memo: dict[Interned, Interned] = {}
+
+    def recur(sub: Interned) -> Interned:
+        if sub not in memo:
+            memo[sub] = node(sub, recur)
+        return memo[sub]
+
+    return recur(root)
 
 
 def is_name_token(text: str) -> bool:

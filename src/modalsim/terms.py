@@ -15,7 +15,9 @@ from the root, so expanding equal terms always yields identical systems.
 
 from __future__ import annotations
 
-from typing import Iterable, Union
+from functools import cmp_to_key, reduce
+from itertools import zip_longest
+from typing import Callable, Iterable, Iterator, Union
 
 from .systems import (
     Action,
@@ -25,6 +27,8 @@ from .systems import (
     PointedMTS,
     Transition,
     action,
+    rebuild,
+    shared_nodes,
     sorted_actions,
 )
 
@@ -37,18 +41,9 @@ class Term(Interned):
     def __repr__(self) -> str:
         # As for formulae, a term with shared subterms shows only its size,
         # since its text can be exponentially longer.
-        seen: set[Term] = set()
-        stack: list[Term] = [self]
-        shared = False
-        while stack:
-            t = stack.pop()
-            if t in seen:
-                shared = True
-            elif not isinstance(t, (Zero, Omega)):
-                seen.add(t)
-                stack += (t.left, t.right) if isinstance(t, Sum) else (t.rest,)
+        nodes, shared = shared_nodes(self)
         if shared:
-            return f"<{type(self).__name__} of {len(seen)} nodes besides 0 and w>"
+            return f"<{type(self).__name__} of {len(nodes)} nodes besides 0 and w>"
         return term_text(self)
 
 
@@ -91,114 +86,131 @@ def must_prefix(a: Union[str, Action], rest: Term) -> MustPrefix:
 
 
 def term_text(t: Term) -> str:
-    """Canonical concrete syntax; prefixes bind tighter than ``+``."""
-    if isinstance(t, Zero):
-        return "0"
-    if isinstance(t, Omega):
-        return "w"
-    if isinstance(t, Prefix):
-        return f"{t.action}.{_prefix_body(t.rest)}"
-    if isinstance(t, MustPrefix):
-        return f"{t.action}!{_prefix_body(t.rest)}"
-    if isinstance(t, Sum):
-        return f"{term_text(t.left)} + {term_text(t.right)}"
-    raise TypeError(f"not a term: {type(t).__name__}")
+    """Canonical concrete syntax; prefixes bind tighter than ``+``.  As in
+    :func:`~modalsim.formulas.formula_text`, a subterm with more than one
+    parent is printed once and its text copied."""
+    shared = shared_nodes(t)[1]
+    memo: dict[Term, str] = {}
+
+    def text(t: Term) -> str:
+        if t in memo:
+            return memo[t]
+        if isinstance(t, Zero):
+            return "0"
+        if isinstance(t, Omega):
+            return "w"
+        if isinstance(t, (Prefix, MustPrefix)):
+            body = text(t.rest)
+            if isinstance(t.rest, Sum):
+                body = f"({body})"
+            out = f"{t.action}{'.' if isinstance(t, Prefix) else '!'}{body}"
+        elif isinstance(t, Sum):
+            out = f"{text(t.left)} + {text(t.right)}"
+        else:
+            raise TypeError(f"not a term: {type(t).__name__}")
+        if t in shared:
+            memo[t] = out
+        return out
+
+    return text(t)
 
 
-def _prefix_body(t: Term) -> str:
-    body = term_text(t)
-    return f"({body})" if isinstance(t, Sum) else body
+def _text_chars(t: Term) -> Iterator[str]:
+    """The text of ``t``, character by character, built only as far as it
+    is read."""
+    stack: list = [t]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, str):
+            yield from t
+        elif isinstance(t, Sum):
+            stack += (t.right, " + ", t.left)
+        elif isinstance(t, (Prefix, MustPrefix)):
+            yield from f"{t.action}{'.' if isinstance(t, Prefix) else '!'}"
+            stack += (")", t.rest, "(") if isinstance(t.rest, Sum) else (t.rest,)
+        else:
+            yield "0" if isinstance(t, Zero) else "w"
+
+
+def _text_order(x: Term, y: Term) -> int:
+    """Compare two terms as their texts compare, reading the texts only up
+    to their first difference, so that terms whose texts differ early
+    compare in O(1) however long the texts are."""
+    if x is y:
+        return 0
+    pairs = zip_longest(_text_chars(x), _text_chars(y), fillvalue="")
+    return next(((a > b) - (a < b) for a, b in pairs if a != b), 0)
 
 
 def term_labels(t: Term) -> frozenset[Action]:
-    if isinstance(t, (Zero, Omega)):
-        return frozenset()
-    if isinstance(t, (Prefix, MustPrefix)):
-        return frozenset({t.action}) | term_labels(t.rest)
-    if isinstance(t, Sum):
-        return term_labels(t.left) | term_labels(t.right)
-    raise TypeError(f"not a term: {t!r}")
+    return frozenset(
+        node.action for node in shared_nodes(t)[0] if isinstance(node, (Prefix, MustPrefix))
+    )
 
 
 def is_lts_term(t: Term) -> bool:
     """True when ``t`` contains no must prefix."""
-    if isinstance(t, (Zero, Omega)):
-        return True
-    if isinstance(t, Prefix):
-        return is_lts_term(t.rest)
-    if isinstance(t, MustPrefix):
-        return False
-    if isinstance(t, Sum):
-        return is_lts_term(t.left) and is_lts_term(t.right)
-    raise TypeError(f"not a term: {t!r}")
+    return not any(isinstance(node, MustPrefix) for node in shared_nodes(t)[0])
 
 
 def summands(t: Term) -> list[Term]:
-    """Flatten nested sums into their non-sum summands."""
-    if isinstance(t, Sum):
-        return summands(t.left) + summands(t.right)
-    return [t]
+    """Flatten nested sums into their non-sum summands, left to right."""
+    out: list[Term] = []
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, Sum):
+            stack += (t.right, t.left)
+        else:
+            out.append(t)
+    return out
 
 
 def canonical_term(t: Term) -> Term:
     """A canonical representative of ``t`` modulo associativity and
     commutativity of ``+``: summands canonicalised recursively, sorted by
-    their printed form and rebuilt as a left-nested chain."""
+    their printed form and rebuilt as a left-nested chain.  A subterm shared
+    in ``t`` is canonicalised once and stays shared."""
+    return rebuild(t, _canonical_node)
+
+
+def _canonical_node(t: Term, recur: Callable[[Term], Term]) -> Term:
     if isinstance(t, (Zero, Omega)):
         return t
     if isinstance(t, Prefix):
-        return Prefix(t.action, canonical_term(t.rest))
+        return Prefix(t.action, recur(t.rest))
     if isinstance(t, MustPrefix):
-        return MustPrefix(t.action, canonical_term(t.rest))
+        return MustPrefix(t.action, recur(t.rest))
     if isinstance(t, Sum):
-        parts = sorted((canonical_term(s) for s in summands(t)), key=term_text)
-        out = parts[0]
-        for part in parts[1:]:
-            out = Sum(out, part)
-        return out
+        return reduce(Sum, sorted((recur(s) for s in summands(t)), key=cmp_to_key(_text_order)))
     raise TypeError(f"not a term: {t!r}")
 
 
-def _may_moves(t: Term, acts: list[Action]) -> list[tuple[Action, Term]]:
-    if isinstance(t, Zero):
-        return []
-    if isinstance(t, Omega):
-        return [(a, t) for a in acts]
-    if isinstance(t, (Prefix, MustPrefix)):
-        return [(t.action, t.rest)]
-    if isinstance(t, Sum):
-        return _may_moves(t.left, acts) + _may_moves(t.right, acts)
-    raise TypeError(f"not a term: {t!r}")
-
-
-def _must_moves(t: Term) -> list[tuple[Action, Term]]:
-    if isinstance(t, (Zero, Omega, Prefix)):
-        return []
-    if isinstance(t, MustPrefix):
-        return [(t.action, t.rest)]
-    if isinstance(t, Sum):
-        return _must_moves(t.left) + _must_moves(t.right)
-    raise TypeError(f"not a term: {t!r}")
-
-
-def _expand(t: Term, loop_labels: list[Action]) -> tuple[str, dict[str, Term], set[Transition]]:
-    """The one expansion loop: the canonical name of ``t``, every reachable
-    canonical subterm by name, and the may moves between them (``w`` looping
-    on ``loop_labels``)."""
+def _expand(
+    t: Term, loop_labels: list[Action]
+) -> tuple[str, frozenset[str], set[Transition], set[Transition]]:
+    """The one expansion loop: the canonical name of ``t``, the name of
+    every reachable canonical subterm, and the may and must moves between
+    them (``w`` may loop on ``loop_labels``).  Each state is named once."""
     root = canonical_term(t)
-    states: dict[str, Term] = {}
-    moves: set[Transition] = set()
-    queue = [root]
-    while queue:
-        node = queue.pop()
-        name = term_text(node)
-        if name in states:
+    names: dict[Term, str] = {}
+    moves: list[tuple[Term, Action, Term, bool]] = []
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if node in names:
             continue
-        states[name] = node
-        for a, nxt in _may_moves(node, loop_labels):
-            moves.add((name, a, term_text(nxt)))
-            queue.append(nxt)
-    return term_text(root), states, moves
+        names[node] = term_text(node)
+        start = len(moves)
+        for s in summands(node):
+            if isinstance(s, Omega):
+                moves += ((node, a, s, False) for a in loop_labels)
+            elif isinstance(s, (Prefix, MustPrefix)):
+                moves.append((node, s.action, s.rest, isinstance(s, MustPrefix)))
+        stack += (nxt for _, _, nxt, _ in moves[start:])
+    may = {(names[p], a, names[q]) for p, a, q, _ in moves}
+    must = {(names[p], a, names[q]) for p, a, q, forced in moves if forced}
+    return names[root], frozenset(names.values()), may, must
 
 
 def expand_mts_term(t: Term, acts: Iterable[Union[str, Action]]) -> PointedMTS:
@@ -211,14 +223,9 @@ def expand_mts_term(t: Term, acts: Iterable[Union[str, Action]]) -> PointedMTS:
     stray = sorted_actions(term_labels(t) - ambient)
     if stray:
         raise ValueError(f"term labels {stray} are outside the ambient action set")
-    root, states, may = _expand(t, sorted_actions(ambient))
-    must = {
-        (name, a, term_text(nxt))
-        for name, node in states.items()
-        for a, nxt in _must_moves(node)
-    }
+    root, states, may, must = _expand(t, sorted_actions(ambient))
     return PointedMTS(
-        states=frozenset(states),
+        states=states,
         actions=ambient,
         may=frozenset(may),
         must=frozenset(must),
@@ -239,9 +246,9 @@ def expand_lts_term(t: Term, sig: CCSignature) -> PointedLTS:
     stray = sorted_actions(term_labels(t) - sig.actions)
     if stray:
         raise ValueError(f"term labels {stray} are outside the signature")
-    root, states, trans = _expand(t, sorted_actions(sig.contravariant))
+    root, states, trans, _ = _expand(t, sorted_actions(sig.contravariant))
     return PointedLTS(
-        states=frozenset(states),
+        states=states,
         signature=sig,
         transitions=frozenset(trans),
         init=root,

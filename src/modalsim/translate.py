@@ -35,7 +35,7 @@ embedding is provided; whether a compositional one exists is left open in
 the docs.  The encoding and decoding, and sentence translation along a
 signature morphism, are one walk, :func:`relabel`, with different label
 maps; it and :func:`approximate_formula` rebuild formulae through the one
-memoised walk :func:`~modalsim.formulas.rebuild`.
+memoised walk :func:`~modalsim.systems.rebuild`.
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ from .formulas import (
     Formula,
     Top,
     _same_connective,
-    rebuild,
 )
 from .systems import (
     CT,
@@ -63,6 +62,7 @@ from .systems import (
     actions,
     ct,
     cv,
+    rebuild,
     rename_actions,
     sorted_actions,
 )
@@ -283,7 +283,7 @@ def relabel(
     phi: Formula, diamond: Callable[[Action], Action], box: Callable[[Action], Action]
 ) -> Formula:
     """``phi`` with every diamond label mapped by ``diamond`` and every box
-    label by ``box``, through :func:`~modalsim.formulas.rebuild`, so a
+    label by ``box``, through :func:`~modalsim.systems.rebuild`, so a
     subformula shared in ``phi`` is mapped once and stays shared."""
 
     def node(phi: Formula, recur: Callable[[Formula], Formula]) -> Formula:

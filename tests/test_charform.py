@@ -1,3 +1,5 @@
+import pytest
+
 from modalsim.charform import (
     characteristic_formula,
     characteristic_formula_cc,
@@ -29,6 +31,7 @@ from modalsim.terms import (
 from modalsim.translate import encode_formula
 
 A = action("a")
+B = action("b")
 
 MUST_A = MustPrefix(A, Zero())
 MAY_A = Prefix(A, Zero())
@@ -151,3 +154,13 @@ def test_simplified_must_chain_stays_linear():
         term = MustPrefix(A, term)
     result = characteristic_formula(term, ["a", "b"])
     assert _dag_nodes(result.simplified) <= 8 * depth
+
+
+@pytest.mark.parametrize(
+    "term",
+    [MustPrefix(B, Zero()), Prefix(B, Omega()), Prefix(A, Prefix(B, Zero()))],
+    ids=["b!0", "b.w", "a.b.0"],
+)
+def test_term_labels_outside_the_alphabet_are_rejected(term):
+    with pytest.raises(ValueError, match=r"term labels \[Action\('b'\)\] are outside the ambient"):
+        characteristic_formula(term, ["a"])

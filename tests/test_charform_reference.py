@@ -1,0 +1,133 @@
+"""The lean characteristic formula built term by term, kept as a test-only
+reference for :func:`modalsim.charform.characteristic_formula`.
+
+The reference walks the term itself: for each may successor it asks anew
+whether that subterm is as loose as ``w``, expanding the subterm and running
+two refinement fixpoints against the expansion of ``w``.  The library reads
+one expansion of the whole term and one pair of fixpoints against the
+universal MTS instead.  Both must print the same lean formula byte for byte,
+and the library's batch answer must agree with the per-term question at every
+state of the expansion.
+"""
+
+import random
+
+import pytest
+
+from modalsim.charform import _omega_states, characteristic_formula, is_omega_equivalent
+from modalsim.formulas import Box, Diamond, conj, disj, formula_text, simplify
+from modalsim.preorders import Refinement, greatest
+from modalsim.systems import action, sorted_actions
+from modalsim.terms import (
+    MustPrefix,
+    Omega,
+    Prefix,
+    Sum,
+    Zero,
+    enumerate_mts_terms,
+    expand_mts_term,
+    term_text,
+)
+from modalsim.textio import parse_term
+
+LABELS = (action("a"), action("b"))
+
+# ---------------------------------------------------------------- reference
+
+
+def _reference_omega(t, ambient):
+    left = expand_mts_term(t, ambient)
+    right = expand_mts_term(Omega(), ambient)
+    forward = greatest(Refinement(), left, right)
+    backward = greatest(Refinement(), right, left)
+    return (left.init, right.init) in forward and (right.init, left.init) in backward
+
+
+def _moves(t, ordered, must_only):
+    if isinstance(t, Sum):
+        return _moves(t.left, ordered, must_only) + _moves(t.right, ordered, must_only)
+    if isinstance(t, Omega):
+        return [] if must_only else [(a, t) for a in ordered]
+    if isinstance(t, MustPrefix) or (isinstance(t, Prefix) and not must_only):
+        return [(t.action, t.rest)]
+    return []
+
+
+def reference_simplified(root, acts):
+    """The lean form of the canonical term ``root``, one omega question per
+    distinct may successor."""
+    ambient = frozenset(action(a) for a in acts)
+    ordered = sorted_actions(ambient)
+    memo, loose = {}, {}
+
+    def omega_like(sub):
+        if sub not in loose:
+            loose[sub] = _reference_omega(sub, ambient)
+        return loose[sub]
+
+    def lean(t):
+        if t in memo:
+            return memo[t]
+        parts = []
+        musts = sorted(set(_moves(t, ordered, True)), key=lambda m: (str(m[0]), term_text(m[1])))
+        for a, nxt in musts:
+            parts.append(Diamond(a, lean(nxt)))
+        mays = _moves(t, ordered, False)
+        for a in ordered:
+            targets = dict.fromkeys(nxt for b, nxt in mays if b is a)
+            if any(omega_like(sub) for sub in targets):
+                continue
+            parts.append(Box(a, disj([lean(sub) for sub in sorted(targets, key=term_text)])))
+        memo[t] = simplify(conj(parts))
+        return memo[t]
+
+    return lean(root)
+
+
+# ---------------------------------------------------------------- cases
+
+
+def _random_term(rng, height):
+    if height == 1 or rng.random() < 0.15:
+        return rng.choice([Zero(), Omega()])
+    if rng.random() < 0.4:
+        return Sum(_random_term(rng, height - 1), _random_term(rng, height - 1))
+    forced = rng.random() < 0.5
+    return (MustPrefix if forced else Prefix)(rng.choice(LABELS), _random_term(rng, height - 1))
+
+
+def _cases():
+    cases = [(t, ("a",)) for t in enumerate_mts_terms(["a"], 3)]
+    cases += [(t, ("a", "b")) for t in enumerate_mts_terms(["a", "b"], 3)]
+    rng = random.Random(8)
+    cases += [(_random_term(rng, 8), ("a", "b")) for _ in range(150)]
+    return cases
+
+
+CASES = _cases()
+
+
+def test_the_random_cases_have_w_and_must_prefixes():
+    texts = [term_text(t) for t, _ in CASES[-150:]]
+    assert sum("w" in s for s in texts) > 50
+    assert sum("!" in s for s in texts) > 50
+    assert max(len(s) for s in texts) > 100
+
+
+@pytest.mark.parametrize("start", range(0, len(CASES), 60))
+def test_simplified_matches_the_per_successor_reference(start):
+    for t, acts in CASES[start:start + 60]:
+        result = characteristic_formula(t, acts)
+        expected = reference_simplified(result.term, acts)
+        assert formula_text(result.simplified) == formula_text(expected), term_text(t)
+
+
+@pytest.mark.parametrize("start", range(0, len(CASES), 60))
+def test_batch_omega_states_agree_with_the_per_term_question(start):
+    for t, acts in CASES[start:start + 60]:
+        expansion = expand_mts_term(t, acts)
+        loose = _omega_states(expansion)
+        for state in sorted(expansion.states):
+            sub = parse_term(state, "mts")
+            assert is_omega_equivalent(sub, acts) == (state in loose), (term_text(t), state)
+            assert _reference_omega(sub, acts) == (state in loose), (term_text(t), state)

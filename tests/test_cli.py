@@ -254,6 +254,22 @@ def test_too_deep_input_is_an_error_not_a_verdict(files, capsys):
     assert (code, out, err) == (2, "", "error: input nested too deeply\n")
 
 
+def _must_chain(n):
+    lines = [f"mts chain{n}", "actions: a", "states: " + " ".join(f"s{i}" for i in range(n + 1))]
+    lines.append("init: s0")
+    for i in range(n):
+        lines += [f"may: s{i} a s{i + 1}", f"must: s{i} a s{i + 1}"]
+    return "\n".join(lines) + "\n"
+
+
+def test_long_must_chain_gets_its_witness(files, capsys):
+    longer = files("c601.mts", _must_chain(601))
+    shorter = files("c600.mts", _must_chain(600))
+    code, out, err = run(capsys, "check", "refine", longer, shorter)
+    assert (code, err) == (1, "")
+    assert out == "not related\ndistinguishing formula: " + "<a>" * 601 + "tt\n"
+
+
 def test_charform_output(files, capsys):
     result = characteristic_formula(parse_term("a!0"), frozenset({"a"}))
     code, out, _ = run(capsys, "charform", "a!0", "--cc")
@@ -300,6 +316,21 @@ def test_selfcheck_list_and_subset(capsys):
     code, _, err = run(capsys, "selfcheck", "--property", "no.such.id")
     assert code == 2
     assert "unknown properties" in err
+
+
+@pytest.mark.parametrize(
+    "option, value, message",
+    [
+        ("--max-states", "0", "max_states must be at least 1, got 0"),
+        ("--max-labels", "0", "max_labels must be at least 1, got 0"),
+        ("--term-height", "0", "term_height must be at least 1, got 0"),
+        ("--cases", "-3", "cases must be at least 0, got -3"),
+        ("--max-depth", "-1", "max_formula_depth must be at least 0, got -1"),
+    ],
+)
+def test_selfcheck_rejects_out_of_range_options(capsys, option, value, message):
+    code, out, err = run(capsys, "selfcheck", option, value)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_missing_file_is_reported(capsys):

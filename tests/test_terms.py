@@ -1,10 +1,13 @@
 import random
+import time
+from functools import reduce
 
 import pytest
 from hypothesis import given, strategies as st
 
+from modalsim.charform import encode_term
 from modalsim.sampling import lts_term_forms, mts_term_forms, random_term
-from modalsim.systems import action, signature
+from modalsim.systems import action, cv, signature
 from modalsim.terms import (
     MustPrefix,
     Omega,
@@ -16,8 +19,10 @@ from modalsim.terms import (
     enumerate_mts_terms,
     expand_lts_term,
     expand_mts_term,
+    is_lts_term,
     must_prefix,
     prefix,
+    summands,
     term_labels,
     term_text,
 )
@@ -48,6 +53,84 @@ def test_term_repr_is_its_text_unless_a_subterm_is_shared():
     for _ in range(40):
         t = Sum(prefix("a", t), prefix("b", t))
     assert repr(t) == "<Sum of 120 nodes besides 0 and w>"
+
+
+def _ladder(levels, first="a", second="b", forced=False):
+    # levels of a.t + b.t: three nodes a level, a text of about 2**levels prefixes
+    t = Zero()
+    for _ in range(levels):
+        t = Sum(prefix(first, t), (must_prefix if forced else prefix)(second, t))
+    return t
+
+
+def test_term_walks_cost_the_dag_not_the_tree():
+    start = time.perf_counter()
+    t = _ladder(40)
+    assert canonical_term(t) is t
+    assert canonical_term(_ladder(40, first="b", second="a")) is t
+    assert term_labels(t) == frozenset({A, B})
+    assert is_lts_term(t)
+    assert not is_lts_term(_ladder(40, forced=True))
+    assert repr(encode_term(t)) == "<Sum of 120 nodes besides 0 and w>"
+    assert time.perf_counter() - start < 1.0
+
+
+def _tree_text(t):
+    if isinstance(t, Zero):
+        return "0"
+    if isinstance(t, Omega):
+        return "w"
+    if isinstance(t, Sum):
+        return f"{_tree_text(t.left)} + {_tree_text(t.right)}"
+    body = _tree_text(t.rest)
+    if isinstance(t.rest, Sum):
+        body = f"({body})"
+    return f"{t.action}{'.' if isinstance(t, Prefix) else '!'}{body}"
+
+
+def _tree_canonical(t):
+    if isinstance(t, (Zero, Omega)):
+        return t
+    if isinstance(t, (Prefix, MustPrefix)):
+        return type(t)(t.action, _tree_canonical(t.rest))
+    return reduce(Sum, sorted((_tree_canonical(s) for s in summands(t)), key=_tree_text))
+
+
+# Labels whose texts are prefixes of one another or of the constants, so
+# that comparing texts has to look past the first few characters.
+TRICKY = [action("a"), action("ab"), action("w"), action("0"), cv("a")]
+
+
+def _random_dag(rng, levels):
+    nodes = [Zero(), Omega()]
+    for _ in range(levels):
+        kind = rng.randrange(4)
+        if kind < 2:
+            new = Sum(rng.choice(nodes[-3:]), rng.choice(nodes[-2:]))
+        else:
+            new = (Prefix, MustPrefix)[kind - 2](rng.choice(TRICKY), rng.choice(nodes[-2:]))
+        nodes.append(new)
+    return nodes[-1]
+
+
+def test_term_text_prints_shared_dags_as_trees():
+    rng = random.Random(3)
+    shared = 0
+    for _ in range(200):
+        t = _random_dag(rng, 12)
+        shared += repr(t).startswith("<")
+        assert term_text(t) == _tree_text(t)
+    assert shared > 100
+
+
+def test_canonical_term_orders_summands_by_their_whole_text():
+    rng = random.Random(4)
+    for _ in range(200):
+        t = _random_dag(rng, 9)
+        assert canonical_term(t) is _tree_canonical(t), _tree_text(t)
+    # w sorts before the label w, and a label before a longer one.
+    t = Sum(prefix("w", Zero()), Sum(Omega(), Sum(prefix("ab", Zero()), prefix("a", Zero()))))
+    assert term_text(canonical_term(t)) == "a.0 + ab.0 + w + w.0"
 
 
 def test_canonical_term_sorts_summands():
