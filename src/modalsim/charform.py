@@ -26,14 +26,14 @@ failure.
 A leaner equivalent shape is read off one expansion of the term: one
 diamond per must transition, and one box per action whose may successors
 are all distinguishable from ``w`` (for the others the box is a tautology
-and is dropped), with one refinement fixpoint each way against the
-universal MTS telling which states are as loose as ``w``.
+and is dropped), with one refinement fixpoint against the universal MTS
+telling which states are as loose as ``w``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Union
+from typing import Iterable, Union
 
 from .formulas import (
     Bottom,
@@ -42,10 +42,10 @@ from .formulas import (
     Formula,
     Or,
     Top,
+    _simplify_node,
     conj,
     disj,
     formula_text,
-    simplify,
 )
 from .preorders import Refinement, greatest
 from .systems import (
@@ -54,7 +54,7 @@ from .systems import (
     action,
     ct,
     cv,
-    rebuild,
+    fold,
     sorted_actions,
     successor_index,
     universal_mts,
@@ -68,6 +68,7 @@ from .terms import (
     Zero,
     canonical_term,
     expand_mts_term,
+    summands,
 )
 from .translate import encode_formula
 
@@ -91,58 +92,42 @@ def is_omega_equivalent(t: Term, acts: Iterable[Union[str, Action]]) -> bool:
 
 
 def _omega_states(m: PointedMTS) -> frozenset[str]:
-    """The states of ``m`` that are refinement-equivalent to ``w``, from one
-    refinement fixpoint each way against the universal MTS."""
+    """The states of ``m`` that are refinement-equivalent to ``w``: those
+    ``s`` with ``s <= w``, since every state refines ``w`` (``w <= s``)."""
     u = universal_mts(m.actions)
     forward = greatest(Refinement(), m, u)
-    backward = greatest(Refinement(), u, m)
-    return frozenset(s for s in m.states if (s, u.init) in forward and (u.init, s) in backward)
+    return frozenset(s for s in m.states if (s, u.init) in forward)
 
 
-class _Builder:
-    def __init__(self, ambient: list[Action], literal_prefix_clause: bool):
-        self.ambient = ambient
-        self.literal = literal_prefix_clause
-        self._chi: dict[Term, Formula] = {}
-        self._gamma: dict[tuple[Term, Action], Formula] = {}
+def _characteristic_step(ambient: list[Action], literal_prefix_clause: bool):
+    """The step of the paper's recursion: a term ``t`` gives ``chi(t)`` and
+    a pair ``(t, a)`` gives ``gamma_a(t)``; ``delta(t)`` is read off the
+    summands of ``t``."""
 
-    def chi(self, t: Term) -> Formula:
-        if t not in self._chi:
-            parts = list(self.delta(t))
-            parts.extend(Box(a, self.gamma(t, a)) for a in self.ambient)
-            self._chi[t] = conj(parts)
-        return self._chi[t]
-
-    def delta(self, t: Term) -> list[Formula]:
-        if isinstance(t, (Zero, Omega, Prefix)):
-            return []
-        if isinstance(t, MustPrefix):
-            return [Diamond(t.action, self.chi(t.rest))]
+    def step(key):
+        if isinstance(key, Term):
+            diamonds = []
+            for s in summands(key):
+                if isinstance(s, MustPrefix):
+                    diamonds.append(Diamond(s.action, (yield s.rest)))
+            parts = sorted(dict.fromkeys(diamonds), key=formula_text)
+            for a in ambient:
+                parts.append(Box(a, (yield (key, a))))
+            return conj(parts)
+        t, a = key
+        if isinstance(t, Zero):
+            return Bottom()
+        if isinstance(t, Omega):
+            return Top()
+        if isinstance(t, (Prefix, MustPrefix)):
+            if t.action != a:
+                return Bottom()
+            return (yield (t.rest, a) if literal_prefix_clause else t.rest)
         if isinstance(t, Sum):
-            return sorted(dict.fromkeys(self.delta(t.left) + self.delta(t.right)), key=formula_text)
+            return Or((yield (t.left, a)), (yield (t.right, a)))
         raise TypeError(f"not a term: {t!r}")
 
-    def gamma(self, t: Term, a: Action) -> Formula:
-        key = (t, a)
-        if key in self._gamma:
-            return self._gamma[key]
-        if isinstance(t, Zero):
-            out: Formula = Bottom()
-        elif isinstance(t, Omega):
-            out = Top()
-        elif isinstance(t, (Prefix, MustPrefix)):
-            if t.action != a:
-                out = Bottom()
-            elif self.literal:
-                out = self.gamma(t.rest, a)
-            else:
-                out = self.chi(t.rest)
-        elif isinstance(t, Sum):
-            out = Or(self.gamma(t.left, a), self.gamma(t.right, a))
-        else:
-            raise TypeError(f"not a term: {t!r}")
-        self._gamma[key] = out
-        return out
+    return step
 
 
 def characteristic_formula(
@@ -160,7 +145,7 @@ def characteristic_formula(
     ordered = sorted_actions(ambient)
     root = canonical_term(t)
     simplified = _simplified(expand_mts_term(root, ambient), ordered)
-    formula = _Builder(ordered, literal_prefix_clause).chi(root)
+    formula = fold(root, _characteristic_step(ordered, literal_prefix_clause))
     return CharFormResult(term=root, actions=ambient, formula=formula, simplified=simplified)
 
 
@@ -169,21 +154,27 @@ def _simplified(m: PointedMTS, ordered: list[Action]) -> Formula:
     must = successor_index(m.states, m.must)
     may = successor_index(m.states, m.may)
     loose = _omega_states(m)
-    memo: dict[str, Formula] = {}
+    # Each state's conjunction is simplified against one memo, so that the
+    # simplified formulae of its successors are not walked again.
+    simplified: dict[Formula, Formula] = {}
 
-    def lean(state: str) -> Formula:
-        if state not in memo:
-            parts = [Diamond(a, lean(nxt)) for a in ordered for nxt in must[state].get(a, ())]
-            for a in ordered:
-                targets = may[state].get(a, ())
-                # Drop the box when some may successor is as loose as w: the
-                # bound it would state is vacuous.  No a-successors gives [a]ff.
-                if loose.isdisjoint(targets):
-                    parts.append(Box(a, disj([lean(nxt) for nxt in targets])))
-            memo[state] = simplify(conj(parts))
-        return memo[state]
+    def lean(state: str):
+        parts = []
+        for a in ordered:
+            for nxt in must[state].get(a, ()):
+                parts.append(Diamond(a, (yield nxt)))
+        for a in ordered:
+            targets = may[state].get(a, ())
+            # Drop the box when some may successor is as loose as w: the
+            # bound it would state is vacuous.  No a-successors gives [a]ff.
+            if loose.isdisjoint(targets):
+                bounds = []
+                for nxt in targets:
+                    bounds.append((yield nxt))
+                parts.append(Box(a, disj(bounds)))
+        return fold(conj(parts), _simplify_node, simplified)
 
-    return lean(m.init)
+    return fold(m.init, lean)
 
 
 def encode_term(t: Term) -> Term:
@@ -191,19 +182,19 @@ def encode_term(t: Term) -> Term:
     contravariant copies, must prefixes split into a covariant and a
     contravariant branch."""
 
-    def node(t: Term, recur: Callable[[Term], Term]) -> Term:
+    def step(t: Term):
         if isinstance(t, (Zero, Omega)):
             return t
         if isinstance(t, Prefix):
-            return Prefix(ct(t.action), recur(t.rest))
+            return Prefix(ct(t.action), (yield t.rest))
         if isinstance(t, MustPrefix):
-            rest = recur(t.rest)
+            rest = yield t.rest
             return Sum(Prefix(cv(t.action), rest), Prefix(ct(t.action), rest))
         if isinstance(t, Sum):
-            return Sum(recur(t.left), recur(t.right))
+            return Sum((yield t.left), (yield t.right))
         raise TypeError(f"not a term: {t!r}")
 
-    return rebuild(t, node)
+    return fold(t, step)
 
 
 def characteristic_formula_cc(t: Term, acts: Iterable[Union[str, Action]]) -> Formula:

@@ -19,7 +19,7 @@ several property suites exploit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence, Union
+from typing import Callable, Sequence, Union
 
 from .systems import (
     Action,
@@ -29,7 +29,7 @@ from .systems import (
     PointedMTS,
     SuccIndex,
     Transition,
-    rebuild,
+    fold,
     shared_nodes,
     successor_index,
 )
@@ -98,60 +98,72 @@ def formula_text(phi: Formula) -> str:
     with more than one parent is printed once per context and its text
     copied, so the work is the size of the DAG plus the length of the
     (tree) text, and only the texts of shared subformulae are held until
-    the call returns.
+    the call returns.  Chains of one connective and runs of modalities are
+    printed in one step each, so the work stays linear in a long chain.
     """
-    shared = shared_nodes(phi)[1]
-    memo: dict[tuple[Formula, int], str] = {}
+    return fold((phi, 0), _text_step, _SharedTexts(shared_nodes(phi)[1]))
 
-    def text(phi: Formula, level: int) -> str:
-        # level: 0 = or-context, 1 = and-context, 2 = modality body
-        if isinstance(phi, Bottom):
-            return "ff"
-        if isinstance(phi, Top):
-            return "tt"
-        key = (phi, level) if phi in shared else None
-        if key in memo:
-            return memo[key]
-        if isinstance(phi, Diamond):
-            out = f"<{phi.action}>{text(phi.body, 2)}"
-        elif isinstance(phi, Box):
-            out = f"[{phi.action}]{text(phi.body, 2)}"
-        elif isinstance(phi, And):
-            out = f"{text(phi.left, 1)} & {text(phi.right, 1)}"
-            if level >= 2:
-                out = f"({out})"
-        elif isinstance(phi, Or):
-            out = f"{text(phi.left, 0)} | {text(phi.right, 0)}"
-            if level >= 1:
-                out = f"({out})"
+
+class _SharedTexts(dict):
+    # A memo that keeps the texts of the given nodes only: the text of a
+    # node with one parent is freed once that parent has read it.
+    def __init__(self, shared: set[Formula]):
+        self.shared = shared
+
+    def __setitem__(self, key: tuple[Formula, int], text: str) -> None:
+        if key[0] in self.shared:
+            super().__setitem__(key, text)
+
+
+def _text_step(key: tuple[Formula, int]):
+    # level: 0 = or-context, 1 = and-context, 2 = modality body
+    phi, level = key
+    if isinstance(phi, Bottom):
+        return "ff"
+    if isinstance(phi, Top):
+        return "tt"
+    if isinstance(phi, (Diamond, Box)):
+        head = []
+        while isinstance(phi, (Diamond, Box)):
+            head.append(f"<{phi.action}>" if isinstance(phi, Diamond) else f"[{phi.action}]")
+            phi = phi.body
+        return "".join(head) + (yield (phi, 2))
+    if not isinstance(phi, (And, Or)):
+        raise TypeError(f"not a formula: {type(phi).__name__}")
+    inner = 1 if isinstance(phi, And) else 0
+    texts = []
+    for sub in operands(phi):
+        texts.append((yield (sub, inner)))
+    out = (" & " if inner else " | ").join(texts)
+    return f"({out})" if level > inner else out
+
+
+def operands(phi: Formula) -> list[Formula]:
+    """Flatten a chain of ``phi``'s binary connective into the operands
+    that are not that connective, left to right; ``[phi]`` for any other
+    formula."""
+    out: list[Formula] = []
+    stack = [phi]
+    while stack:
+        sub = stack.pop()
+        if type(sub) is type(phi) and isinstance(sub, (And, Or)):
+            stack += (sub.right, sub.left)
         else:
-            raise TypeError(f"not a formula: {type(phi).__name__}")
-        if key is not None:
-            memo[key] = out
-        return out
-
-    return text(phi, 0)
+            out.append(sub)
+    return out
 
 
 def modal_depth(phi: Formula) -> int:
-    memo: dict[Formula, int] = {}
-
-    def depth(phi: Formula) -> int:
-        out = memo.get(phi)
-        if out is not None:
-            return out
+    def step(phi: Formula):
         if isinstance(phi, (Bottom, Top)):
-            out = 0
-        elif isinstance(phi, (And, Or)):
-            out = max(depth(phi.left), depth(phi.right))
-        elif isinstance(phi, (Diamond, Box)):
-            out = 1 + depth(phi.body)
-        else:
-            raise TypeError(f"not a formula: {phi!r}")
-        memo[phi] = out
-        return out
+            return 0
+        if isinstance(phi, (And, Or)):
+            return max((yield phi.left), (yield phi.right))
+        if isinstance(phi, (Diamond, Box)):
+            return 1 + (yield phi.body)
+        raise TypeError(f"not a formula: {phi!r}")
 
-    return depth(phi)
+    return fold(phi, step)
 
 
 def is_existential(phi: Formula) -> bool:
@@ -163,30 +175,19 @@ def check_wf(phi: Formula, logic: LogicKind) -> list[str]:
     """Well-formedness violations of ``phi`` under ``logic``, in
     deterministic (discovery) order, with a shared subformula's violations
     repeated at each of its occurrences."""
-    problems: list[str] = []
-    _wf(phi, logic, problems, {})
-    return problems
 
-
-def _wf(
-    phi: Formula, logic: LogicKind, problems: list[str], seen: dict[Formula, list[str]]
-) -> None:
-    # ``seen`` maps each visited node to the problems found below it, which
-    # a second visit replays instead of walking the subformula again.
-    if isinstance(phi, (Bottom, Top)):
-        return
-    found = seen.get(phi)
-    if found is not None:
-        problems.extend(found)
-        return
-    start = len(problems)
-    if isinstance(phi, (And, Or)):
-        _wf(phi.left, logic, problems, seen)
-        _wf(phi.right, logic, problems, seen)
-    elif isinstance(phi, (Diamond, Box)):
+    def step(phi: Formula):
+        # A node's value is the tuple of the problems found below it.
+        if isinstance(phi, (Bottom, Top)):
+            return ()
+        if isinstance(phi, (And, Or)):
+            return (yield phi.left) + (yield phi.right)
+        if not isinstance(phi, (Diamond, Box)):
+            raise TypeError(f"not a formula: {phi!r}")
+        problem = None
         if isinstance(logic, BLLogic):
             if phi.action not in logic.actions:
-                problems.append(f"label {phi.action} is not in the alphabet")
+                problem = f"label {phi.action} is not in the alphabet"
         else:
             sig = logic.signature
             modality, side, allowed = (
@@ -195,55 +196,19 @@ def _wf(
                 else ("box", "contravariant", sig.contravariant)
             )
             if phi.action not in sig.actions:
-                problems.append(f"label {phi.action} is not in the signature")
+                problem = f"label {phi.action} is not in the signature"
             elif phi.action not in allowed | sig.bivariant:
-                problems.append(
-                    f"{modality} modality needs a {side} or bivariant label: {phi.action}"
-                )
-        _wf(phi.body, logic, problems, seen)
-    else:
-        raise TypeError(f"not a formula: {phi!r}")
-    seen[phi] = problems[start:]
+                problem = f"{modality} modality needs a {side} or bivariant label: {phi.action}"
+        below = yield phi.body
+        return below if problem is None else (problem, *below)
+
+    return list(fold(phi, step))
 
 
 def _require_wf(phi: Formula, logic: LogicKind) -> None:
     problems = check_wf(phi, logic)
     if problems:
         raise ValueError("; ".join(problems))
-
-
-def _eval(
-    phi: Formula,
-    state: str,
-    box_succ: SuccIndex,
-    dia_succ: SuccIndex,
-    memo: dict[tuple[Formula, str], bool],
-) -> bool:
-    key = (phi, state)
-    if key in memo:
-        return memo[key]
-    if isinstance(phi, Bottom):
-        out = False
-    elif isinstance(phi, Top):
-        out = True
-    elif isinstance(phi, And):
-        out = _eval(phi.left, state, box_succ, dia_succ, memo) and _eval(
-            phi.right, state, box_succ, dia_succ, memo
-        )
-    elif isinstance(phi, Or):
-        out = _eval(phi.left, state, box_succ, dia_succ, memo) or _eval(
-            phi.right, state, box_succ, dia_succ, memo
-        )
-    elif isinstance(phi, Diamond):
-        targets = dia_succ.get(state, {}).get(phi.action, ())
-        out = any(_eval(phi.body, s, box_succ, dia_succ, memo) for s in targets)
-    elif isinstance(phi, Box):
-        targets = box_succ.get(state, {}).get(phi.action, ())
-        out = all(_eval(phi.body, s, box_succ, dia_succ, memo) for s in targets)
-    else:
-        raise TypeError(f"not a formula: {phi!r}")
-    memo[key] = out
-    return out
 
 
 def _state_test(
@@ -262,10 +227,32 @@ def _state_test(
     dia_succ = box_succ if dia_rel is box_rel else successor_index(states, dia_rel)
     memo: dict[tuple[Formula, str], bool] = {}
 
+    def step(key: tuple[Formula, str]):
+        phi, state = key
+        if isinstance(phi, Bottom):
+            return False
+        if isinstance(phi, Top):
+            return True
+        if isinstance(phi, And):
+            return (yield (phi.left, state)) and (yield (phi.right, state))
+        if isinstance(phi, Or):
+            return (yield (phi.left, state)) or (yield (phi.right, state))
+        if isinstance(phi, Diamond):
+            for nxt in dia_succ.get(state, {}).get(phi.action, ()):
+                if (yield (phi.body, nxt)):
+                    return True
+            return False
+        if isinstance(phi, Box):
+            for nxt in box_succ.get(state, {}).get(phi.action, ()):
+                if not (yield (phi.body, nxt)):
+                    return False
+            return True
+        raise TypeError(f"not a formula: {phi!r}")
+
     def holds(state: str) -> bool:
         if state not in states:
             raise ValueError(f"{state!r} is not a state of the system")
-        return _eval(phi, state, box_succ, dia_succ, memo)
+        return fold((phi, state), step, memo)
 
     return holds
 
@@ -316,19 +303,19 @@ def disj(parts: Sequence[Formula]) -> Formula:
     return out
 
 
-def _same_connective(phi: Formula, recur: Callable[[Formula], Formula]) -> Formula:
-    """``phi``'s own connective or constant over the images of its
-    subformulae under ``recur``."""
+def _same_connective(phi: Formula):
+    """Step giving ``phi``'s own connective or constant over the images of
+    its subformulae."""
     if isinstance(phi, (Bottom, Top)):
         return phi
     if isinstance(phi, And):
-        return And(recur(phi.left), recur(phi.right))
+        return And((yield phi.left), (yield phi.right))
     if isinstance(phi, Or):
-        return Or(recur(phi.left), recur(phi.right))
+        return Or((yield phi.left), (yield phi.right))
     if isinstance(phi, Diamond):
-        return Diamond(phi.action, recur(phi.body))
+        return Diamond(phi.action, (yield phi.body))
     if isinstance(phi, Box):
-        return Box(phi.action, recur(phi.body))
+        return Box(phi.action, (yield phi.body))
     raise TypeError(f"not a formula: {phi!r}")
 
 
@@ -337,12 +324,12 @@ def simplify(phi: Formula) -> Formula:
     binary connectives plus ``[a]tt = tt``.  Nothing stronger, so outputs
     stay predictable.  A subformula shared in ``phi`` is simplified once
     and stays shared in the result."""
-    return rebuild(phi, _simplify_node)
+    return fold(phi, _simplify_node)
 
 
-def _simplify_node(phi: Formula, recur: Callable[[Formula], Formula]) -> Formula:
+def _simplify_node(phi: Formula):
     if isinstance(phi, And):
-        left, right = recur(phi.left), recur(phi.right)
+        left, right = (yield phi.left), (yield phi.right)
         if isinstance(left, Bottom) or isinstance(right, Bottom):
             return Bottom()
         if isinstance(left, Top):
@@ -351,7 +338,7 @@ def _simplify_node(phi: Formula, recur: Callable[[Formula], Formula]) -> Formula
             return left
         return And(left, right)
     if isinstance(phi, Or):
-        left, right = recur(phi.left), recur(phi.right)
+        left, right = (yield phi.left), (yield phi.right)
         if isinstance(left, Top) or isinstance(right, Top):
             return Top()
         if isinstance(left, Bottom):
@@ -360,24 +347,35 @@ def _simplify_node(phi: Formula, recur: Callable[[Formula], Formula]) -> Formula
             return left
         return Or(left, right)
     if isinstance(phi, Box):
-        body = recur(phi.body)
+        body = yield phi.body
         if isinstance(body, Top):
             return Top()
         return Box(phi.action, body)
-    return _same_connective(phi, recur)
+    return (yield from _same_connective(phi))
 
 
 def replace_subformula(phi: Formula, old: Formula, new: Formula) -> Formula:
     """Replace every occurrence of ``old``.  A subformula shared in ``phi``
     is visited once and stays shared."""
-    return rebuild(phi, lambda psi, recur: new if psi is old else _same_connective(psi, recur))
+
+    def step(psi: Formula):
+        if psi is old:
+            return new
+        return (yield from _same_connective(psi))
+
+    return fold(phi, step)
 
 
-def subformulas(phi: Formula) -> Iterable[Formula]:
+def subformulas(phi: Formula) -> list[Formula]:
     """Postorder traversal (with repeats for shared structure)."""
-    if isinstance(phi, (And, Or)):
-        yield from subformulas(phi.left)
-        yield from subformulas(phi.right)
-    elif isinstance(phi, (Diamond, Box)):
-        yield from subformulas(phi.body)
-    yield phi
+    # Node, right, left is the postorder reversed.
+    out: list[Formula] = []
+    stack = [phi]
+    while stack:
+        phi = stack.pop()
+        out.append(phi)
+        if isinstance(phi, (And, Or)):
+            stack += (phi.left, phi.right)
+        elif isinstance(phi, (Diamond, Box)):
+            stack.append(phi.body)
+    return out[::-1]

@@ -47,6 +47,7 @@ from .systems import (
     PointedLTS,
     PointedMTS,
     Transition,
+    fold,
     sorted_actions,
     successor_index,
 )
@@ -283,34 +284,28 @@ class _Game:
 
     def formula(self, p: str, q: str) -> Formula:
         """A distinguishing formula for a removed pair, built from its
-        violation.  The pairs it cites fell earlier, so a loop collects the
-        pairs the witness needs, and they are built in rank order.
+        violation.  The pairs it cites fell in earlier rounds, so the walk
+        over them ends.
 
         Formulae are interned, so structurally equal sub-witnesses are one
         object; a repeated operand is dropped, keeping first occurrences."""
         m = len(self.right)
-        root = self.left_id[p] * m + self.right_id[q]
-        steps: dict[int, tuple[int, int, list[int]]] = {}
-        stack = [root]
-        while stack:
-            pair = stack.pop()
-            if pair not in steps:
-                a, clause, w = self._violation(*divmod(pair, m))
-                if clause == 1:
-                    cited = [w * m + q2 for q2 in self.q_answers[pair % m].get(a, ())]
-                else:
-                    cited = [p2 * m + w for p2 in self.p_answers[pair // m].get(a, ())]
-                steps[pair] = (a, clause, cited)
-                stack += cited
-        memo: dict[int, Formula] = {}
-        for pair in sorted(steps, key=self.rank.__getitem__):
-            a, clause, cited = steps[pair]
-            operands = list(dict.fromkeys(memo[c] for c in cited))
+
+        def step(pair: int):
+            a, clause, w = self._violation(*divmod(pair, m))
             if clause == 1:
-                memo[pair] = Diamond(self.labels[a], conj(operands))
+                cited = [w * m + q2 for q2 in self.q_answers[pair % m].get(a, ())]
             else:
-                memo[pair] = Box(self.labels[a], disj(operands))
-        return memo[root]
+                cited = [p2 * m + w for p2 in self.p_answers[pair // m].get(a, ())]
+            operands = []
+            for sub in cited:
+                operands.append((yield sub))
+            operands = list(dict.fromkeys(operands))
+            if clause == 1:
+                return Diamond(self.labels[a], conj(operands))
+            return Box(self.labels[a], disj(operands))
+
+        return fold(self.left_id[p] * m + self.right_id[q], step)
 
 
 def _fixpoint(

@@ -18,7 +18,7 @@ from __future__ import annotations
 import re
 import weakref
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Union
+from typing import Callable, Generator, Hashable, Iterable, Mapping, Union
 
 _NAME_RE = re.compile(r"[A-Za-z0-9_]+\Z")
 
@@ -127,22 +127,40 @@ def shared_nodes(root: Interned) -> tuple[set[Interned], set[Interned]]:
     return seen, shared
 
 
-def rebuild(
-    root: Interned, node: Callable[[Interned, Callable[[Interned], Interned]], Interned]
-) -> Interned:
-    """The one bottom-up rebuild of formulae and terms: ``node(sub, recur)``
-    gives the image of a node ``sub`` of ``root``, calling ``recur`` for the
-    images of the subnodes it keeps.  Each node is mapped once per call, so
-    a node shared in ``root`` stays shared in the result and the walk costs
-    the size of the DAG, not of the tree."""
-    memo: dict[Interned, Interned] = {}
+def fold(root: Hashable, step: Callable[[Hashable], Generator], memo: dict | None = None):
+    """The one walk over formulae, terms and other acyclic structures: the
+    value of ``root`` under ``step``.
 
-    def recur(sub: Interned) -> Interned:
-        if sub not in memo:
-            memo[sub] = node(sub, recur)
-        return memo[sub]
-
-    return recur(root)
+    ``step(key)`` is a generator that yields each key whose value it needs,
+    is sent that value back, and returns the value of ``key``; a recursive
+    walk becomes a step by writing ``(yield x)`` for each call on ``x``.
+    Values are memoised by key in ``memo``, so a node shared in ``root`` is
+    stepped once and the walk costs the size of the DAG, not of the tree;
+    a key whose value ``memo`` declines to keep is stepped at each use.
+    Open steps wait on a list instead of the call stack, so nesting depth is
+    bounded by memory alone.  No key may need itself, directly or not.
+    """
+    if memo is None:
+        memo = {}
+    if root in memo:
+        return memo[root]
+    keys = [root]
+    steps = [step(root)]
+    value = None
+    while steps:
+        try:
+            key = steps[-1].send(value)
+        except StopIteration as done:
+            value = memo[keys.pop()] = done.value
+            steps.pop()
+        else:
+            if key in memo:
+                value = memo[key]
+            else:
+                keys.append(key)
+                steps.append(step(key))
+                value = None
+    return value
 
 
 def is_name_token(text: str) -> bool:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from functools import cmp_to_key, reduce
 from itertools import zip_longest
-from typing import Callable, Iterable, Iterator, Union
+from typing import Iterable, Iterator, Union
 
 from .systems import (
     Action,
@@ -27,7 +27,7 @@ from .systems import (
     PointedMTS,
     Transition,
     action,
-    rebuild,
+    fold,
     shared_nodes,
     sorted_actions,
 )
@@ -88,31 +88,27 @@ def must_prefix(a: Union[str, Action], rest: Term) -> MustPrefix:
 def term_text(t: Term) -> str:
     """Canonical concrete syntax; prefixes bind tighter than ``+``.  As in
     :func:`~modalsim.formulas.formula_text`, a subterm with more than one
-    parent is printed once and its text copied."""
-    shared = shared_nodes(t)[1]
-    memo: dict[Term, str] = {}
+    parent is printed once and its text copied, and a sum is printed in
+    one step."""
+    return fold(t, _text_step)
 
-    def text(t: Term) -> str:
-        if t in memo:
-            return memo[t]
-        if isinstance(t, Zero):
-            return "0"
-        if isinstance(t, Omega):
-            return "w"
-        if isinstance(t, (Prefix, MustPrefix)):
-            body = text(t.rest)
-            if isinstance(t.rest, Sum):
-                body = f"({body})"
-            out = f"{t.action}{'.' if isinstance(t, Prefix) else '!'}{body}"
-        elif isinstance(t, Sum):
-            out = f"{text(t.left)} + {text(t.right)}"
-        else:
-            raise TypeError(f"not a term: {type(t).__name__}")
-        if t in shared:
-            memo[t] = out
-        return out
 
-    return text(t)
+def _text_step(t: Term):
+    if isinstance(t, Zero):
+        return "0"
+    if isinstance(t, Omega):
+        return "w"
+    if isinstance(t, (Prefix, MustPrefix)):
+        body = yield t.rest
+        if isinstance(t.rest, Sum):
+            body = f"({body})"
+        return f"{t.action}{'.' if isinstance(t, Prefix) else '!'}{body}"
+    if not isinstance(t, Sum):
+        raise TypeError(f"not a term: {type(t).__name__}")
+    texts = []
+    for s in summands(t):
+        texts.append((yield s))
+    return " + ".join(texts)
 
 
 def _text_chars(t: Term) -> Iterator[str]:
@@ -171,18 +167,21 @@ def canonical_term(t: Term) -> Term:
     commutativity of ``+``: summands canonicalised recursively, sorted by
     their printed form and rebuilt as a left-nested chain.  A subterm shared
     in ``t`` is canonicalised once and stays shared."""
-    return rebuild(t, _canonical_node)
+    return fold(t, _canonical_node)
 
 
-def _canonical_node(t: Term, recur: Callable[[Term], Term]) -> Term:
+def _canonical_node(t: Term):
     if isinstance(t, (Zero, Omega)):
         return t
     if isinstance(t, Prefix):
-        return Prefix(t.action, recur(t.rest))
+        return Prefix(t.action, (yield t.rest))
     if isinstance(t, MustPrefix):
-        return MustPrefix(t.action, recur(t.rest))
+        return MustPrefix(t.action, (yield t.rest))
     if isinstance(t, Sum):
-        return reduce(Sum, sorted((recur(s) for s in summands(t)), key=cmp_to_key(_text_order)))
+        parts = []
+        for s in summands(t):
+            parts.append((yield s))
+        return reduce(Sum, sorted(parts, key=cmp_to_key(_text_order)))
     raise TypeError(f"not a term: {t!r}")
 
 
@@ -194,13 +193,14 @@ def _expand(
     them (``w`` may loop on ``loop_labels``).  Each state is named once."""
     root = canonical_term(t)
     names: dict[Term, str] = {}
+    texts: dict[Term, str] = {}
     moves: list[tuple[Term, Action, Term, bool]] = []
     stack = [root]
     while stack:
         node = stack.pop()
         if node in names:
             continue
-        names[node] = term_text(node)
+        names[node] = fold(node, _text_step, texts)
         start = len(moves)
         for s in summands(node):
             if isinstance(s, Omega):

@@ -443,46 +443,43 @@ _FORMULA_SCANNER = _scanner(r"[A-Za-z0-9_]+|[<>\[\]()&|]")
 def parse_formula(text: str) -> Formula:
     """Parse a formula; syntax errors raise :class:`ParseError`."""
     cur = _Cursor(_scan_tokens(text, _FORMULA_SCANNER))
-    phi = _formula(cur)
-    cur.expect_end()
-    return phi
-
-
-def _formula(cur: _Cursor) -> Formula:
-    out = _conjunct(cur)
-    while cur.peek_text() == "|":
-        cur.next()
-        out = Or(out, _conjunct(cur))
-    return out
-
-
-def _conjunct(cur: _Cursor) -> Formula:
-    out = _unary(cur)
-    while cur.peek_text() == "&":
-        cur.next()
-        out = And(out, _unary(cur))
-    return out
-
-
-def _unary(cur: _Cursor) -> Formula:
-    tok = cur.next("a formula")
-    if tok.text == "tt":
-        return Top()
-    if tok.text == "ff":
-        return Bottom()
-    if tok.text == "(":
-        phi = _formula(cur)
-        cur.expect(")")
-        return phi
-    if tok.text == "<":
-        lab = _label_from_stream(cur)
-        cur.expect(">")
-        return Diamond(lab, _unary(cur))
-    if tok.text == "[":
-        lab = _label_from_stream(cur)
-        cur.expect("]")
-        return Box(lab, _unary(cur))
-    raise ParseError(f"expected a formula, found {tok.text!r}", tok.line, tok.col)
+    # Open modalities as (class, label), and open parentheses as (None, the
+    # disjunction and conjunction read so far outside them).
+    stack: list = []
+    disjunction = conjunction = None
+    while True:
+        tok = cur.next("a formula")
+        if tok.text in ("<", "["):
+            lab = _label_from_stream(cur)
+            cur.expect(">" if tok.text == "<" else "]")
+            stack.append((Diamond if tok.text == "<" else Box, lab))
+            continue
+        if tok.text == "(":
+            stack.append((None, (disjunction, conjunction)))
+            disjunction = conjunction = None
+            continue
+        if tok.text not in ("tt", "ff"):
+            raise ParseError(f"expected a formula, found {tok.text!r}", tok.line, tok.col)
+        phi = Top() if tok.text == "tt" else Bottom()
+        while True:
+            while stack and stack[-1][0] is not None:
+                modality, lab = stack.pop()
+                phi = modality(lab, phi)
+            conjunction = phi if conjunction is None else And(conjunction, phi)
+            if cur.peek_text() == "&":
+                cur.next()
+                break
+            disjunction = conjunction if disjunction is None else Or(disjunction, conjunction)
+            conjunction = None
+            if cur.peek_text() == "|":
+                cur.next()
+                break
+            if not stack:
+                cur.expect_end()
+                return disjunction
+            cur.expect(")")
+            phi = disjunction
+            disjunction, conjunction = stack.pop()[1]
 
 
 _TERM_SCANNER = _scanner(r"[A-Za-z0-9_]+|[+.!()]")
@@ -498,54 +495,54 @@ def parse_term(text: str, kind: str = "mts") -> Term:
     if kind not in TERM_KINDS:
         raise ValueError(f"unknown term kind {kind!r}; pick one of {TERM_KINDS}")
     cur = _Cursor(_scan_tokens(text, _TERM_SCANNER))
-    t = _term(cur, kind)
-    cur.expect_end()
-    return t
-
-
-def _term(cur: _Cursor, kind: str) -> Term:
-    out = _prefixed(cur, kind)
-    while cur.peek_text() == "+":
-        cur.next()
-        out = Sum(out, _prefixed(cur, kind))
-    return out
-
-
-def _prefixed(cur: _Cursor, kind: str) -> Term:
-    tok = cur.next("a term")
-    if tok.text == "(":
-        t = _term(cur, kind)
-        cur.expect(")")
-        return t
-    if not is_name_token(tok.text):
-        raise ParseError(f"expected a term, found {tok.text!r}", tok.line, tok.col)
-    if tok.text in ("cv", "ct") and cur.peek_text() == "(":
-        cur.next()
-        inner = _label_from_stream(cur)
-        cur.expect(")")
-        lab = cv(inner) if tok.text == "cv" else ct(inner)
-        return _prefix_rest(cur, kind, lab)
-    if cur.peek_text() in (".", "!"):
-        if tok.text in ("0", "w"):
-            raise ParseError(
-                f"{tok.text!r} is a reserved atom, not a label", tok.line, tok.col
-            )
-        return _prefix_rest(cur, kind, Action(name=tok.text))
-    if tok.text == "0":
-        return Zero()
-    if tok.text == "w":
-        return Omega()
-    raise ParseError(
-        f"label {tok.text!r} needs a '.' or '!' and a body", tok.line, tok.col
-    )
-
-
-def _prefix_rest(cur: _Cursor, kind: str, lab: Action) -> Term:
-    op = cur.next("'.' or '!'")
-    if op.text == ".":
-        return Prefix(lab, _prefixed(cur, kind))
-    if op.text == "!":
-        if kind == "lts":
-            raise ParseError("'!' prefixes only exist in mts terms", op.line, op.col)
-        return MustPrefix(lab, _prefixed(cur, kind))
-    raise ParseError(f"expected '.' or '!', found {op.text!r}", op.line, op.col)
+    # Open prefixes as (class, label), and open parentheses as (None, the
+    # sum read so far outside them).
+    stack: list = []
+    total = None
+    while True:
+        tok = cur.next("a term")
+        if tok.text == "(":
+            stack.append((None, total))
+            total = None
+            continue
+        if tok.text in ("0", "w") and cur.peek_text() not in (".", "!"):
+            t = Zero() if tok.text == "0" else Omega()
+        else:
+            if not is_name_token(tok.text):
+                raise ParseError(f"expected a term, found {tok.text!r}", tok.line, tok.col)
+            if tok.text in ("cv", "ct") and cur.peek_text() == "(":
+                cur.next()
+                inner = _label_from_stream(cur)
+                cur.expect(")")
+                lab = cv(inner) if tok.text == "cv" else ct(inner)
+            elif cur.peek_text() in (".", "!"):
+                if tok.text in ("0", "w"):
+                    raise ParseError(
+                        f"{tok.text!r} is a reserved atom, not a label", tok.line, tok.col
+                    )
+                lab = Action(name=tok.text)
+            else:
+                raise ParseError(
+                    f"label {tok.text!r} needs a '.' or '!' and a body", tok.line, tok.col
+                )
+            op = cur.next("'.' or '!'")
+            if op.text not in (".", "!"):
+                raise ParseError(f"expected '.' or '!', found {op.text!r}", op.line, op.col)
+            if op.text == "!" and kind == "lts":
+                raise ParseError("'!' prefixes only exist in mts terms", op.line, op.col)
+            stack.append((Prefix if op.text == "." else MustPrefix, lab))
+            continue
+        while True:
+            while stack and stack[-1][0] is not None:
+                prefix, lab = stack.pop()
+                t = prefix(lab, t)
+            total = t if total is None else Sum(total, t)
+            if cur.peek_text() == "+":
+                cur.next()
+                break
+            if not stack:
+                cur.expect_end()
+                return total
+            cur.expect(")")
+            t = total
+            total = stack.pop()[1]

@@ -35,7 +35,7 @@ embedding is provided; whether a compositional one exists is left open in
 the docs.  The encoding and decoding, and sentence translation along a
 signature morphism, are one walk, :func:`relabel`, with different label
 maps; it and :func:`approximate_formula` rebuild formulae through the one
-memoised walk :func:`~modalsim.systems.rebuild`.
+memoised walk :func:`~modalsim.systems.fold`.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ from .systems import (
     actions,
     ct,
     cv,
-    rebuild,
+    fold,
     rename_actions,
     sorted_actions,
 )
@@ -283,17 +283,17 @@ def relabel(
     phi: Formula, diamond: Callable[[Action], Action], box: Callable[[Action], Action]
 ) -> Formula:
     """``phi`` with every diamond label mapped by ``diamond`` and every box
-    label by ``box``, through :func:`~modalsim.systems.rebuild`, so a
+    label by ``box``, through :func:`~modalsim.systems.fold`, so a
     subformula shared in ``phi`` is mapped once and stays shared."""
 
-    def node(phi: Formula, recur: Callable[[Formula], Formula]) -> Formula:
+    def step(phi: Formula):
         if isinstance(phi, Diamond):
-            return Diamond(diamond(phi.action), recur(phi.body))
+            return Diamond(diamond(phi.action), (yield phi.body))
         if isinstance(phi, Box):
-            return Box(box(phi.action), recur(phi.body))
-        return _same_connective(phi, recur)
+            return Box(box(phi.action), (yield phi.body))
+        return (yield from _same_connective(phi))
 
-    return rebuild(phi, node)
+    return fold(phi, step)
 
 
 def encode_formula(phi: Formula) -> Formula:
@@ -332,11 +332,11 @@ def approximate_formula(phi: Formula, sig: CCSignature) -> Formula:
     forward = sig.covariant | sig.bivariant
     backward = sig.contravariant | sig.bivariant
 
-    def node(phi: Formula, recur: Callable[[Formula], Formula]) -> Formula:
+    def step(phi: Formula):
         if isinstance(phi, Diamond):
-            return Diamond(phi.action, recur(phi.body)) if phi.action in forward else Bottom()
+            return Diamond(phi.action, (yield phi.body)) if phi.action in forward else Bottom()
         if isinstance(phi, Box):
-            return Box(phi.action, recur(phi.body)) if phi.action in backward else Top()
-        return _same_connective(phi, recur)
+            return Box(phi.action, (yield phi.body)) if phi.action in backward else Top()
+        return (yield from _same_connective(phi))
 
-    return rebuild(phi, node)
+    return fold(phi, step)

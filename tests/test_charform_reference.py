@@ -4,8 +4,8 @@ reference for :func:`modalsim.charform.characteristic_formula`.
 The reference walks the term itself: for each may successor it asks anew
 whether that subterm is as loose as ``w``, expanding the subterm and running
 two refinement fixpoints against the expansion of ``w``.  The library reads
-one expansion of the whole term and one pair of fixpoints against the
-universal MTS instead.  Both must print the same lean formula byte for byte,
+one expansion of the whole term and one fixpoint against the universal
+MTS instead.  Both must print the same lean formula byte for byte,
 and the library's batch answer must agree with the per-term question at every
 state of the expansion.
 """

@@ -248,9 +248,19 @@ def test_mc_diamond_on_a_contravariant_label_is_an_error(files, capsys):
     assert err == "error: diamond modality needs a covariant or bivariant label: b\n"
 
 
-def test_too_deep_input_is_an_error_not_a_verdict(files, capsys):
+def test_deep_formula_gets_its_verdict(files, capsys):
     path = files("v.mts", VENDING)
-    code, out, err = run(capsys, "mc", path, "idle", "<coin>" * 1000 + "tt")
+    code, out, err = run(capsys, "mc", path, "idle", "<coin>" * 10**5 + "tt")
+    assert (code, out, err) == (1, "false\n", "")
+
+
+def test_recursion_error_is_an_error_not_a_verdict(files, capsys, monkeypatch):
+    def too_deep(text):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr("modalsim.cli.parse_formula", too_deep)
+    path = files("v.mts", VENDING)
+    code, out, err = run(capsys, "mc", path, "idle", "<coin>tt")
     assert (code, out, err) == (2, "", "error: input nested too deeply\n")
 
 

@@ -1,0 +1,154 @@
+"""Deeply nested and long flat inputs are answered, not refused.
+
+Every walk over formulae, terms and expansion states runs through
+``systems.fold`` and both parsers keep their own stack, so no Python frame
+is spent per nesting level and chains of ``&``, ``|`` and ``+`` print flat.
+"""
+
+import json
+import os
+import subprocess
+import sys
+import tracemalloc
+from functools import reduce
+from pathlib import Path
+
+import pytest
+
+from modalsim.cli import main
+from modalsim.formulas import And, Diamond, Or, Top, formula_text
+from modalsim.systems import action
+from modalsim.terms import Omega, Prefix, Sum, Zero, term_text
+from modalsim.textio import parse_formula
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+UNIVERSAL = "mts universal\nactions: a\nstates: u\ninit: u\nmay: u a u\n"
+DEMANDING = "mts demanding\nactions: a\nstates: m\ninit: m\nmay: m a m\nmust: m a m\n"
+
+# Runs CLI calls given as JSON after lowering the recursion limit far below
+# the nesting depth, so a walk that recursed per level would fail.
+LOW_LIMIT = """
+import contextlib, io, json, sys
+from modalsim.cli import main
+sys.setrecursionlimit(150)
+results = []
+for argv in json.loads(sys.stdin.read()):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    results.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def _must_chain(n):
+    lines = [f"mts chain{n}", "actions: a", "states: " + " ".join(f"s{i}" for i in range(n + 1))]
+    lines.append("init: s0")
+    for i in range(n):
+        lines += [f"may: s{i} a s{i + 1}", f"must: s{i} a s{i + 1}"]
+    return "\n".join(lines) + "\n"
+
+
+def _write(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+def _run(capsys, *argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_depth_400_needs_no_frame_per_level(tmp_path):
+    n = 400
+    u = _write(tmp_path, "u.mts", UNIVERSAL)
+    longer = _write(tmp_path, "c401.mts", _must_chain(n + 1))
+    shorter = _write(tmp_path, "c400.mts", _must_chain(n))
+    calls = [
+        ["mc", u, "u", "<a>" * n + "tt"],
+        ["mc", u, "u", "(" * n + "tt" + ")" * n],
+        ["mc", u, "u", "<a>(tt & " * n + "tt" + ")" * n],
+        ["check", "refine", longer, shorter],
+        ["charform", "--cc", "a." * n + "0"],
+        ["charform", "--cc", "(" * n + "a!0" + ")" * n],
+    ]
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run(
+        [sys.executable, "-c", LOW_LIMIT], input=json.dumps(calls),
+        capture_output=True, text=True, env=env,
+    )
+    assert done.returncode == 0, done.stderr
+    results = json.loads(done.stdout)
+    assert results[:3] == [[1, "false\n", ""], [0, "true\n", ""], [1, "false\n", ""]]
+    assert results[3] == [1, "not related\ndistinguishing formula: " + "<a>" * (n + 1) + "tt\n", ""]
+    boxes = "[a]" * (n + 1) + "ff"
+    encoded = "[ct(a)]" * (n + 1) + "ff"
+    assert results[4] == [0, (
+        f"term: {'a.' * n}0\nactions: a\nformula: {boxes}\nsimplified: {boxes}\n"
+        f"encoded term: {'ct(a).' * n}0\nencoded formula: {encoded}\n"
+    ), ""]
+    assert results[5] == [0, (
+        "term: a!0\nactions: a\nformula: <a>[a]ff & [a][a]ff\nsimplified: <a>[a]ff & [a][a]ff\n"
+        "encoded term: cv(a).0 + ct(a).0\nencoded formula: <cv(a)>[ct(a)]ff & [ct(a)][ct(a)]ff\n"
+    ), ""]
+
+
+N = 10**4
+FORMULA_PARTS = [Diamond(action(f"a{i % 7}"), Top()) for i in range(N)]
+TERM_PARTS = [Prefix(action(f"a{i % 7}"), Omega() if i % 2 else Zero()) for i in range(N)]
+
+
+@pytest.mark.parametrize("connective, system, state, verdict", [
+    (" & ", DEMANDING, "m", "true"),
+    (" | ", UNIVERSAL, "u", "false"),
+])
+def test_flat_formula_chains_are_answered(tmp_path, capsys, connective, system, state, verdict):
+    # From 1000 operands up the recursive walks gave exit 2.
+    path = _write(tmp_path, "s.mts", system)
+    code = 0 if verdict == "true" else 1
+    out = _run(capsys, "mc", path, state, connective.join(["<a>tt"] * N))
+    assert out == (code, verdict + "\n", "")
+
+
+def test_flat_sum_gets_its_characteristic_formula(capsys):
+    code, out, err = _run(capsys, "charform", "--cc", " + ".join(["a!0", "b.w"] * (N // 2)))
+    assert (code, err) == (0, "")
+    lines = dict(line.split(": ", 1) for line in out.splitlines())
+    assert lines["term"] == " + ".join(["a!0"] * (N // 2) + ["b.w"] * (N // 2))
+    assert lines["simplified"] == "<a>([a]ff & [b]ff) & [a]([a]ff & [b]ff)"
+    gamma_b = ["ff"] * (N // 2) + ["[a]tt & [b]tt"] * (N // 2)
+    assert lines["formula"].endswith(f" & [b]({' | '.join(gamma_b)})")
+
+
+@pytest.mark.parametrize("connective, separator, parts, printer", [
+    (And, " & ", FORMULA_PARTS, formula_text),
+    (Or, " | ", FORMULA_PARTS, formula_text),
+    (Sum, " + ", TERM_PARTS, term_text),
+], ids=["and", "or", "sum"])
+def test_chains_print_flat_in_memory_linear_in_the_text(connective, separator, parts, printer):
+    text, peak = _printed(printer, reduce(connective, parts))
+    assert text == separator.join(printer(p) for p in parts)
+    assert peak < 10 * len(text)
+
+
+def test_nested_formula_prints_in_memory_linear_in_its_depth():
+    # Only the texts of shared subformulae outlive the step that reads them,
+    # so doubling the depth doubles the peak; holding every level's text
+    # would quadruple it.
+    peaks = []
+    for n in (1000, 2000):
+        text = "<a>(tt & " * n + "tt" + ")" * n
+        printed, peak = _printed(formula_text, parse_formula(text))
+        assert printed == text
+        peaks.append(peak)
+    assert peaks[1] < 3 * peaks[0]
+
+
+def _printed(printer, root):
+    tracemalloc.start()
+    try:
+        return printer(root), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
