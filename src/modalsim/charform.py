@@ -110,7 +110,10 @@ def _characteristic_step(ambient: list[Action], literal_prefix_clause: bool):
             for s in summands(key):
                 if isinstance(s, MustPrefix):
                     diamonds.append(Diamond(s.action, (yield s.rest)))
-            parts = sorted(dict.fromkeys(diamonds), key=formula_text)
+            parts = list(dict.fromkeys(diamonds))
+            if len(parts) > 1:
+                # Each key prints its whole subformula.
+                parts.sort(key=formula_text)
             for a in ambient:
                 parts.append(Box(a, (yield (key, a))))
             return conj(parts)

@@ -112,9 +112,9 @@ def _cmd_check(args: argparse.Namespace) -> int:
             kind = Simulation()
     left_state = left.init if args.left_state is None else args.left_state
     right_state = right.init if args.right_state is None else args.right_state
-    rel, witness = decide(kind, left, left_state, right, right_state)
-    related = (left_state, right_state) in rel
-    if args.format == "json":
+    whole = args.format == "json"
+    related, rel, witness = decide(kind, left, left_state, right, right_state, whole)
+    if whole:
         _emit_json(
             {
                 "kind": args.kind,

@@ -16,8 +16,9 @@ Four preorder kinds are supported:
 * :class:`Simulation`: partial bisimulation with the empty bisimulation set.
 
 :func:`greatest` returns the greatest relation of a kind; :func:`decide`
-also returns a distinguishing formula for an unrelated pair, from the same
-fixpoint.
+answers one pair, with a distinguishing formula when it is unrelated, from
+a local solver and the engine run near the pair, or from one fixpoint over
+the product when the whole relation is asked for too.
 
 All four run through one engine, a support-counter worklist over interned
 states and labels (after Henzinger, Henzinger and Kopke, FOCS 1995, and
@@ -38,6 +39,8 @@ tested against an independent path; it is capped at products of 12 pairs.
 
 from __future__ import annotations
 
+import math
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
@@ -170,18 +173,24 @@ Index = list[dict[int, list[int]]]
 
 def _index(
     transitions: Iterable[Transition], state_id: dict[str, int], label_id: dict[Action, int]
-) -> tuple[Index, Index]:
-    """Successors (targets ascending) and predecessors of each state."""
+) -> Index:
+    """Successors of each state, targets ascending."""
     succ: Index = [{} for _ in state_id]
-    pred: Index = [{} for _ in state_id]
     for src, lab, dst in transitions:
-        s, a, d = state_id[src], label_id[lab], state_id[dst]
-        succ[s].setdefault(a, []).append(d)
-        pred[d].setdefault(a, []).append(s)
+        succ[state_id[src]].setdefault(label_id[lab], []).append(state_id[dst])
     for row in succ:
         for targets in row.values():
             targets.sort()
-    return succ, pred
+    return succ
+
+
+def _reverse(index: Index) -> Index:
+    pred: Index = [{} for _ in index]
+    for s, row in enumerate(index):
+        for a, targets in row.items():
+            for d in targets:
+                pred[d].setdefault(a, []).append(s)
+    return pred
 
 
 def _masks(index: Index) -> list[int]:
@@ -189,13 +198,15 @@ def _masks(index: Index) -> list[int]:
 
 
 class _Game:
-    """One preorder check, solved by the support-counter worklist.
+    """One preorder check.
 
     States are numbered in name order on each side and labels in
     :func:`sorted_actions` order, so ascending numbers are the printed order
     and the hot loop never hashes an :class:`Action`.  The pair ``(p, q)``
-    is the number ``p * len(right) + q``, and ``rank[pair]`` is the round in
-    which it leaves the relation (0 if it never does).
+    is the number ``p * len(right) + q``.  :meth:`holds` answers one pair
+    from the successor indexes alone; :meth:`_solve` ranks pairs by the
+    support-counter worklist, and ``rank[pair]`` is then the round in which
+    the pair leaves the relation (0 if it never does).
     """
 
     def __init__(self, left_states: Iterable[str], right_states: Iterable[str], clauses: Clauses):
@@ -205,24 +216,90 @@ class _Game:
         p_steps, q_answers, q_steps, p_answers = clauses
         self.labels = sorted_actions({t[1] for rel in clauses for t in rel})
         label_id = {a: i for i, a in enumerate(self.labels)}
-        self.p_steps, self.p_steps_pred = _index(p_steps, self.left_id, label_id)
-        self.q_answers, self.q_answers_pred = _index(q_answers, self.right_id, label_id)
-        self.q_steps, self.q_steps_pred = _index(q_steps, self.right_id, label_id)
-        self.p_answers, self.p_answers_pred = _index(p_answers, self.left_id, label_id)
-        self.rank = self._solve()
+        self.p_steps = _index(p_steps, self.left_id, label_id)
+        self.q_answers = _index(q_answers, self.right_id, label_id)
+        self.q_steps = _index(q_steps, self.right_id, label_id)
+        self.p_answers = _index(p_answers, self.left_id, label_id)
+        self.masks = list(map(_masks, (self.p_steps, self.q_answers, self.q_steps, self.p_answers)))
 
-    def _solve(self) -> list[int]:
-        # A counter starts at its answer count and is created at its first
-        # decrement.
+    def _pair(self, p: str, q: str) -> int:
+        return self.left_id[p] * len(self.right) + self.right_id[q]
+
+    def _candidates(self, pair: int):
+        """Per obligation of ``pair``, the pairs that would meet it: each
+        ``p_steps`` move needs a related pair with a ``q_answers`` move on
+        its label, each ``q_steps`` move one with a ``p_answers`` move."""
+        m = len(self.right)
+        p, q = divmod(pair, m)
+        answers = self.q_answers[q]
+        for a, targets in self.p_steps[p].items():
+            for p2 in targets:
+                yield [p2 * m + q2 for q2 in answers.get(a, ())]
+        answers = self.p_answers[p]
+        for a, targets in self.q_steps[q].items():
+            for q2 in targets:
+                yield [p2 * m + q2 for p2 in answers.get(a, ())]
+
+    def holds(self, p: str, q: str) -> bool:
+        """Whether the greatest relation relates ``p`` to ``q``, by a local
+        solver (after Fernandez and Mounier, CAV 1991, and Liu and Smolka,
+        ICALP 1998).  An explored pair is assumed related, and each of its
+        obligations rests on one candidate, moving to the next when that one
+        falls; a pair whose obligation runs out falls.  At the end the
+        explored pairs still standing meet every obligation among themselves."""
+        m = len(self.right)
+        p_step_masks, q_answer_masks, q_step_masks, p_answer_masks = self.masks
+        root = self._pair(p, q)
+        resting: dict[int, list] = {root: []}  # pair -> obligations resting on it
+        fallen: set[int] = set()
+        todo = [root]
+        while todo and root not in fallen:
+            pair = todo.pop()
+            moves = [(pair, iter(c)) for c in self._candidates(pair)]
+            while moves:
+                owner, candidates = moves.pop()
+                if owner in fallen:
+                    continue
+                for c in candidates:
+                    if c in fallen:
+                        continue
+                    if c not in resting:
+                        # A pair with a move that has no answer on its label
+                        # falls without being explored.
+                        p2, q2 = divmod(c, m)
+                        if (p_step_masks[p2] & ~q_answer_masks[q2]
+                                or q_step_masks[q2] & ~p_answer_masks[p2]):
+                            fallen.add(c)
+                            continue
+                        resting[c] = []
+                        todo.append(c)
+                    resting[c].append((owner, candidates))
+                    break
+                else:
+                    fallen.add(owner)
+                    moves += resting[owner]
+        return root not in fallen
+
+    def _solve(self, ball: Optional[Iterable[int]] = None) -> None:
+        """Rank every pair by the support-counter worklist or, given
+        ``ball``, let only the pairs in it fall; counters still start at the
+        full answer count.  A counter is created at its first decrement."""
         m, labels = len(self.right), len(self.labels)
-        rank = [0] * (len(self.left) * m)
-        q_answer_masks, q_step_masks = _masks(self.q_answers), _masks(self.q_steps)
+        indexes = self.p_steps, self.q_answers, self.q_steps, self.p_answers
+        p_steps_pred, q_answers_pred, q_steps_pred, p_answers_pred = map(_reverse, indexes)
+        p_step_masks, q_answer_masks, q_step_masks, p_answer_masks = self.masks
+        if ball is None:
+            rank = [0] * (len(self.left) * m)
+            ball = range(len(rank))
+        else:
+            # A pair outside the ball never leaves.
+            rank = defaultdict(lambda: math.inf, dict.fromkeys(ball, 0))
         frontier = []
-        for p, (steps, answers) in enumerate(zip(_masks(self.p_steps), _masks(self.p_answers))):
-            for q in range(m):
-                if steps & ~q_answer_masks[q] or q_step_masks[q] & ~answers:
-                    rank[p * m + q] = 1
-                    frontier.append(p * m + q)
+        for pair in ball:
+            p, q = divmod(pair, m)
+            if p_step_masks[p] & ~q_answer_masks[q] or q_step_masks[q] & ~p_answer_masks[p]:
+                rank[pair] = 1
+                frontier.append(pair)
         left_count: dict[int, int] = {}
         right_count: dict[int, int] = {}
         k = 1
@@ -231,8 +308,8 @@ class _Game:
             fallen = []
             for pair in frontier:
                 p2, q2 = divmod(pair, m)
-                stepping = self.p_steps_pred[p2]
-                for a, answering in self.q_answers_pred[q2].items():
+                stepping = p_steps_pred[p2]
+                for a, answering in q_answers_pred[q2].items():
                     movers = stepping.get(a)
                     if movers is None:
                         continue
@@ -245,8 +322,8 @@ class _Game:
                                 if not rank[p * m + q]:
                                     rank[p * m + q] = k
                                     fallen.append(p * m + q)
-                stepping = self.q_steps_pred[q2]
-                for a, answering in self.p_answers_pred[p2].items():
+                stepping = q_steps_pred[q2]
+                for a, answering in p_answers_pred[p2].items():
                     movers = stepping.get(a)
                     if movers is None:
                         continue
@@ -260,27 +337,49 @@ class _Game:
                                     rank[p * m + q] = k
                                     fallen.append(p * m + q)
             frontier = fallen
-        return rank
+        self.rank = rank
 
-    def _violation(self, p: int, q: int) -> tuple[int, int, int]:
-        """(label, clause, witness state) of the first violation, in label,
+    def solve_around(self, p: str, q: str) -> None:
+        """Rank the pairs that :meth:`formula` reads for the unrelated pair
+        ``(p, q)``, without touching the rest of the product.
+
+        A pair's rank depends only on the pairs it can reach through
+        candidates.  Solved on the ball of pairs within ``radius`` candidate
+        steps of the root, no rank goes down, and a pair at distance ``d``
+        whose rank is ``j <= radius - d + 1`` gets rank ``j``.  So once the
+        root falls by round ``radius + 1`` (or the ball holds every pair it
+        can reach) the root and every pair its witness cites have their
+        true ranks.  The radius starts at 1 and doubles."""
+        root = self._pair(p, q)
+        ball, layer, depth, radius = {root}, {root}, 0, 1
+        while True:
+            while layer and depth < radius:
+                layer = {c for pair in layer for cs in self._candidates(pair) for c in cs} - ball
+                ball |= layer
+                depth += 1
+            self._solve(ball)
+            if not layer or 0 < self.rank[root] <= radius + 1:
+                return
+            radius *= 2
+
+    def _violation(self, pair: int) -> tuple[int, int, list[int]]:
+        """(label, clause, cited pairs) of the first violation, in label,
         clause and name order, of a removed pair against the relation at the
         start of its round; clause 1 is the leftward one."""
         rank, m = self.rank, len(self.right)
-        k = rank[p * m + q]
-
-        def held(pair: int) -> bool:
-            return not rank[pair] or rank[pair] >= k
-
+        k = rank[pair]
+        p, q = divmod(pair, m)
         steps, answers = self.p_steps[p], self.q_answers[q]
         back, back_answers = self.q_steps[q], self.p_answers[p]
         for a in sorted(steps.keys() | back.keys()):
             for p2 in steps.get(a, ()):
-                if not any(held(p2 * m + q2) for q2 in answers.get(a, ())):
-                    return a, 1, p2
+                cited = [p2 * m + q2 for q2 in answers.get(a, ())]
+                if all(0 < rank[c] < k for c in cited):
+                    return a, 1, cited
             for q2 in back.get(a, ()):
-                if not any(held(p2 * m + q2) for p2 in back_answers.get(a, ())):
-                    return a, 2, q2
+                cited = [p2 * m + q2 for p2 in back_answers.get(a, ())]
+                if all(0 < rank[c] < k for c in cited):
+                    return a, 2, cited
 
     def formula(self, p: str, q: str) -> Formula:
         """A distinguishing formula for a removed pair, built from its
@@ -289,14 +388,9 @@ class _Game:
 
         Formulae are interned, so structurally equal sub-witnesses are one
         object; a repeated operand is dropped, keeping first occurrences."""
-        m = len(self.right)
 
         def step(pair: int):
-            a, clause, w = self._violation(*divmod(pair, m))
-            if clause == 1:
-                cited = [w * m + q2 for q2 in self.q_answers[pair % m].get(a, ())]
-            else:
-                cited = [p2 * m + w for p2 in self.p_answers[pair // m].get(a, ())]
+            a, clause, cited = self._violation(pair)
             operands = []
             for sub in cited:
                 operands.append((yield sub))
@@ -305,7 +399,7 @@ class _Game:
                 return Diamond(self.labels[a], conj(operands))
             return Box(self.labels[a], disj(operands))
 
-        return fold(self.left_id[p] * m + self.right_id[q], step)
+        return fold(self._pair(p, q), step)
 
 
 def _fixpoint(
@@ -314,6 +408,7 @@ def _fixpoint(
     """The greatest relation satisfying ``clauses`` (see :func:`_prepare`)
     and the solved game, which holds the rank of every pair."""
     game = _Game(left_states, right_states, clauses)
+    game._solve()
     m = len(game.right)
     related = frozenset((game.left[i // m], game.right[i % m]) for i, r in enumerate(game.rank) if not r)
     return related, game
@@ -470,21 +565,31 @@ def decide(
     p: str,
     q_sys: Union[PointedMTS, PointedLTS],
     q: str,
-) -> tuple[Relation, Optional[Formula]]:
-    """The greatest relation of ``kind`` between the two systems and, when
-    it does not relate ``p`` to ``q`` and ``kind`` is :class:`Refinement`
-    or :class:`CCSim`, the distinguishing formula of
-    :func:`distinguishing_formula` for that pair, both from one fixpoint."""
+    whole: bool = False,
+) -> tuple[bool, Optional[Relation], Optional[Formula]]:
+    """Whether ``kind`` relates ``p`` to ``q``; the greatest relation of
+    ``kind`` if ``whole``, from the same fixpoint, else ``None``; and for an
+    unrelated pair, when ``kind`` is :class:`Refinement` or :class:`CCSim`,
+    its distinguishing formula.  Without ``whole`` nothing is built at the
+    size of the state product."""
     clauses = _prepare(kind, p_sys, q_sys)
     if p not in p_sys.states:
         raise ValueError(f"{p!r} is not a state of the left system")
     if q not in q_sys.states:
         raise ValueError(f"{q!r} is not a state of the right system")
-    rel, game = _fixpoint(p_sys.states, q_sys.states, clauses)
+    relation = None
+    if whole:
+        rel, game = _fixpoint(p_sys.states, q_sys.states, clauses)
+        relation, related = Relation(rel), (p, q) in rel
+    else:
+        game = _Game(p_sys.states, q_sys.states, clauses)
+        related = game.holds(p, q)
     witness = None
-    if (p, q) not in rel and isinstance(kind, (Refinement, CCSim)):
+    if not related and isinstance(kind, (Refinement, CCSim)):
+        if not whole:
+            game.solve_around(p, q)
         witness = game.formula(p, q)
-    return Relation(rel), witness
+    return related, relation, witness
 
 
 def distinguishing_formula(
@@ -509,4 +614,4 @@ def distinguishing_formula(
     """
     if not isinstance(kind, (Refinement, CCSim)):
         raise TypeError("distinguishing formulae exist for refinement and cc-simulation")
-    return decide(kind, p_sys, p, q_sys, q)[1]
+    return decide(kind, p_sys, p, q_sys, q)[2]

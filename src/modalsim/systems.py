@@ -100,7 +100,11 @@ class Action(Interned):
     def __str__(self) -> str:
         if self.mark == PLAIN:
             return self.name
-        return f"{self.mark}({self.base})"
+        marks, label = [], self
+        while label.mark != PLAIN:
+            marks.append(label.mark)
+            label = label.base
+        return "(".join(marks) + f"({label.name}" + ")" * len(marks)
 
     def __repr__(self) -> str:
         return f"Action({str(self)!r})"

@@ -56,8 +56,6 @@ from .systems import (
     System,
     Transition,
     _triple_key,
-    ct,
-    cv,
     is_name_token,
     sorted_actions,
 )
@@ -140,18 +138,23 @@ def parse_label(text: str, line: int = 1, col: int = 1) -> Action:
 
 
 def _label_in_text(text: str, i: int, line: int, col: int) -> tuple[Action, int]:
-    m = _NAME_PART.match(text, i)
-    if not m:
-        found = repr(text[i]) if i < len(text) else "end of input"
-        raise ParseError(f"expected a label name, found {found}", line, col + i)
-    name = m.group()
-    j = m.end()
-    if name in ("cv", "ct") and j < len(text) and text[j] == "(":
-        inner, k = _label_in_text(text, j + 1, line, col)
-        if k >= len(text) or text[k] != ")":
-            raise ParseError("expected ')' to close the label", line, col + k)
-        return (cv(inner) if name == "cv" else ct(inner)), k + 1
-    return Action(name=name), j
+    marks = []  # the open decorations, outermost first
+    while True:
+        m = _NAME_PART.match(text, i)
+        if not m:
+            found = repr(text[i]) if i < len(text) else "end of input"
+            raise ParseError(f"expected a label name, found {found}", line, col + i)
+        name, i = m.group(), m.end()
+        if name not in ("cv", "ct") or i >= len(text) or text[i] != "(":
+            break
+        marks.append(name)
+        i += 1
+    label = Action(name=name)
+    for mark in reversed(marks):
+        if i >= len(text) or text[i] != ")":
+            raise ParseError("expected ')' to close the label", line, col + i)
+        label, i = Action(mark=mark, base=label), i + 1
+    return label, i
 
 
 @dataclass(frozen=True)
@@ -425,16 +428,23 @@ def _scan_tokens(text: str, scanner: str) -> list[_Token]:
     return tokens
 
 
-def _label_from_stream(cur: _Cursor) -> Action:
-    tok = cur.next("a label")
-    if not is_name_token(tok.text):
-        raise ParseError(f"expected a label, found {tok.text!r}", tok.line, tok.col)
-    if tok.text in ("cv", "ct") and cur.peek_text() == "(":
+def _label_from_stream(cur: _Cursor, tok: Optional[_Token] = None) -> Action:
+    """A label read from ``cur``, after its first token ``tok`` if given."""
+    marks = []  # the open decorations, outermost first
+    while True:
+        tok = tok or cur.next("a label")
+        if not is_name_token(tok.text):
+            raise ParseError(f"expected a label, found {tok.text!r}", tok.line, tok.col)
+        if tok.text not in ("cv", "ct") or cur.peek_text() != "(":
+            break
         cur.next()
-        inner = _label_from_stream(cur)
+        marks.append(tok.text)
+        tok = None
+    label = Action(name=tok.text)
+    for mark in reversed(marks):
         cur.expect(")")
-        return cv(inner) if tok.text == "cv" else ct(inner)
-    return Action(name=tok.text)
+        label = Action(mark=mark, base=label)
+    return label
 
 
 _FORMULA_SCANNER = _scanner(r"[A-Za-z0-9_]+|[<>\[\]()&|]")
@@ -511,10 +521,7 @@ def parse_term(text: str, kind: str = "mts") -> Term:
             if not is_name_token(tok.text):
                 raise ParseError(f"expected a term, found {tok.text!r}", tok.line, tok.col)
             if tok.text in ("cv", "ct") and cur.peek_text() == "(":
-                cur.next()
-                inner = _label_from_stream(cur)
-                cur.expect(")")
-                lab = cv(inner) if tok.text == "cv" else ct(inner)
+                lab = _label_from_stream(cur, tok)
             elif cur.peek_text() in (".", "!"):
                 if tok.text in ("0", "w"):
                     raise ParseError(

@@ -152,3 +152,17 @@ def _printed(printer, root):
         return printer(root), tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_labels_nested_5000_deep_are_answered(tmp_path, capsys):
+    # From about 1000 levels the recursive label reader and printer gave exit 2.
+    n = 5000
+    lab = "cv(" * n + "a" + ")" * n
+    path = _write(tmp_path, "deep.mts", (
+        f"mts deep\nactions: {lab}\nstates: s t\ninit: s\nmay: s {lab} t\nmust: s {lab} t\n"
+    ))
+    assert _run(capsys, "mc", path, "s", f"<{lab}>[{lab}]ff") == (0, "true\n", "")
+    assert _run(capsys, "check", "refine", path, path) == (0, "related\n", "")
+    code, out, err = _run(capsys, "charform", f"{lab}!0")
+    assert (code, err) == (0, "")
+    assert out.startswith(f"term: {lab}!0\nactions: {lab}\nformula: <{lab}>")

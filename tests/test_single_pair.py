@@ -1,0 +1,152 @@
+"""The single-pair path of ``check``: the local verdict and the witness of
+the game solved around the pair agree with the game over the whole state
+product, on every pair."""
+
+import json
+import random
+import tracemalloc
+
+import pytest
+
+from modalsim.cli import main
+from modalsim.formulas import formula_text
+from modalsim.preorders import (
+    CCSim,
+    PartialBisim,
+    Refinement,
+    Simulation,
+    _fixpoint,
+    _Game,
+    _prepare,
+    decide,
+    fixpoint_rounds,
+)
+from modalsim.sampling import random_lts_pair, random_mts_pair
+from modalsim.systems import action, lts, signature
+from test_fixpoint_reference import CASES
+
+
+def _small_cases():
+    for seed in range(40):
+        rng = random.Random(seed)
+        p, q = random_mts_pair(rng, max_states=4, max_labels=2)
+        yield f"small{seed}-refine", Refinement(), (p, q)
+        p, q = random_lts_pair(rng, max_states=4)
+        first = min(p.signature.actions, key=str)
+        for kind in (CCSim(), PartialBisim(frozenset({first})), Simulation()):
+            yield f"small{seed}-{type(kind).__name__}", kind, (p, q)
+
+
+ALL_CASES = CASES + list(_small_cases())
+
+
+def _assert_single_pair_matches_whole(kind, p_sys, q_sys):
+    """Every pair: the single-pair verdict and witness equal those read off
+    one full-product game."""
+    clauses = _prepare(kind, p_sys, q_sys)
+    rel, whole = _fixpoint(p_sys.states, q_sys.states, clauses)
+    single = _Game(p_sys.states, q_sys.states, clauses)
+    witnessed = isinstance(kind, (Refinement, CCSim))
+    for p in sorted(p_sys.states):
+        for q in sorted(q_sys.states):
+            related = single.holds(p, q)
+            assert related == ((p, q) in rel), (p, q)
+            if witnessed and not related:
+                single.solve_around(p, q)
+                assert formula_text(single.formula(p, q)) == formula_text(whole.formula(p, q)), (p, q)
+
+
+@pytest.mark.parametrize("name,kind,systems", ALL_CASES, ids=[c[0] for c in ALL_CASES])
+def test_single_pair_path_matches_the_whole_product(name, kind, systems):
+    _assert_single_pair_matches_whole(kind, *systems)
+
+
+def _root_rank(kind, p_sys, q_sys):
+    rounds = fixpoint_rounds(kind, p_sys, q_sys)
+    pair = (p_sys.init, q_sys.init)
+    return next(k for k in range(1, len(rounds)) if pair not in rounds[k])
+
+
+def _case(name):
+    return next(c for c in CASES if c[0] == name)
+
+
+def test_decide_agrees_with_its_whole_form():
+    for name in ("chain10-refine-down", "ladder4-ccsim-cov-in", "sparse1-refine", "sparse2-CCSim"):
+        _, kind, (p_sys, q_sys) = _case(name)
+        single = decide(kind, p_sys, p_sys.init, q_sys, q_sys.init)
+        related, rel, witness = decide(kind, p_sys, p_sys.init, q_sys, q_sys.init, whole=True)
+        assert single[1] is None and rel is not None
+        assert single[0] == related == ((p_sys.init, q_sys.init) in rel)
+        assert (single[2] is None) == (witness is None)
+        if witness is not None:
+            assert formula_text(single[2]) == formula_text(witness)
+
+
+def test_root_of_rank_one():
+    # The left state has a covariant move the right state cannot answer.
+    sig = signature(cov=["a"])
+    p = lts(["p", "p1"], sig, [("p", "a", "p1")], "p")
+    q = lts(["q"], sig, [], "q")
+    assert _root_rank(CCSim(), p, q) == 1
+    assert formula_text(decide(CCSim(), p, "p", q, "q")[2]) == "<a>tt"
+    _assert_single_pair_matches_whole(CCSim(), p, q)
+
+
+def test_root_rank_above_the_first_radius():
+    _, kind, (p_sys, q_sys) = _case("chain30-refine-down")
+    assert _root_rank(kind, p_sys, q_sys) == 31
+    witness = decide(kind, p_sys, p_sys.init, q_sys, q_sys.init)[2]
+    assert formula_text(witness) == "<a>" * 31 + "tt"
+
+
+def test_pbsim_with_a_bisimulation_set():
+    _, kind, (p_sys, q_sys) = _case("sparse3-PartialBisim")
+    assert kind.bset == frozenset({action("b")})
+    _assert_single_pair_matches_whole(kind, p_sys, q_sys)
+
+
+def test_ball_that_becomes_the_whole_closure():
+    # The root falls in round 6, but every pair it reaches lies within two
+    # candidate steps: the ball stops growing at radius 4, before the root
+    # could fall by round radius + 1.
+    p_sys, q_sys = random_mts_pair(random.Random(131), max_states=6, max_labels=2)
+    game = _Game(p_sys.states, q_sys.states, _prepare(Refinement(), p_sys, q_sys))
+    root = game._pair("p0", "q0")
+    seen, layer, eccentricity = {root}, [root], -1
+    while layer:
+        layer = [c for x in layer for cs in game._candidates(x) for c in cs if c not in seen and not seen.add(c)]
+        eccentricity += 1
+    radius = 1
+    while radius <= eccentricity:
+        radius *= 2
+    assert (eccentricity, radius) == (2, 4)
+    assert _root_rank(Refinement(), p_sys, q_sys) == 6 > radius + 1
+    _assert_single_pair_matches_whole(Refinement(), p_sys, q_sys)
+
+
+def _must_chain(n):
+    lines = [f"mts chain{n}", "actions: a", "states: " + " ".join(f"s{i}" for i in range(n + 1))]
+    lines.append("init: s0")
+    for i in range(n):
+        lines += [f"may: s{i} a s{i + 1}", f"must: s{i} a s{i + 1}"]
+    return "\n".join(lines) + "\n"
+
+
+def test_text_check_does_not_build_the_product(tmp_path, capsys):
+    long_, short = tmp_path / "long.mts", tmp_path / "short.mts"
+    long_.write_text(_must_chain(300), encoding="utf-8")
+    short.write_text(_must_chain(299), encoding="utf-8")
+    argv = ["check", "refine", str(long_), str(short)]
+    assert main(argv + ["--format", "json"]) == 1
+    expected = json.loads(capsys.readouterr().out)["distinguishing_formula"]
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert capsys.readouterr().out == f"not related\ndistinguishing formula: {expected}\n"
+    # The 301 x 300 product alone takes about 20 MB in the full game.
+    assert peak < 5 * 2**20
