@@ -55,7 +55,6 @@ from .systems import (
     PointedMTS,
     System,
     Transition,
-    _triple_key,
     is_name_token,
     sorted_actions,
 )
@@ -100,6 +99,16 @@ class _Token(NamedTuple):
 # the only characters no alternative matches.
 _LINE_TOKEN = r'([^ \t\r#"]+)|"((?:[^"\\]|\\["\\])*)(")?|#'
 _ESCAPE = r'\\(["\\])'
+
+# A whole plain relation line: a directive at the start, then exactly three
+# bare operands, with no quote, no comment and no blank but `` \t\r``.  Such
+# a line splits into the tokens ``_LINE_TOKEN`` would give, so the reader
+# takes its operands from the match and tokenizes only the other lines.
+_PLAIN_RELATION = (
+    r'(may|must|trans):[ \t\r]+([^\s#"]+)[ \t\r]+([^\s#"]+)[ \t\r]+([^\s#"]+)[ \t\r]*'
+)
+# A plain ``states:`` line, read the same way; group 1 splits into its operands.
+_PLAIN_STATES = r'states:((?:[ \t\r]+[^\s#"]+)*)[ \t\r]*'
 
 
 def _tokenize_line(text: str, line: int) -> list[_Token]:
@@ -169,8 +178,6 @@ class ParsedSystem:
 _MTS_DIRECTIVES = {"actions:", "states:", "init:", "may:", "must:"}
 _LTS_DIRECTIVES = {"actions:", "cov:", "con:", "bi:", "states:", "init:", "trans:"}
 
-_RelEntry = tuple[_Token, Action, _Token, _Token]
-
 
 def parse_system_details(text: str, strict: bool = False) -> ParsedSystem:
     """Parse the line format, returning the system, its name and warnings."""
@@ -178,11 +185,16 @@ def parse_system_details(text: str, strict: bool = False) -> ParsedSystem:
     name: Optional[str] = None
     mts_actions: dict[Action, _Token] = {}
     classes: dict[str, dict[Action, _Token]] = {"cov": {}, "con": {}, "bi": {}}
-    states: dict[str, _Token] = {}
+    states: set[str] = set()
     init_tok: Optional[_Token] = None
-    rels: dict[str, list[_RelEntry]] = {"may": [], "must": [], "trans": []}
+    # Each transition with the first line that gives it; an error finds its
+    # column by tokenizing that line again.
+    rels: dict[str, dict[Transition, int]] = {"may": {}, "must": {}, "trans": {}}
+    plain_rels: tuple[str, ...] = ()  # the relations of the kind the header names
     labels: dict[str, Action] = {}
-    last_line = 1
+    lines = text.splitlines()
+    plain_relation = re.compile(_PLAIN_RELATION).fullmatch
+    plain_states = re.compile(_PLAIN_STATES).fullmatch
 
     def label(tok: _Token) -> Action:
         # Each distinct label text is parsed once per file.
@@ -193,8 +205,21 @@ def parse_system_details(text: str, strict: bool = False) -> ParsedSystem:
             lab = labels[tok.text] = parse_label(tok.text, tok.line, tok.col)
         return lab
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        last_line = lineno
+    for lineno, raw in enumerate(lines, start=1):
+        m = plain_relation(raw)
+        if m is not None:
+            directive, src, labtext, dst = m.groups()
+            lab = labels.get(labtext)
+            # A label seen for the first time is parsed on the general path,
+            # which knows its position should it be malformed.
+            if lab is not None and directive in plain_rels:
+                rels[directive].setdefault((src, lab, dst), lineno)
+                continue
+        elif kind is not None:
+            m = plain_states(raw)
+            if m is not None:
+                states.update(m[1].split())
+                continue
         tokens = _tokenize_line(raw, lineno)
         if not tokens:
             continue
@@ -205,6 +230,7 @@ def parse_system_details(text: str, strict: bool = False) -> ParsedSystem:
                     "expected an 'mts' or 'lts' header line", head.line, head.col
                 )
             kind = head.text
+            plain_rels = ("may", "must") if kind == "mts" else ("trans",)
             if len(tokens) > 2:
                 extra = tokens[2]
                 raise ParseError(
@@ -237,8 +263,7 @@ def parse_system_details(text: str, strict: bool = False) -> ParsedSystem:
             for tok in operands:
                 target.setdefault(label(tok), tok)
         elif directive == "states":
-            for tok in operands:
-                states.setdefault(tok.text, tok)
+            states.update(tok.text for tok in operands)
         elif directive == "init":
             if len(operands) != 1:
                 raise ParseError("init: takes exactly one state", head.line, head.col)
@@ -253,8 +278,9 @@ def parse_system_details(text: str, strict: bool = False) -> ParsedSystem:
                     head.col,
                 )
             src, labtok, dst = operands
-            rels[directive].append((src, label(labtok), labtok, dst))
+            rels[directive].setdefault((src.text, label(labtok), dst.text), lineno)
 
+    last_line = max(len(lines), 1)
     if kind is None:
         raise ParseError("expected an 'mts' or 'lts' header line", last_line, 1)
     if init_tok is None:
@@ -268,20 +294,18 @@ def parse_system_details(text: str, strict: bool = False) -> ParsedSystem:
     if kind == "mts":
         declared = frozenset(mts_actions)
         for rel_name in ("may", "must"):
-            _check_endpoints(rels[rel_name], states, declared)
-        may = {(s.text, lab, d.text) for s, lab, _lt, d in rels["may"]}
-        must: set[Transition] = set()
-        for s, lab, labtok, d in rels["must"]:
-            triple = (s.text, lab, d.text)
-            must.add(triple)
+            _check_endpoints(rels[rel_name], states, declared, lines)
+        may = set(rels["may"])
+        for triple, line in rels["must"].items():
             if triple not in may:
-                msg = f"must transition {s.text} {lab} {d.text} has no may twin"
+                s, lab, d = triple
+                msg = f"must transition {s} {lab} {d} has no may twin"
                 if strict:
-                    raise ParseError(msg, labtok.line, labtok.col)
-                warnings.append(f"line {labtok.line}: {msg}; adding it")
+                    raise _error_at_operand(msg, lines, line, 2)
+                warnings.append(f"line {line}: {msg}; adding it")
                 may.add(triple)
         system: System = PointedMTS(
-            frozenset(states), declared, frozenset(may), frozenset(must), init_tok.text
+            frozenset(states), declared, frozenset(may), frozenset(rels["must"]), init_tok.text
         )
     else:
         sig = CCSignature(
@@ -300,24 +324,32 @@ def parse_system_details(text: str, strict: bool = False) -> ParsedSystem:
                 where.line,
                 where.col,
             )
-        _check_endpoints(rels["trans"], states, sig.actions)
-        trans = frozenset((s.text, lab, d.text) for s, lab, _lt, d in rels["trans"])
+        _check_endpoints(rels["trans"], states, sig.actions, lines)
+        trans = frozenset(rels["trans"])
         system = PointedLTS(frozenset(states), sig, trans, init_tok.text)
     return ParsedSystem(system=system, name=name, warnings=tuple(warnings))
 
 
 def _check_endpoints(
-    entries: list[_RelEntry],
-    states: dict[str, _Token],
+    entries: dict[Transition, int],
+    states: set[str],
     declared: frozenset[Action],
+    lines: list[str],
 ) -> None:
-    for src, lab, labtok, dst in entries:
-        if src.text not in states:
-            raise ParseError(f"undeclared state {src.text!r}", src.line, src.col)
-        if dst.text not in states:
-            raise ParseError(f"undeclared state {dst.text!r}", dst.line, dst.col)
+    for (src, lab, dst), line in entries.items():
+        if src not in states:
+            raise _error_at_operand(f"undeclared state {src!r}", lines, line, 1)
+        if dst not in states:
+            raise _error_at_operand(f"undeclared state {dst!r}", lines, line, 3)
         if lab not in declared:
-            raise ParseError(f"undeclared label {lab}", labtok.line, labtok.col)
+            raise _error_at_operand(f"undeclared label {lab}", lines, line, 2)
+
+
+def _error_at_operand(message: str, lines: list[str], line: int, k: int) -> ParseError:
+    """The error at the ``k``-th token of a relation line, found by
+    tokenizing that line again."""
+    tok = _tokenize_line(lines[line - 1], line)[k]
+    return ParseError(message, tok.line, tok.col)
 
 
 def parse_system(text: str, strict: bool = False) -> System:
@@ -328,12 +360,31 @@ def parse_system(text: str, strict: bool = False) -> System:
 def _show_state(s: str) -> str:
     if is_name_token(s):
         return s
+    if "".join(s.splitlines()) != s:
+        # The reader splits lines where ``str.splitlines`` does, quotes or not.
+        raise ValueError(f"cannot print {s!r}: the line format has no escape for its line break")
     escaped = s.replace("\\", "\\\\").replace('"', '\\"')
     return f'"{escaped}"'
 
 
+class _Shown(dict):
+    """``shown[x]`` is ``show(x)``, computed once per key."""
+
+    def __init__(self, show) -> None:
+        super().__init__()
+        self._show = show
+
+    def __missing__(self, key):
+        text = self[key] = self._show(key)
+        return text
+
+
 def print_system(system: System, name: Optional[str] = None) -> str:
-    """The canonical text form of a system; inverse to :func:`parse_system`."""
+    """The canonical text form of a system; inverse to :func:`parse_system`.
+
+    Raises :class:`ValueError` for a state or name with a line break in it,
+    which no text of the line format can hold.
+    """
     header = "mts" if isinstance(system, PointedMTS) else "lts"
     if name is not None:
         header += f" {_show_state(name)}"
@@ -343,10 +394,7 @@ def print_system(system: System, name: Optional[str] = None) -> str:
             lines.append(
                 "actions: " + " ".join(str(a) for a in sorted_actions(system.actions))
             )
-        _append_state_lines(lines, system.states, system.init)
-        for rel_name, rel in (("may", system.may), ("must", system.must)):
-            for src, lab, dst in sorted(rel, key=_triple_key):
-                lines.append(f"{rel_name}: {_show_state(src)} {lab} {_show_state(dst)}")
+        rels = (("may", system.may), ("must", system.must))
     else:
         sig = system.signature
         for directive, cls in (
@@ -358,15 +406,18 @@ def print_system(system: System, name: Optional[str] = None) -> str:
                 lines.append(
                     f"{directive}: " + " ".join(str(a) for a in sorted_actions(cls))
                 )
-        _append_state_lines(lines, system.states, system.init)
-        for src, lab, dst in sorted(system.transitions, key=_triple_key):
-            lines.append(f"trans: {_show_state(src)} {lab} {_show_state(dst)}")
+        rels = (("trans", system.transitions),)
+    shown = _Shown(_show_state)
+    lines.append("states: " + " ".join(shown[s] for s in sorted(system.states)))
+    lines.append(f"init: {shown[system.init]}")
+    # Each label and state is shown once; the (state, label text, state)
+    # triples sort as ``_triple_key`` orders the transitions.
+    label_text = _Shown(str)
+    for rel_name, rel in rels:
+        keyed = [(src, label_text[lab], dst) for src, lab, dst in rel]
+        keyed.sort()
+        lines += [f"{rel_name}: {shown[src]} {lab} {shown[dst]}" for src, lab, dst in keyed]
     return "\n".join(lines) + "\n"
-
-
-def _append_state_lines(lines: list[str], states: frozenset[str], init: str) -> None:
-    lines.append("states: " + " ".join(_show_state(s) for s in sorted(states)))
-    lines.append(f"init: {_show_state(init)}")
 
 
 class _Cursor:

@@ -1,18 +1,20 @@
 import io
 import json
 import os
+import random
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
 from modalsim.charform import characteristic_formula, encode_term
 from modalsim.cli import main
-from modalsim.formulas import formula_text
+from modalsim.formulas import formula_text, mc_mts
 from modalsim.selfcheck import property_ids
-from modalsim.systems import action
+from modalsim.systems import PointedMTS, action
 from modalsim.terms import term_text
-from modalsim.textio import parse_system, parse_term, print_system
+from modalsim.textio import parse_formula, parse_system, parse_term, print_system
 from modalsim.translate import decorate_by_class, lts_of_mts, mts_of_lts
 
 UNIVERSAL = "mts universal\nactions: a\nstates: u\ninit: u\nmay: u a u\n"
@@ -373,3 +375,40 @@ def test_selfcheck_subprocess_is_deterministic():
     payload = json.loads(one.stdout)
     assert payload["ok"] is True
     assert payload["config"]["cases"] == 5
+
+
+def _large_mts(n, seed):
+    rng = random.Random(seed)
+    labels = [action(name) for name in "abc"]
+    may = {(f"s{i}", rng.choice(labels), f"s{rng.randrange(n)}") for i in range(n) for _ in range(3)}
+    must = {t for t in sorted(may, key=str) if rng.random() < 0.5}
+    return PointedMTS(frozenset(f"s{i}" for i in range(n)), frozenset(labels), frozenset(may), frozenset(must), "s0")
+
+
+def _traced_main(argv):
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return code, peak
+
+
+def test_translate_and_mc_on_a_large_system(files, capsys):
+    m = _large_mts(3000, seed=5)
+    path = files("large.mts", print_system(m))
+    assert len(m.may) + len(m.must) > 13_000
+
+    code, peak = _traced_main(["translate", "c", path])
+    assert code == 0
+    assert capsys.readouterr().out == print_system(lts_of_mts(m))
+    # The parsed system holds about 3.3 MB and its encoding 1.3 MB more; a
+    # reader that keeps a token object per operand peaks above 9 MB.
+    assert peak < 8.5 * 2**20, peak
+
+    for formula in ("<a><b><c>tt", "[a][b]<c>tt", "<a>[b]<c><a>tt | [c]ff"):
+        expected = mc_mts(m, "s0", parse_formula(formula))
+        code, peak = _traced_main(["mc", path, "s0", formula])
+        assert (code, capsys.readouterr().out) == ((0, "true\n") if expected else (1, "false\n"))
+        assert peak < 8 * 2**20, peak

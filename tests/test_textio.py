@@ -1,3 +1,6 @@
+import random
+import re
+
 import pytest
 
 from modalsim.formulas import (
@@ -9,6 +12,7 @@ from modalsim.formulas import (
     Top,
     formula_text,
 )
+from modalsim import textio
 from modalsim.systems import action, actions, cv, ct, lts, mts, signature
 from modalsim.terms import MustPrefix, Omega, Prefix, Sum, Zero, term_text
 from modalsim.textio import (
@@ -274,3 +278,41 @@ def test_system_print_parse_round_trip():
     assert again.system == ccex
     assert again.name == "ccex"
     assert print_system(again.system, again.name) == text
+
+
+@pytest.mark.parametrize("line_break", ["\n", "\u2028"])
+def test_print_system_refuses_a_line_break_it_cannot_write(line_break):
+    state = f"a{line_break}b"
+    m = mts(["p", state], ["a"], [("p", "a", state)], [], "p")
+    with pytest.raises(ValueError, match=re.escape(repr(state))):
+        print_system(m)
+    with pytest.raises(ValueError, match=re.escape(repr(state))):
+        print_system(mts(["p"], ["a"], [], [], "p"), name=state)
+
+
+def test_plain_relation_lines_skip_the_tokenizer(monkeypatch):
+    rng = random.Random(2)
+    states = [f"s{i}" for i in range(20)] + ["a b"]
+    labels = ["a", "b", cv("a")]
+    may = {(rng.choice(states), rng.choice(labels), rng.choice(states)) for _ in range(300)}
+    must = set(rng.sample(sorted(may, key=str), 100))
+    tokenized = []
+    tokenize = textio._tokenize_line
+    monkeypatch.setattr(
+        textio, "_tokenize_line", lambda raw, line: tokenized.append(raw) or tokenize(raw, line)
+    )
+    for system in (
+        mts(states, labels, may, must, "s0"),
+        lts(states, signature(cov=["a", "b"], con=[cv("a")]), may, "s0"),
+    ):
+        tokenized.clear()
+        text = print_system(system, "sys")
+        assert parse_system(text) == system
+        relation_lines = [raw for raw in text.splitlines() if raw.startswith(("may:", "must:", "trans:"))]
+        assert len(relation_lines) >= 250
+        # Only the header, label and init lines and the lines with a quoted
+        # state go through the tokenizer.
+        assert tokenized == [
+            raw for raw in text.splitlines()
+            if '"' in raw or not raw.startswith(("may:", "must:", "trans:", "states:"))
+        ]
