@@ -221,6 +221,7 @@ class _Game:
         self.q_steps = _index(q_steps, self.right_id, label_id)
         self.p_answers = _index(p_answers, self.left_id, label_id)
         self.masks = list(map(_masks, (self.p_steps, self.q_answers, self.q_steps, self.p_answers)))
+        self.predecessors: Optional[list[Index]] = None
 
     def _pair(self, p: str, q: str) -> int:
         return self.left_id[p] * len(self.right) + self.right_id[q]
@@ -285,8 +286,11 @@ class _Game:
         ``ball``, let only the pairs in it fall; counters still start at the
         full answer count.  A counter is created at its first decrement."""
         m, labels = len(self.right), len(self.labels)
-        indexes = self.p_steps, self.q_answers, self.q_steps, self.p_answers
-        p_steps_pred, q_answers_pred, q_steps_pred, p_answers_pred = map(_reverse, indexes)
+        if self.predecessors is None:
+            # Built at the first solve and kept for the later ones of solve_around.
+            indexes = self.p_steps, self.q_answers, self.q_steps, self.p_answers
+            self.predecessors = list(map(_reverse, indexes))
+        p_steps_pred, q_answers_pred, q_steps_pred, p_answers_pred = self.predecessors
         p_step_masks, q_answer_masks, q_step_masks, p_answer_masks = self.masks
         if ball is None:
             rank = [0] * (len(self.left) * m)

@@ -29,7 +29,7 @@ from .systems import (
     signature,
     sorted_actions,
 )
-from .terms import MustPrefix, Omega, Prefix, Sum, Term, Zero
+from .terms import MustPrefix, Omega, Prefix, Sum, Term, Zero, prefix_label
 
 LABEL_POOL = tuple(string.ascii_lowercase)
 
@@ -240,4 +240,5 @@ def random_term(
         )
     lab, is_must = forms[rng.randrange(len(forms))]
     rest = random_term(rng, forms, max_height - 1)
-    return MustPrefix(action(lab), rest) if is_must else Prefix(action(lab), rest)
+    lab = prefix_label(lab)
+    return MustPrefix(lab, rest) if is_must else Prefix(lab, rest)

@@ -77,12 +77,21 @@ class Sum(Term):
     __slots__ = ("left", "right")
 
 
+def prefix_label(a: Union[str, Action]) -> Action:
+    """``a`` as the label of a prefix.  The reserved atoms ``0`` and ``w``
+    are refused: ``0.t`` would print as text that no term reader accepts."""
+    lab = action(a)
+    if lab.name in ("0", "w"):
+        raise ValueError(f"{lab.name!r} is a reserved atom, not a label")
+    return lab
+
+
 def prefix(a: Union[str, Action], rest: Term) -> Prefix:
-    return Prefix(action(a), rest)
+    return Prefix(prefix_label(a), rest)
 
 
 def must_prefix(a: Union[str, Action], rest: Term) -> MustPrefix:
-    return MustPrefix(action(a), rest)
+    return MustPrefix(prefix_label(a), rest)
 
 
 def term_text(t: Term) -> str:
@@ -268,7 +277,7 @@ def enumerate_terms(
     The raw tree count grows quadratically with each level, so this is meant
     for small bounds (height up to 3 or so).
     """
-    forms = [(action(a), m) for a, m in prefix_forms]
+    forms = [(prefix_label(a), m) for a, m in prefix_forms]
     atoms: list[Term] = [Zero(), Omega()]
     level: list[Term] = list(atoms)
     for _ in range(max_height - 1):

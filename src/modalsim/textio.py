@@ -90,8 +90,8 @@ class _Token(NamedTuple):
     quoted: bool = False
 
 
-# The scanners' patterns are strings that ``re`` compiles on first use and
-# caches, so importing this module compiles none of them.
+# This module's patterns are strings that ``re`` compiles on first use and
+# caches, so importing it compiles none of them.
 
 # One token of a system line per match: a bare token, a double-quoted one
 # (group 2 is the body, group 3 the closing quote, missing when the body
@@ -133,7 +133,7 @@ def _tokenize_line(text: str, line: int) -> list[_Token]:
     return out
 
 
-_NAME_PART = re.compile(r"[A-Za-z0-9_]+")
+_NAME_PART = r"[A-Za-z0-9_]+"
 
 
 def parse_label(text: str, line: int = 1, col: int = 1) -> Action:
@@ -147,9 +147,10 @@ def parse_label(text: str, line: int = 1, col: int = 1) -> Action:
 
 
 def _label_in_text(text: str, i: int, line: int, col: int) -> tuple[Action, int]:
+    name_part = re.compile(_NAME_PART).match
     marks = []  # the open decorations, outermost first
     while True:
-        m = _NAME_PART.match(text, i)
+        m = name_part(text, i)
         if not m:
             found = repr(text[i]) if i < len(text) else "end of input"
             raise ParseError(f"expected a label name, found {found}", line, col + i)
@@ -420,44 +421,6 @@ def print_system(system: System, name: Optional[str] = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-class _Cursor:
-    """A token stream with one-token lookahead and positioned errors."""
-
-    def __init__(self, tokens: list[_Token]) -> None:
-        self._tokens = tokens
-        self._pos = 0
-
-    def peek_text(self) -> Optional[str]:
-        if self._pos < len(self._tokens):
-            return self._tokens[self._pos].text
-        return None
-
-    def next(self, wanted: str = "a token") -> _Token:
-        if self._pos >= len(self._tokens):
-            line, col = self._end_pos()
-            raise ParseError(f"expected {wanted}, found end of input", line, col)
-        tok = self._tokens[self._pos]
-        self._pos += 1
-        return tok
-
-    def expect(self, text: str) -> _Token:
-        tok = self.next(repr(text))
-        if tok.text != text:
-            raise ParseError(f"expected {text!r}, found {tok.text!r}", tok.line, tok.col)
-        return tok
-
-    def expect_end(self) -> None:
-        if self._pos < len(self._tokens):
-            tok = self._tokens[self._pos]
-            raise ParseError(f"unexpected trailing input: {tok.text!r}", tok.line, tok.col)
-
-    def _end_pos(self) -> tuple[int, int]:
-        if not self._tokens:
-            return (1, 1)
-        last = self._tokens[-1]
-        return (last.line, last.col + len(last.text))
-
-
 def _scanner(token: str) -> str:
     """One match per newline, run of blanks, token or stray character."""
     return rf"(?P<newline>\n)|[ \t\r]+|(?P<token>{token})|(?P<bad>.)"
@@ -479,71 +442,135 @@ def _scan_tokens(text: str, scanner: str) -> list[_Token]:
     return tokens
 
 
-def _label_from_stream(cur: _Cursor, tok: Optional[_Token] = None) -> Action:
-    """A label read from ``cur``, after its first token ``tok`` if given."""
+class _Unplaced(Exception):
+    """``(index, message)``: a syntax error at the ``index``-th token string,
+    or at the end of the input when ``index`` is their count, before
+    :func:`_read` places it."""
+
+
+def _expected(tokens: list[str], i: int, wanted: str) -> _Unplaced:
+    found = repr(tokens[i]) if i < len(tokens) else "end of input"
+    return _Unplaced(i, f"expected {wanted}, found {found}")
+
+
+def _read(text: str, token: str, scanner: str, parse):
+    """``parse`` run on the token strings of ``text``, as ``token`` splits it.
+
+    Positions are worked out only for an error.  Then ``scanner``, whose
+    tokens are ``token``'s, reads ``text`` once more with lines and columns:
+    it raises on a stray character itself, so that error comes before any
+    other, and otherwise places the error at its token or at the end.
+    """
+    tokens = re.findall(token, text)
+    # Tokens hold no blank and do not overlap, so they cover every other
+    # character exactly when their lengths add up to the count of those.
+    blanks = text.count(" ") + text.count("\t") + text.count("\r") + text.count("\n")
+    if len("".join(tokens)) + blanks == len(text):
+        try:
+            return parse(tokens)
+        except _Unplaced as exc:
+            index, message = exc.args
+    # Without a parse error, a character is stray, and the scan raises on it.
+    positioned = _scan_tokens(text, scanner)
+    if index < len(positioned):
+        tok = positioned[index]
+        raise ParseError(message, tok.line, tok.col)
+    if not positioned:
+        raise ParseError(message, 1, 1)
+    last = positioned[-1]
+    raise ParseError(message, last.line, last.col + len(last.text))
+
+
+def _label(tokens: list[str], i: int, plain: dict[str, Action]) -> tuple[Action, int]:
+    """The label that starts at the ``i``-th token, and the index after it.
+    ``plain`` holds the plain labels already built, by name."""
     marks = []  # the open decorations, outermost first
+    end = len(tokens)
     while True:
-        tok = tok or cur.next("a label")
-        if not is_name_token(tok.text):
-            raise ParseError(f"expected a label, found {tok.text!r}", tok.line, tok.col)
-        if tok.text not in ("cv", "ct") or cur.peek_text() != "(":
+        if i == end:
+            raise _expected(tokens, i, "a label")
+        name = tokens[i]
+        i += 1
+        if name not in ("cv", "ct") or i == end or tokens[i] != "(":
             break
-        cur.next()
-        marks.append(tok.text)
-        tok = None
-    label = Action(name=tok.text)
+        marks.append(name)
+        i += 1
+    label = plain.get(name)
+    if label is None:
+        if not is_name_token(name):
+            raise _Unplaced(i - 1, f"expected a label, found {name!r}")
+        label = plain[name] = Action(name=name)
     for mark in reversed(marks):
-        cur.expect(")")
-        label = Action(mark=mark, base=label)
-    return label
+        if i == end or tokens[i] != ")":
+            raise _expected(tokens, i, "')'")
+        label, i = Action(mark=mark, base=label), i + 1
+    return label, i
 
 
-_FORMULA_SCANNER = _scanner(r"[A-Za-z0-9_]+|[<>\[\]()&|]")
+_FORMULA_TOKEN = r"[A-Za-z0-9_]+|[<>\[\]()&|]"
+_FORMULA_SCANNER = _scanner(_FORMULA_TOKEN)
 
 
 def parse_formula(text: str) -> Formula:
     """Parse a formula; syntax errors raise :class:`ParseError`."""
-    cur = _Cursor(_scan_tokens(text, _FORMULA_SCANNER))
+    return _read(text, _FORMULA_TOKEN, _FORMULA_SCANNER, _formula)
+
+
+def _formula(tokens: list[str]) -> Formula:
+    constants = {"tt": Top(), "ff": Bottom()}
+    plain: dict[str, Action] = {}
     # Open modalities as (class, label), and open parentheses as (None, the
     # disjunction and conjunction read so far outside them).
     stack: list = []
     disjunction = conjunction = None
+    i, end = 0, len(tokens)
     while True:
-        tok = cur.next("a formula")
-        if tok.text in ("<", "["):
-            lab = _label_from_stream(cur)
-            cur.expect(">" if tok.text == "<" else "]")
-            stack.append((Diamond if tok.text == "<" else Box, lab))
+        if i == end:
+            raise _expected(tokens, i, "a formula")
+        tok = tokens[i]
+        i += 1
+        if tok == "<" or tok == "[":
+            lab, i = _label(tokens, i, plain)
+            close = ">" if tok == "<" else "]"
+            if i == end or tokens[i] != close:
+                raise _expected(tokens, i, repr(close))
+            i += 1
+            stack.append((Diamond if tok == "<" else Box, lab))
             continue
-        if tok.text == "(":
+        if tok == "(":
             stack.append((None, (disjunction, conjunction)))
             disjunction = conjunction = None
             continue
-        if tok.text not in ("tt", "ff"):
-            raise ParseError(f"expected a formula, found {tok.text!r}", tok.line, tok.col)
-        phi = Top() if tok.text == "tt" else Bottom()
+        phi = constants.get(tok)
+        if phi is None:
+            raise _Unplaced(i - 1, f"expected a formula, found {tok!r}")
         while True:
             while stack and stack[-1][0] is not None:
                 modality, lab = stack.pop()
                 phi = modality(lab, phi)
             conjunction = phi if conjunction is None else And(conjunction, phi)
-            if cur.peek_text() == "&":
-                cur.next()
+            following = tokens[i] if i < end else None
+            if following == "&":
+                i += 1
                 break
             disjunction = conjunction if disjunction is None else Or(disjunction, conjunction)
             conjunction = None
-            if cur.peek_text() == "|":
-                cur.next()
+            if following == "|":
+                i += 1
                 break
             if not stack:
-                cur.expect_end()
+                if i < end:
+                    raise _Unplaced(i, f"unexpected trailing input: {following!r}")
                 return disjunction
-            cur.expect(")")
+            if following != ")":
+                raise _expected(tokens, i, "')'")
+            i += 1
             phi = disjunction
             disjunction, conjunction = stack.pop()[1]
 
 
-_TERM_SCANNER = _scanner(r"[A-Za-z0-9_]+|[+.!()]")
+_TERM_TOKEN = r"[A-Za-z0-9_]+|[+.!()]"
+_TERM_SCANNER = _scanner(_TERM_TOKEN)
 
 TERM_KINDS = ("mts", "lts")
 
@@ -555,52 +582,62 @@ def parse_term(text: str, kind: str = "mts") -> Term:
     """
     if kind not in TERM_KINDS:
         raise ValueError(f"unknown term kind {kind!r}; pick one of {TERM_KINDS}")
-    cur = _Cursor(_scan_tokens(text, _TERM_SCANNER))
+    return _read(text, _TERM_TOKEN, _TERM_SCANNER, lambda tokens: _term(tokens, kind))
+
+
+def _term(tokens: list[str], kind: str) -> Term:
+    plain: dict[str, Action] = {}
     # Open prefixes as (class, label), and open parentheses as (None, the
     # sum read so far outside them).
     stack: list = []
     total = None
+    i, end = 0, len(tokens)
     while True:
-        tok = cur.next("a term")
-        if tok.text == "(":
+        if i == end:
+            raise _expected(tokens, i, "a term")
+        tok = tokens[i]
+        i += 1
+        if tok == "(":
             stack.append((None, total))
             total = None
             continue
-        if tok.text in ("0", "w") and cur.peek_text() not in (".", "!"):
-            t = Zero() if tok.text == "0" else Omega()
-        else:
-            if not is_name_token(tok.text):
-                raise ParseError(f"expected a term, found {tok.text!r}", tok.line, tok.col)
-            if tok.text in ("cv", "ct") and cur.peek_text() == "(":
-                lab = _label_from_stream(cur, tok)
-            elif cur.peek_text() in (".", "!"):
-                if tok.text in ("0", "w"):
-                    raise ParseError(
-                        f"{tok.text!r} is a reserved atom, not a label", tok.line, tok.col
-                    )
-                lab = Action(name=tok.text)
-            else:
-                raise ParseError(
-                    f"label {tok.text!r} needs a '.' or '!' and a body", tok.line, tok.col
-                )
-            op = cur.next("'.' or '!'")
-            if op.text not in (".", "!"):
-                raise ParseError(f"expected '.' or '!', found {op.text!r}", op.line, op.col)
-            if op.text == "!" and kind == "lts":
-                raise ParseError("'!' prefixes only exist in mts terms", op.line, op.col)
-            stack.append((Prefix if op.text == "." else MustPrefix, lab))
+        following = tokens[i] if i < end else None
+        if following == "." or following == "!" or (tok in ("cv", "ct") and following == "("):
+            if tok == "0" or tok == "w":
+                raise _Unplaced(i - 1, f"{tok!r} is a reserved atom, not a label")
+            if not is_name_token(tok):
+                raise _Unplaced(i - 1, f"expected a term, found {tok!r}")
+            lab, i = _label(tokens, i - 1, plain)
+            if i == end or tokens[i] not in (".", "!"):
+                raise _expected(tokens, i, "'.' or '!'")
+            if tokens[i] == "!" and kind == "lts":
+                raise _Unplaced(i, "'!' prefixes only exist in mts terms")
+            stack.append((Prefix if tokens[i] == "." else MustPrefix, lab))
+            i += 1
             continue
+        if tok == "0":
+            t = Zero()
+        elif tok == "w":
+            t = Omega()
+        elif is_name_token(tok):
+            raise _Unplaced(i - 1, f"label {tok!r} needs a '.' or '!' and a body")
+        else:
+            raise _Unplaced(i - 1, f"expected a term, found {tok!r}")
         while True:
             while stack and stack[-1][0] is not None:
                 prefix, lab = stack.pop()
                 t = prefix(lab, t)
             total = t if total is None else Sum(total, t)
-            if cur.peek_text() == "+":
-                cur.next()
+            following = tokens[i] if i < end else None
+            if following == "+":
+                i += 1
                 break
             if not stack:
-                cur.expect_end()
+                if i < end:
+                    raise _Unplaced(i, f"unexpected trailing input: {following!r}")
                 return total
-            cur.expect(")")
+            if following != ")":
+                raise _expected(tokens, i, "')'")
+            i += 1
             t = total
             total = stack.pop()[1]

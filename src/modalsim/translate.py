@@ -135,8 +135,12 @@ def morphism_signature_map(alphabet: Iterable[Union[str, Action]]) -> CCSignatur
 
 def lts_of_mts(m: PointedMTS) -> PointedLTS:
     """Encode an MTS as an LTS over decorated copies of its alphabet."""
-    trans = {(s, ct(a), d) for (s, a, d) in m.may} | {
-        (s, cv(a), d) for (s, a, d) in m.must
+    # Each label is decorated once, including one that ``m.actions`` lacks.
+    labels = {t[1] for rel in (m.may, m.must) for t in rel}
+    may_label = {a: ct(a) for a in labels}
+    must_label = {a: cv(a) for a in labels}
+    trans = {(s, may_label[a], d) for (s, a, d) in m.may} | {
+        (s, must_label[a], d) for (s, a, d) in m.must
     }
     return PointedLTS(
         states=m.states,

@@ -2,8 +2,9 @@
 parsers they replaced, and the system reader against the reader that
 tokenized every line.
 
-The references below are test-only copies of those parsers and of that
-reader, kept as they were.  On seeded texts made from the grammars and on
+The references below are test-only copies of those parsers, of the
+positioned token cursor and label reader they ran on, and of that reader,
+kept as they were.  On seeded texts made from the grammars and on
 mutations of them, both sides must give the same node (for systems: the
 same ``ParsedSystem``, warnings included), or the same ``ParseError``
 message, line and column.
@@ -35,8 +36,6 @@ from modalsim.textio import (
     _TERM_SCANNER,
     ParseError,
     ParsedSystem,
-    _Cursor,
-    _label_from_stream,
     _scan_tokens,
     _Token,
     _tokenize_line,
@@ -46,6 +45,63 @@ from modalsim.textio import (
     parse_term,
     print_system,
 )
+
+
+class _Cursor:
+    """A token stream with one-token lookahead and positioned errors."""
+
+    def __init__(self, tokens: list[_Token]) -> None:
+        self._tokens = tokens
+        self._pos = 0
+
+    def peek_text(self) -> Optional[str]:
+        if self._pos < len(self._tokens):
+            return self._tokens[self._pos].text
+        return None
+
+    def next(self, wanted: str = "a token") -> _Token:
+        if self._pos >= len(self._tokens):
+            line, col = self._end_pos()
+            raise ParseError(f"expected {wanted}, found end of input", line, col)
+        tok = self._tokens[self._pos]
+        self._pos += 1
+        return tok
+
+    def expect(self, text: str) -> _Token:
+        tok = self.next(repr(text))
+        if tok.text != text:
+            raise ParseError(f"expected {text!r}, found {tok.text!r}", tok.line, tok.col)
+        return tok
+
+    def expect_end(self) -> None:
+        if self._pos < len(self._tokens):
+            tok = self._tokens[self._pos]
+            raise ParseError(f"unexpected trailing input: {tok.text!r}", tok.line, tok.col)
+
+    def _end_pos(self) -> tuple[int, int]:
+        if not self._tokens:
+            return (1, 1)
+        last = self._tokens[-1]
+        return (last.line, last.col + len(last.text))
+
+
+def _label_from_stream(cur: _Cursor, tok: Optional[_Token] = None) -> Action:
+    """A label read from ``cur``, after its first token ``tok`` if given."""
+    marks = []  # the open decorations, outermost first
+    while True:
+        tok = tok or cur.next("a label")
+        if not is_name_token(tok.text):
+            raise ParseError(f"expected a label, found {tok.text!r}", tok.line, tok.col)
+        if tok.text not in ("cv", "ct") or cur.peek_text() != "(":
+            break
+        cur.next()
+        marks.append(tok.text)
+        tok = None
+    label = Action(name=tok.text)
+    for mark in reversed(marks):
+        cur.expect(")")
+        label = Action(mark=mark, base=label)
+    return label
 
 
 def reference_parse_formula(text):
@@ -525,3 +581,35 @@ def test_system_reader_matches_the_reference_on_every_single_edit(text):
         for strict in (False, True):
             expected = _outcome(reference_parse_system_details, edited, strict)
             assert _outcome(parse_system_details, edited, strict) == expected, (repr(edited), strict)
+
+
+# The grammars' characters, name characters, reserved names, blanks, a
+# newline and a character neither scanner accepts.
+GRAMMAR_PIECES = list("<>[]()&|+.!") + ["a", "c", "v", "t", "0", "w", "_", " ", "\t", "\r", "\n", "#"]
+
+
+def _single_edits(text):
+    edits = [text[:i] + text[i + 1:] for i in range(len(text))]
+    edits += [text[:i] + piece + text[i:] for i in range(len(text) + 1) for piece in GRAMMAR_PIECES]
+    return edits
+
+
+@pytest.mark.parametrize("text", [
+    "<cv(a)>tt &\n[ct(cv(b))](ff | <cv>tt)",
+    "[0]<w>(tt\n| [ct]ff) & <a_1>tt",
+])
+def test_formula_parser_matches_the_reference_on_every_single_edit(text):
+    for edited in _single_edits(text):
+        expected = _outcome(reference_parse_formula, edited)
+        assert _outcome(parse_formula, edited) == expected, repr(edited)
+
+
+@pytest.mark.parametrize("text", [
+    "cv(a).0 + ct(cv(b))!(w\n+ cv.0)",
+    "(ct!w +\n0) + a_1.(0 + w)",
+])
+@pytest.mark.parametrize("kind", ["mts", "lts"])
+def test_term_parser_matches_the_reference_on_every_single_edit(text, kind):
+    for edited in _single_edits(text):
+        expected = _outcome(reference_parse_term, edited, kind)
+        assert _outcome(parse_term, edited, kind) == expected, repr(edited)

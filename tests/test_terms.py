@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from modalsim.charform import encode_term
 from modalsim.sampling import lts_term_forms, mts_term_forms, random_term
 from modalsim.systems import action, cv, signature
+from modalsim.textio import parse_term
 from modalsim.terms import (
     MustPrefix,
     Omega,
@@ -129,7 +130,7 @@ def test_canonical_term_orders_summands_by_their_whole_text():
         t = _random_dag(rng, 9)
         assert canonical_term(t) is _tree_canonical(t), _tree_text(t)
     # w sorts before the label w, and a label before a longer one.
-    t = Sum(prefix("w", Zero()), Sum(Omega(), Sum(prefix("ab", Zero()), prefix("a", Zero()))))
+    t = Sum(Prefix(action("w"), Zero()), Sum(Omega(), Sum(prefix("ab", Zero()), prefix("a", Zero()))))
     assert term_text(canonical_term(t)) == "a.0 + ab.0 + w + w.0"
 
 
@@ -226,3 +227,22 @@ def test_random_lts_terms_expand_inside_their_signature(seed):
     expansion = expand_lts_term(t, sig)
     for _, lab, _ in expansion.transitions:
         assert lab in sig.actions
+
+
+@pytest.mark.parametrize("name", ["0", "w"])
+def test_terms_are_not_built_on_a_reserved_atom(name):
+    # ``0.0`` or ``w!0`` would print as text the term reader rejects.
+    assert term_text(Prefix(action(name), Zero())) == f"{name}.0"
+    builders = [
+        lambda: prefix(name, Zero()),
+        lambda: must_prefix(action(name), Zero()),
+        lambda: enumerate_mts_terms([name, "a"], 2),
+        # A call builds a prefix or only atoms and sums; some of these do.
+        lambda: [random_term(random.Random(seed), [(name, False)], 4) for seed in range(20)],
+    ]
+    for build in builders:
+        with pytest.raises(ValueError, match=f"'{name}' is a reserved atom"):
+            build()
+    # Decorated copies of the names print with their marks, and read back.
+    t = prefix(cv(name), Zero())
+    assert parse_term(term_text(t)) == t

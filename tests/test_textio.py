@@ -1,5 +1,10 @@
+import os
 import random
 import re
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -316,3 +321,73 @@ def test_plain_relation_lines_skip_the_tokenizer(monkeypatch):
             raw for raw in text.splitlines()
             if '"' in raw or not raw.startswith(("may:", "must:", "trans:", "states:"))
         ]
+
+
+def test_formulae_and_terms_are_positioned_only_on_error(monkeypatch):
+    scans = []
+    scan = textio._scan_tokens
+    monkeypatch.setattr(
+        textio, "_scan_tokens", lambda text, scanner: scans.append(text) or scan(text, scanner)
+    )
+    for text in ["<cv(a)>tt &\n[ct(b)](ff | <cv>tt)", "(tt)", "[0][w]ff"]:
+        parse_formula(text)
+    for text in ["cv(a).0 + ct(cv(b))!(w\n+ cv.0)", "(0)", "w"]:
+        parse_term(text)
+    assert scans == []
+    for parse, text, line, col in [
+        (parse_formula, "<a>tt &\n (ff | )", 2, 8),
+        (parse_formula, "<a>tt & ~", 1, 9),
+        (parse_term, "a.0 +\n0.w", 2, 1),
+        (parse_term, "a.(0", 1, 5),
+    ]:
+        scans.clear()
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        assert (info.value.line, info.value.col) == (line, col)
+        assert scans == [text]
+
+
+def test_deep_formula_parses_in_bounded_memory():
+    # Token strings instead of positioned tokens: at this depth the
+    # positioned reader peaked at about 12 MB, this one at about 5 MB.
+    text = "<a>" * 20_000 + "tt"
+    tracemalloc.start()
+    try:
+        phi = parse_formula(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert isinstance(phi, Diamond)
+    assert peak < 7_500_000, peak
+
+
+# Prints the modules that call into ``re`` to compile a pattern, this script
+# included, while ``modalsim.cli`` is imported.
+COMPILES_AT_IMPORT = """
+import re, sys
+_compile = re._compile
+callers = []
+def recording(*args, **kwargs):
+    frame = sys._getframe(1)
+    while frame.f_globals.get("__name__", "").split(".")[0] == "re":
+        frame = frame.f_back
+    callers.append(frame.f_globals.get("__name__"))
+    return _compile(*args, **kwargs)
+re._compile = recording
+re.compile("probe")
+import modalsim.cli
+print(" ".join(sorted(set(callers))))
+"""
+
+
+def test_importing_compiles_no_textio_pattern():
+    # Patterns stay strings compiled on first use, so a reader's patterns
+    # cost nothing to a call that does not read that grammar.
+    env = dict(os.environ, PYTHONPATH=str(Path(textio.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", COMPILES_AT_IMPORT], capture_output=True, text=True, env=env
+    )
+    assert done.returncode == 0, done.stderr
+    callers = done.stdout.split()
+    assert "__main__" in callers  # the recording sees the probe
+    assert "modalsim.textio" not in callers
