@@ -17,21 +17,22 @@ Four preorder kinds are supported:
 
 :func:`greatest` returns the greatest relation of a kind; :func:`decide`
 answers one pair, with a distinguishing formula when it is unrelated, from
-a local solver and the engine run near the pair, or from one fixpoint over
-the product when the whole relation is asked for too.
+a local solver and the engine run near the pair, or from the whole relation
+when that is asked for too.
 
-All four run through one engine, a support-counter worklist over interned
-states and labels (after Henzinger, Henzinger and Kopke, FOCS 1995, and
-Bloom and Paige, SCP 1995).  For the leftward clause it counts, per
-``(p2, a, q)``, the ``a``-answers ``q2`` of ``q`` with ``(p2, q2)`` still
-related; for the rightward clause, per ``(p, a, q2)``, the ``a``-answers
-``p2`` of ``p`` likewise.  Pairs with an unanswerable step fall in round 1;
-a removal in round ``k`` that empties a counter removes the pairs it
-supported in round ``k + 1``.  So a pair's rank is the round in which
-removing, together, all pairs that violate the relation at the start of the
-round removes it, every pair its violation cites has a smaller rank, and
-the cost is the product plus the matched transitions, not rounds times the
-product.
+All four run through one engine over interned states and labels.  Each
+round removes, together, every pair that violates the relation at the start
+of the round, so a pair's rank is the round that removes it and every pair
+its violation cites has a smaller rank.  The whole relation is solved as bit
+rows, one int per left state over the right states, with the removal sets
+of Henzinger, Henzinger and Kopke (FOCS 1995) as bit operations (Ranzato
+and Tapparo, LICS 2007, give the partition-relation form).  Round 1 is a
+label-mask test per row; a later round tests only the pairs that the
+removals of the round before can break, and the rounds' removals are kept
+as a log, from which :func:`fixpoint_rounds` and the ranks of a witness are
+read.  Near one pair the engine is a local solver for the verdict and a
+support-counter worklist (after Bloom and Paige, SCP 1995) for the ranks of
+a witness, run on a ball of pairs around it.
 :func:`oracle_greatest` recomputes the relation by brute force (enumerating
 every subset of the product) and exists purely so the fixpoint can be
 tested against an independent path; it is capped at products of 12 pairs.
@@ -42,7 +43,10 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Optional, Union
+from functools import reduce
+from itertools import compress
+from operator import or_
+from typing import Iterable, Optional, Sequence, Union
 
 from .formulas import Box, Diamond, Formula, conj, disj
 from .systems import (
@@ -197,6 +201,52 @@ def _masks(index: Index) -> list[int]:
     return [sum(1 << a for a in row) for row in index]
 
 
+_BITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _members(row: int, items: Sequence) -> Iterable:
+    """The items at the set bits of ``row``, in ascending bit order."""
+    # Peeling off the lowest bit takes a few interpreted steps per set bit;
+    # the binary text is scanned in C, one step per bit of the row.
+    if row.bit_count() * 8 < len(items):
+        found = []
+        while row:
+            low = row & -row
+            found.append(items[low.bit_length() - 1])
+            row ^= low
+        return found
+    return compress(items, bin(row)[:1:-1].encode().translate(_BITS))
+
+
+def _image(bits: int, into: list[int]) -> int:
+    """The union of ``into[i]`` over the set bits ``i`` of ``bits``."""
+    if bits.bit_count() > 8:
+        return reduce(or_, _members(bits, into), 0)
+    image = 0
+    while bits:
+        low = bits & -bits
+        image |= into[low.bit_length() - 1]
+        bits ^= low
+    return image
+
+
+Log = list[dict[int, int]]
+
+
+class _LogRanks(dict):
+    """Pair number -> the round of a removal log that removed it, 0 if none."""
+
+    def __init__(self, log: Log, m: int):
+        super().__init__()
+        self.log, self.m = log, m
+
+    def __missing__(self, pair: int) -> int:
+        p, q = divmod(pair, self.m)
+        removed_in = (k for k, removed in enumerate(self.log, 1) if removed.get(p, 0) >> q & 1)
+        rank = self[pair] = next(removed_in, 0)
+        return rank
+
+
 class _Game:
     """One preorder check.
 
@@ -204,9 +254,10 @@ class _Game:
     :func:`sorted_actions` order, so ascending numbers are the printed order
     and the hot loop never hashes an :class:`Action`.  The pair ``(p, q)``
     is the number ``p * len(right) + q``.  :meth:`holds` answers one pair
-    from the successor indexes alone; :meth:`_solve` ranks pairs by the
-    support-counter worklist, and ``rank[pair]`` is then the round in which
-    the pair leaves the relation (0 if it never does).
+    from the successor indexes alone.  :meth:`solve_around` ranks the pairs
+    near one pair by the support-counter worklist, and :meth:`rank_from`
+    reads the ranks off a removal log; ``rank[pair]`` is then the round in
+    which the pair leaves the relation (0 if it never does).
     """
 
     def __init__(self, left_states: Iterable[str], right_states: Iterable[str], clauses: Clauses):
@@ -281,10 +332,10 @@ class _Game:
                     moves += resting[owner]
         return root not in fallen
 
-    def _solve(self, ball: Optional[Iterable[int]] = None) -> None:
-        """Rank every pair by the support-counter worklist or, given
-        ``ball``, let only the pairs in it fall; counters still start at the
-        full answer count.  A counter is created at its first decrement."""
+    def _solve(self, ball: set[int]) -> None:
+        """Rank the pairs by the support-counter worklist, letting only the
+        pairs in ``ball`` fall; counters still start at the full answer
+        count.  A counter is created at its first decrement."""
         m, labels = len(self.right), len(self.labels)
         if self.predecessors is None:
             # Built at the first solve and kept for the later ones of solve_around.
@@ -292,12 +343,8 @@ class _Game:
             self.predecessors = list(map(_reverse, indexes))
         p_steps_pred, q_answers_pred, q_steps_pred, p_answers_pred = self.predecessors
         p_step_masks, q_answer_masks, q_step_masks, p_answer_masks = self.masks
-        if ball is None:
-            rank = [0] * (len(self.left) * m)
-            ball = range(len(rank))
-        else:
-            # A pair outside the ball never leaves.
-            rank = defaultdict(lambda: math.inf, dict.fromkeys(ball, 0))
+        # A pair outside the ball never leaves.
+        rank = defaultdict(lambda: math.inf, dict.fromkeys(ball, 0))
         frontier = []
         for pair in ball:
             p, q = divmod(pair, m)
@@ -366,6 +413,11 @@ class _Game:
                 return
             radius *= 2
 
+    def rank_from(self, log: Log) -> None:
+        """Rank the pairs by the removal log of :func:`_fixpoint`, each when
+        it is first asked for."""
+        self.rank = _LogRanks(log, len(self.right))
+
     def _violation(self, pair: int) -> tuple[int, int, list[int]]:
         """(label, clause, cited pairs) of the first violation, in label,
         clause and name order, of a removed pair against the relation at the
@@ -408,14 +460,93 @@ class _Game:
 
 def _fixpoint(
     left_states: frozenset[str], right_states: frozenset[str], clauses: Clauses
-) -> tuple[frozenset[Pair], _Game]:
+) -> tuple[frozenset[Pair], Log]:
     """The greatest relation satisfying ``clauses`` (see :func:`_prepare`)
-    and the solved game, which holds the rank of every pair."""
-    game = _Game(left_states, right_states, clauses)
-    game._solve()
-    m = len(game.right)
-    related = frozenset((game.left[i // m], game.right[i % m]) for i, r in enumerate(game.rank) if not r)
-    return related, game
+    and its removal log: per round, the right states removed from each left
+    state's row, as bits, states numbered in name order."""
+    left, right = sorted(left_states), sorted(right_states)
+    left_id = {s: i for i, s in enumerate(left)}
+    right_id = {s: i for i, s in enumerate(right)}
+    m = len(right)
+    p_steps, q_answers, q_steps, p_answers = clauses
+    # Round 1 removes the pairs with a move that has no answer on its label:
+    # per label, the right states with an answer and those with a step.
+    has_answer, has_step = defaultdict(int), defaultdict(int)
+    for src, a, _ in q_answers:
+        has_answer[a] |= 1 << right_id[src]
+    for src, a, _ in q_steps:
+        has_step[a] |= 1 << right_id[src]
+    full = (1 << m) - 1
+    rows = [full] * len(left)
+    for src, a, _ in p_steps:
+        rows[left_id[src]] &= has_answer[a]
+    # Per left state and label that a right state steps on, its answers.
+    targets = [{} for _ in left]
+    for src, a, dst in p_answers:
+        if a in has_step:
+            targets[left_id[src]].setdefault(a, []).append(left_id[dst])
+    for p, answered in enumerate(targets):
+        for a, bits in has_step.items():
+            if a not in answered:
+                rows[p] &= ~bits
+    gone = {p: full & ~row for p, row in enumerate(rows) if row != full}
+    # Indexes of the later rounds.  Leftward: per p2 and label, the left
+    # states stepping to it; per label, each right state's answers and the
+    # right states answering into each.  Rightward: per p2, the (p, label)
+    # whose answers include it; per label, the right states stepping into
+    # each right state.
+    stepped, users = defaultdict(dict), defaultdict(list)
+    if gone:
+        for src, a, dst in p_steps:
+            stepped[left_id[dst]].setdefault(a, []).append(left_id[src])
+        answers, answering = defaultdict(lambda: [0] * m), defaultdict(lambda: [0] * m)
+        if stepped:
+            for src, a, dst in q_answers:
+                q, q2 = right_id[src], right_id[dst]
+                answers[a][q] |= 1 << q2
+                answering[a][q2] |= 1 << q
+        for p, answered in enumerate(targets):
+            for a, p2s in answered.items():
+                for p2 in p2s:
+                    users[p2].append((p, a))
+        stepping = defaultdict(lambda: [0] * m)
+        if users:
+            for src, a, dst in q_steps:
+                stepping[a][right_id[dst]] |= 1 << right_id[src]
+    # Round k + 1 tests only the pairs that the removals ``gone`` of round k
+    # can break, and applies its own removals together.
+    log = []
+    while gone:
+        log.append(gone)
+        fall = defaultdict(int)
+        # (p, q) with a step of p to p2 on a falls when q's a-answers have
+        # all left p2's row; one of them left it in round k.
+        for p2, lost in gone.items():
+            row2 = rows[p2]
+            for a, movers in stepped.get(p2, {}).items():
+                pre, found = _image(lost, answering[a]), answers[a]
+                for p in movers:
+                    rest = pre & rows[p]
+                    while rest:
+                        low = rest & -rest
+                        if not found[low.bit_length() - 1] & row2:
+                            fall[p] |= low
+                        rest ^= low
+        # (p, q) falls when q steps on a to a right state that has just left
+        # the union of the rows of p's a-answers.
+        for p, a in {use for p2 in gone for use in users.get(p2, ())}:
+            union = lost = 0
+            for p2 in targets[p][a]:
+                union |= rows[p2]
+                lost |= gone.get(p2, 0)
+            hit = _image(lost & ~union, stepping[a]) & rows[p]
+            if hit:
+                fall[p] |= hit
+        for p, bits in fall.items():
+            rows[p] &= ~bits
+        gone = fall
+    related = frozenset((left[p], q) for p, row in enumerate(rows) for q in _members(row, right))
+    return related, log
 
 
 def greatest(
@@ -428,8 +559,7 @@ def greatest(
     Refinement needs two MTSs over one action set, cc-simulation two LTSs
     over one signature, and partial bisimulation and simulation two LTSs
     over one alphabet (their signature classes are ignored)."""
-    rel, _ = _fixpoint(p_sys.states, q_sys.states, _prepare(kind, p_sys, q_sys))
-    return Relation(rel)
+    return Relation(_fixpoint(p_sys.states, q_sys.states, _prepare(kind, p_sys, q_sys))[0])
 
 
 def fixpoint_rounds(
@@ -440,11 +570,12 @@ def fixpoint_rounds(
     """The relation at the start of each removal round, starting at the full
     product and ending at the greatest relation; mainly for inspection and
     property tests."""
-    _, game = _fixpoint(p_sys.states, q_sys.states, _prepare(kind, p_sys, q_sys))
-    pairs = [(p, q) for p in game.left for q in game.right]
-    chain = [frozenset(pairs)]
-    for k in range(1, max(game.rank, default=0) + 1):
-        chain.append(chain[-1].difference(pair for pair, r in zip(pairs, game.rank) if r == k))
+    _, log = _fixpoint(p_sys.states, q_sys.states, _prepare(kind, p_sys, q_sys))
+    left, right = sorted(p_sys.states), sorted(q_sys.states)
+    chain = [frozenset((p, q) for p in left for q in right)]
+    for removed in log:
+        chain.append(chain[-1].difference(
+            (left[p], q) for p, row in removed.items() for q in _members(row, right)))
     return chain
 
 
@@ -572,10 +703,11 @@ def decide(
     whole: bool = False,
 ) -> tuple[bool, Optional[Relation], Optional[Formula]]:
     """Whether ``kind`` relates ``p`` to ``q``; the greatest relation of
-    ``kind`` if ``whole``, from the same fixpoint, else ``None``; and for an
-    unrelated pair, when ``kind`` is :class:`Refinement` or :class:`CCSim`,
-    its distinguishing formula.  Without ``whole`` nothing is built at the
-    size of the state product."""
+    ``kind`` if ``whole``, else ``None``; and for an unrelated pair, when
+    ``kind`` is :class:`Refinement` or :class:`CCSim`, its distinguishing
+    formula.  With ``whole``, the verdict is read off the bit rows of the
+    whole relation and the witness off their removal log; without it, nothing
+    is built at the size of the state product."""
     clauses = _prepare(kind, p_sys, q_sys)
     if p not in p_sys.states:
         raise ValueError(f"{p!r} is not a state of the left system")
@@ -583,14 +715,17 @@ def decide(
         raise ValueError(f"{q!r} is not a state of the right system")
     relation = None
     if whole:
-        rel, game = _fixpoint(p_sys.states, q_sys.states, clauses)
+        rel, log = _fixpoint(p_sys.states, q_sys.states, clauses)
         relation, related = Relation(rel), (p, q) in rel
     else:
         game = _Game(p_sys.states, q_sys.states, clauses)
         related = game.holds(p, q)
     witness = None
     if not related and isinstance(kind, (Refinement, CCSim)):
-        if not whole:
+        if whole:
+            game = _Game(p_sys.states, q_sys.states, clauses)
+            game.rank_from(log)
+        else:
             game.solve_around(p, q)
         witness = game.formula(p, q)
     return related, relation, witness

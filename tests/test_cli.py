@@ -11,11 +11,13 @@ import pytest
 from modalsim.charform import characteristic_formula, encode_term
 from modalsim.cli import main
 from modalsim.formulas import formula_text, mc_mts
+from modalsim.preorders import fixpoint_rounds
 from modalsim.selfcheck import property_ids
 from modalsim.systems import PointedMTS, action
 from modalsim.terms import term_text
 from modalsim.textio import parse_formula, parse_system, parse_term, print_system
 from modalsim.translate import decorate_by_class, lts_of_mts, mts_of_lts
+from test_fixpoint_reference import CASES
 
 UNIVERSAL = "mts universal\nactions: a\nstates: u\ninit: u\nmay: u a u\n"
 DEMANDING = "mts demanding\nactions: a\nstates: m\ninit: m\nmay: m a m\nmust: m a m\n"
@@ -383,6 +385,26 @@ def _large_mts(n, seed):
     may = {(f"s{i}", rng.choice(labels), f"s{rng.randrange(n)}") for i in range(n) for _ in range(3)}
     must = {t for t in sorted(may, key=str) if rng.random() < 0.5}
     return PointedMTS(frozenset(f"s{i}" for i in range(n)), frozenset(labels), frozenset(may), frozenset(must), "s0")
+
+
+def test_check_json_subprocess_is_deterministic(files):
+    _, kind, (p_sys, q_sys) = next(c for c in CASES if c[0] == "sparse1-refine")
+    rounds = fixpoint_rounds(kind, p_sys, q_sys)
+    p, q = min(rounds[-2] - rounds[-1])  # a pair of the last round, with the deepest witness
+    left, right = files("l.mts", print_system(p_sys)), files("r.mts", print_system(q_sys))
+    cmd = [sys.executable, "-m", "modalsim", "check", "refine", left, right, "--format", "json",
+           "--left-state", p, "--right-state", q]
+    # Labels hash by identity, and the whole-relation solver keys dicts and
+    # sets by them; neither the relation nor the witness may follow that order.
+    one, two = (
+        subprocess.run(cmd, capture_output=True, text=True, env={**os.environ, "PYTHONHASHSEED": seed})
+        for seed in ("0", "1")
+    )
+    assert one.returncode == two.returncode == 1, one.stderr
+    assert one.stdout == two.stdout
+    payload = json.loads(one.stdout)
+    assert payload["relation"] == sorted(map(list, rounds[-1]))
+    assert payload["distinguishing_formula"].count("<") + payload["distinguishing_formula"].count("[") >= len(rounds) - 1
 
 
 def _traced_main(argv):

@@ -1,5 +1,5 @@
 """The round-by-round removal loop, kept as a test-only reference for the
-counter worklist in :mod:`modalsim.preorders`.
+bit-row solver and the rooted counter game in :mod:`modalsim.preorders`.
 
 Each round of the loop evaluates every pair still in the relation against
 the relation at the start of the round and removes the violators together,
@@ -8,10 +8,12 @@ greatest relation, the chain of relations round by round and, for refinement
 and cc-simulation, the distinguishing formula text byte for byte, where both
 drop a repeated operand of ``&`` and ``|``.  The cases here go far beyond
 the brute-force oracle's 12-pair cap: chains up to 30 steps, width-2 ladders
-up to 12 levels and random 40-state sparse pairs.
+up to 12 levels, random 40-state sparse pairs and 80-state ones, whose bit
+rows span two machine words.
 """
 
 import random
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -22,6 +24,7 @@ from modalsim.preorders import (
     PartialBisim,
     Refinement,
     Simulation,
+    decide,
     distinguishing_formula,
     fixpoint_rounds,
     greatest,
@@ -213,9 +216,9 @@ def _perturbed(rng, steps, names, labels):
     return [fresh[s] for s in names], {(fresh[s], a, fresh[d]) for s, a, d in kept}
 
 
-def _sparse_cases(n=40):
+def _sparse_cases(n=40, seeds=(1, 2, 3), tag="sparse"):
     labels = ["a", "b", "c"]
-    for seed in (1, 2, 3):
+    for seed in seeds:
         rng = random.Random(seed)
         names = _names(rng, n)
         may = _sparse_steps(rng, names, labels, 2)
@@ -225,22 +228,41 @@ def _sparse_cases(n=40):
         left_must = {(rename[s], a, rename[d]) for s, a, d in sorted(must) if rng.random() < 0.8}
         left = mts(left_names, labels, left_may | left_must, left_must, left_names[0])
         right = mts(names, labels, may, must, names[0])
-        yield f"sparse{seed}-refine", Refinement(), (left, right)
+        yield f"{tag}{seed}-refine", Refinement(), (left, right)
         trans = _sparse_steps(rng, names, labels, 2)
         left_names, left_trans = _perturbed(rng, trans, names, labels)
         sig = signature(cov=["a"], con=["b"], bi=["c"])
         left, right = lts(left_names, sig, left_trans, left_names[0]), lts(names, sig, trans, names[0])
         for kind in (CCSim(), PartialBisim(frozenset({action("b")})), Simulation()):
-            yield f"sparse{seed}-{type(kind).__name__}", kind, (left, right)
+            yield f"{tag}{seed}-{type(kind).__name__}", kind, (left, right)
+
+
+def planted_refinement(n, seed):
+    """A sparse MTS of ``n`` states and, left of it, a looser copy under
+    fresh names, with extra may steps and some must steps dropped, so that
+    refinement relates their initial states."""
+    rng = random.Random(seed)
+    labels = ["a", "b", "c"]
+    names = _names(rng, n)
+    may = _sparse_steps(rng, names, labels, 3)
+    must = {t for t in sorted(may) if rng.random() < 0.5}
+    left_may = may | {(rng.choice(names), rng.choice(labels), rng.choice(names)) for _ in range(n // 4)}
+    left_must = {t for t in sorted(must) if rng.random() < 0.8}
+    fresh = dict(zip(names, _names(rng, n)))
+    left_names = [fresh[s] for s in names]
+    left_may, left_must = ({(fresh[s], a, fresh[d]) for s, a, d in steps} for steps in (left_may, left_must))
+    return mts(left_names, labels, left_may, left_must, left_names[0]), mts(names, labels, may, must, names[0])
 
 
 CASES = list(_line_cases()) + list(_sparse_cases())
+# Right systems of more than 64 states, so each bit row spans several words.
+WIDE_CASES = list(_sparse_cases(n=80, seeds=(4,), tag="wide"))
 
 
 # ---------------------------------------------------------------- tests
 
 
-@pytest.mark.parametrize("name,kind,systems", CASES, ids=[c[0] for c in CASES])
+@pytest.mark.parametrize("name,kind,systems", CASES + WIDE_CASES, ids=[c[0] for c in CASES + WIDE_CASES])
 def test_engine_reproduces_the_removal_loop(name, kind, systems):
     p_sys, q_sys = systems
     find, q_answers, p_answers = reference_finder(kind, p_sys, q_sys)
@@ -263,6 +285,14 @@ def test_engine_reproduces_the_removal_loop(name, kind, systems):
     for p, q in picks:
         expected = formula_text(reference_formula(records, q_answers, p_answers, (p, q)))
         assert formula_text(distinguishing_formula(kind, p_sys, p, q_sys, q)) == expected
+        # The whole path reads the witness's ranks off the removal log.
+        assert formula_text(decide(kind, p_sys, p, q_sys, q, whole=True)[2]) == expected
+
+
+def test_wide_cases_span_several_words_and_deep_fixpoints():
+    assert all(len(q_sys.states) >= 70 for _, _, (_, q_sys) in WIDE_CASES)
+    depth = {name: len(fixpoint_rounds(kind, *systems)) - 1 for name, kind, systems in WIDE_CASES}
+    assert all(d >= 2 for d in depth.values()), depth
 
 
 def test_cases_reach_deep_fixpoints_beyond_the_oracle_cap():
@@ -296,3 +326,18 @@ def test_ladder_witness_prints_in_linear_size(kind, cls, chain_left):
     holds = mc_mts if isinstance(kind, Refinement) else mc_cc
     assert holds(p_sys, p_sys.init, phi)
     assert not holds(q_sys, q_sys.init, phi)
+
+
+def test_whole_relation_without_a_table_the_size_of_the_product():
+    left, right = planted_refinement(150, seed=7)
+    tracemalloc.start()
+    try:
+        related, relation, witness = decide(Refinement(), left, left.init, right, right.init, whole=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert related and witness is None
+    assert (left.init, right.init) in relation and len(relation.pairs) >= 150
+    # A rank and support counters per pair of the 22,500-pair product take
+    # about 4.3 MB; the bit rows and their removal log about 0.2 MB.
+    assert peak < 2**20, peak

@@ -216,6 +216,43 @@ def test_parse_label_structure():
         parse_label("(a)")
 
 
+def _label_text(rng):
+    name = rng.choice(["a", "b7", "x_y", "cv", "ct", "tt", "0", "_", "A9"])
+    marks = [rng.choice(["cv", "ct"]) for _ in range(rng.randrange(5))]
+    return "".join(f"{mark}(" for mark in marks) + name + ")" * len(marks)
+
+
+def _label_of_formula(text):
+    phi = parse_formula(f"<{text}>tt")
+    assert type(phi) is Diamond and phi.body is Top()
+    return phi.action
+
+
+def _read_or_none(read, text):
+    try:
+        return read(text)
+    except ParseError:
+        return None
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_label_readers_agree(seed):
+    # System files and formulae read labels with two readers of one grammar.
+    rng = random.Random(seed)
+    for _ in range(400):
+        text = _label_text(rng)
+        assert _label_of_formula(text) is parse_label(text), text
+        i = rng.randrange(len(text) + 1)
+        if rng.random() < 0.5 and i < len(text):
+            edited = text[:i] + text[i + 1 :]
+        else:
+            edited = text[:i] + rng.choice("()a_0-!.") + text[i:]
+        assert _read_or_none(_label_of_formula, edited) is _read_or_none(parse_label, edited), edited
+    for text in ("", "(", ")", "cv(", "cv()", "cv(a", "a)", "(a)", "cv(a))", "cv((a))", "a-b", "cv(ct(b)"):
+        assert _read_or_none(parse_label, text) is None, text
+        assert _read_or_none(_label_of_formula, text) is None, text
+
+
 def test_formula_parsing_and_precedence():
     assert parse_formula("tt & ff | tt") == Or(And(Top(), Bottom()), Top())
     assert parse_formula("tt | ff & tt") == Or(Top(), And(Bottom(), Top()))
