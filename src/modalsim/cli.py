@@ -10,7 +10,7 @@ Subcommands:
 
 Exit codes follow the usual convention: 0 when the query holds (related,
 formula true, all checks pass), 1 when it does not, 2 on errors such as
-unreadable files, parse failures or ill-formed queries.
+unreadable files, parse failures or ill-formed queries, and on any crash.
 """
 
 from __future__ import annotations
@@ -384,6 +384,16 @@ def main(argv: Optional[list[str]] = None) -> int:
     except RecursionError:
         # Exit 1 would read as "does not hold".
         print("error: input nested too deeply", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 2
+    except Exception:
+        # A crash is a fault of the tool, never a verdict.  Imported here, so
+        # that only a crash pays for the import.
+        import traceback
+
+        traceback.print_exc()
         return 2
 
 

@@ -28,11 +28,11 @@ rows, one int per left state over the right states, with the removal sets
 of Henzinger, Henzinger and Kopke (FOCS 1995) as bit operations (Ranzato
 and Tapparo, LICS 2007, give the partition-relation form).  Round 1 is a
 label-mask test per row; a later round tests only the pairs that the
-removals of the round before can break, and the rounds' removals are kept
-as a log, from which :func:`fixpoint_rounds` and the ranks of a witness are
-read.  Near one pair the engine is a local solver for the verdict and a
-support-counter worklist (after Bloom and Paige, SCP 1995) for the ranks of
-a witness, run on a ball of pairs around it.
+removals of the round before can break.  Near one pair the engine is a local
+solver for the verdict.  Ranks come from one place, a support-counter
+worklist (after Bloom and Paige, SCP 1995): a witness's ranks from running
+it on a ball of pairs around the unrelated pair, and :func:`fixpoint_rounds`
+from running it on the whole product.
 :func:`oracle_greatest` recomputes the relation by brute force (enumerating
 every subset of the product) and exists purely so the fixpoint can be
 tested against an independent path; it is capped at products of 12 pairs.
@@ -114,16 +114,22 @@ def compose_relations(r1: Relation, r2: Relation) -> Relation:
 
 
 def _check_mts_pair(p_sys: PointedMTS, q_sys: PointedMTS) -> None:
+    if not (isinstance(p_sys, PointedMTS) and isinstance(q_sys, PointedMTS)):
+        raise TypeError("refinement compares two MTSs")
     if p_sys.actions != q_sys.actions:
         raise ValueError("refinement needs both systems over the same action set")
 
 
 def _check_lts_pair(p_sys: PointedLTS, q_sys: PointedLTS) -> None:
+    if not (isinstance(p_sys, PointedLTS) and isinstance(q_sys, PointedLTS)):
+        raise TypeError("covariant-contravariant simulation compares two LTSs")
     if p_sys.signature != q_sys.signature:
         raise ValueError("covariant-contravariant simulation needs identical signatures")
 
 
 def _check_pb_pair(p_sys: PointedLTS, q_sys: PointedLTS, bset: frozenset[Action]) -> None:
+    if not (isinstance(p_sys, PointedLTS) and isinstance(q_sys, PointedLTS)):
+        raise TypeError("partial bisimulation and simulation compare two LTSs")
     if p_sys.signature.actions != q_sys.signature.actions:
         raise ValueError("partial bisimulation needs both systems over the same alphabet")
     stray = sorted_actions(bset - p_sys.signature.actions)
@@ -230,23 +236,6 @@ def _image(bits: int, into: list[int]) -> int:
     return image
 
 
-Log = list[dict[int, int]]
-
-
-class _LogRanks(dict):
-    """Pair number -> the round of a removal log that removed it, 0 if none."""
-
-    def __init__(self, log: Log, m: int):
-        super().__init__()
-        self.log, self.m = log, m
-
-    def __missing__(self, pair: int) -> int:
-        p, q = divmod(pair, self.m)
-        removed_in = (k for k, removed in enumerate(self.log, 1) if removed.get(p, 0) >> q & 1)
-        rank = self[pair] = next(removed_in, 0)
-        return rank
-
-
 class _Game:
     """One preorder check.
 
@@ -255,9 +244,8 @@ class _Game:
     and the hot loop never hashes an :class:`Action`.  The pair ``(p, q)``
     is the number ``p * len(right) + q``.  :meth:`holds` answers one pair
     from the successor indexes alone.  :meth:`solve_around` ranks the pairs
-    near one pair by the support-counter worklist, and :meth:`rank_from`
-    reads the ranks off a removal log; ``rank[pair]`` is then the round in
-    which the pair leaves the relation (0 if it never does).
+    near one pair by the support-counter worklist; ``rank[pair]`` is then
+    the round in which the pair leaves the relation (0 if it never does).
     """
 
     def __init__(self, left_states: Iterable[str], right_states: Iterable[str], clauses: Clauses):
@@ -413,11 +401,6 @@ class _Game:
                 return
             radius *= 2
 
-    def rank_from(self, log: Log) -> None:
-        """Rank the pairs by the removal log of :func:`_fixpoint`, each when
-        it is first asked for."""
-        self.rank = _LogRanks(log, len(self.right))
-
     def _violation(self, pair: int) -> tuple[int, int, list[int]]:
         """(label, clause, cited pairs) of the first violation, in label,
         clause and name order, of a removed pair against the relation at the
@@ -460,10 +443,9 @@ class _Game:
 
 def _fixpoint(
     left_states: frozenset[str], right_states: frozenset[str], clauses: Clauses
-) -> tuple[frozenset[Pair], Log]:
+) -> tuple[frozenset[Pair], int]:
     """The greatest relation satisfying ``clauses`` (see :func:`_prepare`)
-    and its removal log: per round, the right states removed from each left
-    state's row, as bits, states numbered in name order."""
+    and the number of rounds that removed pairs."""
     left, right = sorted(left_states), sorted(right_states)
     left_id = {s: i for i, s in enumerate(left)}
     right_id = {s: i for i, s in enumerate(right)}
@@ -515,9 +497,9 @@ def _fixpoint(
                 stepping[a][right_id[dst]] |= 1 << right_id[src]
     # Round k + 1 tests only the pairs that the removals ``gone`` of round k
     # can break, and applies its own removals together.
-    log = []
+    rounds = 0
     while gone:
-        log.append(gone)
+        rounds += 1
         fall = defaultdict(int)
         # (p, q) with a step of p to p2 on a falls when q's a-answers have
         # all left p2's row; one of them left it in round k.
@@ -546,7 +528,7 @@ def _fixpoint(
             rows[p] &= ~bits
         gone = fall
     related = frozenset((left[p], q) for p, row in enumerate(rows) for q in _members(row, right))
-    return related, log
+    return related, rounds
 
 
 def greatest(
@@ -568,15 +550,15 @@ def fixpoint_rounds(
     q_sys: Union[PointedMTS, PointedLTS],
 ) -> list[frozenset[Pair]]:
     """The relation at the start of each removal round, starting at the full
-    product and ending at the greatest relation; mainly for inspection and
+    product and ending at the greatest relation, read off the ranks of the
+    support-counter worklist run on every pair; mainly for inspection and
     property tests."""
-    _, log = _fixpoint(p_sys.states, q_sys.states, _prepare(kind, p_sys, q_sys))
-    left, right = sorted(p_sys.states), sorted(q_sys.states)
-    chain = [frozenset((p, q) for p in left for q in right)]
-    for removed in log:
-        chain.append(chain[-1].difference(
-            (left[p], q) for p, row in removed.items() for q in _members(row, right)))
-    return chain
+    game = _Game(p_sys.states, q_sys.states, _prepare(kind, p_sys, q_sys))
+    m = len(game.right)
+    game._solve(set(range(len(game.left) * m)))
+    rank = {(game.left[pair // m], game.right[pair % m]): k for pair, k in game.rank.items()}
+    return [frozenset(pair for pair, k in rank.items() if not 0 < k <= j)
+            for j in range(max(rank.values(), default=0) + 1)]
 
 
 def _oracle_obligations(
@@ -706,27 +688,25 @@ def decide(
     ``kind`` if ``whole``, else ``None``; and for an unrelated pair, when
     ``kind`` is :class:`Refinement` or :class:`CCSim`, its distinguishing
     formula.  With ``whole``, the verdict is read off the bit rows of the
-    whole relation and the witness off their removal log; without it, nothing
-    is built at the size of the state product."""
+    whole relation; without it, nothing is built at the size of the state
+    product.  Either way the witness comes from the game solved around the
+    pair."""
     clauses = _prepare(kind, p_sys, q_sys)
     if p not in p_sys.states:
         raise ValueError(f"{p!r} is not a state of the left system")
     if q not in q_sys.states:
         raise ValueError(f"{q!r} is not a state of the right system")
-    relation = None
+    relation = game = None
     if whole:
-        rel, log = _fixpoint(p_sys.states, q_sys.states, clauses)
-        relation, related = Relation(rel), (p, q) in rel
+        relation = Relation(_fixpoint(p_sys.states, q_sys.states, clauses)[0])
+        related = (p, q) in relation
     else:
         game = _Game(p_sys.states, q_sys.states, clauses)
         related = game.holds(p, q)
     witness = None
     if not related and isinstance(kind, (Refinement, CCSim)):
-        if whole:
-            game = _Game(p_sys.states, q_sys.states, clauses)
-            game.rank_from(log)
-        else:
-            game.solve_around(p, q)
+        game = game or _Game(p_sys.states, q_sys.states, clauses)
+        game.solve_around(p, q)
         witness = game.formula(p, q)
     return related, relation, witness
 

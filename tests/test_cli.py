@@ -258,14 +258,28 @@ def test_deep_formula_gets_its_verdict(files, capsys):
     assert (code, out, err) == (1, "false\n", "")
 
 
-def test_recursion_error_is_an_error_not_a_verdict(files, capsys, monkeypatch):
-    def too_deep(text):
-        raise RecursionError("maximum recursion depth exceeded")
+@pytest.mark.parametrize(
+    "crash,message",
+    [
+        (RecursionError("maximum recursion depth exceeded"), "error: input nested too deeply\n"),
+        (MemoryError(), "error: out of memory\n"),
+        (KeyError("lost"), None),
+    ],
+    ids=["recursion", "memory", "other"],
+)
+def test_a_crash_is_an_error_not_a_verdict(files, capsys, monkeypatch, crash, message):
+    # Exit 1 would read as "not related" or "false".
+    def crashing(text):
+        raise crash
 
-    monkeypatch.setattr("modalsim.cli.parse_formula", too_deep)
+    monkeypatch.setattr("modalsim.cli.parse_formula", crashing)
     path = files("v.mts", VENDING)
     code, out, err = run(capsys, "mc", path, "idle", "<coin>tt")
-    assert (code, out, err) == (2, "", "error: input nested too deeply\n")
+    assert (code, out) == (2, "")
+    if message is None:
+        assert err.startswith("Traceback (most recent call last):") and err.endswith("KeyError: 'lost'\n")
+    else:
+        assert err == message
 
 
 def _must_chain(n):

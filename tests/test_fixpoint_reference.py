@@ -285,7 +285,7 @@ def test_engine_reproduces_the_removal_loop(name, kind, systems):
     for p, q in picks:
         expected = formula_text(reference_formula(records, q_answers, p_answers, (p, q)))
         assert formula_text(distinguishing_formula(kind, p_sys, p, q_sys, q)) == expected
-        # The whole path reads the witness's ranks off the removal log.
+        # The whole path gets its witness from the game solved around the pair.
         assert formula_text(decide(kind, p_sys, p, q_sys, q, whole=True)[2]) == expected
 
 
@@ -339,5 +339,23 @@ def test_whole_relation_without_a_table_the_size_of_the_product():
     assert related and witness is None
     assert (left.init, right.init) in relation and len(relation.pairs) >= 150
     # A rank and support counters per pair of the 22,500-pair product take
-    # about 4.3 MB; the bit rows and their removal log about 0.2 MB.
+    # about 4.3 MB; the bit rows about 0.2 MB.
     assert peak < 2**20, peak
+
+
+def test_whole_relation_keeps_no_record_of_its_rounds():
+    # 151 rounds each remove one pair per row; kept as full-width removal
+    # bits they take about 1.1 MB, while the rows and the ball the witness
+    # is ranked on take about 0.5 MB.
+    rng = random.Random(151)
+    longer, shorter = _one_label_pair(Refinement(), _chain(rng, 151), _chain(rng, 150), "cov")
+    tracemalloc.start()
+    try:
+        related, relation, witness = decide(
+            Refinement(), longer, longer.init, shorter, shorter.init, whole=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not related and len(relation.pairs) == 151
+    assert formula_text(witness) == "<a>" * 151 + "tt"
+    assert peak < 0.8 * 2**20, peak

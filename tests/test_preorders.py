@@ -12,6 +12,7 @@ from modalsim.preorders import (
     Relation,
     Simulation,
     compose_relations,
+    decide,
     distinguishing_formula,
     fixpoint_rounds,
     greatest,
@@ -146,6 +147,36 @@ def test_mismatched_alphabets_are_rejected():
     right = lts(["t"], signature(con=["a"]), [], "t")
     with pytest.raises(ValueError):
         greatest(CCSim(), left, right)
+
+
+@pytest.mark.parametrize(
+    "kind,compared",
+    [
+        (Refinement(), "two MTSs"),
+        (CCSim(), "two LTSs"),
+        (PartialBisim(frozenset({A})), "two LTSs"),
+        (Simulation(), "two LTSs"),
+    ],
+    ids=["refine", "ccsim", "pbsim", "sim"],
+)
+def test_wrong_system_type_is_a_type_error(kind, compared):
+    systems = {
+        "two MTSs": mts(["s"], ["a"], [], [], "s"),
+        "two LTSs": lts(["s"], plain_signature(["a"]), [], "s"),
+    }
+    right = systems[compared]
+    wrong = next(system for name, system in systems.items() if name != compared)
+    for p_sys, q_sys in ((wrong, wrong), (wrong, right), (right, wrong)):
+        calls = [
+            lambda: greatest(kind, p_sys, q_sys),
+            lambda: decide(kind, p_sys, "s", q_sys, "s"),
+            lambda: decide(kind, p_sys, "s", q_sys, "s", whole=True),
+            lambda: oracle_greatest(kind, p_sys, q_sys),
+        ]
+        for call in calls:
+            with pytest.raises(TypeError, match=compared):
+                call()
+    assert greatest(kind, right, right).pairs == {("s", "s")}
 
 
 @settings(max_examples=40)
