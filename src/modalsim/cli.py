@@ -21,13 +21,13 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import Optional, Union
+from typing import Optional
 
 from .charform import characteristic_formula, encode_term
 from .formulas import formula_text, mc_cc, mc_mts
 from .preorders import CCSim, PartialBisim, PreorderKind, Refinement, Simulation, decide
 from .selfcheck import SelfCheckConfig, property_ids, run_selfcheck
-from .systems import Action, PointedLTS, PointedMTS, sorted_actions
+from .systems import Action, PointedLTS, PointedMTS, System, sorted_actions
 from .terms import term_labels, term_text
 from .textio import (
     ParseError,
@@ -50,9 +50,6 @@ from .translate import (
     mts_of_plain_lts,
     strip_decorations,
 )
-
-System = Union[PointedMTS, PointedLTS]
-
 
 class CliError(Exception):
     """A user-facing error that should terminate with exit code 2."""
@@ -77,12 +74,18 @@ def _load_system(path: str, strict: bool) -> System:
     return parsed.system
 
 
-def _parse_bisimset(text: str) -> frozenset[Action]:
+def _parse_labels(text: str) -> frozenset[Action]:
+    """The labels of a comma-separated list; an error is placed in ``text``."""
     labels = []
-    for chunk in text.split(","):
-        chunk = chunk.strip()
-        if chunk:
-            labels.append(parse_label(chunk))
+    start = 0
+    for piece in text.split(","):
+        label = piece.strip()
+        if label:
+            at = start + len(piece) - len(piece.lstrip())
+            before = text[:at]
+            line, col = before.count("\n") + 1, at - before.rfind("\n")
+            labels.append(parse_label(label, line, col))
+        start += len(piece) + 1
     return frozenset(labels)
 
 
@@ -107,7 +110,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         if args.kind == "ccsim":
             kind = CCSim()
         elif args.kind == "pbsim":
-            kind = PartialBisim(_parse_bisimset(args.bisimset))
+            kind = PartialBisim(_parse_labels(args.bisimset))
         else:
             kind = Simulation()
     left_state = left.init if args.left_state is None else args.left_state
@@ -162,7 +165,7 @@ def _cmd_translate(args: argparse.Namespace) -> int:
         elif args.op == "n":
             if not isinstance(system, PointedLTS):
                 raise CliError("n reads an lts file")
-            result = mts_of_plain_lts(system, _parse_bisimset(args.bisimset))
+            result = mts_of_plain_lts(system, _parse_labels(args.bisimset))
         elif args.op == "cinv":
             if not isinstance(system, PointedLTS):
                 raise CliError("cinv decodes an lts file")
@@ -221,12 +224,8 @@ def _cmd_charform(args: argparse.Namespace) -> int:
         term = parse_term(args.term, "mts")
     except ParseError as exc:
         raise CliError(f"term: {exc}") from exc
-    ambient = set(term_labels(term))
-    for chunk in args.actions.split(","):
-        chunk = chunk.strip()
-        if chunk:
-            ambient.add(parse_label(chunk))
-    result = characteristic_formula(term, frozenset(ambient))
+    ambient = term_labels(term) | _parse_labels(args.actions)
+    result = characteristic_formula(term, ambient)
     lines = [
         ("term", term_text(result.term)),
         ("actions", " ".join(str(a) for a in sorted_actions(result.actions))),

@@ -639,14 +639,8 @@ def oracle_greatest(
     is the greatest one.  Only usable when the product has at most
     ``ORACLE_PRODUCT_CAP`` pairs.
     """
-    if isinstance(kind, Refinement):
-        _check_mts_pair(p_sys, q_sys)
-    elif isinstance(kind, CCSim):
-        _check_lts_pair(p_sys, q_sys)
-    elif isinstance(kind, (PartialBisim, Simulation)):
-        _check_pb_pair(p_sys, q_sys, kind.bset if isinstance(kind, PartialBisim) else frozenset())
-    else:
-        raise TypeError(f"unknown preorder kind: {kind!r}")
+    # Only for its checks: the oracle transcribes the clauses itself.
+    _prepare(kind, p_sys, q_sys)
     pairs = sorted((p, q) for p in p_sys.states for q in q_sys.states)
     n = len(pairs)
     if n > ORACLE_PRODUCT_CAP:

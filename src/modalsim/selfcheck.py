@@ -137,6 +137,7 @@ from .translate import (
 SCHEMA = "modalsim-selfcheck/1"
 
 _FAILURE_CAP = 3
+_SHRINK_BUDGET = 200
 
 
 @dataclass(frozen=True)
@@ -322,9 +323,10 @@ def _reductions(system):
     return _lts_reductions(system)
 
 
-def shrink_pair(p, q, still_fails: Callable[[object, object], bool], budget: int = 200):
+def shrink_pair(p, q, still_fails: Callable[[object, object], bool]):
     """Greedy minimisation of a failing pair: drop transitions, then states,
-    as long as the failure persists."""
+    as long as the failure persists, trying at most ``_SHRINK_BUDGET`` pairs."""
+    budget = _SHRINK_BUDGET
     while budget > 0:
         for candidate in [(rp, q) for rp in _reductions(p)] + [(p, rq) for rq in _reductions(q)]:
             budget -= 1
@@ -338,27 +340,27 @@ def shrink_pair(p, q, still_fails: Callable[[object, object], bool], budget: int
     return p, q
 
 
-def _product_bounded_sizes(rng: random.Random, cfg: SelfCheckConfig) -> tuple[int, int]:
-    left = rng.randint(1, min(cfg.max_states, ORACLE_PRODUCT_CAP))
-    right = max(1, min(cfg.max_states, ORACLE_PRODUCT_CAP // left))
-    return left, right
+# The state bounds of an oracle pair: the right one keeps the product of the
+# drawn system's size with it within ``ORACLE_PRODUCT_CAP``.
+def _left_bound(rng: random.Random, cfg: SelfCheckConfig) -> int:
+    return rng.randint(1, min(cfg.max_states, ORACLE_PRODUCT_CAP))
+
+
+def _right_bound(cfg: SelfCheckConfig, p) -> int:
+    return max(1, min(cfg.max_states, ORACLE_PRODUCT_CAP // len(p.states)))
 
 
 def _oracle_mts_pair(rng: random.Random, cfg: SelfCheckConfig):
     acts = random_alphabet(rng, cfg.max_labels)
-    left_bound, _ = _product_bounded_sizes(rng, cfg)
-    p = random_mts(rng, acts, left_bound, prefix="p")
-    right_bound = max(1, min(cfg.max_states, ORACLE_PRODUCT_CAP // len(p.states)))
-    q = random_mts(rng, acts, right_bound, prefix="q")
+    p = random_mts(rng, acts, _left_bound(rng, cfg), prefix="p")
+    q = random_mts(rng, acts, _right_bound(cfg, p), prefix="q")
     return p, q
 
 
 def _oracle_lts_pair(rng: random.Random, cfg: SelfCheckConfig, classes):
     sig = random_signature(rng, max_per_class=1, classes=classes)
-    left_bound, _ = _product_bounded_sizes(rng, cfg)
-    p = random_lts(rng, sig, left_bound, prefix="p")
-    right_bound = max(1, min(cfg.max_states, ORACLE_PRODUCT_CAP // len(p.states)))
-    q = random_lts(rng, sig, right_bound, prefix="q")
+    p = random_lts(rng, sig, _left_bound(rng, cfg), prefix="p")
+    q = random_lts(rng, sig, _right_bound(cfg, p), prefix="q")
     return p, q
 
 
@@ -471,10 +473,8 @@ def _prop_oracle_pbsim(cfg: SelfCheckConfig, rng: random.Random):
     for _ in range(cfg.cases):
         ran += 1
         acts = random_alphabet(rng, cfg.max_labels)
-        left_bound, _ = _product_bounded_sizes(rng, cfg)
-        p = random_plain_lts(rng, acts, left_bound, prefix="p")
-        right_bound = max(1, min(cfg.max_states, ORACLE_PRODUCT_CAP // len(p.states)))
-        q = random_plain_lts(rng, acts, right_bound, prefix="q")
+        p = random_plain_lts(rng, acts, _left_bound(rng, cfg), prefix="p")
+        q = random_plain_lts(rng, acts, _right_bound(cfg, p), prefix="q")
         kind = PartialBisim(_random_bset(rng, acts))
         _oracle_case(kind, p, q, failures, "partial bisimulation")
         if len(failures) >= _FAILURE_CAP:
@@ -489,10 +489,8 @@ def _prop_oracle_simulation(cfg: SelfCheckConfig, rng: random.Random):
     for _ in range(cfg.cases):
         ran += 1
         acts = random_alphabet(rng, cfg.max_labels)
-        left_bound, _ = _product_bounded_sizes(rng, cfg)
-        p = random_plain_lts(rng, acts, left_bound, prefix="p")
-        right_bound = max(1, min(cfg.max_states, ORACLE_PRODUCT_CAP // len(p.states)))
-        q = random_plain_lts(rng, acts, right_bound, prefix="q")
+        p = random_plain_lts(rng, acts, _left_bound(rng, cfg), prefix="p")
+        q = random_plain_lts(rng, acts, _right_bound(cfg, p), prefix="q")
         _oracle_case(Simulation(), p, q, failures, "simulation")
         if len(failures) >= _FAILURE_CAP:
             break
@@ -504,10 +502,8 @@ def _prop_pbsim_empty(cfg: SelfCheckConfig, rng: random.Random):
     failures: list[str] = []
     for _ in range(cfg.cases):
         acts = random_alphabet(rng, cfg.max_labels)
-        left_bound, _ = _product_bounded_sizes(rng, cfg)
-        p = random_plain_lts(rng, acts, left_bound, prefix="p")
-        right_bound = max(1, min(cfg.max_states, ORACLE_PRODUCT_CAP // len(p.states)))
-        q = random_plain_lts(rng, acts, right_bound, prefix="q")
+        p = random_plain_lts(rng, acts, _left_bound(rng, cfg), prefix="p")
+        q = random_plain_lts(rng, acts, _right_bound(cfg, p), prefix="q")
         empty = greatest(PartialBisim(frozenset()), p, q).pairs
         if empty != greatest(Simulation(), p, q).pairs:
             failures.append(f"empty-set partial bisimulation differs from simulation on\n{_show_pair(p, q)}")

@@ -15,7 +15,10 @@ signature classes ``cov:``, ``con:`` and ``bi:`` (a bare ``actions:`` line
 in an LTS file is sugar for ``cov:``) and ``may:``/``must:`` by ``trans:``.
 State names are single tokens; anything fancier must be double quoted, with
 backslash escaping the quote and itself.  Labels are never quoted; decorated
-labels are written structurally, ``cv(a)`` or ``ct(a)``.
+labels are written structurally, ``cv(a)`` or ``ct(a)``.  One reader reads
+labels in system files, formulae, terms and :func:`parse_label`, with the
+same messages everywhere; it allows blanks between a label's tokens, which
+a label in a system file cannot hold.
 
 A must transition without its may twin is repaired (the twin is added) with
 a warning; under ``strict=True`` it is an error instead.
@@ -131,40 +134,6 @@ def _tokenize_line(text: str, line: int) -> list[_Token]:
                 raise ParseError("dangling backslash inside quotes", line, stop + 1)
             raise ParseError(f"unknown escape \\{text[stop + 1]}", line, stop + 1)
     return out
-
-
-_NAME_PART = r"[A-Za-z0-9_]+"
-
-
-def parse_label(text: str, line: int = 1, col: int = 1) -> Action:
-    """Parse a label written structurally, such as ``a`` or ``cv(ct(b))``."""
-    label, end = _label_in_text(text, 0, line, col)
-    if end != len(text):
-        raise ParseError(
-            f"trailing characters after label: {text[end:]!r}", line, col + end
-        )
-    return label
-
-
-def _label_in_text(text: str, i: int, line: int, col: int) -> tuple[Action, int]:
-    name_part = re.compile(_NAME_PART).match
-    marks = []  # the open decorations, outermost first
-    while True:
-        m = name_part(text, i)
-        if not m:
-            found = repr(text[i]) if i < len(text) else "end of input"
-            raise ParseError(f"expected a label name, found {found}", line, col + i)
-        name, i = m.group(), m.end()
-        if name not in ("cv", "ct") or i >= len(text) or text[i] != "(":
-            break
-        marks.append(name)
-        i += 1
-    label = Action(name=name)
-    for mark in reversed(marks):
-        if i >= len(text) or text[i] != ")":
-            raise ParseError("expected ')' to close the label", line, col + i)
-        label, i = Action(mark=mark, base=label), i + 1
-    return label, i
 
 
 @dataclass(frozen=True)
@@ -514,6 +483,24 @@ _FORMULA_SCANNER = _scanner(_FORMULA_TOKEN)
 def parse_formula(text: str) -> Formula:
     """Parse a formula; syntax errors raise :class:`ParseError`."""
     return _read(text, _FORMULA_TOKEN, _FORMULA_SCANNER, _formula)
+
+
+def parse_label(text: str, line: int = 1, col: int = 1) -> Action:
+    """Parse a label written structurally, such as ``a`` or ``cv(ct(b))``,
+    as formulae and terms read it.  An error is placed as if ``text``
+    started at ``line`` and ``col``."""
+    try:
+        return _read(text, _FORMULA_TOKEN, _FORMULA_SCANNER, _whole_label)
+    except ParseError as exc:
+        shift = col - 1 if exc.line == 1 else 0
+        raise ParseError(exc.message, exc.line + line - 1, exc.col + shift) from None
+
+
+def _whole_label(tokens: list[str]) -> Action:
+    label, i = _label(tokens, 0, {})
+    if i < len(tokens):
+        raise _Unplaced(i, f"unexpected trailing input: {tokens[i]!r}")
+    return label
 
 
 def _formula(tokens: list[str]) -> Formula:

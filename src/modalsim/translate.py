@@ -72,8 +72,9 @@ class NotInEncodingRange(ValueError):
     """The input is not the image of the translation being inverted."""
 
 
-def fresh_sink_name(states: frozenset[str], base: str = "u") -> str:
-    name = base
+def fresh_sink_name(states: frozenset[str]) -> str:
+    """``u``, with as many ``_`` appended as keep it out of ``states``."""
+    name = "u"
     while name in states:
         name += "_"
     return name

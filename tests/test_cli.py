@@ -324,6 +324,23 @@ def test_charform_output(files, capsys):
     assert run(capsys, "charform", "a!")[0] == 2
 
 
+@pytest.mark.parametrize("labels, where, message", [
+    ("b,cv(", "line 1, col 6", "expected a label, found end of input"),
+    ("b, cv(a", "line 1, col 8", "expected ')', found end of input"),
+    (" a ,ct(b c)", "line 1, col 10", "expected ')', found 'c'"),
+    ("a,\n  x-y", "line 2, col 4", "unexpected character '-'"),
+])
+def test_label_list_errors_are_placed_in_the_argument(files, capsys, labels, where, message):
+    # --actions and both --bisimset options read their lists alike.
+    p = files("p.lts", "lts p\ncov: a b\nstates: p\ninit: p\ntrans: p a p\n")
+    for argv in (
+        ["charform", "a.0", "--actions", labels],
+        ["check", "pbsim", p, p, "--bisimset", labels],
+        ["translate", "n", p, "--bisimset", labels],
+    ):
+        assert run(capsys, *argv) == (2, "", f"error: {where}: {message}\n"), argv
+
+
 def test_selfcheck_list_and_subset(capsys):
     code, out, _ = run(capsys, "selfcheck", "--list")
     assert code == 0

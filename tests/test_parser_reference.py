@@ -556,7 +556,7 @@ def test_system_reader_matches_the_tokenizing_reference(seed):
     assert {
         ("parsed", "PointedMTS", False), ("parsed", "PointedMTS", True),
         ("parsed", "PointedLTS", False),
-        "unterminated", "labels", "expected", "directive", "undeclared", "must", "trailing",
+        "unterminated", "labels", "expected", "directive", "undeclared", "must", "unexpected",
     } <= seen, seen
 
 

@@ -179,6 +179,20 @@ def test_wrong_system_type_is_a_type_error(kind, compared):
     assert greatest(kind, right, right).pairs == {("s", "s")}
 
 
+def test_unknown_kind_is_a_type_error():
+    system = mts(["s"], ["a"], [], [], "s")
+    calls = [
+        lambda: greatest(object(), system, system),
+        lambda: decide(object(), system, "s", system, "s"),
+        lambda: decide(object(), system, "s", system, "s", whole=True),
+        lambda: fixpoint_rounds(object(), system, system),
+        lambda: oracle_greatest(object(), system, system),
+    ]
+    for call in calls:
+        with pytest.raises(TypeError, match="unknown preorder kind"):
+            call()
+
+
 @settings(max_examples=40)
 @given(st.integers(min_value=0, max_value=10**6))
 def test_fixpoint_matches_oracle_on_small_refinement_pairs(seed):

@@ -194,7 +194,7 @@ def test_scanner_positions():
     )
 
     # An unclosed decorated label, in each place a label is read.
-    unclosed = "expected ')' to close the label"
+    unclosed = "expected ')', found end of input"
     assert position(parse_label, "cv(a") == (1, 5, unclosed)
     assert position(parse_system, "mts m\nactions: cv(a\n") == (2, 14, unclosed)
     assert position(
@@ -208,12 +208,37 @@ def test_parse_label_structure():
     assert parse_label("a") == A
     assert parse_label("cv(a)") == cv(A)
     assert parse_label("cv(ct(b))") == cv(ct(B))
+    # Blanks between tokens are read as in formulae and terms.
+    assert parse_label(" cv( ct(b\n) ) ") == cv(ct(B))
     with pytest.raises(ParseError):
         parse_label("a b")
+    # Only an error on the text's first line has its column shifted.
+    assert position(parse_label, "cv(a ", 3, 7) == (3, 11, "expected ')', found end of input")
+    assert position(parse_label, "cv(\n a", 3, 7) == (4, 3, "expected ')', found end of input")
     with pytest.raises(ParseError):
         parse_label("cv(a")
     with pytest.raises(ParseError):
         parse_label("(a)")
+
+
+@pytest.mark.parametrize("text, col, message", [
+    ("cv(a", 5, "expected ')', found end of input"),
+    ("cv()", 4, "expected a label, found ')'"),
+    ("(a)", 1, "expected a label, found '('"),
+    ("a)", 2, "unexpected trailing input: ')'"),
+    ("cv(a))", 6, "unexpected trailing input: ')'"),
+    ("cv(ct(b)", 9, "expected ')', found end of input"),
+    ("a-b", 2, "unexpected character '-'"),
+])
+def test_malformed_label_reads_alike_everywhere(text, col, message):
+    # The column counts from the label's first character.
+    assert position(parse_label, text) == (1, col, message)
+    assert position(parse_label, text, 3, 7) == (3, col + 6, message)
+    actions = f"mts m\nactions: {text}\n"
+    assert position(parse_system, actions) == (2, col + 9, message)
+    may = f"mts m\nactions: a\nstates: s\ninit: s\nmay: s {text} s\n"
+    assert position(parse_system, may) == (5, col + 7, message)
+    assert position(parse_formula, f"<{text}>tt")[:2] == (1, col + 1)
 
 
 def _label_text(rng):
@@ -237,7 +262,8 @@ def _read_or_none(read, text):
 
 @pytest.mark.parametrize("seed", range(3))
 def test_label_readers_agree(seed):
-    # System files and formulae read labels with two readers of one grammar.
+    # One reader of the label grammar, with two entry points: parse_label,
+    # which system files use too, and the modalities of formulae.
     rng = random.Random(seed)
     for _ in range(400):
         text = _label_text(rng)
