@@ -22,6 +22,8 @@ The package covers two behavioural worlds and the bridges between them:
 - :mod:`modalsim.selfcheck`: a deterministic, seedable property suite.
 """
 
+from types import ModuleType as _ModuleType
+
 from .charform import (
     CharFormResult,
     characteristic_formula,
@@ -157,119 +159,10 @@ from .translate import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Action",
-    "And",
-    "BLLogic",
-    "Bottom",
-    "Box",
-    "CCLogic",
-    "CCSignature",
-    "CCSignatureMorphism",
-    "CCSim",
-    "CharFormResult",
-    "Diamond",
-    "Formula",
-    "LogicKind",
-    "MtsSignatureMorphism",
-    "MustPrefix",
-    "NotInEncodingRange",
-    "Omega",
-    "Or",
-    "ParseError",
-    "ParsedSystem",
-    "PartialBisim",
-    "PointedLTS",
-    "PointedMTS",
-    "Prefix",
-    "PreorderKind",
-    "PropertyReport",
-    "Refinement",
-    "Relation",
-    "SelfCheckConfig",
-    "SelfCheckReport",
-    "SignatureMorphism",
-    "Simulation",
-    "Sum",
-    "Term",
-    "Top",
-    "TranslationReport",
-    "Zero",
-    "action",
-    "actions",
-    "approximate_formula",
-    "canonical_term",
-    "cc_morphism",
-    "characteristic_formula",
-    "characteristic_formula_cc",
-    "check_morphism_condition",
-    "check_satisfaction_condition",
-    "check_wf",
-    "compose_morphisms",
-    "compose_relations",
-    "conj",
-    "ct",
-    "cv",
-    "decode_formula",
-    "decorate_by_class",
-    "disj",
-    "distinguishing_formula",
-    "eliminate_bivariant",
-    "embed_formula",
-    "embedding_report",
-    "encode_formula",
-    "encode_term",
-    "encoding_report",
-    "enumerate_lts_terms",
-    "enumerate_mts_terms",
-    "expand_lts_term",
-    "expand_mts_term",
-    "final_obstruction_pair",
-    "fixpoint_rounds",
-    "formula_text",
-    "greatest",
-    "identity_morphism",
-    "initial_obstruction_pair",
-    "is_existential",
-    "is_omega_equivalent",
-    "lts",
-    "lts_of_mts",
-    "mc_cc",
-    "mc_mts",
-    "modal_depth",
-    "morphism_signature_map",
-    "mts",
-    "mts_morphism",
-    "mts_of_encoded_lts",
-    "mts_of_lts",
-    "mts_of_plain_lts",
-    "must_prefix",
-    "oracle_greatest",
-    "parse_formula",
-    "parse_label",
-    "parse_system",
-    "parse_system_details",
-    "parse_term",
-    "plain_signature",
-    "prefix",
-    "print_system",
-    "property_ids",
-    "reduct",
-    "rename_actions",
-    "run_property",
-    "run_selfcheck",
-    "satisfying_states_cc",
-    "satisfying_states_mts",
-    "sen_map",
-    "signature",
-    "simplify",
-    "sorted_actions",
-    "strip_decorations",
-    "term_labels",
-    "term_text",
-    "universal_mts",
-    "universal_specification",
-    "validate_cc_lts",
-    "validate_mts",
-    "weakly_final_implementation",
-]
+# The import blocks above are the public API: every name they bind, apart
+# from the submodules that importing binds as attributes of the package.
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

@@ -74,8 +74,9 @@ def _load_system(path: str, strict: bool) -> System:
     return parsed.system
 
 
-def _parse_labels(text: str) -> frozenset[Action]:
-    """The labels of a comma-separated list; an error is placed in ``text``."""
+def _parse_labels(text: str, option: str) -> frozenset[Action]:
+    """The labels of a comma-separated list given as ``option``; an error
+    names the option and is placed in ``text``."""
     labels = []
     start = 0
     for piece in text.split(","):
@@ -84,7 +85,10 @@ def _parse_labels(text: str) -> frozenset[Action]:
             at = start + len(piece) - len(piece.lstrip())
             before = text[:at]
             line, col = before.count("\n") + 1, at - before.rfind("\n")
-            labels.append(parse_label(label, line, col))
+            try:
+                labels.append(parse_label(label, line, col))
+            except ParseError as exc:
+                raise CliError(f"{option}: {exc}") from exc
         start += len(piece) + 1
     return frozenset(labels)
 
@@ -110,7 +114,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         if args.kind == "ccsim":
             kind = CCSim()
         elif args.kind == "pbsim":
-            kind = PartialBisim(_parse_labels(args.bisimset))
+            kind = PartialBisim(_parse_labels(args.bisimset, "--bisimset"))
         else:
             kind = Simulation()
     left_state = left.init if args.left_state is None else args.left_state
@@ -165,7 +169,7 @@ def _cmd_translate(args: argparse.Namespace) -> int:
         elif args.op == "n":
             if not isinstance(system, PointedLTS):
                 raise CliError("n reads an lts file")
-            result = mts_of_plain_lts(system, _parse_labels(args.bisimset))
+            result = mts_of_plain_lts(system, _parse_labels(args.bisimset, "--bisimset"))
         elif args.op == "cinv":
             if not isinstance(system, PointedLTS):
                 raise CliError("cinv decodes an lts file")
@@ -224,7 +228,7 @@ def _cmd_charform(args: argparse.Namespace) -> int:
         term = parse_term(args.term, "mts")
     except ParseError as exc:
         raise CliError(f"term: {exc}") from exc
-    ambient = term_labels(term) | _parse_labels(args.actions)
+    ambient = term_labels(term) | _parse_labels(args.actions, "--actions")
     result = characteristic_formula(term, ambient)
     lines = [
         ("term", term_text(result.term)),
@@ -352,12 +356,19 @@ def _build_parser() -> argparse.ArgumentParser:
     selfcheck = sub.add_parser(
         "selfcheck", parents=[fmt], help="run the built-in property suite"
     )
-    selfcheck.add_argument("--seed", type=int, default=42)
-    selfcheck.add_argument("--cases", type=int, default=60, help="cases per property")
-    selfcheck.add_argument("--max-states", type=int, default=4)
-    selfcheck.add_argument("--max-labels", type=int, default=2)
-    selfcheck.add_argument("--max-depth", type=int, default=4, help="formula depth bound")
-    selfcheck.add_argument("--term-height", type=int, default=2)
+    selfcheck.add_argument("--seed", type=int, default=SelfCheckConfig.seed)
+    selfcheck.add_argument(
+        "--cases", type=int, default=SelfCheckConfig.cases, help="cases per property"
+    )
+    selfcheck.add_argument("--max-states", type=int, default=SelfCheckConfig.max_states)
+    selfcheck.add_argument("--max-labels", type=int, default=SelfCheckConfig.max_labels)
+    selfcheck.add_argument(
+        "--max-depth",
+        type=int,
+        default=SelfCheckConfig.max_formula_depth,
+        help="formula depth bound",
+    )
+    selfcheck.add_argument("--term-height", type=int, default=SelfCheckConfig.term_height)
     selfcheck.add_argument(
         "--property",
         action="append",

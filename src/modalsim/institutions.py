@@ -55,6 +55,7 @@ from .systems import (
     PointedLTS,
     PointedMTS,
     action,
+    actions_text,
     signature,
     sorted_actions,
 )
@@ -89,9 +90,11 @@ class MtsSignatureMorphism(_LabelMap):
         keys = frozenset(k for k, _ in self.pairs)
         if keys != self.source:
             raise ValueError("morphism must be defined on exactly the source alphabet")
-        stray = sorted_actions(frozenset(v for _, v in self.pairs) - self.target)
+        stray = frozenset(v for _, v in self.pairs) - self.target
         if stray:
-            raise ValueError(f"morphism images {stray} are outside the target alphabet")
+            raise ValueError(
+                f"morphism images {actions_text(stray)} are outside the target alphabet"
+            )
 
 
 @dataclass(frozen=True)

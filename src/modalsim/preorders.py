@@ -54,6 +54,7 @@ from .systems import (
     PointedLTS,
     PointedMTS,
     Transition,
+    actions_text,
     fold,
     sorted_actions,
     successor_index,
@@ -132,9 +133,9 @@ def _check_pb_pair(p_sys: PointedLTS, q_sys: PointedLTS, bset: frozenset[Action]
         raise TypeError("partial bisimulation and simulation compare two LTSs")
     if p_sys.signature.actions != q_sys.signature.actions:
         raise ValueError("partial bisimulation needs both systems over the same alphabet")
-    stray = sorted_actions(bset - p_sys.signature.actions)
+    stray = bset - p_sys.signature.actions
     if stray:
-        raise ValueError(f"bisimulation set labels {stray} are outside the alphabet")
+        raise ValueError(f"bisimulation set labels {actions_text(stray)} are outside the alphabet")
 
 
 Clauses = tuple[Iterable[Transition], Iterable[Transition], Iterable[Transition], Iterable[Transition]]

@@ -29,7 +29,19 @@ from .systems import (
     signature,
     sorted_actions,
 )
-from .terms import MustPrefix, Omega, Prefix, Sum, Term, Zero, prefix_label
+# The prefix form builders are defined in ``terms`` and offered here beside
+# ``random_term``, which takes their output.
+from .terms import (
+    MustPrefix,
+    Omega,
+    Prefix,
+    Sum,
+    Term,
+    Zero,
+    lts_term_forms,
+    mts_term_forms,
+    prefix_label,
+)
 
 LABEL_POOL = tuple(string.ascii_lowercase)
 
@@ -204,16 +216,6 @@ def random_cc_formula(
         () if existential else sorted_actions(sig.contravariant | sig.bivariant)
     )
     return _random_formula(rng, dia, box, max_depth)
-
-
-def mts_term_forms(acts: frozenset[Action]) -> list[tuple[Action, bool]]:
-    """Every (label, is_must) prefix form available to MTS terms."""
-    labels = sorted_actions(acts)
-    return [(a, False) for a in labels] + [(a, True) for a in labels]
-
-
-def lts_term_forms(sig: CCSignature) -> list[tuple[Action, bool]]:
-    return [(a, False) for a in sorted_actions(sig.actions)]
 
 
 def random_term(

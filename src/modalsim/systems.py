@@ -202,6 +202,11 @@ def sorted_actions(labels: Iterable[Action]) -> list[Action]:
     return sorted(labels, key=str)
 
 
+def actions_text(labels: Iterable[Action]) -> str:
+    """Labels as printed in messages: their text in canonical order, comma separated."""
+    return ", ".join(str(a) for a in sorted_actions(labels))
+
+
 COVARIANT = "covariant"
 CONTRAVARIANT = "contravariant"
 BIVARIANT = "bivariant"
@@ -417,24 +422,26 @@ def rename_actions(
         labels = system.actions
     else:
         labels = system.signature.actions
-    missing = sorted_actions(lab for lab in labels if lab not in mapping)
+    missing = [lab for lab in labels if lab not in mapping]
     if missing:
-        raise ValueError(f"rename map is not total; missing {missing}")
+        raise ValueError(f"rename map is not total; missing {actions_text(missing)}")
     if isinstance(system, PointedMTS):
         if not isinstance(target, frozenset):
             target = frozenset(target)
         image = frozenset(mapping[lab] for lab in labels)
-        stray = sorted_actions(image - target)
+        stray = image - target
         if stray:
-            raise ValueError(f"renamed labels {stray} are outside the target action set")
+            raise ValueError(
+                f"renamed labels {actions_text(stray)} are outside the target action set"
+            )
         remap = lambda rel: frozenset((s, mapping[a], d) for s, a, d in rel)
         return PointedMTS(system.states, target, remap(system.may), remap(system.must), system.init)
     if not isinstance(target, CCSignature):
         raise TypeError("renaming an LTS needs a target signature")
     universe = target.actions
     image = frozenset(mapping[lab] for lab in labels)
-    stray = sorted_actions(image - universe)
+    stray = image - universe
     if stray:
-        raise ValueError(f"renamed labels {stray} are outside the target signature")
+        raise ValueError(f"renamed labels {actions_text(stray)} are outside the target signature")
     moved = frozenset((s, mapping[a], d) for s, a, d in system.transitions)
     return PointedLTS(system.states, target, moved, system.init)

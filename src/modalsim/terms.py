@@ -27,6 +27,7 @@ from .systems import (
     PointedMTS,
     Transition,
     action,
+    actions_text,
     fold,
     shared_nodes,
     sorted_actions,
@@ -229,9 +230,9 @@ def expand_mts_term(t: Term, acts: Iterable[Union[str, Action]]) -> PointedMTS:
     duplicate subterms share one state and ``w`` is a single shared state.
     """
     ambient = frozenset(action(a) for a in acts)
-    stray = sorted_actions(term_labels(t) - ambient)
+    stray = term_labels(t) - ambient
     if stray:
-        raise ValueError(f"term labels {stray} are outside the ambient action set")
+        raise ValueError(f"term labels {actions_text(stray)} are outside the ambient action set")
     root, states, may, must = _expand(t, sorted_actions(ambient))
     return PointedMTS(
         states=states,
@@ -252,9 +253,9 @@ def expand_lts_term(t: Term, sig: CCSignature) -> PointedLTS:
         raise ValueError("LTS terms live over signatures without bivariant actions")
     if not is_lts_term(t):
         raise ValueError("must prefixes are not LTS term syntax")
-    stray = sorted_actions(term_labels(t) - sig.actions)
+    stray = term_labels(t) - sig.actions
     if stray:
-        raise ValueError(f"term labels {stray} are outside the signature")
+        raise ValueError(f"term labels {actions_text(stray)} are outside the signature")
     root, states, trans, _ = _expand(t, sorted_actions(sig.contravariant))
     return PointedLTS(
         states=states,
@@ -290,14 +291,21 @@ def enumerate_terms(
     return sorted(dict.fromkeys(canonical_term(t) for t in level), key=term_text)
 
 
-def enumerate_mts_terms(acts: Iterable[Union[str, Action]], max_height: int) -> list[Term]:
+def mts_term_forms(acts: Iterable[Union[str, Action]]) -> list[tuple[Action, bool]]:
+    """Every (label, is_must) prefix form available to MTS terms."""
     labels = sorted_actions(action(a) for a in acts)
-    forms = [(a, False) for a in labels] + [(a, True) for a in labels]
-    return enumerate_terms(forms, max_height)
+    return [(a, False) for a in labels] + [(a, True) for a in labels]
+
+
+def lts_term_forms(sig: CCSignature) -> list[tuple[Action, bool]]:
+    return [(a, False) for a in sorted_actions(sig.actions)]
+
+
+def enumerate_mts_terms(acts: Iterable[Union[str, Action]], max_height: int) -> list[Term]:
+    return enumerate_terms(mts_term_forms(acts), max_height)
 
 
 def enumerate_lts_terms(sig: CCSignature, max_height: int) -> list[Term]:
     if sig.bivariant:
         raise ValueError("LTS terms live over signatures without bivariant actions")
-    forms = [(a, False) for a in sorted_actions(sig.actions)]
-    return enumerate_terms(forms, max_height)
+    return enumerate_terms(lts_term_forms(sig), max_height)

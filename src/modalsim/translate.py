@@ -60,6 +60,7 @@ from .systems import (
     PointedMTS,
     _triple_key,
     actions,
+    actions_text,
     ct,
     cv,
     fold,
@@ -204,9 +205,9 @@ def mts_of_plain_lts(p: PointedLTS, bset: Iterable[Action]) -> PointedMTS:
     classes of ``p`` are ignored; only its alphabet matters."""
     universe = p.signature.actions
     bset = frozenset(bset)
-    stray = sorted_actions(bset - universe)
+    stray = bset - universe
     if stray:
-        raise ValueError(f"bisimulation set labels {stray} are outside the alphabet")
+        raise ValueError(f"bisimulation set labels {actions_text(stray)} are outside the alphabet")
     must = {(s, a, d) for (s, a, d) in p.transitions if a in bset}
     return PointedMTS(
         states=p.states,

@@ -12,7 +12,7 @@ from modalsim.charform import characteristic_formula, encode_term
 from modalsim.cli import main
 from modalsim.formulas import formula_text, mc_mts
 from modalsim.preorders import fixpoint_rounds
-from modalsim.selfcheck import property_ids
+from modalsim.selfcheck import SelfCheckConfig, property_ids
 from modalsim.systems import PointedMTS, action
 from modalsim.terms import term_text
 from modalsim.textio import parse_formula, parse_system, parse_term, print_system
@@ -331,14 +331,30 @@ def test_charform_output(files, capsys):
     ("a,\n  x-y", "line 2, col 4", "unexpected character '-'"),
 ])
 def test_label_list_errors_are_placed_in_the_argument(files, capsys, labels, where, message):
-    # --actions and both --bisimset options read their lists alike.
+    # --actions and both --bisimset options read their lists alike, and an
+    # error names the option it comes from.
     p = files("p.lts", "lts p\ncov: a b\nstates: p\ninit: p\ntrans: p a p\n")
     for argv in (
         ["charform", "a.0", "--actions", labels],
         ["check", "pbsim", p, p, "--bisimset", labels],
         ["translate", "n", p, "--bisimset", labels],
     ):
-        assert run(capsys, *argv) == (2, "", f"error: {where}: {message}\n"), argv
+        expected = f"error: {argv[-2]}: {where}: {message}\n"
+        assert run(capsys, *argv) == (2, "", expected), argv
+
+
+def test_labels_outside_the_alphabet_are_printed_as_text(files, capsys):
+    p = files("p.lts", "lts p\ncov: a\nstates: p\ninit: p\n")
+    code, out, err = run(capsys, "check", "pbsim", p, p, "--bisimset", "z, cv(y)")
+    assert (code, out, err) == (
+        2, "", "error: bisimulation set labels cv(y), z are outside the alphabet\n"
+    )
+    enc = files("enc.lts", "lts enc\ncov: cv(a)\nstates: p\ninit: p\n")
+    like = files("like.lts", "lts like\ncov: b\nstates: p\ninit: p\n")
+    code, out, err = run(capsys, "translate", "rho", enc, "--like", like)
+    assert (code, out, err) == (
+        2, "", "error: renamed labels a are outside the target signature\n"
+    )
 
 
 def test_selfcheck_list_and_subset(capsys):
@@ -361,6 +377,18 @@ def test_selfcheck_list_and_subset(capsys):
     code, _, err = run(capsys, "selfcheck", "--property", "no.such.id")
     assert code == 2
     assert "unknown properties" in err
+
+
+def test_selfcheck_options_default_to_the_config_defaults(capsys):
+    code, out, _ = run(
+        capsys, "selfcheck", "--format", "json", "--property", "systems.validate-accepts-generated"
+    )
+    assert code == 0
+    payload = json.loads(out)
+    defaults = SelfCheckConfig()
+    assert payload["seed"] == defaults.seed
+    sizes = ("cases", "max_states", "max_labels", "max_formula_depth", "term_height")
+    assert {k: payload["config"][k] for k in sizes} == {k: getattr(defaults, k) for k in sizes}
 
 
 @pytest.mark.parametrize(
