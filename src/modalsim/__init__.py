@@ -22,147 +22,70 @@ The package covers two behavioural worlds and the bridges between them:
 - :mod:`modalsim.selfcheck`: a deterministic, seedable property suite.
 """
 
-from types import ModuleType as _ModuleType
-
-from .charform import (
-    CharFormResult,
-    characteristic_formula,
-    characteristic_formula_cc,
-    encode_term,
-    is_omega_equivalent,
-)
-from .formulas import (
-    And,
-    BLLogic,
-    Bottom,
-    Box,
-    CCLogic,
-    Diamond,
-    Formula,
-    LogicKind,
-    Or,
-    Top,
-    check_wf,
-    conj,
-    disj,
-    formula_text,
-    is_existential,
-    mc_cc,
-    mc_mts,
-    modal_depth,
-    satisfying_states_cc,
-    satisfying_states_mts,
-    simplify,
-)
-from .institutions import (
-    CCSignatureMorphism,
-    MtsSignatureMorphism,
-    SignatureMorphism,
-    cc_morphism,
-    check_morphism_condition,
-    check_satisfaction_condition,
-    compose_morphisms,
-    final_obstruction_pair,
-    identity_morphism,
-    initial_obstruction_pair,
-    mts_morphism,
-    reduct,
-    sen_map,
-    universal_specification,
-    weakly_final_implementation,
-)
-from .preorders import (
-    CCSim,
-    PartialBisim,
-    PreorderKind,
-    Refinement,
-    Relation,
-    Simulation,
-    compose_relations,
-    distinguishing_formula,
-    fixpoint_rounds,
-    greatest,
-    oracle_greatest,
-)
-from .selfcheck import (
-    PropertyReport,
-    SelfCheckConfig,
-    SelfCheckReport,
-    property_ids,
-    run_property,
-    run_selfcheck,
-)
-from .systems import (
-    Action,
-    CCSignature,
-    PointedLTS,
-    PointedMTS,
-    action,
-    actions,
-    cv,
-    ct,
-    lts,
-    mts,
-    plain_signature,
-    rename_actions,
-    signature,
-    sorted_actions,
-    universal_mts,
-    validate_cc_lts,
-    validate_mts,
-)
-from .terms import (
-    MustPrefix,
-    Omega,
-    Prefix,
-    Sum,
-    Term,
-    Zero,
-    canonical_term,
-    enumerate_lts_terms,
-    enumerate_mts_terms,
-    expand_lts_term,
-    expand_mts_term,
-    must_prefix,
-    prefix,
-    term_labels,
-    term_text,
-)
-from .textio import (
-    ParseError,
-    ParsedSystem,
-    parse_formula,
-    parse_label,
-    parse_system,
-    parse_system_details,
-    parse_term,
-    print_system,
-)
-from .translate import (
-    NotInEncodingRange,
-    TranslationReport,
-    approximate_formula,
-    decode_formula,
-    decorate_by_class,
-    eliminate_bivariant,
-    embed_formula,
-    embedding_report,
-    encode_formula,
-    encoding_report,
-    lts_of_mts,
-    morphism_signature_map,
-    mts_of_encoded_lts,
-    mts_of_lts,
-    mts_of_plain_lts,
-    strip_decorations,
-)
+from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
 
-# The import blocks above are the public API: every name they bind, apart
-# from the submodules that importing binds as attributes of the package.
-__all__ = sorted(
-    name
-    for name, value in globals().items()
-    if not name.startswith("_") and not isinstance(value, _ModuleType)
-)
+# The public API: each export, listed under the submodule that defines it.
+# A submodule is imported on the first access to one of its exports, so
+# ``import modalsim`` imports none of them.
+_EXPORTS = {
+    "charform": """
+        CharFormResult characteristic_formula characteristic_formula_cc encode_term
+        is_omega_equivalent
+    """,
+    "formulas": """
+        And BLLogic Bottom Box CCLogic Diamond Formula LogicKind Or Top check_wf conj
+        disj formula_text is_existential mc_cc mc_mts modal_depth satisfying_states_cc
+        satisfying_states_mts simplify
+    """,
+    "institutions": """
+        CCSignatureMorphism MtsSignatureMorphism SignatureMorphism cc_morphism
+        check_morphism_condition check_satisfaction_condition compose_morphisms
+        final_obstruction_pair identity_morphism initial_obstruction_pair mts_morphism
+        reduct sen_map universal_specification weakly_final_implementation
+    """,
+    "preorders": """
+        CCSim PartialBisim PreorderKind Refinement Relation Simulation compose_relations
+        distinguishing_formula fixpoint_rounds greatest oracle_greatest
+    """,
+    "selfcheck": """
+        PropertyReport SelfCheckConfig SelfCheckReport property_ids run_property
+        run_selfcheck
+    """,
+    "systems": """
+        Action CCSignature PointedLTS PointedMTS action actions cv ct lts mts
+        plain_signature rename_actions signature sorted_actions universal_mts
+        validate_cc_lts validate_mts
+    """,
+    "terms": """
+        MustPrefix Omega Prefix Sum Term Zero canonical_term enumerate_lts_terms
+        enumerate_mts_terms expand_lts_term expand_mts_term must_prefix prefix
+        term_labels term_text
+    """,
+    "textio": """
+        ParseError ParsedSystem parse_formula parse_label parse_system
+        parse_system_details parse_term print_system
+    """,
+    "translate": """
+        NotInEncodingRange TranslationReport approximate_formula decode_formula
+        decorate_by_class eliminate_bivariant embed_formula embedding_report
+        encode_formula encoding_report lts_of_mts morphism_signature_map
+        mts_of_encoded_lts mts_of_lts mts_of_plain_lts strip_decorations
+    """,
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(_import_module(f"{__name__}.{_HOME[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | _HOME.keys())

@@ -26,7 +26,6 @@ from typing import Optional
 from .charform import characteristic_formula, encode_term
 from .formulas import formula_text, mc_cc, mc_mts
 from .preorders import CCSim, PartialBisim, PreorderKind, Refinement, Simulation, decide
-from .selfcheck import SelfCheckConfig, property_ids, run_selfcheck
 from .systems import Action, PointedLTS, PointedMTS, System, sorted_actions
 from .terms import term_labels, term_text
 from .textio import (
@@ -247,20 +246,21 @@ def _cmd_charform(args: argparse.Namespace) -> int:
     return 0
 
 
+# The ``SelfCheckConfig`` fields that options set; an option that is not
+# given keeps the field's default.
+_SELFCHECK_SIZES = ("seed", "cases", "max_states", "max_labels", "max_formula_depth", "term_height")
+
+
 def _cmd_selfcheck(args: argparse.Namespace) -> int:
+    # Only this command uses the property suite, so only it imports it.
+    from .selfcheck import SelfCheckConfig, property_ids, run_selfcheck
+
     if args.list:
         for pid in property_ids():
             print(pid)
         return 0
-    config = SelfCheckConfig(
-        seed=args.seed,
-        cases=args.cases,
-        max_states=args.max_states,
-        max_labels=args.max_labels,
-        max_formula_depth=args.max_depth,
-        term_height=args.term_height,
-        properties=tuple(args.properties),
-    )
+    given = {field: getattr(args, field) for field in _SELFCHECK_SIZES if hasattr(args, field)}
+    config = SelfCheckConfig(properties=tuple(args.properties), **given)
     try:
         report = run_selfcheck(config)
     except ValueError as exc:
@@ -356,19 +356,20 @@ def _build_parser() -> argparse.ArgumentParser:
     selfcheck = sub.add_parser(
         "selfcheck", parents=[fmt], help="run the built-in property suite"
     )
-    selfcheck.add_argument("--seed", type=int, default=SelfCheckConfig.seed)
-    selfcheck.add_argument(
-        "--cases", type=int, default=SelfCheckConfig.cases, help="cases per property"
-    )
-    selfcheck.add_argument("--max-states", type=int, default=SelfCheckConfig.max_states)
-    selfcheck.add_argument("--max-labels", type=int, default=SelfCheckConfig.max_labels)
+    # No defaults here: SelfCheckConfig holds them (see _cmd_selfcheck).
+    selfcheck.add_argument("--seed", type=int, default=argparse.SUPPRESS)
+    selfcheck.add_argument("--cases", type=int, default=argparse.SUPPRESS, help="cases per property")
+    selfcheck.add_argument("--max-states", type=int, default=argparse.SUPPRESS)
+    selfcheck.add_argument("--max-labels", type=int, default=argparse.SUPPRESS)
     selfcheck.add_argument(
         "--max-depth",
         type=int,
-        default=SelfCheckConfig.max_formula_depth,
+        default=argparse.SUPPRESS,
+        dest="max_formula_depth",
+        metavar="MAX_DEPTH",
         help="formula depth bound",
     )
-    selfcheck.add_argument("--term-height", type=int, default=SelfCheckConfig.term_height)
+    selfcheck.add_argument("--term-height", type=int, default=argparse.SUPPRESS)
     selfcheck.add_argument(
         "--property",
         action="append",

@@ -8,10 +8,13 @@ enforces the runtime budgets.
 """
 
 import json
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
+import modalsim
 from modalsim.formulas import Bottom, Box, Top, mc_cc, mc_mts
 from modalsim.preorders import CCSim, Refinement, greatest
 from modalsim.selfcheck import SelfCheckConfig, run_property
@@ -258,7 +261,8 @@ def test_criterion_7_institutions():
 def test_criterion_8_determinism_and_golden_files():
     def capture(fmt):
         cmd = [sys.executable, "-m", "modalsim", "selfcheck", "--seed", "42", "--format", fmt]
-        return subprocess.run(cmd, capture_output=True, text=True)
+        env = dict(os.environ, PYTHONPATH=str(Path(modalsim.__file__).parents[1]))
+        return subprocess.run(cmd, capture_output=True, text=True, env=env)
 
     json_one, json_two = capture("json"), capture("json")
     text_one, text_two = capture("text"), capture("text")

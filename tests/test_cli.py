@@ -5,19 +5,25 @@ import random
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import modalsim
 from modalsim.charform import characteristic_formula, encode_term
 from modalsim.cli import main
 from modalsim.formulas import formula_text, mc_mts
 from modalsim.preorders import fixpoint_rounds
-from modalsim.selfcheck import SelfCheckConfig, property_ids
+from modalsim.selfcheck import SelfCheckConfig, property_ids, run_selfcheck
 from modalsim.systems import PointedMTS, action
 from modalsim.terms import term_text
 from modalsim.textio import parse_formula, parse_system, parse_term, print_system
 from modalsim.translate import decorate_by_class, lts_of_mts, mts_of_lts
 from test_fixpoint_reference import CASES
+
+# The directory that holds the package, for interpreters the tests start.
+SRC = str(Path(modalsim.__file__).parents[1])
 
 UNIVERSAL = "mts universal\nactions: a\nstates: u\ninit: u\nmay: u a u\n"
 DEMANDING = "mts demanding\nactions: a\nstates: m\ninit: m\nmay: m a m\nmust: m a m\n"
@@ -391,6 +397,24 @@ def test_selfcheck_options_default_to_the_config_defaults(capsys):
     assert {k: payload["config"][k] for k in sizes} == {k: getattr(defaults, k) for k in sizes}
 
 
+def test_selfcheck_config_is_built_from_the_options_given(capsys, monkeypatch):
+    # The parser holds no defaults, so an option left out keeps the default
+    # that SelfCheckConfig states.
+    configs = []
+
+    def recording(config):
+        configs.append(config)
+        return run_selfcheck(replace(config, properties=("systems.validate-accepts-generated",)))
+
+    monkeypatch.setattr("modalsim.selfcheck.run_selfcheck", recording)
+    assert run(capsys, "selfcheck", "--format", "json")[0] == 0
+    assert run(capsys, "selfcheck", "--seed", "7", "--max-depth", "3", "--property", "x.y")[0] == 0
+    assert configs == [
+        SelfCheckConfig(),
+        SelfCheckConfig(seed=7, max_formula_depth=3, properties=("x.y",)),
+    ]
+
+
 @pytest.mark.parametrize(
     "option, value, message",
     [
@@ -428,7 +452,9 @@ def test_selfcheck_subprocess_is_deterministic():
     # Nodes hash by identity, so set order can follow memory layout; runs
     # under two hash seeds pin that no output depends on set order.
     one, two = (
-        subprocess.run(cmd, capture_output=True, text=True, env={**os.environ, "PYTHONHASHSEED": seed})
+        subprocess.run(
+            cmd, capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC, "PYTHONHASHSEED": seed}
+        )
         for seed in ("0", "1")
     )
     assert one.returncode == 0
@@ -436,6 +462,42 @@ def test_selfcheck_subprocess_is_deterministic():
     payload = json.loads(one.stdout)
     assert payload["ok"] is True
     assert payload["config"]["cases"] == 5
+
+
+# Modules that only the selfcheck command imports: the property suite and
+# what only it uses.
+SUITE_ONLY = {"modalsim.selfcheck", "modalsim.sampling", "modalsim.institutions"}
+
+
+def _imported(*args):
+    """The ``modalsim`` modules that a fresh interpreter started with
+    ``args`` imports, read from ``-X importtime``, and its stdout."""
+    done = subprocess.run(
+        [sys.executable, "-X", "importtime", *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": SRC},
+    )
+    assert done.returncode == 0, done.stderr
+    names = {line.rpartition("|")[2].strip() for line in done.stderr.splitlines()}
+    return {name for name in names if name.partition(".")[0] == "modalsim"}, done.stdout
+
+
+def test_commands_import_only_what_they_use():
+    assert _imported("-c", "import modalsim")[0] == {"modalsim"}
+    vending = str(Path(SRC, "modalsim", "fixtures", "vending.mts"))
+    for args in (
+        ("-c", "import modalsim.cli"),
+        ("-m", "modalsim", "check", "refine", vending, vending),
+        ("-m", "modalsim", "mc", vending, "idle", "<coin>tt"),
+    ):
+        modules = _imported(*args)[0]
+        assert "modalsim.cli" in modules, args  # the probe sees the imports
+        assert not modules & SUITE_ONLY, args
+    modules, out = _imported("-m", "modalsim", "selfcheck", "--list")
+    assert SUITE_ONLY <= modules
+    assert out.split() == property_ids()
+    assert len(property_ids()) == 53
 
 
 def _large_mts(n, seed):
@@ -456,7 +518,9 @@ def test_check_json_subprocess_is_deterministic(files):
     # Labels hash by identity, and the whole-relation solver keys dicts and
     # sets by them; neither the relation nor the witness may follow that order.
     one, two = (
-        subprocess.run(cmd, capture_output=True, text=True, env={**os.environ, "PYTHONHASHSEED": seed})
+        subprocess.run(
+            cmd, capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC, "PYTHONHASHSEED": seed}
+        )
         for seed in ("0", "1")
     )
     assert one.returncode == two.returncode == 1, one.stderr
