@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 from pathlib import Path
@@ -93,6 +92,9 @@ def _parse_labels(text: str, option: str) -> frozenset[Action]:
 
 
 def _emit_json(payload: dict) -> None:
+    # Imported here: no other output needs json, and importing it costs start-up.
+    import json
+
     print(json.dumps(payload, indent=2, sort_keys=True))
 
 
@@ -101,6 +103,8 @@ def _system_kind(system: System) -> str:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
+    if args.bisimset is not None and args.kind != "pbsim":
+        raise CliError(f"--bisimset: only pbsim reads a bisimulation set, not {args.kind}")
     left = _load_system(args.left, args.strict)
     right = _load_system(args.right, args.strict)
     if args.kind == "refine":
@@ -113,7 +117,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         if args.kind == "ccsim":
             kind = CCSim()
         elif args.kind == "pbsim":
-            kind = PartialBisim(_parse_labels(args.bisimset, "--bisimset"))
+            kind = PartialBisim(_parse_labels(args.bisimset or "", "--bisimset"))
         else:
             kind = Simulation()
     left_state = left.init if args.left_state is None else args.left_state
@@ -152,6 +156,10 @@ def _strip_target(system: System, args: argparse.Namespace):
 
 
 def _cmd_translate(args: argparse.Namespace) -> int:
+    if args.bisimset is not None and args.op != "n":
+        raise CliError(f"--bisimset: only op n reads must labels, not {args.op}")
+    if args.like is not None and args.op != "rho":
+        raise CliError(f"--like: only op rho reads a target system, not {args.op}")
     system = _load_system(args.file, args.strict)
     report: Optional[TranslationReport] = None
     try:
@@ -168,7 +176,7 @@ def _cmd_translate(args: argparse.Namespace) -> int:
         elif args.op == "n":
             if not isinstance(system, PointedLTS):
                 raise CliError("n reads an lts file")
-            result = mts_of_plain_lts(system, _parse_labels(args.bisimset, "--bisimset"))
+            result = mts_of_plain_lts(system, _parse_labels(args.bisimset or "", "--bisimset"))
         elif args.op == "cinv":
             if not isinstance(system, PointedLTS):
                 raise CliError("cinv decodes an lts file")
@@ -305,7 +313,6 @@ def _build_parser() -> argparse.ArgumentParser:
     check.add_argument("--right-state", help="start state on the right (default: init)")
     check.add_argument(
         "--bisimset",
-        default="",
         help="comma-separated labels that must be matched both ways (pbsim only)",
     )
     check.set_defaults(handler=_cmd_check)
@@ -324,7 +331,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     translate.add_argument("file", help="input system file (- for stdin)")
     translate.add_argument(
-        "--bisimset", default="", help="comma-separated must labels for op n"
+        "--bisimset", help="comma-separated must labels for op n"
     )
     translate.add_argument(
         "--like", help="system file supplying the target alphabet or signature for rho"

@@ -132,7 +132,7 @@ def _check_pb_pair(p_sys: PointedLTS, q_sys: PointedLTS, bset: frozenset[Action]
     if not (isinstance(p_sys, PointedLTS) and isinstance(q_sys, PointedLTS)):
         raise TypeError("partial bisimulation and simulation compare two LTSs")
     if p_sys.signature.actions != q_sys.signature.actions:
-        raise ValueError("partial bisimulation needs both systems over the same alphabet")
+        raise ValueError("partial bisimulation and simulation need both systems over the same alphabet")
     stray = bset - p_sys.signature.actions
     if stray:
         raise ValueError(f"bisimulation set labels {actions_text(stray)} are outside the alphabet")

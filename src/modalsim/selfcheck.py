@@ -1,10 +1,12 @@
 """A registry of executable correctness properties with a deterministic
 runner.
 
-Each property is a function ``(config, rng) -> (cases, failures)`` registered
-under a dotted id.  The runner seeds every property with its own
-``random.Random(f"{seed}:{property_id}")``, so reports are reproducible and
-independent of which other properties run.  A few properties are registered
+Each property is a generator ``(config, rng)`` registered under a dotted id.
+It yields one result per case: the case's failure text, or ``None`` when the
+case passes.  The runner alone counts the cases that ran, keeps the failures
+and stops a property at its third failure.  It seeds every property with its
+own ``random.Random(f"{seed}:{property_id}")``, so reports are reproducible
+and independent of which other properties run.  A few properties are registered
 with ``expect_fail=True``: they pin known boundaries (an approximation that
 is deliberately one-sided, a formula recursion variant that does not
 characterise) and count as OK exactly when their failure materialises.
@@ -217,7 +219,7 @@ class SelfCheckReport:
         return "\n".join(lines) + "\n"
 
 
-PropertyFn = Callable[[SelfCheckConfig, random.Random], tuple[int, list[str]]]
+PropertyFn = Callable[[SelfCheckConfig, random.Random], Iterator[Optional[str]]]
 
 
 @dataclass(frozen=True)
@@ -245,12 +247,20 @@ def property_ids() -> list[str]:
 
 
 def run_property(pid: str, config: SelfCheckConfig) -> PropertyReport:
-    """Run one property under its own seeded generator."""
+    """Run one property under its own seeded generator, counting the cases it
+    yields and stopping at its ``_FAILURE_CAP``-th failure."""
     if pid not in _REGISTRY:
         raise ValueError(f"unknown property {pid!r}")
     definition = _REGISTRY[pid]
     rng = random.Random(f"{config.seed}:{pid}")
-    cases, failures = definition.fn(config, rng)
+    cases = 0
+    failures: list[str] = []
+    for failure in definition.fn(config, rng):
+        cases += 1
+        if failure is not None:
+            failures.append(failure)
+            if len(failures) >= _FAILURE_CAP:
+                break
     if definition.expect_fail:
         status = "expected-fail" if failures else "unexpected-pass"
     else:
@@ -373,10 +383,11 @@ def _oracle_disagreement(kind: PreorderKind, p, q) -> bool:
     return greatest(kind, p, q).pairs != oracle_greatest(kind, p, q).pairs
 
 
-def _oracle_case(kind: PreorderKind, p, q, failures: list[str], what: str) -> None:
-    if _oracle_disagreement(kind, p, q):
-        p, q = shrink_pair(p, q, lambda a, b: _oracle_disagreement(kind, a, b))
-        failures.append(f"{what}: fixpoint and brute force disagree on\n{_show_pair(p, q)}")
+def _oracle_case(kind: PreorderKind, p, q, what: str) -> Optional[str]:
+    if not _oracle_disagreement(kind, p, q):
+        return None
+    p, q = shrink_pair(p, q, lambda a, b: _oracle_disagreement(kind, a, b))
+    return f"{what}: fixpoint and brute force disagree on\n{_show_pair(p, q)}"
 
 
 # --------------------------------------------------------------------------
@@ -385,7 +396,6 @@ def _oracle_case(kind: PreorderKind, p, q, failures: list[str], what: str) -> No
 
 @prop("systems.validate-accepts-generated")
 def _prop_validate_generated(cfg: SelfCheckConfig, rng: random.Random):
-    failures: list[str] = []
     for case in range(cfg.cases):
         if case % 2 == 0:
             m = random_mts(rng, random_alphabet(rng, cfg.max_labels), cfg.max_states)
@@ -394,18 +404,14 @@ def _prop_validate_generated(cfg: SelfCheckConfig, rng: random.Random):
             p = random_lts(rng, random_signature(rng, cfg.max_labels), cfg.max_states)
             problems = validate_cc_lts(p)
         if problems:
-            failures.append(f"generated system failed validation: {problems}")
-            if len(failures) >= _FAILURE_CAP:
-                break
-    return cfg.cases, failures
+            yield f"generated system failed validation: {problems}"
+        else:
+            yield None
 
 
 @prop("terms.expansion-well-formed")
 def _prop_term_expansion(cfg: SelfCheckConfig, rng: random.Random):
-    failures: list[str] = []
-    ran = 0
     for case in range(cfg.cases):
-        ran += 1
         if case % 2 == 0:
             acts = random_alphabet(rng, cfg.max_labels)
             t = random_term(rng, mts_term_forms(acts), cfg.term_height + 1)
@@ -420,20 +426,19 @@ def _prop_term_expansion(cfg: SelfCheckConfig, rng: random.Random):
             kind = "lts"
         root = canonical_term(t)
         if problems:
-            failures.append(f"expansion of {term_text(t)} is ill-formed: {problems}")
+            yield f"expansion of {term_text(t)} is ill-formed: {problems}"
         elif expansion.init != term_text(root):
-            failures.append(f"expansion of {term_text(t)} starts at {expansion.init!r}")
+            yield f"expansion of {term_text(t)} starts at {expansion.init!r}"
         elif canonical_term(root) != root:
-            failures.append(f"canonical form of {term_text(t)} is not idempotent")
+            yield f"canonical form of {term_text(t)} is not idempotent"
         else:
             for state in sorted(expansion.states):
                 back = parse_term(state, kind)
                 if canonical_term(back) != back or term_text(back) != state:
-                    failures.append(f"state {state!r} is not a canonical printed term")
+                    yield f"state {state!r} is not a canonical printed term"
                     break
-        if len(failures) >= _FAILURE_CAP:
-            break
-    return ran, failures
+            else:
+                yield None
 
 
 # --------------------------------------------------------------------------
@@ -442,119 +447,88 @@ def _prop_term_expansion(cfg: SelfCheckConfig, rng: random.Random):
 
 @prop("preorders.fixpoint-matches-oracle.refinement")
 def _prop_oracle_refinement(cfg: SelfCheckConfig, rng: random.Random):
-    failures: list[str] = []
-    ran = 0
     for _ in range(cfg.cases):
-        ran += 1
         p, q = _oracle_mts_pair(rng, cfg)
-        _oracle_case(Refinement(), p, q, failures, "refinement")
-        if len(failures) >= _FAILURE_CAP:
-            break
-    return ran, failures
+        yield _oracle_case(Refinement(), p, q, "refinement")
 
 
 @prop("preorders.fixpoint-matches-oracle.ccsim")
 def _prop_oracle_ccsim(cfg: SelfCheckConfig, rng: random.Random):
-    failures: list[str] = []
-    ran = 0
     for _ in range(cfg.cases):
-        ran += 1
         p, q = _oracle_lts_pair(rng, cfg, (COVARIANT, CONTRAVARIANT, BIVARIANT))
-        _oracle_case(CCSim(), p, q, failures, "cc-simulation")
-        if len(failures) >= _FAILURE_CAP:
-            break
-    return ran, failures
+        yield _oracle_case(CCSim(), p, q, "cc-simulation")
 
 
 @prop("preorders.fixpoint-matches-oracle.pbsim")
 def _prop_oracle_pbsim(cfg: SelfCheckConfig, rng: random.Random):
-    failures: list[str] = []
-    ran = 0
     for _ in range(cfg.cases):
-        ran += 1
         acts = random_alphabet(rng, cfg.max_labels)
         p = random_plain_lts(rng, acts, _left_bound(rng, cfg), prefix="p")
         q = random_plain_lts(rng, acts, _right_bound(cfg, p), prefix="q")
         kind = PartialBisim(_random_bset(rng, acts))
-        _oracle_case(kind, p, q, failures, "partial bisimulation")
-        if len(failures) >= _FAILURE_CAP:
-            break
-    return ran, failures
+        yield _oracle_case(kind, p, q, "partial bisimulation")
 
 
 @prop("preorders.fixpoint-matches-oracle.simulation")
 def _prop_oracle_simulation(cfg: SelfCheckConfig, rng: random.Random):
-    failures: list[str] = []
-    ran = 0
     for _ in range(cfg.cases):
-        ran += 1
         acts = random_alphabet(rng, cfg.max_labels)
         p = random_plain_lts(rng, acts, _left_bound(rng, cfg), prefix="p")
         q = random_plain_lts(rng, acts, _right_bound(cfg, p), prefix="q")
-        _oracle_case(Simulation(), p, q, failures, "simulation")
-        if len(failures) >= _FAILURE_CAP:
-            break
-    return ran, failures
+        yield _oracle_case(Simulation(), p, q, "simulation")
 
 
 @prop("preorders.pbsim-empty-is-simulation")
 def _prop_pbsim_empty(cfg: SelfCheckConfig, rng: random.Random):
-    failures: list[str] = []
     for _ in range(cfg.cases):
         acts = random_alphabet(rng, cfg.max_labels)
         p = random_plain_lts(rng, acts, _left_bound(rng, cfg), prefix="p")
         q = random_plain_lts(rng, acts, _right_bound(cfg, p), prefix="q")
         empty = greatest(PartialBisim(frozenset()), p, q).pairs
         if empty != greatest(Simulation(), p, q).pairs:
-            failures.append(f"empty-set partial bisimulation differs from simulation on\n{_show_pair(p, q)}")
+            yield f"empty-set partial bisimulation differs from simulation on\n{_show_pair(p, q)}"
         elif empty != oracle_greatest(Simulation(), p, q).pairs:
-            failures.append(f"empty-set partial bisimulation differs from the simulation oracle on\n{_show_pair(p, q)}")
-        if len(failures) >= _FAILURE_CAP:
-            break
-    return cfg.cases, failures
+            yield f"empty-set partial bisimulation differs from the simulation oracle on\n{_show_pair(p, q)}"
+        else:
+            yield None
 
 
 @prop("preorders.refinement-preorder-laws")
 def _prop_refinement_laws(cfg: SelfCheckConfig, rng: random.Random):
-    failures: list[str] = []
     for _ in range(cfg.cases):
         acts = random_alphabet(rng, cfg.max_labels)
         p = random_mts(rng, acts, cfg.max_states, prefix="p")
         q = random_mts(rng, acts, cfg.max_states, prefix="q")
         r = random_mts(rng, acts, cfg.max_states, prefix="r")
         identity = greatest(Refinement(), p, p)
-        if any((s, s) not in identity for s in p.states):
-            failures.append(f"refinement is not reflexive on\n{print_system(p)}")
         through = compose_relations(greatest(Refinement(), p, q), greatest(Refinement(), q, r))
-        if not through.pairs <= greatest(Refinement(), p, r).pairs:
-            failures.append(f"refinement is not transitive through\n{print_system(q)}")
-        if len(failures) >= _FAILURE_CAP:
-            break
-    return cfg.cases, failures
+        if any((s, s) not in identity for s in p.states):
+            yield f"refinement is not reflexive on\n{print_system(p)}"
+        elif not through.pairs <= greatest(Refinement(), p, r).pairs:
+            yield f"refinement is not transitive through\n{print_system(q)}"
+        else:
+            yield None
 
 
 @prop("preorders.ccsim-preorder-laws")
 def _prop_ccsim_laws(cfg: SelfCheckConfig, rng: random.Random):
-    failures: list[str] = []
     for _ in range(cfg.cases):
         sig = random_signature(rng, max_per_class=1)
         p = random_lts(rng, sig, cfg.max_states, prefix="p")
         q = random_lts(rng, sig, cfg.max_states, prefix="q")
         r = random_lts(rng, sig, cfg.max_states, prefix="r")
         identity = greatest(CCSim(), p, p)
-        if any((s, s) not in identity for s in p.states):
-            failures.append(f"cc-simulation is not reflexive on\n{print_system(p)}")
         through = compose_relations(greatest(CCSim(), p, q), greatest(CCSim(), q, r))
-        if not through.pairs <= greatest(CCSim(), p, r).pairs:
-            failures.append(f"cc-simulation is not transitive through\n{print_system(q)}")
-        if len(failures) >= _FAILURE_CAP:
-            break
-    return cfg.cases, failures
+        if any((s, s) not in identity for s in p.states):
+            yield f"cc-simulation is not reflexive on\n{print_system(p)}"
+        elif not through.pairs <= greatest(CCSim(), p, r).pairs:
+            yield f"cc-simulation is not transitive through\n{print_system(q)}"
+        else:
+            yield None
 
 
 @prop("preorders.distinguishing-formula-witnesses")
 def _prop_distinguishing(cfg: SelfCheckConfig, rng: random.Random):
-    failures: list[str] = []
     for case in range(cfg.cases):
         if case % 2 == 0:
             p, q = random_mts_pair(rng, cfg.max_states, cfg.max_labels)
@@ -571,19 +545,17 @@ def _prop_distinguishing(cfg: SelfCheckConfig, rng: random.Random):
         phi = distinguishing_formula(kind, p, pp, q, qq)
         related = (pp, qq) in rel
         if related and phi is not None:
-            failures.append(f"related pair ({pp}, {qq}) got a distinguishing formula {formula_text(phi)}")
-        elif not related:
-            if phi is None:
-                failures.append(f"unrelated pair ({pp}, {qq}) got no distinguishing formula")
-            elif check_wf(phi, logic):
-                failures.append(f"distinguishing formula {formula_text(phi)} is ill-formed")
-            elif not holds(p, pp, phi) or holds(q, qq, phi):
-                failures.append(
-                    f"formula {formula_text(phi)} does not separate ({pp}, {qq}) on\n{_show_pair(p, q)}"
-                )
-        if len(failures) >= _FAILURE_CAP:
-            break
-    return cfg.cases, failures
+            yield f"related pair ({pp}, {qq}) got a distinguishing formula {formula_text(phi)}"
+        elif related:
+            yield None
+        elif phi is None:
+            yield f"unrelated pair ({pp}, {qq}) got no distinguishing formula"
+        elif check_wf(phi, logic):
+            yield f"distinguishing formula {formula_text(phi)} is ill-formed"
+        elif not holds(p, pp, phi) or holds(q, qq, phi):
+            yield f"formula {formula_text(phi)} does not separate ({pp}, {qq}) on\n{_show_pair(p, q)}"
+        else:
+            yield None
 
 
 # --------------------------------------------------------------------------
@@ -592,7 +564,6 @@ def _prop_distinguishing(cfg: SelfCheckConfig, rng: random.Random):
 
 @prop("formulas.satisfaction-monotone.mts")
 def _prop_monotone_mts(cfg: SelfCheckConfig, rng: random.Random):
-    failures: list[str] = []
     for _ in range(cfg.cases):
         acts = random_alphabet(rng, cfg.max_labels)
         m = random_mts(rng, acts, cfg.max_states)
@@ -603,17 +574,13 @@ def _prop_monotone_mts(cfg: SelfCheckConfig, rng: random.Random):
             phi, target, Or(target, random_bl_formula(rng, acts, 2))
         )
         if not satisfying_states_mts(m, phi) <= satisfying_states_mts(m, weaker):
-            failures.append(
-                f"weakening {formula_text(phi)} to {formula_text(weaker)} lost states on\n{print_system(m)}"
-            )
-            if len(failures) >= _FAILURE_CAP:
-                break
-    return cfg.cases, failures
+            yield f"weakening {formula_text(phi)} to {formula_text(weaker)} lost states on\n{print_system(m)}"
+        else:
+            yield None
 
 
 @prop("formulas.satisfaction-monotone.cc")
 def _prop_monotone_cc(cfg: SelfCheckConfig, rng: random.Random):
-    failures: list[str] = []
     for _ in range(cfg.cases):
         sig = random_signature(rng, cfg.max_labels)
         p = random_lts(rng, sig, cfg.max_states)
@@ -624,17 +591,13 @@ def _prop_monotone_cc(cfg: SelfCheckConfig, rng: random.Random):
             phi, target, Or(target, random_cc_formula(rng, sig, 2))
         )
         if not satisfying_states_cc(p, phi) <= satisfying_states_cc(p, weaker):
-            failures.append(
-                f"weakening {formula_text(phi)} to {formula_text(weaker)} lost states on\n{print_system(p)}"
-            )
-            if len(failures) >= _FAILURE_CAP:
-                break
-    return cfg.cases, failures
+            yield f"weakening {formula_text(phi)} to {formula_text(weaker)} lost states on\n{print_system(p)}"
+        else:
+            yield None
 
 
 @prop("formulas.refinement-preserves-truth")
 def _prop_refinement_truth(cfg: SelfCheckConfig, rng: random.Random):
-    failures: list[str] = []
     for _ in range(cfg.cases):
         p, q = random_mts_pair(rng, cfg.max_states, cfg.max_labels)
         rel = greatest(Refinement(), p, q)
@@ -643,18 +606,14 @@ def _prop_refinement_truth(cfg: SelfCheckConfig, rng: random.Random):
         sat_q = satisfying_states_mts(q, phi)
         for pp, qq in sorted(rel.pairs):
             if pp in sat_p and qq not in sat_q:
-                failures.append(
-                    f"{formula_text(phi)} holds at {pp} but not at related {qq} on\n{_show_pair(p, q)}"
-                )
+                yield f"{formula_text(phi)} holds at {pp} but not at related {qq} on\n{_show_pair(p, q)}"
                 break
-        if len(failures) >= _FAILURE_CAP:
-            break
-    return cfg.cases, failures
+        else:
+            yield None
 
 
 @prop("formulas.ccsim-preserves-truth")
 def _prop_ccsim_truth(cfg: SelfCheckConfig, rng: random.Random):
-    failures: list[str] = []
     for _ in range(cfg.cases):
         p, q = random_lts_pair(rng, cfg.max_states)
         rel = greatest(CCSim(), p, q)
@@ -663,18 +622,14 @@ def _prop_ccsim_truth(cfg: SelfCheckConfig, rng: random.Random):
         sat_q = satisfying_states_cc(q, phi)
         for pp, qq in sorted(rel.pairs):
             if pp in sat_p and qq not in sat_q:
-                failures.append(
-                    f"{formula_text(phi)} holds at {pp} but not at related {qq} on\n{_show_pair(p, q)}"
-                )
+                yield f"{formula_text(phi)} holds at {pp} but not at related {qq} on\n{_show_pair(p, q)}"
                 break
-        if len(failures) >= _FAILURE_CAP:
-            break
-    return cfg.cases, failures
+        else:
+            yield None
 
 
 @prop("formulas.simplify-preserves-meaning")
 def _prop_simplify(cfg: SelfCheckConfig, rng: random.Random):
-    failures: list[str] = []
     for case in range(cfg.cases):
         if case % 2 == 0:
             acts = random_alphabet(rng, cfg.max_labels)
@@ -687,13 +642,12 @@ def _prop_simplify(cfg: SelfCheckConfig, rng: random.Random):
             phi = random_cc_formula(rng, sig, cfg.max_formula_depth)
             same = satisfying_states_cc(p, phi) == satisfying_states_cc(p, simplify(phi))
         if not same:
-            failures.append(
+            yield (
                 f"simplify changed the meaning of {formula_text(phi)} "
                 f"(now {formula_text(simplify(phi))})"
             )
-            if len(failures) >= _FAILURE_CAP:
-                break
-    return cfg.cases, failures
+        else:
+            yield None
 
 
 # --------------------------------------------------------------------------
@@ -702,7 +656,6 @@ def _prop_simplify(cfg: SelfCheckConfig, rng: random.Random):
 
 @prop("textio.system-roundtrip")
 def _prop_system_roundtrip(cfg: SelfCheckConfig, rng: random.Random):
-    failures: list[str] = []
     for case in range(cfg.cases):
         if case % 2 == 0:
             system: Union[PointedMTS, PointedLTS] = random_mts(
@@ -713,19 +666,17 @@ def _prop_system_roundtrip(cfg: SelfCheckConfig, rng: random.Random):
         text = print_system(system)
         parsed = parse_system_details(text, strict=True)
         if parsed.system != system:
-            failures.append(f"round trip changed the system:\n{text}")
+            yield f"round trip changed the system:\n{text}"
         elif parsed.warnings:
-            failures.append(f"canonical text produced warnings: {parsed.warnings}")
+            yield f"canonical text produced warnings: {parsed.warnings}"
         elif print_system(parsed.system) != text:
-            failures.append(f"printing is not a fixpoint on:\n{text}")
-        if len(failures) >= _FAILURE_CAP:
-            break
-    return cfg.cases, failures
+            yield f"printing is not a fixpoint on:\n{text}"
+        else:
+            yield None
 
 
 @prop("textio.formula-roundtrip")
 def _prop_formula_roundtrip(cfg: SelfCheckConfig, rng: random.Random):
-    failures: list[str] = []
     for _ in range(cfg.cases):
         acts = random_alphabet(rng, cfg.max_labels)
         m = random_mts(rng, acts, cfg.max_states)
@@ -733,17 +684,15 @@ def _prop_formula_roundtrip(cfg: SelfCheckConfig, rng: random.Random):
         text = formula_text(phi)
         back = parse_formula(text)
         if formula_text(back) != text:
-            failures.append(f"formula text is not a parse/print fixpoint: {text}")
+            yield f"formula text is not a parse/print fixpoint: {text}"
         elif satisfying_states_mts(m, back) != satisfying_states_mts(m, phi):
-            failures.append(f"reparsing changed the meaning of {text}")
-        if len(failures) >= _FAILURE_CAP:
-            break
-    return cfg.cases, failures
+            yield f"reparsing changed the meaning of {text}"
+        else:
+            yield None
 
 
 @prop("textio.term-roundtrip")
 def _prop_term_roundtrip(cfg: SelfCheckConfig, rng: random.Random):
-    failures: list[str] = []
     for case in range(cfg.cases):
         if case % 2 == 0:
             acts = random_alphabet(rng, cfg.max_labels)
@@ -757,17 +706,15 @@ def _prop_term_roundtrip(cfg: SelfCheckConfig, rng: random.Random):
         back = parse_term(text, kind)
         root = canonical_term(t)
         if term_text(back) != text:
-            failures.append(f"term text is not a parse/print fixpoint: {text}")
+            yield f"term text is not a parse/print fixpoint: {text}"
         elif parse_term(term_text(root), kind) != root:
-            failures.append(f"canonical term does not reparse to itself: {term_text(root)}")
-        if len(failures) >= _FAILURE_CAP:
-            break
-    return cfg.cases, failures
+            yield f"canonical term does not reparse to itself: {term_text(root)}"
+        else:
+            yield None
 
 
 @prop("textio.must-twin-repair")
 def _prop_must_twin_repair(cfg: SelfCheckConfig, rng: random.Random):
-    failures: list[str] = []
     for _ in range(cfg.cases):
         m = random_mts(rng, random_alphabet(rng, cfg.max_labels), cfg.max_states)
         # Print by hand, leaving out the may twins of must transitions.
@@ -783,43 +730,42 @@ def _prop_must_twin_repair(cfg: SelfCheckConfig, rng: random.Random):
         text = "\n".join(lines) + "\n"
         parsed = parse_system_details(text)
         if parsed.system != m:
-            failures.append(f"twin repair did not rebuild the system from:\n{text}")
-        elif len(parsed.warnings) != len(m.must):
-            failures.append(
-                f"expected {len(m.must)} repair warnings, got {len(parsed.warnings)} from:\n{text}"
-            )
+            yield f"twin repair did not rebuild the system from:\n{text}"
+            continue
+        if len(parsed.warnings) != len(m.must):
+            yield f"expected {len(m.must)} repair warnings, got {len(parsed.warnings)} from:\n{text}"
+            continue
+        strict_raised = False
+        try:
+            parse_system(text, strict=True)
+        except ValueError:
+            strict_raised = True
+        if strict_raised != bool(m.must):
+            yield f"strict parsing disagreed with the presence of bare musts:\n{text}"
         else:
-            strict_raised = False
-            try:
-                parse_system(text, strict=True)
-            except ValueError:
-                strict_raised = True
-            if strict_raised != bool(m.must):
-                failures.append(f"strict parsing disagreed with the presence of bare musts:\n{text}")
-        if len(failures) >= _FAILURE_CAP:
-            break
-    return cfg.cases, failures
+            yield None
 
 
 @prop("textio.golden-files-stable")
 def _prop_golden_files(cfg: SelfCheckConfig, rng: random.Random):
-    failures: list[str] = []
     root = resources.files("modalsim").joinpath("fixtures")
     names = sorted(
         entry.name for entry in root.iterdir() if entry.name.endswith((".mts", ".lts"))
     )
+    # An empty run would read as a pass, so a missing fixture set is a failing case.
     if not names:
-        return 0, ["no golden fixture files found"]
+        yield "no golden fixture files found"
     for name in names:
         text = root.joinpath(name).read_text(encoding="utf-8")
         parsed = parse_system_details(text, strict=True)
         if parsed.warnings:
-            failures.append(f"{name}: parsing warned: {parsed.warnings}")
+            yield f"{name}: parsing warned: {parsed.warnings}"
         elif print_system(parsed.system, parsed.name) != text:
-            failures.append(f"{name}: not in canonical print form")
+            yield f"{name}: not in canonical print form"
         elif parse_system(print_system(parsed.system, parsed.name)) != parsed.system:
-            failures.append(f"{name}: parse/print round trip changed the system")
-    return len(names), failures
+            yield f"{name}: parse/print round trip changed the system"
+        else:
+            yield None
 
 
 # --------------------------------------------------------------------------
@@ -842,18 +788,13 @@ def _prop_embedding_corollary(cfg: SelfCheckConfig, rng: random.Random):
                 return f"sink row pair ({sink}, {x})"
         return None
 
-    failures: list[str] = []
     for _ in range(cfg.cases):
         p, q = random_lts_pair(rng, cfg.max_states)
-        what = disagreement(p, q)
-        if what is not None:
+        if disagreement(p, q) is not None:
             p, q = shrink_pair(p, q, lambda a, b: disagreement(a, b) is not None)
-            failures.append(
-                f"embedding broke the simulation/refinement match at {disagreement(p, q)} on\n{_show_pair(p, q)}"
-            )
-            if len(failures) >= _FAILURE_CAP:
-                break
-    return cfg.cases, failures
+            yield f"embedding broke the simulation/refinement match at {disagreement(p, q)} on\n{_show_pair(p, q)}"
+        else:
+            yield None
 
 
 @prop("translate.encoding-preserves-refinement")
@@ -864,36 +805,29 @@ def _prop_encoding_corollary(cfg: SelfCheckConfig, rng: random.Random):
             != greatest(CCSim(), lts_of_mts(m), lts_of_mts(n)).pairs
         )
 
-    failures: list[str] = []
     for _ in range(cfg.cases):
         m, n = random_mts_pair(rng, cfg.max_states, cfg.max_labels)
         if disagrees(m, n):
             m, n = shrink_pair(m, n, disagrees)
-            failures.append(f"encoding broke the refinement/simulation match on\n{_show_pair(m, n)}")
-            if len(failures) >= _FAILURE_CAP:
-                break
-    return cfg.cases, failures
+            yield f"encoding broke the refinement/simulation match on\n{_show_pair(m, n)}"
+        else:
+            yield None
 
 
 @prop("translate.encoding-roundtrip")
 def _prop_encoding_roundtrip(cfg: SelfCheckConfig, rng: random.Random):
-    failures: list[str] = []
     for _ in range(cfg.cases):
         m = random_mts(rng, random_alphabet(rng, cfg.max_labels), cfg.max_states)
         back = mts_of_encoded_lts(lts_of_mts(m))
         if back != m:
-            failures.append(f"decoding the encoding changed the system:\n{print_system(m)}")
-            if len(failures) >= _FAILURE_CAP:
-                break
-    return cfg.cases, failures
+            yield f"decoding the encoding changed the system:\n{print_system(m)}"
+        else:
+            yield None
 
 
 @prop("translate.encoding-range-rejects")
 def _prop_encoding_range(cfg: SelfCheckConfig, rng: random.Random):
-    failures: list[str] = []
-    ran = 0
     for _ in range(cfg.cases):
-        ran += 1
         m = random_mts(rng, random_alphabet(rng, cfg.max_labels), cfg.max_states)
         if not m.must:
             forced = (m.init, sorted_actions(m.actions)[0], m.init)
@@ -946,21 +880,21 @@ def _prop_encoding_range(cfg: SelfCheckConfig, rng: random.Random):
         )
         mutants.append(("a missing contravariant twin slipped through", broken))
         if mts_of_encoded_lts(encoded) != m:
-            failures.append("the unmutated encoding failed to invert")
+            yield "the unmutated encoding failed to invert"
+            continue
         for what, mutant in mutants:
             try:
                 mts_of_encoded_lts(mutant)
             except NotInEncodingRange:
                 continue
-            failures.append(what)
-        if len(failures) >= _FAILURE_CAP:
+            yield what
             break
-    return ran, failures
+        else:
+            yield None
 
 
 @prop("translate.plain-reading-matches-pbsim")
 def _prop_plain_reading(cfg: SelfCheckConfig, rng: random.Random):
-    failures: list[str] = []
     for _ in range(cfg.cases):
         acts = random_alphabet(rng, cfg.max_labels)
         p = random_plain_lts(rng, acts, cfg.max_states, prefix="p")
@@ -971,17 +905,13 @@ def _prop_plain_reading(cfg: SelfCheckConfig, rng: random.Random):
             Refinement(), mts_of_plain_lts(q, bset), mts_of_plain_lts(p, bset)
         ).inverse().pairs
         if direct != through:
-            failures.append(
-                f"modal reading with set {sorted_actions(bset)} disagreed on\n{_show_pair(p, q)}"
-            )
-            if len(failures) >= _FAILURE_CAP:
-                break
-    return cfg.cases, failures
+            yield f"modal reading with set {sorted_actions(bset)} disagreed on\n{_show_pair(p, q)}"
+        else:
+            yield None
 
 
 @prop("translate.results-validate")
 def _prop_translations_validate(cfg: SelfCheckConfig, rng: random.Random):
-    failures: list[str] = []
     for _ in range(cfg.cases):
         sig = random_signature(rng, cfg.max_labels)
         p = random_lts(rng, sig, cfg.max_states)
@@ -1000,67 +930,56 @@ def _prop_translations_validate(cfg: SelfCheckConfig, rng: random.Random):
         checks.append(("class decoration", validate_cc_lts(decorate_by_class(flat))))
         for what, problems in checks:
             if problems:
-                failures.append(f"{what} produced an ill-formed system: {problems}")
-        if len(failures) >= _FAILURE_CAP:
-            break
-    return cfg.cases, failures
+                yield f"{what} produced an ill-formed system: {problems}"
+                break
+        else:
+            yield None
 
 
 @prop("translate.formula-codec-roundtrip")
 def _prop_formula_codec(cfg: SelfCheckConfig, rng: random.Random):
-    failures: list[str] = []
     for _ in range(cfg.cases):
         acts = random_alphabet(rng, cfg.max_labels)
         phi = random_bl_formula(rng, acts, cfg.max_formula_depth)
-        if decode_formula(encode_formula(phi)) != phi:
-            failures.append(f"decode(encode(..)) changed {formula_text(phi)}")
         encoded_sig = lts_of_mts(
             PointedMTS(frozenset({"s"}), acts, frozenset(), frozenset(), "s")
         ).signature
         psi = random_cc_formula(rng, encoded_sig, cfg.max_formula_depth)
-        if encode_formula(decode_formula(psi)) != psi:
-            failures.append(f"encode(decode(..)) changed {formula_text(psi)}")
-        if len(failures) >= _FAILURE_CAP:
-            break
-    return cfg.cases, failures
+        if decode_formula(encode_formula(phi)) != phi:
+            yield f"decode(encode(..)) changed {formula_text(phi)}"
+        elif encode_formula(decode_formula(psi)) != psi:
+            yield f"encode(decode(..)) changed {formula_text(psi)}"
+        else:
+            yield None
 
 
 @prop("translate.formula-embedding-truth")
 def _prop_embed_truth(cfg: SelfCheckConfig, rng: random.Random):
-    failures: list[str] = []
     for _ in range(cfg.cases):
         sig = random_signature(rng, cfg.max_labels)
         p = random_lts(rng, sig, cfg.max_states)
         s = random_state(rng, p)
         phi = random_cc_formula(rng, sig, cfg.max_formula_depth)
         if mc_cc(p, s, phi) != mc_mts(mts_of_lts(p), s, embed_formula(phi)):
-            failures.append(
-                f"embedding changed the truth of {formula_text(phi)} at {s} on\n{print_system(p)}"
-            )
-            if len(failures) >= _FAILURE_CAP:
-                break
-    return cfg.cases, failures
+            yield f"embedding changed the truth of {formula_text(phi)} at {s} on\n{print_system(p)}"
+        else:
+            yield None
 
 
 @prop("translate.formula-encoding-truth")
 def _prop_encode_truth(cfg: SelfCheckConfig, rng: random.Random):
-    failures: list[str] = []
     for _ in range(cfg.cases):
         m = random_mts(rng, random_alphabet(rng, cfg.max_labels), cfg.max_states)
         s = random_state(rng, m)
         phi = random_bl_formula(rng, m.actions, cfg.max_formula_depth)
         if mc_mts(m, s, phi) != mc_cc(lts_of_mts(m), s, encode_formula(phi)):
-            failures.append(
-                f"encoding changed the truth of {formula_text(phi)} at {s} on\n{print_system(m)}"
-            )
-            if len(failures) >= _FAILURE_CAP:
-                break
-    return cfg.cases, failures
+            yield f"encoding changed the truth of {formula_text(phi)} at {s} on\n{print_system(m)}"
+        else:
+            yield None
 
 
 @prop("translate.formula-decoding-truth")
 def _prop_decode_truth(cfg: SelfCheckConfig, rng: random.Random):
-    failures: list[str] = []
     for _ in range(cfg.cases):
         m = random_mts(rng, random_alphabet(rng, cfg.max_labels), cfg.max_states)
         encoded = lts_of_mts(m)
@@ -1068,29 +987,22 @@ def _prop_decode_truth(cfg: SelfCheckConfig, rng: random.Random):
         s = random_state(rng, encoded)
         psi = random_cc_formula(rng, encoded.signature, cfg.max_formula_depth)
         if mc_cc(encoded, s, psi) != mc_mts(back, s, decode_formula(psi)):
-            failures.append(
-                f"decoding changed the truth of {formula_text(psi)} at {s} on\n{print_system(m)}"
-            )
-            if len(failures) >= _FAILURE_CAP:
-                break
-    return cfg.cases, failures
+            yield f"decoding changed the truth of {formula_text(psi)} at {s} on\n{print_system(m)}"
+        else:
+            yield None
 
 
 @prop("translate.approximation-sound")
 def _prop_approx_sound(cfg: SelfCheckConfig, rng: random.Random):
-    failures: list[str] = []
     for _ in range(cfg.cases):
         sig = random_signature(rng, cfg.max_labels)
         p = random_lts(rng, sig, cfg.max_states)
         s = random_state(rng, p)
         phi = random_bl_formula(rng, sig.actions, cfg.max_formula_depth)
         if mc_mts(mts_of_lts(p), s, phi) and not mc_cc(p, s, approximate_formula(phi, sig)):
-            failures.append(
-                f"approximation of {formula_text(phi)} is unsound at {s} on\n{print_system(p)}"
-            )
-            if len(failures) >= _FAILURE_CAP:
-                break
-    return cfg.cases, failures
+            yield f"approximation of {formula_text(phi)} is unsound at {s} on\n{print_system(p)}"
+        else:
+            yield None
 
 
 def _approx_converse_violation(
@@ -1102,100 +1014,91 @@ def _approx_converse_violation(
 
 @prop("translate.approximation-complete-existential")
 def _prop_approx_existential(cfg: SelfCheckConfig, rng: random.Random):
-    failures: list[str] = []
     for _ in range(cfg.cases):
         sig = random_signature(rng, cfg.max_labels)
         p = random_lts(rng, sig, cfg.max_states)
         s = random_state(rng, p)
         phi = random_bl_formula(rng, sig.actions, cfg.max_formula_depth, existential=True)
         if not is_existential(phi):
-            failures.append(f"generator produced a non-existential formula {formula_text(phi)}")
+            yield f"generator produced a non-existential formula {formula_text(phi)}"
         elif _approx_converse_violation(p, s, phi):
-            failures.append(
-                f"approximation of existential {formula_text(phi)} is incomplete at {s} on\n{print_system(p)}"
-            )
-        if len(failures) >= _FAILURE_CAP:
-            break
-    return cfg.cases, failures
+            yield f"approximation of existential {formula_text(phi)} is incomplete at {s} on\n{print_system(p)}"
+        else:
+            yield None
 
 
 @prop("translate.approximation-complete-no-covariant")
 def _prop_approx_no_covariant(cfg: SelfCheckConfig, rng: random.Random):
-    failures: list[str] = []
     for _ in range(cfg.cases):
         sig = random_signature(rng, cfg.max_labels, classes=(CONTRAVARIANT, BIVARIANT))
         p = random_lts(rng, sig, cfg.max_states)
         s = random_state(rng, p)
         phi = random_bl_formula(rng, sig.actions, cfg.max_formula_depth)
         if _approx_converse_violation(p, s, phi):
-            failures.append(
+            yield (
                 f"approximation of {formula_text(phi)} is incomplete without covariant labels "
                 f"at {s} on\n{print_system(p)}"
             )
-            if len(failures) >= _FAILURE_CAP:
-                break
-    return cfg.cases, failures
+        else:
+            yield None
 
 
 @prop("translate.approximation-complete-unguarded", expect_fail=True)
 def _prop_approx_unguarded(cfg: SelfCheckConfig, rng: random.Random):
-    failures: list[str] = []
     a = Action("a")
     pinned = PointedLTS(frozenset({"s0"}), signature(cov=[a]), frozenset(), "s0")
     pinned_phi: Formula = Box(a, Bottom())
     if _approx_converse_violation(pinned, "s0", pinned_phi):
-        failures.append(
+        yield (
             "known hole: [a]ff approximates to tt over a covariant-only signature, "
             "but the embedded state can always step to the sink"
         )
+    else:
+        yield None
     for _ in range(cfg.cases):
         sig = random_signature(rng, cfg.max_labels)
         p = random_lts(rng, sig, cfg.max_states)
         s = random_state(rng, p)
         phi = random_bl_formula(rng, sig.actions, cfg.max_formula_depth)
         if _approx_converse_violation(p, s, phi):
-            failures.append(
-                f"converse fails for {formula_text(phi)} at {s} on\n{print_system(p)}"
-            )
-            if len(failures) >= _FAILURE_CAP:
-                break
-    return cfg.cases + 1, failures
+            yield f"converse fails for {formula_text(phi)} at {s} on\n{print_system(p)}"
+        else:
+            yield None
 
 
 @prop("translate.composition-bound-mts")
 def _prop_composition_mts(cfg: SelfCheckConfig, rng: random.Random):
-    failures: list[str] = []
     a = Action("a")
     pin = PointedMTS(frozenset({"m"}), frozenset({a}), frozenset(), frozenset(), "m")
     pin_back = strip_decorations(mts_of_lts(lts_of_mts(pin)))
     if ("m", "m") not in greatest(Refinement(), pin_back, pin):
-        failures.append("the round trip is not below the one-state pinned system")
-    if ("m", "m") in greatest(Refinement(), pin, pin_back):
-        failures.append("the inequality is not strict on the one-state pinned system")
+        yield "the round trip is not below the one-state pinned system"
+    elif ("m", "m") in greatest(Refinement(), pin, pin_back):
+        yield "the inequality is not strict on the one-state pinned system"
+    else:
+        yield None
     for _ in range(cfg.cases):
         m = random_mts(rng, random_alphabet(rng, cfg.max_labels), cfg.max_states)
         back = strip_decorations(mts_of_lts(lts_of_mts(m)))
         rel = greatest(Refinement(), back, m)
         for s in sorted(m.states):
             if (s, s) not in rel:
-                failures.append(
-                    f"round trip is not below the original at state {s} on\n{print_system(m)}"
-                )
+                yield f"round trip is not below the original at state {s} on\n{print_system(m)}"
                 break
-        if len(failures) >= _FAILURE_CAP:
-            break
-    return cfg.cases + 1, failures
+        else:
+            yield None
 
 
 @prop("translate.composition-bound-lts")
 def _prop_composition_lts(cfg: SelfCheckConfig, rng: random.Random):
-    failures: list[str] = []
     pin = PointedLTS(frozenset({"p"}), signature(cov=["a"]), frozenset(), "p")
     pin_img = strip_decorations(lts_of_mts(mts_of_lts(pin)), target=pin.signature)
     if ("p", "p") not in greatest(CCSim(), pin, pin_img):
-        failures.append("the one-state pinned system is not below its round trip")
-    if ("p", "p") in greatest(CCSim(), pin_img, pin):
-        failures.append("the inequality is not strict on the one-state pinned system")
+        yield "the one-state pinned system is not below its round trip"
+    elif ("p", "p") in greatest(CCSim(), pin_img, pin):
+        yield "the inequality is not strict on the one-state pinned system"
+    else:
+        yield None
     for _ in range(cfg.cases):
         sig = random_signature(rng, cfg.max_labels)
         p = random_lts(rng, sig, cfg.max_states)
@@ -1203,27 +1106,25 @@ def _prop_composition_lts(cfg: SelfCheckConfig, rng: random.Random):
         rel = greatest(CCSim(), p, image)
         for s in sorted(p.states):
             if (s, s) not in rel:
-                failures.append(
-                    f"original is not below its round trip at state {s} on\n{print_system(p)}"
-                )
+                yield f"original is not below its round trip at state {s} on\n{print_system(p)}"
                 break
-        if len(failures) >= _FAILURE_CAP:
-            break
-    return cfg.cases + 1, failures
+        else:
+            yield None
 
 
 @prop("translate.decorated-bridge")
 def _prop_decorated_bridge(cfg: SelfCheckConfig, rng: random.Random):
-    failures: list[str] = []
     a = Action("a")
     pin_p = PointedLTS(frozenset({"p"}), signature(cov=[a]), frozenset(), "p")
     pin_q = PointedMTS(
         frozenset({"q"}), frozenset({a}), frozenset({("q", a, "q")}), frozenset(), "q"
     )
     if ("p", "q") not in greatest(Refinement(), mts_of_lts(pin_p), pin_q):
-        failures.append("pinned pair lost the embedded refinement")
-    if ("p", "q") in greatest(CCSim(), decorate_by_class(pin_p), lts_of_mts(pin_q)):
-        failures.append("pinned pair unexpectedly satisfies the decorated simulation")
+        yield "pinned pair lost the embedded refinement"
+    elif ("p", "q") in greatest(CCSim(), decorate_by_class(pin_p), lts_of_mts(pin_q)):
+        yield "pinned pair unexpectedly satisfies the decorated simulation"
+    else:
+        yield None
     for _ in range(cfg.cases):
         sig = random_signature(rng, cfg.max_labels, classes=(COVARIANT, CONTRAVARIANT))
         p = random_lts(rng, sig, cfg.max_states, prefix="p")
@@ -1232,35 +1133,29 @@ def _prop_decorated_bridge(cfg: SelfCheckConfig, rng: random.Random):
         target = greatest(Refinement(), mts_of_lts(p), q)
         for pair in sorted(bridge.pairs):
             if pair[0] in p.states and pair not in target:
-                failures.append(
-                    f"decorated simulation at {pair} did not transfer to refinement on\n{_show_pair(p, q)}"
-                )
+                yield f"decorated simulation at {pair} did not transfer to refinement on\n{_show_pair(p, q)}"
                 break
-        if len(failures) >= _FAILURE_CAP:
-            break
-    return cfg.cases + 1, failures
+        else:
+            yield None
 
 
 @prop("translate.eliminate-bivariant-preserves")
 def _prop_eliminate_bivariant(cfg: SelfCheckConfig, rng: random.Random):
-    failures: list[str] = []
     for _ in range(cfg.cases):
         p, q = random_lts_pair(rng, cfg.max_states)
         before = greatest(CCSim(), p, q).pairs
         after = greatest(CCSim(), eliminate_bivariant(p), eliminate_bivariant(q)).pairs
-        for pp in sorted(p.states):
-            for qq in sorted(q.states):
-                if ((pp, qq) in before) != ((pp, qq) in after):
-                    failures.append(
-                        f"bivariant elimination changed pair ({pp}, {qq}) on\n{_show_pair(p, q)}"
-                    )
-                    break
-            else:
-                continue
-            break
-        if len(failures) >= _FAILURE_CAP:
-            break
-    return cfg.cases, failures
+        changed = [
+            (pp, qq)
+            for pp in sorted(p.states)
+            for qq in sorted(q.states)
+            if ((pp, qq) in before) != ((pp, qq) in after)
+        ]
+        if changed:
+            pp, qq = changed[0]
+            yield f"bivariant elimination changed pair ({pp}, {qq}) on\n{_show_pair(p, q)}"
+        else:
+            yield None
 
 
 # --------------------------------------------------------------------------
@@ -1288,9 +1183,8 @@ def _larsen_mismatches(
     universe: PointedMTS,
     acts: frozenset[Action],
     literal: bool,
-) -> list[str]:
+) -> Iterator[Optional[str]]:
     big = greatest(Refinement(), universe, universe)
-    mismatches: list[str] = []
     for t in terms:
         result = characteristic_formula(t, acts, literal_prefix_clause=literal)
         sat = satisfying_states_mts(universe, result.formula)
@@ -1298,46 +1192,43 @@ def _larsen_mismatches(
         if sat != row:
             extra = sorted(sat - row)
             missing = sorted(row - sat)
-            mismatches.append(
+            yield (
                 f"term {term_text(t)}: formula satisfied beyond the preorder at {extra}, "
                 f"missing {missing}"
             )
-    return mismatches
+        else:
+            yield None
 
 
 @prop("charform.larsen-characteristic")
 def _prop_larsen(cfg: SelfCheckConfig, rng: random.Random):
     acts = frozenset(pool_labels(cfg.max_labels))
     terms, universe = _mts_term_universe(acts, cfg.term_height)
-    mismatches = _larsen_mismatches(terms, universe, acts, literal=False)
-    return len(terms), mismatches[:_FAILURE_CAP]
+    yield from _larsen_mismatches(terms, universe, acts, literal=False)
 
 
 @prop("charform.simplified-equivalent")
 def _prop_simplified_equivalent(cfg: SelfCheckConfig, rng: random.Random):
     acts = frozenset(pool_labels(cfg.max_labels))
     terms, universe = _mts_term_universe(acts, cfg.term_height)
-    failures: list[str] = []
     for t in terms:
         result = characteristic_formula(t, acts)
         full = satisfying_states_mts(universe, result.formula)
         lean = satisfying_states_mts(universe, result.simplified)
         if full != lean:
-            failures.append(
+            yield (
                 f"term {term_text(t)}: simplified form disagrees "
                 f"({formula_text(result.simplified)} vs {formula_text(result.formula)})"
             )
-            if len(failures) >= _FAILURE_CAP:
-                break
-    return len(terms), failures
+        else:
+            yield None
 
 
 @prop("charform.literal-prefix-clause-fails", expect_fail=True)
 def _prop_literal_clause(cfg: SelfCheckConfig, rng: random.Random):
     acts = frozenset(pool_labels(1))
     terms, universe = _mts_term_universe(acts, max(cfg.term_height, 2))
-    mismatches = _larsen_mismatches(terms, universe, acts, literal=True)
-    return len(terms), mismatches[:_FAILURE_CAP]
+    yield from _larsen_mismatches(terms, universe, acts, literal=True)
 
 
 @prop("charform.cc-transport")
@@ -1372,7 +1263,6 @@ def _prop_cc_transport(cfg: SelfCheckConfig, rng: random.Random):
     )
 
     big = greatest(CCSim(), left, right)
-    failures: list[str] = []
     for t in terms:
         phi = encode_formula(characteristic_formula(t, acts).formula)
         sat = satisfying_states_cc(right, phi)
@@ -1380,33 +1270,26 @@ def _prop_cc_transport(cfg: SelfCheckConfig, rng: random.Random):
         if sat != row:
             extra = sorted(sat - row)
             missing = sorted(row - sat)
-            failures.append(
+            yield (
                 f"term {term_text(t)}: encoded formula satisfied beyond the preorder at {extra}, "
                 f"missing {missing}"
             )
-            if len(failures) >= _FAILURE_CAP:
-                break
-    return len(terms), failures
+        else:
+            yield None
 
 
 @prop("charform.omega-satisfied-everywhere")
 def _prop_omega_formula(cfg: SelfCheckConfig, rng: random.Random):
-    failures: list[str] = []
     for _ in range(cfg.cases):
         acts = random_alphabet(rng, cfg.max_labels)
         m = random_mts(rng, acts, cfg.max_states)
         result = characteristic_formula(Omega(), acts)
         if result.simplified != Top():
-            failures.append(
-                f"loosest-process formula simplified to {formula_text(result.simplified)}"
-            )
+            yield f"loosest-process formula simplified to {formula_text(result.simplified)}"
         elif satisfying_states_mts(m, result.formula) != m.states:
-            failures.append(
-                f"loosest-process formula rejected a state of\n{print_system(m)}"
-            )
-        if len(failures) >= _FAILURE_CAP:
-            break
-    return cfg.cases, failures
+            yield f"loosest-process formula rejected a state of\n{print_system(m)}"
+        else:
+            yield None
 
 
 # --------------------------------------------------------------------------
@@ -1447,41 +1330,32 @@ def _random_cc_morphism(rng: random.Random, cfg: SelfCheckConfig) -> CCSignature
 
 @prop("institutions.satisfaction-condition.mts")
 def _prop_satisfaction_mts(cfg: SelfCheckConfig, rng: random.Random):
-    failures: list[str] = []
     for _ in range(cfg.cases):
         f = _random_mts_morphism(rng, cfg)
         m = random_mts(rng, f.target, cfg.max_states)
         s = random_state(rng, m)
         phi = random_bl_formula(rng, f.source, cfg.max_formula_depth)
         if not check_satisfaction_condition(f, m, s, phi):
-            failures.append(
-                f"satisfaction condition broke for {formula_text(phi)} at {s} on\n{print_system(m)}"
-            )
-            if len(failures) >= _FAILURE_CAP:
-                break
-    return cfg.cases, failures
+            yield f"satisfaction condition broke for {formula_text(phi)} at {s} on\n{print_system(m)}"
+        else:
+            yield None
 
 
 @prop("institutions.satisfaction-condition.cc")
 def _prop_satisfaction_cc(cfg: SelfCheckConfig, rng: random.Random):
-    failures: list[str] = []
     for _ in range(cfg.cases):
         f = _random_cc_morphism(rng, cfg)
         p = random_lts(rng, f.target, cfg.max_states)
         s = random_state(rng, p)
         phi = random_cc_formula(rng, f.source, cfg.max_formula_depth)
         if not check_satisfaction_condition(f, p, s, phi):
-            failures.append(
-                f"satisfaction condition broke for {formula_text(phi)} at {s} on\n{print_system(p)}"
-            )
-            if len(failures) >= _FAILURE_CAP:
-                break
-    return cfg.cases, failures
+            yield f"satisfaction condition broke for {formula_text(phi)} at {s} on\n{print_system(p)}"
+        else:
+            yield None
 
 
 @prop("institutions.morphism-composition")
 def _prop_morphism_composition(cfg: SelfCheckConfig, rng: random.Random):
-    failures: list[str] = []
     for _ in range(cfg.cases):
         f = _random_mts_morphism(rng, cfg)
         mid_choices = sorted_actions(f.source)
@@ -1493,80 +1367,69 @@ def _prop_morphism_composition(cfg: SelfCheckConfig, rng: random.Random):
         )
         composed = compose_morphisms(f, g)
         phi = random_bl_formula(rng, g.source, cfg.max_formula_depth)
-        if sen_map(composed, phi) != sen_map(f, sen_map(g, phi)):
-            failures.append(f"sentence maps disagreed under composition for {formula_text(phi)}")
         m = random_mts(rng, f.target, cfg.max_states)
-        if reduct(m, composed) != reduct(reduct(m, f), g):
-            failures.append(f"reducts disagreed under composition on\n{print_system(m)}")
-        if compose_morphisms(f, identity_morphism(f.source)) != f:
-            failures.append("composing with the source identity changed the morphism")
-        if compose_morphisms(identity_morphism(f.target), f) != f:
-            failures.append("composing with the target identity changed the morphism")
-        if len(failures) >= _FAILURE_CAP:
-            break
-    return cfg.cases, failures
+        if sen_map(composed, phi) != sen_map(f, sen_map(g, phi)):
+            yield f"sentence maps disagreed under composition for {formula_text(phi)}"
+        elif reduct(m, composed) != reduct(reduct(m, f), g):
+            yield f"reducts disagreed under composition on\n{print_system(m)}"
+        elif compose_morphisms(f, identity_morphism(f.source)) != f:
+            yield "composing with the source identity changed the morphism"
+        elif compose_morphisms(identity_morphism(f.target), f) != f:
+            yield "composing with the target identity changed the morphism"
+        else:
+            yield None
 
 
 @prop("institutions.morphism-condition")
 def _prop_morphism_condition(cfg: SelfCheckConfig, rng: random.Random):
-    failures: list[str] = []
     for _ in range(cfg.cases):
         m = random_mts(rng, random_alphabet(rng, cfg.max_labels), cfg.max_states)
         s = random_state(rng, m)
         encoded_sig = lts_of_mts(m).signature
         phi = random_cc_formula(rng, encoded_sig, cfg.max_formula_depth)
         if not check_morphism_condition(m, s, phi):
-            failures.append(
-                f"institution morphism condition broke for {formula_text(phi)} at {s} on\n{print_system(m)}"
-            )
-            if len(failures) >= _FAILURE_CAP:
-                break
-    return cfg.cases, failures
+            yield f"institution morphism condition broke for {formula_text(phi)} at {s} on\n{print_system(m)}"
+        else:
+            yield None
 
 
 @prop("institutions.weakly-final-cc")
 def _prop_weakly_final(cfg: SelfCheckConfig, rng: random.Random):
-    failures: list[str] = []
     for _ in range(cfg.cases):
         sig = random_signature(rng, cfg.max_labels, classes=(COVARIANT, CONTRAVARIANT))
         w = weakly_final_implementation(sig)
         p = random_lts(rng, sig, cfg.max_states)
         rel = greatest(CCSim(), p, w)
         if any((s, w.init) not in rel for s in p.states):
-            failures.append(f"some state does not simulate into the candidate on\n{print_system(p)}")
-            if len(failures) >= _FAILURE_CAP:
-                break
-    return cfg.cases, failures
+            yield f"some state does not simulate into the candidate on\n{print_system(p)}"
+        else:
+            yield None
 
 
 @prop("institutions.universal-spec-cc")
 def _prop_universal_spec(cfg: SelfCheckConfig, rng: random.Random):
-    failures: list[str] = []
     for _ in range(cfg.cases):
         sig = random_signature(rng, cfg.max_labels, classes=(COVARIANT, CONTRAVARIANT))
         w = universal_specification(sig)
         p = random_lts(rng, sig, cfg.max_states)
         rel = greatest(CCSim(), w, p)
         if any((w.init, s) not in rel for s in p.states):
-            failures.append(f"the candidate does not simulate into some state of\n{print_system(p)}")
-            if len(failures) >= _FAILURE_CAP:
-                break
-    return cfg.cases, failures
+            yield f"the candidate does not simulate into some state of\n{print_system(p)}"
+        else:
+            yield None
 
 
 @prop("institutions.weakly-initial-mts")
 def _prop_weakly_initial_mts(cfg: SelfCheckConfig, rng: random.Random):
-    failures: list[str] = []
     for _ in range(cfg.cases):
         acts = random_alphabet(rng, cfg.max_labels)
         u = universal_mts(acts)
         m = random_mts(rng, acts, cfg.max_states)
         rel = greatest(Refinement(), u, m)
         if any((u.init, s) not in rel for s in m.states):
-            failures.append(f"the may-everything system is not below every state of\n{print_system(m)}")
-            if len(failures) >= _FAILURE_CAP:
-                break
-    return cfg.cases, failures
+            yield f"the may-everything system is not below every state of\n{print_system(m)}"
+        else:
+            yield None
 
 
 def _small_mts_candidates(acts: frozenset[Action]) -> Iterator[PointedMTS]:
@@ -1599,47 +1462,43 @@ def _small_lts_candidates(sig: CCSignature) -> Iterator[PointedLTS]:
 @prop("institutions.no-weakly-final-mts")
 def _prop_no_weakly_final(cfg: SelfCheckConfig, rng: random.Random):
     demanding, silent = final_obstruction_pair()
-    failures: list[str] = []
     if (demanding.init, demanding.init) not in greatest(Refinement(), demanding, demanding):
-        failures.append("the demanding obstruction system does not even reach itself")
+        yield "the demanding obstruction system does not even reach itself"
+    else:
+        yield None
     if (silent.init, silent.init) not in greatest(Refinement(), silent, silent):
-        failures.append("the silent obstruction system does not even reach itself")
-    count = 0
+        yield "the silent obstruction system does not even reach itself"
+    else:
+        yield None
     for candidate in _small_mts_candidates(demanding.actions):
-        count += 1
         from_demanding = (demanding.init, candidate.init) in greatest(
             Refinement(), demanding, candidate
         )
         from_silent = (silent.init, candidate.init) in greatest(Refinement(), silent, candidate)
         if from_demanding and from_silent:
-            failures.append(
-                f"candidate admits arrows from both obstruction systems:\n{print_system(candidate)}"
-            )
-            if len(failures) >= _FAILURE_CAP:
-                break
-    return count + 2, failures
+            yield f"candidate admits arrows from both obstruction systems:\n{print_system(candidate)}"
+        else:
+            yield None
 
 
 @prop("institutions.no-weakly-initial-cc-bivariant")
 def _prop_no_weakly_initial(cfg: SelfCheckConfig, rng: random.Random):
     looping, silent = initial_obstruction_pair()
-    failures: list[str] = []
     if (looping.init, looping.init) not in greatest(CCSim(), looping, looping):
-        failures.append("the looping obstruction system does not even reach itself")
+        yield "the looping obstruction system does not even reach itself"
+    else:
+        yield None
     if (silent.init, silent.init) not in greatest(CCSim(), silent, silent):
-        failures.append("the silent obstruction system does not even reach itself")
-    count = 0
+        yield "the silent obstruction system does not even reach itself"
+    else:
+        yield None
     for candidate in _small_lts_candidates(looping.signature):
-        count += 1
         into_looping = (candidate.init, looping.init) in greatest(CCSim(), candidate, looping)
         into_silent = (candidate.init, silent.init) in greatest(CCSim(), candidate, silent)
         if into_looping and into_silent:
-            failures.append(
-                f"candidate admits arrows into either obstruction system:\n{print_system(candidate)}"
-            )
-            if len(failures) >= _FAILURE_CAP:
-                break
-    return count + 2, failures
+            yield f"candidate admits arrows into either obstruction system:\n{print_system(candidate)}"
+        else:
+            yield None
 
 
 # --------------------------------------------------------------------------
@@ -1648,26 +1507,24 @@ def _prop_no_weakly_initial(cfg: SelfCheckConfig, rng: random.Random):
 
 @prop("sampling.deterministic")
 def _prop_sampling_deterministic(cfg: SelfCheckConfig, rng: random.Random):
-    failures: list[str] = []
     one = random.Random("determinism:probe")
     two = random.Random("determinism:probe")
     for _ in range(cfg.cases):
         pair_one = random_mts_pair(one, cfg.max_states, cfg.max_labels)
         pair_two = random_mts_pair(two, cfg.max_states, cfg.max_labels)
-        if pair_one != pair_two:
-            failures.append("system generation diverged under one seed")
         sig_one = random_signature(one, cfg.max_labels)
         sig_two = random_signature(two, cfg.max_labels)
-        if sig_one != sig_two:
-            failures.append("signature generation diverged under one seed")
         phi_one = random_cc_formula(one, sig_one, cfg.max_formula_depth)
         phi_two = random_cc_formula(two, sig_two, cfg.max_formula_depth)
-        if phi_one != phi_two:
-            failures.append("formula generation diverged under one seed")
         term_one = random_term(one, mts_term_forms(pair_one[0].actions), cfg.term_height)
         term_two = random_term(two, mts_term_forms(pair_two[0].actions), cfg.term_height)
-        if term_one != term_two:
-            failures.append("term generation diverged under one seed")
-        if failures:
-            break
-    return cfg.cases, failures
+        if pair_one != pair_two:
+            yield "system generation diverged under one seed"
+        elif sig_one != sig_two:
+            yield "signature generation diverged under one seed"
+        elif phi_one != phi_two:
+            yield "formula generation diverged under one seed"
+        elif term_one != term_two:
+            yield "term generation diverged under one seed"
+        else:
+            yield None

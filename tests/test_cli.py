@@ -116,6 +116,30 @@ def test_check_pbsim_depends_on_the_bisimset(files, capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "argv,option",
+    [
+        (["check", "sim", "{lts}", "{lts}", "--bisimset", "a"], "--bisimset"),
+        (["check", "ccsim", "{lts}", "{lts}", "--bisimset", ""], "--bisimset"),
+        (["translate", "c", "{mts}", "--bisimset", "zz"], "--bisimset"),
+        (["translate", "c", "{mts}", "--like", "{lts}"], "--like"),
+        (["translate", "debi", "{lts}", "--like", "{lts}"], "--like"),
+    ],
+    ids=[
+        "check-sim-bisimset",
+        "check-ccsim-empty-bisimset",
+        "translate-c-bisimset",
+        "translate-c-like",
+        "translate-debi-like",
+    ],
+)
+def test_options_a_subcommand_does_not_read_are_refused(files, capsys, argv, option):
+    paths = {"{lts}": files("p.lts", LOOP_A), "{mts}": files("v.mts", VENDING)}
+    code, out, err = run(capsys, *(paths.get(arg, arg) for arg in argv))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {option}: ")
+
+
 # main() builds its argument parser once per process; the next three tests
 # check that one call leaves nothing behind for the next.
 

@@ -179,6 +179,14 @@ def test_wrong_system_type_is_a_type_error(kind, compared):
     assert greatest(kind, right, right).pairs == {("s", "s")}
 
 
+@pytest.mark.parametrize("kind", [PartialBisim(frozenset()), Simulation()], ids=["pbsim", "sim"])
+def test_mismatched_plain_alphabets_name_both_kinds(kind):
+    left = lts(["s"], plain_signature(["a"]), [], "s")
+    right = lts(["t"], plain_signature(["b"]), [], "t")
+    with pytest.raises(ValueError, match="^partial bisimulation and simulation need both systems"):
+        greatest(kind, left, right)
+
+
 def test_unknown_kind_is_a_type_error():
     system = mts(["s"], ["a"], [], [], "s")
     calls = [

@@ -1,4 +1,6 @@
 import json
+import types
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +10,7 @@ from modalsim.selfcheck import (
     SelfCheckConfig,
     SelfCheckReport,
     _PropertyDef,
+    _FAILURE_CAP,
     _REGISTRY,
     property_ids,
     run_property,
@@ -15,6 +18,8 @@ from modalsim.selfcheck import (
 )
 
 QUICK = SelfCheckConfig(cases=8, max_states=3)
+
+GOLDEN_REPORT = Path(__file__).resolve().parent / "selfcheck_seed42.json"
 
 EXPECTED_FAIL_IDS = {
     "charform.literal-prefix-clause-fails",
@@ -87,12 +92,18 @@ def test_json_output_is_stable_and_parses():
     assert other.ok
 
 
+def test_default_report_matches_the_golden_file():
+    # Pins every case count and every failure text of the default run.
+    report = run_selfcheck(SelfCheckConfig(seed=42)).to_json()
+    assert report == GOLDEN_REPORT.read_text(encoding="utf-8")
+
+
 def test_status_mapping_for_a_failing_property():
     def bad(config, rng):
-        return 1, ["it broke"]
+        yield "it broke"
 
     def good(config, rng):
-        return 1, []
+        yield None
 
     _REGISTRY["zz.test-bad"] = _PropertyDef("zz.test-bad", bad)
     _REGISTRY["zz.test-good-but-expected-bad"] = _PropertyDef(
@@ -116,6 +127,46 @@ def test_status_mapping_for_a_failing_property():
     finally:
         del _REGISTRY["zz.test-bad"]
         del _REGISTRY["zz.test-good-but-expected-bad"]
+
+
+def test_runner_counts_cases_and_stops_at_the_cap():
+    ran = []
+
+    def always_bad(config, rng):
+        for case in range(config.cases):
+            ran.append(case)
+            yield f"case {case} broke"
+
+    def never_bad(config, rng):
+        for _ in range(config.cases):
+            yield None
+
+    _REGISTRY["zz.test-always-bad"] = _PropertyDef("zz.test-always-bad", always_bad)
+    _REGISTRY["zz.test-never-bad"] = _PropertyDef("zz.test-never-bad", never_bad, expect_fail=True)
+    try:
+        capped = run_property("zz.test-always-bad", QUICK)
+        assert capped.status == "fail"
+        assert capped.cases == _FAILURE_CAP == 3
+        assert capped.failures == ("case 0 broke", "case 1 broke", "case 2 broke")
+        assert ran == [0, 1, 2]
+
+        surprise = run_property("zz.test-never-bad", QUICK)
+        assert surprise.status == "unexpected-pass"
+        assert surprise.cases == QUICK.cases
+        assert surprise.failures == ()
+    finally:
+        del _REGISTRY["zz.test-always-bad"]
+        del _REGISTRY["zz.test-never-bad"]
+
+
+def test_golden_files_property_fails_without_fixtures(tmp_path, monkeypatch):
+    import modalsim.selfcheck as selfcheck
+
+    (tmp_path / "fixtures").mkdir()
+    monkeypatch.setattr(selfcheck, "resources", types.SimpleNamespace(files=lambda package: tmp_path))
+    report = run_property("textio.golden-files-stable", QUICK)
+    assert report.status == "fail"
+    assert report.failures == ("no golden fixture files found",)
 
 
 def test_text_rendering():
@@ -147,4 +198,4 @@ def test_duplicate_registration_is_rejected():
     from modalsim.selfcheck import prop
 
     with pytest.raises(ValueError):
-        prop("systems.validate-accepts-generated")(lambda config, rng: (1, []))
+        prop("systems.validate-accepts-generated")(lambda config, rng: iter([None]))
