@@ -62,6 +62,12 @@ def _read_text(path: str) -> str:
         raise CliError(f"cannot read {path}: {exc.strerror or exc}") from exc
 
 
+def _read_stdin_once(*paths: Optional[str]) -> None:
+    """Refuse ``-`` for more than one input: a second read of stdin is empty."""
+    if paths.count("-") > 1:
+        raise CliError("-: standard input can be read for one input only")
+
+
 def _load_system(path: str, strict: bool) -> System:
     try:
         parsed = parse_system_details(_read_text(path), strict=strict)
@@ -105,6 +111,7 @@ def _system_kind(system: System) -> str:
 def _cmd_check(args: argparse.Namespace) -> int:
     if args.bisimset is not None and args.kind != "pbsim":
         raise CliError(f"--bisimset: only pbsim reads a bisimulation set, not {args.kind}")
+    _read_stdin_once(args.left, args.right)
     left = _load_system(args.left, args.strict)
     right = _load_system(args.right, args.strict)
     if args.kind == "refine":
@@ -160,6 +167,7 @@ def _cmd_translate(args: argparse.Namespace) -> int:
         raise CliError(f"--bisimset: only op n reads must labels, not {args.op}")
     if args.like is not None and args.op != "rho":
         raise CliError(f"--like: only op rho reads a target system, not {args.op}")
+    _read_stdin_once(args.file, args.like)
     system = _load_system(args.file, args.strict)
     report: Optional[TranslationReport] = None
     try:
@@ -395,7 +403,16 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        # A closed pipe shows here rather than in the flush at interpreter exit.
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader went away (as under ``| head``).  Point stdout at devnull,
+        # so that the flush at exit does not fail a second time.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: standard output was closed", file=sys.stderr)
+        return 2
     except (CliError, ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

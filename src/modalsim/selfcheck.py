@@ -1,15 +1,21 @@
 """A registry of executable correctness properties with a deterministic
 runner.
 
-Each property is a generator ``(config, rng)`` registered under a dotted id.
-It yields one result per case: the case's failure text, or ``None`` when the
-case passes.  The runner alone counts the cases that ran, keeps the failures
-and stops a property at its third failure.  It seeds every property with its
-own ``random.Random(f"{seed}:{property_id}")``, so reports are reproducible
-and independent of which other properties run.  A few properties are registered
-with ``expect_fail=True``: they pin known boundaries (an approximation that
-is deliberately one-sided, a formula recursion variant that does not
-characterise) and count as OK exactly when their failure materialises.
+Each property is a generator ``(config, rng, *args)`` registered under a
+dotted id together with its extra ``args``.  One body may be registered under
+several ids: a law that holds for MTSs under refinement and for LTSs under
+covariant-contravariant simulation is one body with one id per world, each
+passing that world's view, which says how the world is drawn and checked.
+
+A property yields one result per case: the case's failure text, or ``None``
+when the case passes.  The runner alone counts the cases that ran, keeps the
+failures and stops a property at its third failure.  It seeds every property
+with its own ``random.Random(f"{seed}:{property_id}")``, so reports are
+reproducible and independent of which other properties run.  A few
+properties are registered with ``expect_fail=True``: they pin known
+boundaries (an approximation that is deliberately one-sided, a formula
+recursion variant that does not characterise) and count as OK exactly when
+their failure materialises.
 
 Reports serialise to JSON with sorted keys and no timing information, so two
 runs with one seed produce byte-identical output.
@@ -95,8 +101,9 @@ from .systems import (
     CCSignature,
     PointedLTS,
     PointedMTS,
-    Transition,
     _triple_key,
+    lts,
+    mts,
     signature,
     sorted_actions,
     universal_mts,
@@ -219,7 +226,8 @@ class SelfCheckReport:
         return "\n".join(lines) + "\n"
 
 
-PropertyFn = Callable[[SelfCheckConfig, random.Random], Iterator[Optional[str]]]
+# Called as ``fn(config, rng, *args)`` with the ``args`` of its registration.
+PropertyFn = Callable[..., Iterator[Optional[str]]]
 
 
 @dataclass(frozen=True)
@@ -227,16 +235,20 @@ class _PropertyDef:
     pid: str
     fn: PropertyFn
     expect_fail: bool = False
+    args: tuple = ()
 
 
 _REGISTRY: dict[str, _PropertyDef] = {}
 
 
-def prop(pid: str, expect_fail: bool = False) -> Callable[[PropertyFn], PropertyFn]:
+def prop(pid: str, *args: object, expect_fail: bool = False) -> Callable[[PropertyFn], PropertyFn]:
+    """Register a property under ``pid`` with the extra ``args`` it is run
+    with; stacked, it registers one body under several ids."""
+
     def register(fn: PropertyFn) -> PropertyFn:
         if pid in _REGISTRY:
             raise ValueError(f"property id {pid!r} registered twice")
-        _REGISTRY[pid] = _PropertyDef(pid, fn, expect_fail)
+        _REGISTRY[pid] = _PropertyDef(pid, fn, expect_fail, args)
         return fn
 
     return register
@@ -255,7 +267,7 @@ def run_property(pid: str, config: SelfCheckConfig) -> PropertyReport:
     rng = random.Random(f"{config.seed}:{pid}")
     cases = 0
     failures: list[str] = []
-    for failure in definition.fn(config, rng):
+    for failure in definition.fn(config, rng, *definition.args):
         cases += 1
         if failure is not None:
             failures.append(failure)
@@ -350,27 +362,122 @@ def shrink_pair(p, q, still_fails: Callable[[object, object], bool]):
     return p, q
 
 
-# The state bounds of an oracle pair: the right one keeps the product of the
-# drawn system's size with it within ``ORACLE_PRODUCT_CAP``.
-def _left_bound(rng: random.Random, cfg: SelfCheckConfig) -> int:
-    return rng.randint(1, min(cfg.max_states, ORACLE_PRODUCT_CAP))
+# --------------------------------------------------------------------------
+# the two worlds
 
 
-def _right_bound(cfg: SelfCheckConfig, p) -> int:
-    return max(1, min(cfg.max_states, ORACLE_PRODUCT_CAP // len(p.states)))
+def _random_mts_morphism(rng: random.Random, cfg: SelfCheckConfig) -> MtsSignatureMorphism:
+    target = random_alphabet(rng, cfg.max_labels)
+    choices = sorted_actions(target)
+    source = [Action(f"x{i}") for i in range(rng.randint(1, 3))]
+    mapping = {a: choices[rng.randrange(len(choices))] for a in source}
+    return mts_morphism(source, target, mapping)
 
 
-def _oracle_mts_pair(rng: random.Random, cfg: SelfCheckConfig):
-    acts = random_alphabet(rng, cfg.max_labels)
-    p = random_mts(rng, acts, _left_bound(rng, cfg), prefix="p")
-    q = random_mts(rng, acts, _right_bound(cfg, p), prefix="q")
-    return p, q
+def _random_cc_morphism(rng: random.Random, cfg: SelfCheckConfig) -> CCSignatureMorphism:
+    target = random_signature(rng, max_per_class=cfg.max_labels)
+    buckets: dict[str, list[Action]] = {COVARIANT: [], CONTRAVARIANT: [], BIVARIANT: []}
+    mapping: dict[Action, Action] = {}
+    fresh = 0
+    for cls, labels in (
+        (COVARIANT, target.covariant),
+        (CONTRAVARIANT, target.contravariant),
+        (BIVARIANT, target.bivariant),
+    ):
+        choices = sorted_actions(labels)
+        if not choices:
+            continue
+        for _ in range(rng.randint(0, 2)):
+            a = Action(f"x{fresh}")
+            fresh += 1
+            buckets[cls].append(a)
+            mapping[a] = choices[rng.randrange(len(choices))]
+    source = signature(
+        cov=buckets[COVARIANT], con=buckets[CONTRAVARIANT], bi=buckets[BIVARIANT]
+    )
+    return cc_morphism(source, target, mapping)
 
 
-def _oracle_lts_pair(rng: random.Random, cfg: SelfCheckConfig, classes):
-    sig = random_signature(rng, max_per_class=1, classes=classes)
-    p = random_lts(rng, sig, _left_bound(rng, cfg), prefix="p")
-    q = random_lts(rng, sig, _right_bound(cfg, p), prefix="q")
+@dataclass(frozen=True)
+class _View:
+    """How the properties draw and check one of the paper's two worlds: MTSs
+    under refinement, or LTSs over covariant-contravariant signatures under
+    cc-simulation.  A law stated in both worlds is one body registered once
+    per view; a property that alternates worlds takes ``_VIEWS[case % 2]``."""
+
+    kind: PreorderKind
+    noun: str  # the preorder, in failure messages
+    name: str  # the system kind, as ``parse_term`` reads it
+    labels: Callable  # (rng, cfg) -> the labels of one system
+    pair_labels: Callable  # (rng, cfg) -> the labels that a pair shares
+    term_labels: Callable  # (rng, cfg) -> labels with no bivariant class, as terms need
+    system: Callable  # (rng, labels, max_states, prefix) -> a system
+    formula: Callable  # (rng, labels, max_depth) -> a formula
+    term_forms: Callable
+    expand: Callable
+    logic: Callable
+    mc: Callable
+    satisfying: Callable
+    validate: Callable
+    morphism: Callable  # (rng, cfg) -> a signature morphism
+
+    def pair(self, rng: random.Random, cfg: SelfCheckConfig):
+        """Shared labels and two systems over them, states prefixed ``p``/``q``."""
+        labels = self.pair_labels(rng, cfg)
+        p = self.system(rng, labels, cfg.max_states, prefix="p")
+        q = self.system(rng, labels, cfg.max_states, prefix="q")
+        return labels, p, q
+
+
+def _alphabet(rng: random.Random, cfg: SelfCheckConfig) -> frozenset[Action]:
+    return random_alphabet(rng, cfg.max_labels)
+
+
+_MTS = _View(
+    kind=Refinement(),
+    noun="refinement",
+    name="mts",
+    labels=_alphabet,
+    pair_labels=_alphabet,
+    term_labels=_alphabet,
+    system=random_mts,
+    formula=random_bl_formula,
+    term_forms=mts_term_forms,
+    expand=expand_mts_term,
+    logic=BLLogic,
+    mc=mc_mts,
+    satisfying=satisfying_states_mts,
+    validate=validate_mts,
+    morphism=_random_mts_morphism,
+)
+_CC = _View(
+    kind=CCSim(),
+    noun="cc-simulation",
+    name="lts",
+    labels=lambda rng, cfg: random_signature(rng, cfg.max_labels),
+    pair_labels=lambda rng, cfg: random_signature(rng, max_per_class=1),
+    term_labels=lambda rng, cfg: random_signature(rng, cfg.max_labels, classes=(COVARIANT, CONTRAVARIANT)),
+    system=random_lts,
+    formula=random_cc_formula,
+    term_forms=lts_term_forms,
+    expand=expand_lts_term,
+    logic=CCLogic,
+    mc=mc_cc,
+    satisfying=satisfying_states_cc,
+    validate=validate_cc_lts,
+    morphism=_random_cc_morphism,
+)
+_VIEWS = (_MTS, _CC)
+
+
+def _oracle_pair(rng: random.Random, cfg: SelfCheckConfig, draw_labels: Callable, draw_system: Callable):
+    """Two systems over shared labels that the oracle can take: the right one
+    keeps the product of the two state counts within ``ORACLE_PRODUCT_CAP``."""
+    labels = draw_labels(rng, cfg)
+    left_states = rng.randint(1, min(cfg.max_states, ORACLE_PRODUCT_CAP))
+    p = draw_system(rng, labels, left_states, prefix="p")
+    right_states = max(1, min(cfg.max_states, ORACLE_PRODUCT_CAP // len(p.states)))
+    q = draw_system(rng, labels, right_states, prefix="q")
     return p, q
 
 
@@ -397,12 +504,8 @@ def _oracle_case(kind: PreorderKind, p, q, what: str) -> Optional[str]:
 @prop("systems.validate-accepts-generated")
 def _prop_validate_generated(cfg: SelfCheckConfig, rng: random.Random):
     for case in range(cfg.cases):
-        if case % 2 == 0:
-            m = random_mts(rng, random_alphabet(rng, cfg.max_labels), cfg.max_states)
-            problems = validate_mts(m)
-        else:
-            p = random_lts(rng, random_signature(rng, cfg.max_labels), cfg.max_states)
-            problems = validate_cc_lts(p)
+        view = _VIEWS[case % 2]
+        problems = view.validate(view.system(rng, view.labels(rng, cfg), cfg.max_states))
         if problems:
             yield f"generated system failed validation: {problems}"
         else:
@@ -412,18 +515,11 @@ def _prop_validate_generated(cfg: SelfCheckConfig, rng: random.Random):
 @prop("terms.expansion-well-formed")
 def _prop_term_expansion(cfg: SelfCheckConfig, rng: random.Random):
     for case in range(cfg.cases):
-        if case % 2 == 0:
-            acts = random_alphabet(rng, cfg.max_labels)
-            t = random_term(rng, mts_term_forms(acts), cfg.term_height + 1)
-            expansion = expand_mts_term(t, acts)
-            problems = validate_mts(expansion)
-            kind = "mts"
-        else:
-            sig = random_signature(rng, cfg.max_labels, classes=(COVARIANT, CONTRAVARIANT))
-            t = random_term(rng, lts_term_forms(sig), cfg.term_height + 1)
-            expansion = expand_lts_term(t, sig)
-            problems = validate_cc_lts(expansion)
-            kind = "lts"
+        view = _VIEWS[case % 2]
+        labels = view.term_labels(rng, cfg)
+        t = random_term(rng, view.term_forms(labels), cfg.term_height + 1)
+        expansion = view.expand(t, labels)
+        problems = view.validate(expansion)
         root = canonical_term(t)
         if problems:
             yield f"expansion of {term_text(t)} is ill-formed: {problems}"
@@ -433,7 +529,7 @@ def _prop_term_expansion(cfg: SelfCheckConfig, rng: random.Random):
             yield f"canonical form of {term_text(t)} is not idempotent"
         else:
             for state in sorted(expansion.states):
-                back = parse_term(state, kind)
+                back = parse_term(state, view.name)
                 if canonical_term(back) != back or term_text(back) != state:
                     yield f"state {state!r} is not a canonical printed term"
                     break
@@ -445,45 +541,33 @@ def _prop_term_expansion(cfg: SelfCheckConfig, rng: random.Random):
 # preorders
 
 
-@prop("preorders.fixpoint-matches-oracle.refinement")
-def _prop_oracle_refinement(cfg: SelfCheckConfig, rng: random.Random):
+@prop("preorders.fixpoint-matches-oracle.refinement", _MTS)
+@prop("preorders.fixpoint-matches-oracle.ccsim", _CC)
+def _prop_oracle(cfg: SelfCheckConfig, rng: random.Random, view: _View):
     for _ in range(cfg.cases):
-        p, q = _oracle_mts_pair(rng, cfg)
-        yield _oracle_case(Refinement(), p, q, "refinement")
-
-
-@prop("preorders.fixpoint-matches-oracle.ccsim")
-def _prop_oracle_ccsim(cfg: SelfCheckConfig, rng: random.Random):
-    for _ in range(cfg.cases):
-        p, q = _oracle_lts_pair(rng, cfg, (COVARIANT, CONTRAVARIANT, BIVARIANT))
-        yield _oracle_case(CCSim(), p, q, "cc-simulation")
+        p, q = _oracle_pair(rng, cfg, view.pair_labels, view.system)
+        yield _oracle_case(view.kind, p, q, view.noun)
 
 
 @prop("preorders.fixpoint-matches-oracle.pbsim")
 def _prop_oracle_pbsim(cfg: SelfCheckConfig, rng: random.Random):
     for _ in range(cfg.cases):
-        acts = random_alphabet(rng, cfg.max_labels)
-        p = random_plain_lts(rng, acts, _left_bound(rng, cfg), prefix="p")
-        q = random_plain_lts(rng, acts, _right_bound(cfg, p), prefix="q")
-        kind = PartialBisim(_random_bset(rng, acts))
+        p, q = _oracle_pair(rng, cfg, _alphabet, random_plain_lts)
+        kind = PartialBisim(_random_bset(rng, p.signature.actions))
         yield _oracle_case(kind, p, q, "partial bisimulation")
 
 
 @prop("preorders.fixpoint-matches-oracle.simulation")
 def _prop_oracle_simulation(cfg: SelfCheckConfig, rng: random.Random):
     for _ in range(cfg.cases):
-        acts = random_alphabet(rng, cfg.max_labels)
-        p = random_plain_lts(rng, acts, _left_bound(rng, cfg), prefix="p")
-        q = random_plain_lts(rng, acts, _right_bound(cfg, p), prefix="q")
+        p, q = _oracle_pair(rng, cfg, _alphabet, random_plain_lts)
         yield _oracle_case(Simulation(), p, q, "simulation")
 
 
 @prop("preorders.pbsim-empty-is-simulation")
 def _prop_pbsim_empty(cfg: SelfCheckConfig, rng: random.Random):
     for _ in range(cfg.cases):
-        acts = random_alphabet(rng, cfg.max_labels)
-        p = random_plain_lts(rng, acts, _left_bound(rng, cfg), prefix="p")
-        q = random_plain_lts(rng, acts, _right_bound(cfg, p), prefix="q")
+        p, q = _oracle_pair(rng, cfg, _alphabet, random_plain_lts)
         empty = greatest(PartialBisim(frozenset()), p, q).pairs
         if empty != greatest(Simulation(), p, q).pairs:
             yield f"empty-set partial bisimulation differs from simulation on\n{_show_pair(p, q)}"
@@ -493,36 +577,18 @@ def _prop_pbsim_empty(cfg: SelfCheckConfig, rng: random.Random):
             yield None
 
 
-@prop("preorders.refinement-preorder-laws")
-def _prop_refinement_laws(cfg: SelfCheckConfig, rng: random.Random):
+@prop("preorders.refinement-preorder-laws", _MTS)
+@prop("preorders.ccsim-preorder-laws", _CC)
+def _prop_preorder_laws(cfg: SelfCheckConfig, rng: random.Random, view: _View):
     for _ in range(cfg.cases):
-        acts = random_alphabet(rng, cfg.max_labels)
-        p = random_mts(rng, acts, cfg.max_states, prefix="p")
-        q = random_mts(rng, acts, cfg.max_states, prefix="q")
-        r = random_mts(rng, acts, cfg.max_states, prefix="r")
-        identity = greatest(Refinement(), p, p)
-        through = compose_relations(greatest(Refinement(), p, q), greatest(Refinement(), q, r))
+        labels, p, q = view.pair(rng, cfg)
+        r = view.system(rng, labels, cfg.max_states, prefix="r")
+        identity = greatest(view.kind, p, p)
+        through = compose_relations(greatest(view.kind, p, q), greatest(view.kind, q, r))
         if any((s, s) not in identity for s in p.states):
-            yield f"refinement is not reflexive on\n{print_system(p)}"
-        elif not through.pairs <= greatest(Refinement(), p, r).pairs:
-            yield f"refinement is not transitive through\n{print_system(q)}"
-        else:
-            yield None
-
-
-@prop("preorders.ccsim-preorder-laws")
-def _prop_ccsim_laws(cfg: SelfCheckConfig, rng: random.Random):
-    for _ in range(cfg.cases):
-        sig = random_signature(rng, max_per_class=1)
-        p = random_lts(rng, sig, cfg.max_states, prefix="p")
-        q = random_lts(rng, sig, cfg.max_states, prefix="q")
-        r = random_lts(rng, sig, cfg.max_states, prefix="r")
-        identity = greatest(CCSim(), p, p)
-        through = compose_relations(greatest(CCSim(), p, q), greatest(CCSim(), q, r))
-        if any((s, s) not in identity for s in p.states):
-            yield f"cc-simulation is not reflexive on\n{print_system(p)}"
-        elif not through.pairs <= greatest(CCSim(), p, r).pairs:
-            yield f"cc-simulation is not transitive through\n{print_system(q)}"
+            yield f"{view.noun} is not reflexive on\n{print_system(p)}"
+        elif not through.pairs <= greatest(view.kind, p, r).pairs:
+            yield f"{view.noun} is not transitive through\n{print_system(q)}"
         else:
             yield None
 
@@ -530,19 +596,11 @@ def _prop_ccsim_laws(cfg: SelfCheckConfig, rng: random.Random):
 @prop("preorders.distinguishing-formula-witnesses")
 def _prop_distinguishing(cfg: SelfCheckConfig, rng: random.Random):
     for case in range(cfg.cases):
-        if case % 2 == 0:
-            p, q = random_mts_pair(rng, cfg.max_states, cfg.max_labels)
-            kind: PreorderKind = Refinement()
-            logic: Union[BLLogic, CCLogic] = BLLogic(p.actions)
-            holds = mc_mts
-        else:
-            p, q = random_lts_pair(rng, cfg.max_states)
-            kind = CCSim()
-            logic = CCLogic(p.signature)
-            holds = mc_cc
-        rel = greatest(kind, p, q)
+        view = _VIEWS[case % 2]
+        labels, p, q = view.pair(rng, cfg)
+        rel = greatest(view.kind, p, q)
         pp, qq = random_state(rng, p), random_state(rng, q)
-        phi = distinguishing_formula(kind, p, pp, q, qq)
+        phi = distinguishing_formula(view.kind, p, pp, q, qq)
         related = (pp, qq) in rel
         if related and phi is not None:
             yield f"related pair ({pp}, {qq}) got a distinguishing formula {formula_text(phi)}"
@@ -550,9 +608,9 @@ def _prop_distinguishing(cfg: SelfCheckConfig, rng: random.Random):
             yield None
         elif phi is None:
             yield f"unrelated pair ({pp}, {qq}) got no distinguishing formula"
-        elif check_wf(phi, logic):
+        elif check_wf(phi, view.logic(labels)):
             yield f"distinguishing formula {formula_text(phi)} is ill-formed"
-        elif not holds(p, pp, phi) or holds(q, qq, phi):
+        elif not view.mc(p, pp, phi) or view.mc(q, qq, phi):
             yield f"formula {formula_text(phi)} does not separate ({pp}, {qq}) on\n{_show_pair(p, q)}"
         else:
             yield None
@@ -562,64 +620,31 @@ def _prop_distinguishing(cfg: SelfCheckConfig, rng: random.Random):
 # logic
 
 
-@prop("formulas.satisfaction-monotone.mts")
-def _prop_monotone_mts(cfg: SelfCheckConfig, rng: random.Random):
+@prop("formulas.satisfaction-monotone.mts", _MTS)
+@prop("formulas.satisfaction-monotone.cc", _CC)
+def _prop_monotone(cfg: SelfCheckConfig, rng: random.Random, view: _View):
     for _ in range(cfg.cases):
-        acts = random_alphabet(rng, cfg.max_labels)
-        m = random_mts(rng, acts, cfg.max_states)
-        phi = random_bl_formula(rng, acts, cfg.max_formula_depth)
+        labels = view.labels(rng, cfg)
+        m = view.system(rng, labels, cfg.max_states)
+        phi = view.formula(rng, labels, cfg.max_formula_depth)
         parts = list(subformulas(phi))
         target = parts[rng.randrange(len(parts))]
-        weaker = replace_subformula(
-            phi, target, Or(target, random_bl_formula(rng, acts, 2))
-        )
-        if not satisfying_states_mts(m, phi) <= satisfying_states_mts(m, weaker):
+        weaker = replace_subformula(phi, target, Or(target, view.formula(rng, labels, 2)))
+        if not view.satisfying(m, phi) <= view.satisfying(m, weaker):
             yield f"weakening {formula_text(phi)} to {formula_text(weaker)} lost states on\n{print_system(m)}"
         else:
             yield None
 
 
-@prop("formulas.satisfaction-monotone.cc")
-def _prop_monotone_cc(cfg: SelfCheckConfig, rng: random.Random):
+@prop("formulas.refinement-preserves-truth", _MTS)
+@prop("formulas.ccsim-preserves-truth", _CC)
+def _prop_preserves_truth(cfg: SelfCheckConfig, rng: random.Random, view: _View):
     for _ in range(cfg.cases):
-        sig = random_signature(rng, cfg.max_labels)
-        p = random_lts(rng, sig, cfg.max_states)
-        phi = random_cc_formula(rng, sig, cfg.max_formula_depth)
-        parts = list(subformulas(phi))
-        target = parts[rng.randrange(len(parts))]
-        weaker = replace_subformula(
-            phi, target, Or(target, random_cc_formula(rng, sig, 2))
-        )
-        if not satisfying_states_cc(p, phi) <= satisfying_states_cc(p, weaker):
-            yield f"weakening {formula_text(phi)} to {formula_text(weaker)} lost states on\n{print_system(p)}"
-        else:
-            yield None
-
-
-@prop("formulas.refinement-preserves-truth")
-def _prop_refinement_truth(cfg: SelfCheckConfig, rng: random.Random):
-    for _ in range(cfg.cases):
-        p, q = random_mts_pair(rng, cfg.max_states, cfg.max_labels)
-        rel = greatest(Refinement(), p, q)
-        phi = random_bl_formula(rng, p.actions, cfg.max_formula_depth)
-        sat_p = satisfying_states_mts(p, phi)
-        sat_q = satisfying_states_mts(q, phi)
-        for pp, qq in sorted(rel.pairs):
-            if pp in sat_p and qq not in sat_q:
-                yield f"{formula_text(phi)} holds at {pp} but not at related {qq} on\n{_show_pair(p, q)}"
-                break
-        else:
-            yield None
-
-
-@prop("formulas.ccsim-preserves-truth")
-def _prop_ccsim_truth(cfg: SelfCheckConfig, rng: random.Random):
-    for _ in range(cfg.cases):
-        p, q = random_lts_pair(rng, cfg.max_states)
-        rel = greatest(CCSim(), p, q)
-        phi = random_cc_formula(rng, p.signature, cfg.max_formula_depth)
-        sat_p = satisfying_states_cc(p, phi)
-        sat_q = satisfying_states_cc(q, phi)
+        labels, p, q = view.pair(rng, cfg)
+        rel = greatest(view.kind, p, q)
+        phi = view.formula(rng, labels, cfg.max_formula_depth)
+        sat_p = view.satisfying(p, phi)
+        sat_q = view.satisfying(q, phi)
         for pp, qq in sorted(rel.pairs):
             if pp in sat_p and qq not in sat_q:
                 yield f"{formula_text(phi)} holds at {pp} but not at related {qq} on\n{_show_pair(p, q)}"
@@ -631,17 +656,11 @@ def _prop_ccsim_truth(cfg: SelfCheckConfig, rng: random.Random):
 @prop("formulas.simplify-preserves-meaning")
 def _prop_simplify(cfg: SelfCheckConfig, rng: random.Random):
     for case in range(cfg.cases):
-        if case % 2 == 0:
-            acts = random_alphabet(rng, cfg.max_labels)
-            m = random_mts(rng, acts, cfg.max_states)
-            phi = random_bl_formula(rng, acts, cfg.max_formula_depth)
-            same = satisfying_states_mts(m, phi) == satisfying_states_mts(m, simplify(phi))
-        else:
-            sig = random_signature(rng, cfg.max_labels)
-            p = random_lts(rng, sig, cfg.max_states)
-            phi = random_cc_formula(rng, sig, cfg.max_formula_depth)
-            same = satisfying_states_cc(p, phi) == satisfying_states_cc(p, simplify(phi))
-        if not same:
+        view = _VIEWS[case % 2]
+        labels = view.labels(rng, cfg)
+        system = view.system(rng, labels, cfg.max_states)
+        phi = view.formula(rng, labels, cfg.max_formula_depth)
+        if view.satisfying(system, phi) != view.satisfying(system, simplify(phi)):
             yield (
                 f"simplify changed the meaning of {formula_text(phi)} "
                 f"(now {formula_text(simplify(phi))})"
@@ -657,12 +676,8 @@ def _prop_simplify(cfg: SelfCheckConfig, rng: random.Random):
 @prop("textio.system-roundtrip")
 def _prop_system_roundtrip(cfg: SelfCheckConfig, rng: random.Random):
     for case in range(cfg.cases):
-        if case % 2 == 0:
-            system: Union[PointedMTS, PointedLTS] = random_mts(
-                rng, random_alphabet(rng, cfg.max_labels), cfg.max_states
-            )
-        else:
-            system = random_lts(rng, random_signature(rng, cfg.max_labels), cfg.max_states)
+        view = _VIEWS[case % 2]
+        system = view.system(rng, view.labels(rng, cfg), cfg.max_states)
         text = print_system(system)
         parsed = parse_system_details(text, strict=True)
         if parsed.system != system:
@@ -694,20 +709,14 @@ def _prop_formula_roundtrip(cfg: SelfCheckConfig, rng: random.Random):
 @prop("textio.term-roundtrip")
 def _prop_term_roundtrip(cfg: SelfCheckConfig, rng: random.Random):
     for case in range(cfg.cases):
-        if case % 2 == 0:
-            acts = random_alphabet(rng, cfg.max_labels)
-            t = random_term(rng, mts_term_forms(acts), cfg.term_height + 1)
-            kind = "mts"
-        else:
-            sig = random_signature(rng, cfg.max_labels, classes=(COVARIANT, CONTRAVARIANT))
-            t = random_term(rng, lts_term_forms(sig), cfg.term_height + 1)
-            kind = "lts"
+        view = _VIEWS[case % 2]
+        t = random_term(rng, view.term_forms(view.term_labels(rng, cfg)), cfg.term_height + 1)
         text = term_text(t)
-        back = parse_term(text, kind)
+        back = parse_term(text, view.name)
         root = canonical_term(t)
         if term_text(back) != text:
             yield f"term text is not a parse/print fixpoint: {text}"
-        elif parse_term(term_text(root), kind) != root:
+        elif parse_term(term_text(root), view.name) != root:
             yield f"canonical term does not reparse to itself: {term_text(root)}"
         else:
             yield None
@@ -1066,47 +1075,39 @@ def _prop_approx_unguarded(cfg: SelfCheckConfig, rng: random.Random):
             yield None
 
 
-@prop("translate.composition-bound-mts")
-def _prop_composition_mts(cfg: SelfCheckConfig, rng: random.Random):
-    a = Action("a")
-    pin = PointedMTS(frozenset({"m"}), frozenset({a}), frozenset(), frozenset(), "m")
-    pin_back = strip_decorations(mts_of_lts(lts_of_mts(pin)))
-    if ("m", "m") not in greatest(Refinement(), pin_back, pin):
-        yield "the round trip is not below the one-state pinned system"
-    elif ("m", "m") in greatest(Refinement(), pin, pin_back):
+def _mts_round_trip(m: PointedMTS) -> tuple[PointedMTS, PointedMTS]:
+    """An MTS and its round trip through the encoding, the lower one first."""
+    return strip_decorations(mts_of_lts(lts_of_mts(m))), m
+
+
+def _lts_round_trip(p: PointedLTS) -> tuple[PointedLTS, PointedLTS]:
+    """An LTS and its round trip through the embedding, the lower one first."""
+    return p, strip_decorations(lts_of_mts(mts_of_lts(p)), target=p.signature)
+
+
+@prop("translate.composition-bound-mts", _MTS, mts(["m"], ["a"], [], [], "m"), _mts_round_trip,
+      "the round trip is not below the one-state pinned system", "round trip is not below the original")
+@prop("translate.composition-bound-lts", _CC, lts(["p"], signature(cov=["a"]), [], "p"), _lts_round_trip,
+      "the one-state pinned system is not below its round trip", "original is not below its round trip")
+def _prop_composition_bound(
+    cfg: SelfCheckConfig, rng: random.Random, view: _View, pin, round_trip, pin_failure: str, failure: str
+):
+    """The round trip through the other world bounds a system strictly:
+    below an MTS, above an LTS."""
+    lower, upper = round_trip(pin)
+    if (pin.init, pin.init) not in greatest(view.kind, lower, upper):
+        yield pin_failure
+    elif (pin.init, pin.init) in greatest(view.kind, upper, lower):
         yield "the inequality is not strict on the one-state pinned system"
     else:
         yield None
     for _ in range(cfg.cases):
-        m = random_mts(rng, random_alphabet(rng, cfg.max_labels), cfg.max_states)
-        back = strip_decorations(mts_of_lts(lts_of_mts(m)))
-        rel = greatest(Refinement(), back, m)
-        for s in sorted(m.states):
+        system = view.system(rng, view.labels(rng, cfg), cfg.max_states)
+        lower, upper = round_trip(system)
+        rel = greatest(view.kind, lower, upper)
+        for s in sorted(system.states):
             if (s, s) not in rel:
-                yield f"round trip is not below the original at state {s} on\n{print_system(m)}"
-                break
-        else:
-            yield None
-
-
-@prop("translate.composition-bound-lts")
-def _prop_composition_lts(cfg: SelfCheckConfig, rng: random.Random):
-    pin = PointedLTS(frozenset({"p"}), signature(cov=["a"]), frozenset(), "p")
-    pin_img = strip_decorations(lts_of_mts(mts_of_lts(pin)), target=pin.signature)
-    if ("p", "p") not in greatest(CCSim(), pin, pin_img):
-        yield "the one-state pinned system is not below its round trip"
-    elif ("p", "p") in greatest(CCSim(), pin_img, pin):
-        yield "the inequality is not strict on the one-state pinned system"
-    else:
-        yield None
-    for _ in range(cfg.cases):
-        sig = random_signature(rng, cfg.max_labels)
-        p = random_lts(rng, sig, cfg.max_states)
-        image = strip_decorations(lts_of_mts(mts_of_lts(p)), target=sig)
-        rel = greatest(CCSim(), p, image)
-        for s in sorted(p.states):
-            if (s, s) not in rel:
-                yield f"original is not below its round trip at state {s} on\n{print_system(p)}"
+                yield f"{failure} at state {s} on\n{print_system(system)}"
                 break
         else:
             yield None
@@ -1162,20 +1163,36 @@ def _prop_eliminate_bivariant(cfg: SelfCheckConfig, rng: random.Random):
 # characteristic formulae
 
 
+def _union(systems: list, init: Optional[str] = None) -> Union[PointedMTS, PointedLTS]:
+    """One system with the states and transitions of all ``systems``, which
+    share their labels, started at ``init`` or else at its least state."""
+
+    def merged(field: str) -> frozenset:
+        return frozenset().union(*(getattr(system, field) for system in systems))
+
+    states = merged("states")
+    init = min(states) if init is None else init
+    if isinstance(systems[0], PointedMTS):
+        return replace(systems[0], states=states, may=merged("may"), must=merged("must"), init=init)
+    return replace(systems[0], states=states, transitions=merged("transitions"), init=init)
+
+
 def _mts_term_universe(
     acts: frozenset[Action], height: int
 ) -> tuple[list[Term], PointedMTS]:
     terms = enumerate_mts_terms(acts, height)
-    states: set[str] = set()
-    may: set[Transition] = set()
-    must: set[Transition] = set()
-    for t in terms:
-        expansion = expand_mts_term(t, acts)
-        states |= expansion.states
-        may |= expansion.may
-        must |= expansion.must
-    universe = PointedMTS(frozenset(states), acts, frozenset(may), frozenset(must), "0")
-    return terms, universe
+    return terms, _union([expand_mts_term(t, acts) for t in terms], "0")
+
+
+def _mismatch(t: Term, what: str, sat: frozenset[str], row: frozenset[str]) -> Optional[str]:
+    """A failure when the states that satisfy ``what``, the characteristic
+    formula of ``t``, are not the states ``row`` above ``t``."""
+    if sat == row:
+        return None
+    return (
+        f"term {term_text(t)}: {what} satisfied beyond the preorder at {sorted(sat - row)}, "
+        f"missing {sorted(row - sat)}"
+    )
 
 
 def _larsen_mismatches(
@@ -1189,15 +1206,7 @@ def _larsen_mismatches(
         result = characteristic_formula(t, acts, literal_prefix_clause=literal)
         sat = satisfying_states_mts(universe, result.formula)
         row = frozenset(s for s in universe.states if (term_text(t), s) in big.pairs)
-        if sat != row:
-            extra = sorted(sat - row)
-            missing = sorted(row - sat)
-            yield (
-                f"term {term_text(t)}: formula satisfied beyond the preorder at {extra}, "
-                f"missing {missing}"
-            )
-        else:
-            yield None
+        yield _mismatch(t, "formula", sat, row)
 
 
 @prop("charform.larsen-characteristic")
@@ -1239,43 +1248,15 @@ def _prop_cc_transport(cfg: SelfCheckConfig, rng: random.Random):
     encoded_sig = lts_of_mts(
         PointedMTS(frozenset({"s"}), acts, frozenset(), frozenset(), "s")
     ).signature
-
-    left_states: set[str] = set()
-    left_trans: set[Transition] = set()
-    inits: dict[str, str] = {}
-    for t in terms:
-        expansion = expand_lts_term(encode_term(t), encoded_sig)
-        left_states |= expansion.states
-        left_trans |= expansion.transitions
-        inits[term_text(t)] = expansion.init
-    left = PointedLTS(
-        frozenset(left_states), encoded_sig, frozenset(left_trans), sorted(left_states)[0]
-    )
-
-    right_states: set[str] = set()
-    right_trans: set[Transition] = set()
-    for s_term in enumerate_lts_terms(encoded_sig, height):
-        expansion = expand_lts_term(s_term, encoded_sig)
-        right_states |= expansion.states
-        right_trans |= expansion.transitions
-    right = PointedLTS(
-        frozenset(right_states), encoded_sig, frozenset(right_trans), sorted(right_states)[0]
-    )
-
+    expansions = {term_text(t): expand_lts_term(encode_term(t), encoded_sig) for t in terms}
+    left = _union(list(expansions.values()))
+    right = _union([expand_lts_term(s, encoded_sig) for s in enumerate_lts_terms(encoded_sig, height)])
     big = greatest(CCSim(), left, right)
     for t in terms:
         phi = encode_formula(characteristic_formula(t, acts).formula)
         sat = satisfying_states_cc(right, phi)
-        row = frozenset(s for s in right.states if (inits[term_text(t)], s) in big.pairs)
-        if sat != row:
-            extra = sorted(sat - row)
-            missing = sorted(row - sat)
-            yield (
-                f"term {term_text(t)}: encoded formula satisfied beyond the preorder at {extra}, "
-                f"missing {missing}"
-            )
-        else:
-            yield None
+        row = frozenset(s for s in right.states if (expansions[term_text(t)].init, s) in big.pairs)
+        yield _mismatch(t, "encoded formula", sat, row)
 
 
 @prop("charform.omega-satisfied-everywhere")
@@ -1296,60 +1277,16 @@ def _prop_omega_formula(cfg: SelfCheckConfig, rng: random.Random):
 # institutions
 
 
-def _random_mts_morphism(rng: random.Random, cfg: SelfCheckConfig) -> MtsSignatureMorphism:
-    target = random_alphabet(rng, cfg.max_labels)
-    choices = sorted_actions(target)
-    source = [Action(f"x{i}") for i in range(rng.randint(1, 3))]
-    mapping = {a: choices[rng.randrange(len(choices))] for a in source}
-    return mts_morphism(source, target, mapping)
-
-
-def _random_cc_morphism(rng: random.Random, cfg: SelfCheckConfig) -> CCSignatureMorphism:
-    target = random_signature(rng, max_per_class=cfg.max_labels)
-    buckets: dict[str, list[Action]] = {COVARIANT: [], CONTRAVARIANT: [], BIVARIANT: []}
-    mapping: dict[Action, Action] = {}
-    fresh = 0
-    for cls, labels in (
-        (COVARIANT, target.covariant),
-        (CONTRAVARIANT, target.contravariant),
-        (BIVARIANT, target.bivariant),
-    ):
-        choices = sorted_actions(labels)
-        if not choices:
-            continue
-        for _ in range(rng.randint(0, 2)):
-            a = Action(f"x{fresh}")
-            fresh += 1
-            buckets[cls].append(a)
-            mapping[a] = choices[rng.randrange(len(choices))]
-    source = signature(
-        cov=buckets[COVARIANT], con=buckets[CONTRAVARIANT], bi=buckets[BIVARIANT]
-    )
-    return cc_morphism(source, target, mapping)
-
-
-@prop("institutions.satisfaction-condition.mts")
-def _prop_satisfaction_mts(cfg: SelfCheckConfig, rng: random.Random):
+@prop("institutions.satisfaction-condition.mts", _MTS)
+@prop("institutions.satisfaction-condition.cc", _CC)
+def _prop_satisfaction(cfg: SelfCheckConfig, rng: random.Random, view: _View):
     for _ in range(cfg.cases):
-        f = _random_mts_morphism(rng, cfg)
-        m = random_mts(rng, f.target, cfg.max_states)
+        f = view.morphism(rng, cfg)
+        m = view.system(rng, f.target, cfg.max_states)
         s = random_state(rng, m)
-        phi = random_bl_formula(rng, f.source, cfg.max_formula_depth)
+        phi = view.formula(rng, f.source, cfg.max_formula_depth)
         if not check_satisfaction_condition(f, m, s, phi):
             yield f"satisfaction condition broke for {formula_text(phi)} at {s} on\n{print_system(m)}"
-        else:
-            yield None
-
-
-@prop("institutions.satisfaction-condition.cc")
-def _prop_satisfaction_cc(cfg: SelfCheckConfig, rng: random.Random):
-    for _ in range(cfg.cases):
-        f = _random_cc_morphism(rng, cfg)
-        p = random_lts(rng, f.target, cfg.max_states)
-        s = random_state(rng, p)
-        phi = random_cc_formula(rng, f.source, cfg.max_formula_depth)
-        if not check_satisfaction_condition(f, p, s, phi):
-            yield f"satisfaction condition broke for {formula_text(phi)} at {s} on\n{print_system(p)}"
         else:
             yield None
 
@@ -1393,110 +1330,77 @@ def _prop_morphism_condition(cfg: SelfCheckConfig, rng: random.Random):
             yield None
 
 
-@prop("institutions.weakly-final-cc")
-def _prop_weakly_final(cfg: SelfCheckConfig, rng: random.Random):
+@prop("institutions.weakly-final-cc", _CC, weakly_final_implementation, True,
+      "some state does not simulate into the candidate on")
+@prop("institutions.universal-spec-cc", _CC, universal_specification, False,
+      "the candidate does not simulate into some state of")
+@prop("institutions.weakly-initial-mts", _MTS, universal_mts, False,
+      "the may-everything system is not below every state of")
+def _prop_extremal(
+    cfg: SelfCheckConfig, rng: random.Random, view: _View, build, final: bool, failure: str
+):
+    """The system that ``build`` makes from some labels lies above every
+    state of every system over them if ``final``, and below it if not."""
     for _ in range(cfg.cases):
-        sig = random_signature(rng, cfg.max_labels, classes=(COVARIANT, CONTRAVARIANT))
-        w = weakly_final_implementation(sig)
-        p = random_lts(rng, sig, cfg.max_states)
-        rel = greatest(CCSim(), p, w)
-        if any((s, w.init) not in rel for s in p.states):
-            yield f"some state does not simulate into the candidate on\n{print_system(p)}"
+        labels = view.term_labels(rng, cfg)
+        w = build(labels)
+        system = view.system(rng, labels, cfg.max_states)
+        # Read with ``w`` on the left either way.
+        rel = greatest(view.kind, system, w).inverse() if final else greatest(view.kind, w, system)
+        if any((w.init, s) not in rel for s in system.states):
+            yield f"{failure}\n{print_system(system)}"
         else:
             yield None
 
 
-@prop("institutions.universal-spec-cc")
-def _prop_universal_spec(cfg: SelfCheckConfig, rng: random.Random):
-    for _ in range(cfg.cases):
-        sig = random_signature(rng, cfg.max_labels, classes=(COVARIANT, CONTRAVARIANT))
-        w = universal_specification(sig)
-        p = random_lts(rng, sig, cfg.max_states)
-        rel = greatest(CCSim(), w, p)
-        if any((w.init, s) not in rel for s in p.states):
-            yield f"the candidate does not simulate into some state of\n{print_system(p)}"
-        else:
-            yield None
+def _subsets(items: list) -> Iterator[frozenset]:
+    """Every subset of ``items``, in the order of their bit masks."""
+    for bits in range(1 << len(items)):
+        yield frozenset(t for i, t in enumerate(items) if bits >> i & 1)
 
 
-@prop("institutions.weakly-initial-mts")
-def _prop_weakly_initial_mts(cfg: SelfCheckConfig, rng: random.Random):
-    for _ in range(cfg.cases):
-        acts = random_alphabet(rng, cfg.max_labels)
-        u = universal_mts(acts)
-        m = random_mts(rng, acts, cfg.max_states)
-        rel = greatest(Refinement(), u, m)
-        if any((u.init, s) not in rel for s in m.states):
-            yield f"the may-everything system is not below every state of\n{print_system(m)}"
-        else:
-            yield None
-
-
-def _small_mts_candidates(acts: frozenset[Action]) -> Iterator[PointedMTS]:
-    labels = sorted_actions(acts)
+# Every system on one or two states over the labels of ``like``.
+def _small_mts_candidates(like: PointedMTS) -> Iterator[PointedMTS]:
+    labels = sorted_actions(like.actions)
     for n in (1, 2):
         states = [f"w{i}" for i in range(n)]
-        triples = [(s, a, d) for s in states for a in labels for d in states]
-        for may_bits in range(1 << len(triples)):
-            may = frozenset(t for i, t in enumerate(triples) if may_bits >> i & 1)
-            may_list = sorted(may, key=_triple_key)
-            for must_bits in range(1 << len(may_list)):
-                must = frozenset(
-                    t for i, t in enumerate(may_list) if must_bits >> i & 1
-                )
+        for may in _subsets([(s, a, d) for s in states for a in labels for d in states]):
+            for must in _subsets(sorted(may, key=_triple_key)):
                 for init in states:
-                    yield PointedMTS(frozenset(states), acts, may, must, init)
+                    yield PointedMTS(frozenset(states), like.actions, may, must, init)
 
 
-def _small_lts_candidates(sig: CCSignature) -> Iterator[PointedLTS]:
-    labels = sorted_actions(sig.actions)
+def _small_lts_candidates(like: PointedLTS) -> Iterator[PointedLTS]:
+    labels = sorted_actions(like.signature.actions)
     for n in (1, 2):
         states = [f"w{i}" for i in range(n)]
-        triples = [(s, a, d) for s in states for a in labels for d in states]
-        for bits in range(1 << len(triples)):
-            trans = frozenset(t for i, t in enumerate(triples) if bits >> i & 1)
+        for trans in _subsets([(s, a, d) for s in states for a in labels for d in states]):
             for init in states:
-                yield PointedLTS(frozenset(states), sig, trans, init)
+                yield PointedLTS(frozenset(states), like.signature, trans, init)
 
 
-@prop("institutions.no-weakly-final-mts")
-def _prop_no_weakly_final(cfg: SelfCheckConfig, rng: random.Random):
-    demanding, silent = final_obstruction_pair()
-    if (demanding.init, demanding.init) not in greatest(Refinement(), demanding, demanding):
-        yield "the demanding obstruction system does not even reach itself"
-    else:
-        yield None
-    if (silent.init, silent.init) not in greatest(Refinement(), silent, silent):
-        yield "the silent obstruction system does not even reach itself"
-    else:
-        yield None
-    for candidate in _small_mts_candidates(demanding.actions):
-        from_demanding = (demanding.init, candidate.init) in greatest(
-            Refinement(), demanding, candidate
-        )
-        from_silent = (silent.init, candidate.init) in greatest(Refinement(), silent, candidate)
-        if from_demanding and from_silent:
-            yield f"candidate admits arrows from both obstruction systems:\n{print_system(candidate)}"
+@prop("institutions.no-weakly-final-mts", _MTS, final_obstruction_pair(), _small_mts_candidates,
+      True, "demanding", "candidate admits arrows from both obstruction systems:")
+@prop("institutions.no-weakly-initial-cc-bivariant", _CC, initial_obstruction_pair(), _small_lts_candidates,
+      False, "looping", "candidate admits arrows into either obstruction system:")
+def _prop_no_extremal(
+    cfg: SelfCheckConfig, rng: random.Random, view: _View, obstruction, candidates, final: bool, name, failure
+):
+    """No MTS is weakly final, and no LTS over a bivariant label is weakly
+    initial: each system of the obstruction pair reaches itself, but no small
+    candidate takes an arrow from both (if ``final``) or sends one into both."""
+
+    def arrow(a, b) -> bool:
+        return (a.init, b.init) in greatest(view.kind, a, b)
+
+    for system, what in zip(obstruction, (name, "silent")):
+        if not arrow(system, system):
+            yield f"the {what} obstruction system does not even reach itself"
         else:
             yield None
-
-
-@prop("institutions.no-weakly-initial-cc-bivariant")
-def _prop_no_weakly_initial(cfg: SelfCheckConfig, rng: random.Random):
-    looping, silent = initial_obstruction_pair()
-    if (looping.init, looping.init) not in greatest(CCSim(), looping, looping):
-        yield "the looping obstruction system does not even reach itself"
-    else:
-        yield None
-    if (silent.init, silent.init) not in greatest(CCSim(), silent, silent):
-        yield "the silent obstruction system does not even reach itself"
-    else:
-        yield None
-    for candidate in _small_lts_candidates(looping.signature):
-        into_looping = (candidate.init, looping.init) in greatest(CCSim(), candidate, looping)
-        into_silent = (candidate.init, silent.init) in greatest(CCSim(), candidate, silent)
-        if into_looping and into_silent:
-            yield f"candidate admits arrows into either obstruction system:\n{print_system(candidate)}"
+    for candidate in candidates(obstruction[0]):
+        if all(arrow(o, candidate) if final else arrow(candidate, o) for o in obstruction):
+            yield f"{failure}\n{print_system(candidate)}"
         else:
             yield None
 

@@ -63,18 +63,6 @@ from .systems import (
 )
 from .terms import MustPrefix, Omega, Prefix, Sum, Term, Zero
 
-__all__ = [
-    "ParseError",
-    "ParsedSystem",
-    "TERM_KINDS",
-    "parse_formula",
-    "parse_label",
-    "parse_system",
-    "parse_system_details",
-    "parse_term",
-    "print_system",
-]
-
 
 class ParseError(ValueError):
     """A syntax or semantic error in parsed text, with a 1-based position."""

@@ -247,6 +247,21 @@ def test_translate_reads_stdin(files, capsys, monkeypatch):
     assert out == print_system(lts_of_mts(parse_system(VENDING)))
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("check", "refine", "-", "-"), ("translate", "rho", "-", "--like", "-")],
+    ids=["check", "translate"],
+)
+def test_stdin_is_refused_for_two_inputs(capsys, monkeypatch, argv):
+    stdin = io.StringIO(VENDING)
+    monkeypatch.setattr(sys, "stdin", stdin)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == "error: -: standard input can be read for one input only\n"
+    assert stdin.tell() == 0  # refused before reading anything
+
+
 def test_mc_exit_codes(files, capsys):
     path = files("vending.mts", VENDING)
     assert run(capsys, "mc", path, "idle", "<coin>tt")[:2] == (0, "true\n")
@@ -530,6 +545,30 @@ def _large_mts(n, seed):
     may = {(f"s{i}", rng.choice(labels), f"s{rng.randrange(n)}") for i in range(n) for _ in range(3)}
     must = {t for t in sorted(may, key=str) if rng.random() < 0.5}
     return PointedMTS(frozenset(f"s{i}" for i in range(n)), frozenset(labels), frozenset(may), frozenset(must), "s0")
+
+
+def test_closed_stdout_is_one_error_line(files):
+    system = _large_mts(2000, 1)
+    # Well above the 64 KB pipe buffer, so the writer meets the closed pipe.
+    assert len(print_system(lts_of_mts(system))) > 3 * 65536
+    path = files("big.mts", print_system(system))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "modalsim", "translate", "c", path],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        # With PYTHONUNBUFFERED set, Python drops what a partial write left
+        # over and never sees the closed pipe; buffered stdout sees it.
+        env={**{k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}, "PYTHONPATH": SRC},
+    )
+    try:
+        assert proc.stdout.read(1)
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+    finally:
+        code = proc.wait(timeout=60)
+    assert code == 2
+    # One line: no traceback, and no "Exception ignored" at interpreter exit.
+    assert err == "error: standard output was closed\n"
 
 
 def test_check_json_subprocess_is_deterministic(files):

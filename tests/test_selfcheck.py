@@ -12,10 +12,14 @@ from modalsim.selfcheck import (
     _PropertyDef,
     _FAILURE_CAP,
     _REGISTRY,
+    _SHRINK_BUDGET,
+    _reductions,
     property_ids,
     run_property,
     run_selfcheck,
+    shrink_pair,
 )
+from modalsim.systems import PointedMTS, lts, mts, signature
 
 QUICK = SelfCheckConfig(cases=8, max_states=3)
 
@@ -194,8 +198,101 @@ def test_text_rendering():
     assert "\x1b[31m[fail]\x1b[0m" in colored
 
 
+def test_one_body_runs_under_each_id_with_its_args():
+    from modalsim.selfcheck import prop
+
+    seen = []
+
+    @prop("zz.test-args-one", "one")
+    @prop("zz.test-args-two", "two", expect_fail=True)
+    def body(config, rng, tag):
+        seen.append(tag)
+        yield None if tag == "one" else f"{tag} broke"
+
+    try:
+        assert run_property("zz.test-args-one", QUICK).status == "pass"
+        assert run_property("zz.test-args-two", QUICK).failures == ("two broke",)
+        assert run_property("zz.test-args-two", QUICK).status == "expected-fail"
+        assert seen == ["one", "two", "two"]
+    finally:
+        del _REGISTRY["zz.test-args-one"]
+        del _REGISTRY["zz.test-args-two"]
+
+
+@pytest.mark.parametrize(
+    "ids",
+    [
+        ("preorders.fixpoint-matches-oracle.refinement", "preorders.fixpoint-matches-oracle.ccsim"),
+        ("preorders.refinement-preorder-laws", "preorders.ccsim-preorder-laws"),
+        ("formulas.satisfaction-monotone.mts", "formulas.satisfaction-monotone.cc"),
+        ("formulas.refinement-preserves-truth", "formulas.ccsim-preserves-truth"),
+        ("institutions.satisfaction-condition.mts", "institutions.satisfaction-condition.cc"),
+        ("institutions.no-weakly-final-mts", "institutions.no-weakly-initial-cc-bivariant"),
+        ("institutions.weakly-final-cc", "institutions.universal-spec-cc", "institutions.weakly-initial-mts"),
+        ("translate.composition-bound-mts", "translate.composition-bound-lts"),
+    ],
+)
+def test_a_law_of_both_worlds_has_one_body(ids):
+    assert len({_REGISTRY[pid].fn for pid in ids}) == 1
+    assert len({_REGISTRY[pid].args for pid in ids}) == len(ids)
+
+
 def test_duplicate_registration_is_rejected():
     from modalsim.selfcheck import prop
 
     with pytest.raises(ValueError):
         prop("systems.validate-accepts-generated")(lambda config, rng: iter([None]))
+
+
+def _complete_mts(n, prefix):
+    """An MTS on ``n`` states whose every possible transition is a must."""
+    states = [f"{prefix}{i}" for i in range(n)]
+    triples = [(s, a, d) for s in states for a in "ab" for d in states]
+    return mts(states, "ab", triples, triples, f"{prefix}0")
+
+
+def _complete_lts(n, prefix):
+    states = [f"{prefix}{i}" for i in range(n)]
+    triples = [(s, a, d) for s in states for a in "ab" for d in states]
+    return lts(states, signature(cov=["a"], con=["b"]), triples, f"{prefix}0")
+
+
+def _size(system):
+    if isinstance(system, PointedMTS):
+        return len(system.states) + len(system.may) + len(system.must)
+    return len(system.states) + len(system.transitions)
+
+
+@pytest.mark.parametrize(
+    "pair, still_fails",
+    [
+        ((_complete_mts(2, "p"), _complete_mts(2, "q")), lambda p, q: bool(p.must)),
+        ((_complete_lts(2, "p"), _complete_lts(2, "q")), lambda p, q: bool(p.transitions)),
+    ],
+    ids=["mts", "lts"],
+)
+def test_shrink_pair_keeps_the_failure_and_reaches_a_local_minimum(pair, still_fails):
+    p, q = pair
+    small_p, small_q = shrink_pair(p, q, still_fails)
+    assert still_fails(small_p, small_q)
+    assert _size(small_p) <= _size(p) and _size(small_q) <= _size(q)
+    assert _size(small_p) + _size(small_q) < _size(p) + _size(q)
+    # No single reduction of the result still fails.
+    assert not any(still_fails(rp, small_q) for rp in _reductions(small_p))
+    assert not any(still_fails(small_p, rq) for rq in _reductions(small_q))
+
+
+@pytest.mark.parametrize("make", [_complete_mts, _complete_lts], ids=["mts", "lts"])
+@pytest.mark.parametrize("verdict", [True, False], ids=["always-fails", "never-fails"])
+def test_shrink_pair_stops_at_its_budget(make, verdict):
+    p, q = make(8, "p"), make(8, "q")
+    # One pass over the reductions alone would exceed the budget.
+    assert len(list(_reductions(p))) + len(list(_reductions(q))) > _SHRINK_BUDGET
+    calls = []
+
+    def still_fails(a, b):
+        calls.append((a, b))
+        return verdict
+
+    shrink_pair(p, q, still_fails)
+    assert len(calls) <= _SHRINK_BUDGET
