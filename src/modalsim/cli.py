@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import os
 import sys
 from pathlib import Path
@@ -402,6 +403,14 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    stdout = sys.stdout
+    if type(getattr(stdout, "buffer", None)) is io.FileIO:
+        # Unbuffered (``python -u``, ``PYTHONUNBUFFERED``): a text write
+        # straight to the file drops what a partial write to a closing pipe
+        # left over, so the closed pipe never shows.  A buffer retries the
+        # rest, as the default stdout does.
+        sys.stdout = open(stdout.fileno(), "w", buffering=1, encoding=stdout.encoding,
+                          errors=stdout.errors, closefd=False)
     try:
         code = args.handler(args)
         # A closed pipe shows here rather than in the flush at interpreter exit.
@@ -430,6 +439,13 @@ def main(argv: Optional[list[str]] = None) -> int:
 
         traceback.print_exc()
         return 2
+    finally:
+        if sys.stdout is not stdout:
+            buffered, sys.stdout = sys.stdout, stdout
+            try:
+                buffered.close()
+            except BrokenPipeError:
+                pass
 
 
 if __name__ == "__main__":

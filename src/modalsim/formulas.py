@@ -94,48 +94,64 @@ def formula_text(phi: Formula) -> str:
     """Canonical concrete syntax with minimal parentheses.
 
     Modalities bind tightest, then ``&``, then ``|``; both binary
-    connectives print flat (left associated when re-parsed).  A subformula
-    with more than one parent is printed once per context and its text
-    copied, so the work is the size of the DAG plus the length of the
-    (tree) text, and only the texts of shared subformulae are held until
-    the call returns.  Chains of one connective and runs of modalities are
-    printed in one step each, so the work stays linear in a long chain.
+    connectives print flat (left associated when re-parsed).  One loop pops
+    subformulae and literal pieces off a stack and appends to one list of
+    pieces; a chain of one connective and a run of modalities are printed
+    in one step each.  A subformula with more than one parent is printed
+    once per context, its text joined when its end marker is popped and
+    copied at its later occurrences, so work and memory are linear in the
+    length of the (tree) text plus the size of the DAG.
     """
-    return fold((phi, 0), _text_step, _SharedTexts(shared_nodes(phi)[1]))
-
-
-class _SharedTexts(dict):
-    # A memo that keeps the texts of the given nodes only: the text of a
-    # node with one parent is freed once that parent has read it.
-    def __init__(self, shared: set[Formula]):
-        self.shared = shared
-
-    def __setitem__(self, key: tuple[Formula, int], text: str) -> None:
-        if key[0] in self.shared:
-            super().__setitem__(key, text)
-
-
-def _text_step(key: tuple[Formula, int]):
-    # level: 0 = or-context, 1 = and-context, 2 = modality body
-    phi, level = key
-    if isinstance(phi, Bottom):
-        return "ff"
-    if isinstance(phi, Top):
-        return "tt"
-    if isinstance(phi, (Diamond, Box)):
-        head = []
-        while isinstance(phi, (Diamond, Box)):
-            head.append(f"<{phi.action}>" if isinstance(phi, Diamond) else f"[{phi.action}]")
-            phi = phi.body
-        return "".join(head) + (yield (phi, 2))
-    if not isinstance(phi, (And, Or)):
-        raise TypeError(f"not a formula: {type(phi).__name__}")
-    inner = 1 if isinstance(phi, And) else 0
-    texts = []
-    for sub in operands(phi):
-        texts.append((yield (sub, inner)))
-    out = (" & " if inner else " | ").join(texts)
-    return f"({out})" if level > inner else out
+    shared = shared_nodes(phi)[1]
+    texts: dict[tuple[Formula, int], str] = {}
+    opened: list[tuple[tuple[Formula, int], int]] = []  # (key, its first piece)
+    out: list[str] = []
+    # Items: (subformula, level), a literal piece, or None, the end of the
+    # innermost opened shared text.  level: 0 = or-context, 1 = and-context,
+    # 2 = modality body.
+    stack: list = [(phi, 0)]
+    while stack:
+        item = stack.pop()
+        if item is None:
+            key, first = opened.pop()
+            text = texts[key] = "".join(out[first:])
+            out[first:] = (text,)
+            continue
+        if item.__class__ is str:
+            out.append(item)
+            continue
+        phi, level = item
+        if phi in shared:
+            text = texts.get(item)
+            if text is not None:
+                out.append(text)
+                continue
+            opened.append((item, len(out)))
+            stack.append(None)
+        kind = type(phi)
+        if kind is Top:
+            out.append("tt")
+        elif kind is Bottom:
+            out.append("ff")
+        elif kind is Diamond or kind is Box:
+            while kind is Diamond or kind is Box:
+                out.append(f"<{phi.action}>" if kind is Diamond else f"[{phi.action}]")
+                phi = phi.body
+                kind = type(phi)
+            stack.append((phi, 2))
+        elif kind is And or kind is Or:
+            inner = 1 if kind is And else 0
+            if level > inner:
+                out.append("(")
+                stack.append(")")
+            separator = " & " if inner else " | "
+            parts = operands(phi)
+            stack.append((parts.pop(), inner))
+            while parts:
+                stack += (separator, (parts.pop(), inner))
+        else:
+            raise TypeError(f"not a formula: {type(phi).__name__}")
+    return "".join(out)
 
 
 def operands(phi: Formula) -> list[Formula]:
@@ -174,7 +190,37 @@ def is_existential(phi: Formula) -> bool:
 def check_wf(phi: Formula, logic: LogicKind) -> list[str]:
     """Well-formedness violations of ``phi`` under ``logic``, in
     deterministic (discovery) order, with a shared subformula's violations
-    repeated at each of its occurrences."""
+    repeated at each of its occurrences.
+
+    One scan over the nodes of ``phi`` collects the labels under ``<.>``
+    and under ``[.]``; when they all fit ``logic`` there is nothing to
+    word, and only otherwise (or at a node that is not a formula) does the
+    walk below run."""
+    labels: dict[type, set[Action]] = {Diamond: set(), Box: set()}
+    seen: set[Formula] = set()
+    stack = [phi]
+    while stack:
+        node = stack.pop()
+        kind = type(node)
+        if kind is Top or kind is Bottom or node in seen:
+            continue
+        seen.add(node)
+        if kind is And or kind is Or:
+            stack += (node.left, node.right)
+        elif kind is Diamond or kind is Box:
+            labels[kind].add(node.action)
+            stack.append(node.body)
+        else:
+            break
+    else:
+        if isinstance(logic, BLLogic):
+            fits = labels[Diamond] | labels[Box] <= logic.actions
+        else:
+            sig = logic.signature
+            fits = (labels[Diamond] <= sig.covariant | sig.bivariant
+                    and labels[Box] <= sig.contravariant | sig.bivariant)
+        if fits:
+            return []
 
     def step(phi: Formula):
         # A node's value is the tuple of the problems found below it.

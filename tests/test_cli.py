@@ -552,23 +552,24 @@ def test_closed_stdout_is_one_error_line(files):
     # Well above the 64 KB pipe buffer, so the writer meets the closed pipe.
     assert len(print_system(lts_of_mts(system))) > 3 * 65536
     path = files("big.mts", print_system(system))
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "modalsim", "translate", "c", path],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-        # With PYTHONUNBUFFERED set, Python drops what a partial write left
-        # over and never sees the closed pipe; buffered stdout sees it.
-        env={**{k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}, "PYTHONPATH": SRC},
-    )
-    try:
-        assert proc.stdout.read(1)
-        proc.stdout.close()
-        err = proc.stderr.read().decode()
-    finally:
-        code = proc.wait(timeout=60)
-    assert code == 2
-    # One line: no traceback, and no "Exception ignored" at interpreter exit.
-    assert err == "error: standard output was closed\n"
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    # Python's unbuffered stdout drops what a partial write left over, so
+    # there the closed pipe went unseen and the call exited 0, its output cut.
+    for unbuffered in ({}, {"PYTHONUNBUFFERED": "1"}):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "modalsim", "translate", "c", path],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env={**env, **unbuffered, "PYTHONPATH": SRC},
+        )
+        try:
+            assert proc.stdout.read(1)
+            proc.stdout.close()
+            err = proc.stderr.read().decode()
+        finally:
+            code = proc.wait(timeout=60)
+        # One line: no traceback, and no "Exception ignored" at interpreter exit.
+        assert (code, err) == (2, "error: standard output was closed\n"), unbuffered
 
 
 def test_check_json_subprocess_is_deterministic(files):

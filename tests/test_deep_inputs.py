@@ -1,8 +1,10 @@
 """Deeply nested and long flat inputs are answered, not refused.
 
-Every walk over formulae, terms and expansion states runs through
-``systems.fold`` and both parsers keep their own stack, so no Python frame
-is spent per nesting level and chains of ``&``, ``|`` and ``+`` print flat.
+Every walk that builds a value per node of a formula, term or expansion
+state runs through ``systems.fold``; the formula printer, the label scan
+of ``check_wf`` and both parsers keep their own stack.  So no Python frame
+is spent per nesting level, chains of ``&``, ``|`` and ``+`` print flat,
+and the formula printer's work and memory are linear in its output.
 """
 
 import json
@@ -16,7 +18,7 @@ from pathlib import Path
 import pytest
 
 from modalsim.cli import main
-from modalsim.formulas import And, Diamond, Or, Top, formula_text
+from modalsim.formulas import And, Box, Diamond, Or, Top, formula_text
 from modalsim.systems import action
 from modalsim.terms import Omega, Prefix, Sum, Zero, term_text
 from modalsim.textio import parse_formula
@@ -144,6 +146,17 @@ def test_nested_formula_prints_in_memory_linear_in_its_depth():
         assert printed == text
         peaks.append(peak)
     assert peaks[1] < 3 * peaks[0]
+
+
+def test_alternation_nested_100000_deep_prints_in_linear_time():
+    # The text is 2*10**6 characters.  A printer that joined each level's
+    # text into its parent's would copy about 10**11 characters here.
+    n = 10**5
+    a = action("a")
+    phi = Top()
+    for _ in range(n):
+        phi = Diamond(a, And(Top(), Box(a, Or(phi, Top()))))
+    assert formula_text(phi) == "<a>(tt & [a](" * n + "tt" + " | tt))" * n
 
 
 def _printed(printer, root):

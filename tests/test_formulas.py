@@ -29,8 +29,8 @@ from modalsim.formulas import (
 )
 from modalsim.charform import characteristic_formula
 from modalsim.preorders import Refinement, distinguishing_formula
-from modalsim.sampling import random_bl_formula, random_cc_formula
-from modalsim.systems import action, lts, mts, signature
+from modalsim.sampling import random_bl_formula, random_cc_formula, random_lts, random_mts, random_signature
+from modalsim.systems import CCSignature, action, actions, lts, mts, signature
 from modalsim.terms import MustPrefix, Zero
 
 A = action("a")
@@ -153,6 +153,71 @@ def test_check_wf_repeats_a_shared_subformula_problem_at_each_occurrence():
     phi = And(And(outer, inner), outer)
     x, y = (f"label {name} is not in the alphabet" for name in "xy")
     assert check_wf(phi, BLLogic(frozenset({A}))) == [y, x, x, y, x]
+
+
+def _wf_reference(phi, logic):
+    # check_wf as a recursion over the tree.
+    if isinstance(phi, (Bottom, Top)):
+        return []
+    if isinstance(phi, (And, Or)):
+        return _wf_reference(phi.left, logic) + _wf_reference(phi.right, logic)
+    if not isinstance(phi, (Diamond, Box)):
+        raise TypeError(f"not a formula: {phi!r}")
+    a, problems = phi.action, []
+    if isinstance(logic, BLLogic):
+        if a not in logic.actions:
+            problems.append(f"label {a} is not in the alphabet")
+    else:
+        sig = logic.signature
+        dia = isinstance(phi, Diamond)
+        if a not in sig.actions:
+            problems.append(f"label {a} is not in the signature")
+        elif a not in (sig.covariant if dia else sig.contravariant) | sig.bivariant:
+            modality, side = ("diamond", "covariant") if dia else ("box", "contravariant")
+            problems.append(f"{modality} modality needs a {side} or bivariant label: {a}")
+    return problems + _wf_reference(phi.body, logic)
+
+
+def _misfit_case(rng, case):
+    # A random formula and a system whose alphabet lacks one of its labels
+    # (case 0), or whose signature has one of its labels in another class
+    # (case 1) or not at all (case 2).
+    if case == 0:
+        acts = actions("a", "b", "c")
+        phi = random_bl_formula(rng, acts, max_depth=5)
+        used = sorted({n.action for n in subformulas(phi) if isinstance(n, (Diamond, Box))}, key=str)
+        m = random_mts(rng, acts - {rng.choice(used)} if used else acts)
+        return phi, BLLogic(m.actions), lambda: mc_mts(m, m.init, phi)
+    sig = random_signature(rng, max_per_class=2)
+    phi = random_cc_formula(rng, sig, max_depth=5)
+    classes = [set(sig.covariant), set(sig.contravariant), set(sig.bivariant)]
+    label = rng.choice(sorted(sig.actions, key=str))
+    home = next(i for i, c in enumerate(classes) if label in c)
+    classes[home].discard(label)
+    if case == 1:
+        classes[rng.choice([i for i in range(3) if i != home])].add(label)
+    p = random_lts(rng, CCSignature(*map(frozenset, classes)))
+    return phi, CCLogic(p.signature), lambda: mc_cc(p, p.init, phi)
+
+
+def test_check_wf_matches_a_recursive_walk_where_labels_do_not_fit():
+    rng = random.Random(20)
+    worded = 0
+    for case in range(600):
+        phi, logic, check = _misfit_case(rng, case % 3)
+        problems = check_wf(phi, logic)
+        assert problems == _wf_reference(phi, logic)
+        if problems:
+            worded += 1
+            with pytest.raises(ValueError) as error:
+                check()
+            assert str(error.value) == "; ".join(problems)
+        else:
+            check()
+        for bad in (And(phi, Zero()), Or(Zero(), phi), Diamond(A, Zero()), Zero()):
+            with pytest.raises(TypeError, match="not a formula"):
+                check_wf(bad, logic)
+    assert worded > 200
 
 
 def test_mc_mts_diamond_needs_a_must_edge():
