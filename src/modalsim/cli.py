@@ -277,11 +277,9 @@ def _cmd_selfcheck(args: argparse.Namespace) -> int:
             print(pid)
         return 0
     given = {field: getattr(args, field) for field in _SELFCHECK_SIZES if hasattr(args, field)}
-    config = SelfCheckConfig(properties=tuple(args.properties), **given)
-    try:
-        report = run_selfcheck(config)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    # A size out of range or an unknown id raises ValueError, which main
+    # prints as an error.
+    report = run_selfcheck(SelfCheckConfig(properties=tuple(args.properties), **given))
     if args.format == "json":
         print(report.to_json(), end="")
     else:

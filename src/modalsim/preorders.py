@@ -84,6 +84,8 @@ class PartialBisim:
 
 
 PreorderKind = Union[Refinement, CCSim, Simulation, PartialBisim]
+# The kinds whose unrelated pairs have a distinguishing formula.
+_WITNESSED = (Refinement, CCSim)
 
 ORACLE_PRODUCT_CAP = 12
 
@@ -114,30 +116,6 @@ def compose_relations(r1: Relation, r2: Relation) -> Relation:
     return Relation(frozenset(pairs))
 
 
-def _check_mts_pair(p_sys: PointedMTS, q_sys: PointedMTS) -> None:
-    if not (isinstance(p_sys, PointedMTS) and isinstance(q_sys, PointedMTS)):
-        raise TypeError("refinement compares two MTSs")
-    if p_sys.actions != q_sys.actions:
-        raise ValueError("refinement needs both systems over the same action set")
-
-
-def _check_lts_pair(p_sys: PointedLTS, q_sys: PointedLTS) -> None:
-    if not (isinstance(p_sys, PointedLTS) and isinstance(q_sys, PointedLTS)):
-        raise TypeError("covariant-contravariant simulation compares two LTSs")
-    if p_sys.signature != q_sys.signature:
-        raise ValueError("covariant-contravariant simulation needs identical signatures")
-
-
-def _check_pb_pair(p_sys: PointedLTS, q_sys: PointedLTS, bset: frozenset[Action]) -> None:
-    if not (isinstance(p_sys, PointedLTS) and isinstance(q_sys, PointedLTS)):
-        raise TypeError("partial bisimulation and simulation compare two LTSs")
-    if p_sys.signature.actions != q_sys.signature.actions:
-        raise ValueError("partial bisimulation and simulation need both systems over the same alphabet")
-    stray = bset - p_sys.signature.actions
-    if stray:
-        raise ValueError(f"bisimulation set labels {actions_text(stray)} are outside the alphabet")
-
-
 Clauses = tuple[Iterable[Transition], Iterable[Transition], Iterable[Transition], Iterable[Transition]]
 
 
@@ -157,17 +135,29 @@ def _prepare(
     inside bivariant; simulation has the empty ``bset``.
     """
     if isinstance(kind, Refinement):
-        _check_mts_pair(p_sys, q_sys)
+        if not (isinstance(p_sys, PointedMTS) and isinstance(q_sys, PointedMTS)):
+            raise TypeError("refinement compares two MTSs")
+        if p_sys.actions != q_sys.actions:
+            raise ValueError("refinement needs both systems over the same action set")
         return p_sys.must, q_sys.must, q_sys.may, p_sys.may
     if isinstance(kind, CCSim):
-        _check_lts_pair(p_sys, q_sys)
+        if not (isinstance(p_sys, PointedLTS) and isinstance(q_sys, PointedLTS)):
+            raise TypeError("covariant-contravariant simulation compares two LTSs")
+        if p_sys.signature != q_sys.signature:
+            raise ValueError("covariant-contravariant simulation needs identical signatures")
         sig = p_sys.signature
         forward = sig.covariant | sig.bivariant
         backward = sig.contravariant | sig.bivariant
     elif isinstance(kind, (PartialBisim, Simulation)):
-        backward = kind.bset if isinstance(kind, PartialBisim) else frozenset()
-        _check_pb_pair(p_sys, q_sys, backward)
+        if not (isinstance(p_sys, PointedLTS) and isinstance(q_sys, PointedLTS)):
+            raise TypeError("partial bisimulation and simulation compare two LTSs")
+        if p_sys.signature.actions != q_sys.signature.actions:
+            raise ValueError("partial bisimulation and simulation need both systems over the same alphabet")
         forward = p_sys.signature.actions
+        backward = kind.bset if isinstance(kind, PartialBisim) else frozenset()
+        stray = backward - forward
+        if stray:
+            raise ValueError(f"bisimulation set labels {actions_text(stray)} are outside the alphabet")
     else:
         raise TypeError(f"unknown preorder kind: {kind!r}")
     return (
@@ -699,7 +689,7 @@ def decide(
         game = _Game(p_sys.states, q_sys.states, clauses)
         related = game.holds(p, q)
     witness = None
-    if not related and isinstance(kind, (Refinement, CCSim)):
+    if not related and isinstance(kind, _WITNESSED):
         game = game or _Game(p_sys.states, q_sys.states, clauses)
         game.solve_around(p, q)
         witness = game.formula(p, q)
@@ -726,6 +716,6 @@ def distinguishing_formula(
     promised, only that it witnesses the failure.  Supported for
     :class:`Refinement` and :class:`CCSim`.
     """
-    if not isinstance(kind, (Refinement, CCSim)):
+    if not isinstance(kind, _WITNESSED):
         raise TypeError("distinguishing formulae exist for refinement and cc-simulation")
     return decide(kind, p_sys, p, q_sys, q)[2]

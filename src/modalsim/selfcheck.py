@@ -1,17 +1,21 @@
 """A registry of executable correctness properties with a deterministic
 runner.
 
-Each property is a generator ``(config, rng, *args)`` registered under a
+Each property is a function ``(config, rng, *args)`` registered under a
 dotted id together with its extra ``args``.  One body may be registered under
 several ids: a law that holds for MTSs under refinement and for LTSs under
 covariant-contravariant simulation is one body with one id per world, each
 passing that world's view, which says how the world is drawn and checked.
 
-A property yields one result per case: the case's failure text, or ``None``
-when the case passes.  The runner alone counts the cases that ran, keeps the
-failures and stops a property at its third failure.  It seeds every property
-with its own ``random.Random(f"{seed}:{property_id}")``, so reports are
-reproducible and independent of which other properties run.  A few
+A case's result is its failure text, or ``None`` when it passes.  Most
+properties state one case: the runner calls them ``config.cases`` times with
+the same random generator and takes each return value as a result.  A
+property that cannot, because it alternates worlds by case, checks a pinned
+case first or enumerates terms or fixtures, is a generator function that
+yields one result per case.  The runner alone counts the cases that ran,
+keeps the failures and stops a property at its third failure.  It seeds every
+property with its own ``random.Random(f"{seed}:{property_id}")``, so reports
+are reproducible and independent of which other properties run.  A few
 properties are registered with ``expect_fail=True``: they pin known
 boundaries (an approximation that is deliberately one-sided, a formula
 recursion variant that does not characterise) and count as OK exactly when
@@ -23,6 +27,7 @@ runs with one seed produce byte-identical output.
 
 from __future__ import annotations
 
+import inspect
 import json
 import random
 from dataclasses import dataclass, replace
@@ -148,6 +153,16 @@ SCHEMA = "modalsim-selfcheck/1"
 _FAILURE_CAP = 3
 _SHRINK_BUDGET = 200
 
+# The sizes a config states, with the least value each may take; a report
+# lists them under ``config``.
+_LOWER_BOUNDS = (
+    ("cases", 0),
+    ("max_states", 1),
+    ("max_labels", 1),
+    ("max_formula_depth", 0),
+    ("term_height", 1),
+)
+
 
 @dataclass(frozen=True)
 class SelfCheckConfig:
@@ -160,6 +175,11 @@ class SelfCheckConfig:
     max_formula_depth: int = 4
     term_height: int = 2
     properties: tuple[str, ...] = ()
+
+    def __post_init__(self) -> None:
+        for name, bound in _LOWER_BOUNDS:
+            if getattr(self, name) < bound:
+                raise ValueError(f"{name} must be at least {bound}, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -226,8 +246,9 @@ class SelfCheckReport:
         return "\n".join(lines) + "\n"
 
 
-# Called as ``fn(config, rng, *args)`` with the ``args`` of its registration.
-PropertyFn = Callable[..., Iterator[Optional[str]]]
+# Called as ``fn(config, rng, *args)`` with the ``args`` of its registration:
+# one case's result, or a generator of them.
+PropertyFn = Callable[..., Union[Optional[str], Iterator[Optional[str]]]]
 
 
 @dataclass(frozen=True)
@@ -259,15 +280,22 @@ def property_ids() -> list[str]:
 
 
 def run_property(pid: str, config: SelfCheckConfig) -> PropertyReport:
-    """Run one property under its own seeded generator, counting the cases it
-    yields and stopping at its ``_FAILURE_CAP``-th failure."""
+    """Run one property under its own seeded generator, counting its cases
+    and stopping at its ``_FAILURE_CAP``-th failure.  A plain function states
+    one case and is called ``config.cases`` times; a generator function
+    yields its cases itself."""
     if pid not in _REGISTRY:
         raise ValueError(f"unknown property {pid!r}")
     definition = _REGISTRY[pid]
     rng = random.Random(f"{config.seed}:{pid}")
+    fn, args = definition.fn, (config, rng, *definition.args)
+    if inspect.isgeneratorfunction(fn):
+        results = fn(*args)
+    else:
+        results = (fn(*args) for _ in range(config.cases))
     cases = 0
     failures: list[str] = []
-    for failure in definition.fn(config, rng, *definition.args):
+    for failure in results:
         cases += 1
         if failure is not None:
             failures.append(failure)
@@ -280,31 +308,13 @@ def run_property(pid: str, config: SelfCheckConfig) -> PropertyReport:
     return PropertyReport(pid, status, cases, tuple(failures))
 
 
-_LOWER_BOUNDS = (
-    ("cases", 0),
-    ("max_states", 1),
-    ("max_labels", 1),
-    ("max_formula_depth", 0),
-    ("term_height", 1),
-)
-
-
 def run_selfcheck(config: SelfCheckConfig = SelfCheckConfig()) -> SelfCheckReport:
-    for name, bound in _LOWER_BOUNDS:
-        if getattr(config, name) < bound:
-            raise ValueError(f"{name} must be at least {bound}, got {getattr(config, name)}")
     selected = config.properties or tuple(property_ids())
     unknown = sorted(set(selected) - set(_REGISTRY))
     if unknown:
         raise ValueError(f"unknown properties: {', '.join(unknown)}")
     reports = tuple(run_property(pid, config) for pid in sorted(set(selected)))
-    snapshot = {
-        "cases": config.cases,
-        "max_formula_depth": config.max_formula_depth,
-        "max_labels": config.max_labels,
-        "max_states": config.max_states,
-        "term_height": config.term_height,
-    }
+    snapshot = {name: getattr(config, name) for name, _ in _LOWER_BOUNDS}
     if config.properties:
         snapshot["properties"] = sorted(set(config.properties))
     return SelfCheckReport(
@@ -544,53 +554,46 @@ def _prop_term_expansion(cfg: SelfCheckConfig, rng: random.Random):
 @prop("preorders.fixpoint-matches-oracle.refinement", _MTS)
 @prop("preorders.fixpoint-matches-oracle.ccsim", _CC)
 def _prop_oracle(cfg: SelfCheckConfig, rng: random.Random, view: _View):
-    for _ in range(cfg.cases):
-        p, q = _oracle_pair(rng, cfg, view.pair_labels, view.system)
-        yield _oracle_case(view.kind, p, q, view.noun)
+    p, q = _oracle_pair(rng, cfg, view.pair_labels, view.system)
+    return _oracle_case(view.kind, p, q, view.noun)
 
 
 @prop("preorders.fixpoint-matches-oracle.pbsim")
 def _prop_oracle_pbsim(cfg: SelfCheckConfig, rng: random.Random):
-    for _ in range(cfg.cases):
-        p, q = _oracle_pair(rng, cfg, _alphabet, random_plain_lts)
-        kind = PartialBisim(_random_bset(rng, p.signature.actions))
-        yield _oracle_case(kind, p, q, "partial bisimulation")
+    p, q = _oracle_pair(rng, cfg, _alphabet, random_plain_lts)
+    kind = PartialBisim(_random_bset(rng, p.signature.actions))
+    return _oracle_case(kind, p, q, "partial bisimulation")
 
 
 @prop("preorders.fixpoint-matches-oracle.simulation")
 def _prop_oracle_simulation(cfg: SelfCheckConfig, rng: random.Random):
-    for _ in range(cfg.cases):
-        p, q = _oracle_pair(rng, cfg, _alphabet, random_plain_lts)
-        yield _oracle_case(Simulation(), p, q, "simulation")
+    p, q = _oracle_pair(rng, cfg, _alphabet, random_plain_lts)
+    return _oracle_case(Simulation(), p, q, "simulation")
 
 
 @prop("preorders.pbsim-empty-is-simulation")
 def _prop_pbsim_empty(cfg: SelfCheckConfig, rng: random.Random):
-    for _ in range(cfg.cases):
-        p, q = _oracle_pair(rng, cfg, _alphabet, random_plain_lts)
-        empty = greatest(PartialBisim(frozenset()), p, q).pairs
-        if empty != greatest(Simulation(), p, q).pairs:
-            yield f"empty-set partial bisimulation differs from simulation on\n{_show_pair(p, q)}"
-        elif empty != oracle_greatest(Simulation(), p, q).pairs:
-            yield f"empty-set partial bisimulation differs from the simulation oracle on\n{_show_pair(p, q)}"
-        else:
-            yield None
+    p, q = _oracle_pair(rng, cfg, _alphabet, random_plain_lts)
+    empty = greatest(PartialBisim(frozenset()), p, q).pairs
+    if empty != greatest(Simulation(), p, q).pairs:
+        return f"empty-set partial bisimulation differs from simulation on\n{_show_pair(p, q)}"
+    if empty != oracle_greatest(Simulation(), p, q).pairs:
+        return f"empty-set partial bisimulation differs from the simulation oracle on\n{_show_pair(p, q)}"
+    return None
 
 
 @prop("preorders.refinement-preorder-laws", _MTS)
 @prop("preorders.ccsim-preorder-laws", _CC)
 def _prop_preorder_laws(cfg: SelfCheckConfig, rng: random.Random, view: _View):
-    for _ in range(cfg.cases):
-        labels, p, q = view.pair(rng, cfg)
-        r = view.system(rng, labels, cfg.max_states, prefix="r")
-        identity = greatest(view.kind, p, p)
-        through = compose_relations(greatest(view.kind, p, q), greatest(view.kind, q, r))
-        if any((s, s) not in identity for s in p.states):
-            yield f"{view.noun} is not reflexive on\n{print_system(p)}"
-        elif not through.pairs <= greatest(view.kind, p, r).pairs:
-            yield f"{view.noun} is not transitive through\n{print_system(q)}"
-        else:
-            yield None
+    labels, p, q = view.pair(rng, cfg)
+    r = view.system(rng, labels, cfg.max_states, prefix="r")
+    identity = greatest(view.kind, p, p)
+    through = compose_relations(greatest(view.kind, p, q), greatest(view.kind, q, r))
+    if any((s, s) not in identity for s in p.states):
+        return f"{view.noun} is not reflexive on\n{print_system(p)}"
+    if not through.pairs <= greatest(view.kind, p, r).pairs:
+        return f"{view.noun} is not transitive through\n{print_system(q)}"
+    return None
 
 
 @prop("preorders.distinguishing-formula-witnesses")
@@ -623,34 +626,29 @@ def _prop_distinguishing(cfg: SelfCheckConfig, rng: random.Random):
 @prop("formulas.satisfaction-monotone.mts", _MTS)
 @prop("formulas.satisfaction-monotone.cc", _CC)
 def _prop_monotone(cfg: SelfCheckConfig, rng: random.Random, view: _View):
-    for _ in range(cfg.cases):
-        labels = view.labels(rng, cfg)
-        m = view.system(rng, labels, cfg.max_states)
-        phi = view.formula(rng, labels, cfg.max_formula_depth)
-        parts = list(subformulas(phi))
-        target = parts[rng.randrange(len(parts))]
-        weaker = replace_subformula(phi, target, Or(target, view.formula(rng, labels, 2)))
-        if not view.satisfying(m, phi) <= view.satisfying(m, weaker):
-            yield f"weakening {formula_text(phi)} to {formula_text(weaker)} lost states on\n{print_system(m)}"
-        else:
-            yield None
+    labels = view.labels(rng, cfg)
+    m = view.system(rng, labels, cfg.max_states)
+    phi = view.formula(rng, labels, cfg.max_formula_depth)
+    parts = list(subformulas(phi))
+    target = parts[rng.randrange(len(parts))]
+    weaker = replace_subformula(phi, target, Or(target, view.formula(rng, labels, 2)))
+    if not view.satisfying(m, phi) <= view.satisfying(m, weaker):
+        return f"weakening {formula_text(phi)} to {formula_text(weaker)} lost states on\n{print_system(m)}"
+    return None
 
 
 @prop("formulas.refinement-preserves-truth", _MTS)
 @prop("formulas.ccsim-preserves-truth", _CC)
 def _prop_preserves_truth(cfg: SelfCheckConfig, rng: random.Random, view: _View):
-    for _ in range(cfg.cases):
-        labels, p, q = view.pair(rng, cfg)
-        rel = greatest(view.kind, p, q)
-        phi = view.formula(rng, labels, cfg.max_formula_depth)
-        sat_p = view.satisfying(p, phi)
-        sat_q = view.satisfying(q, phi)
-        for pp, qq in sorted(rel.pairs):
-            if pp in sat_p and qq not in sat_q:
-                yield f"{formula_text(phi)} holds at {pp} but not at related {qq} on\n{_show_pair(p, q)}"
-                break
-        else:
-            yield None
+    labels, p, q = view.pair(rng, cfg)
+    rel = greatest(view.kind, p, q)
+    phi = view.formula(rng, labels, cfg.max_formula_depth)
+    sat_p = view.satisfying(p, phi)
+    sat_q = view.satisfying(q, phi)
+    for pp, qq in sorted(rel.pairs):
+        if pp in sat_p and qq not in sat_q:
+            return f"{formula_text(phi)} holds at {pp} but not at related {qq} on\n{_show_pair(p, q)}"
+    return None
 
 
 @prop("formulas.simplify-preserves-meaning")
@@ -692,18 +690,16 @@ def _prop_system_roundtrip(cfg: SelfCheckConfig, rng: random.Random):
 
 @prop("textio.formula-roundtrip")
 def _prop_formula_roundtrip(cfg: SelfCheckConfig, rng: random.Random):
-    for _ in range(cfg.cases):
-        acts = random_alphabet(rng, cfg.max_labels)
-        m = random_mts(rng, acts, cfg.max_states)
-        phi = random_bl_formula(rng, acts, cfg.max_formula_depth)
-        text = formula_text(phi)
-        back = parse_formula(text)
-        if formula_text(back) != text:
-            yield f"formula text is not a parse/print fixpoint: {text}"
-        elif satisfying_states_mts(m, back) != satisfying_states_mts(m, phi):
-            yield f"reparsing changed the meaning of {text}"
-        else:
-            yield None
+    acts = random_alphabet(rng, cfg.max_labels)
+    m = random_mts(rng, acts, cfg.max_states)
+    phi = random_bl_formula(rng, acts, cfg.max_formula_depth)
+    text = formula_text(phi)
+    back = parse_formula(text)
+    if formula_text(back) != text:
+        return f"formula text is not a parse/print fixpoint: {text}"
+    if satisfying_states_mts(m, back) != satisfying_states_mts(m, phi):
+        return f"reparsing changed the meaning of {text}"
+    return None
 
 
 @prop("textio.term-roundtrip")
@@ -724,35 +720,31 @@ def _prop_term_roundtrip(cfg: SelfCheckConfig, rng: random.Random):
 
 @prop("textio.must-twin-repair")
 def _prop_must_twin_repair(cfg: SelfCheckConfig, rng: random.Random):
-    for _ in range(cfg.cases):
-        m = random_mts(rng, random_alphabet(rng, cfg.max_labels), cfg.max_states)
-        # Print by hand, leaving out the may twins of must transitions.
-        lines = ["mts"]
-        if m.actions:
-            lines.append("actions: " + " ".join(str(a) for a in sorted_actions(m.actions)))
-        lines.append("states: " + " ".join(sorted(m.states)))
-        lines.append(f"init: {m.init}")
-        for src, lab, dst in sorted(m.may - m.must, key=_triple_key):
-            lines.append(f"may: {src} {lab} {dst}")
-        for src, lab, dst in sorted(m.must, key=_triple_key):
-            lines.append(f"must: {src} {lab} {dst}")
-        text = "\n".join(lines) + "\n"
-        parsed = parse_system_details(text)
-        if parsed.system != m:
-            yield f"twin repair did not rebuild the system from:\n{text}"
-            continue
-        if len(parsed.warnings) != len(m.must):
-            yield f"expected {len(m.must)} repair warnings, got {len(parsed.warnings)} from:\n{text}"
-            continue
-        strict_raised = False
-        try:
-            parse_system(text, strict=True)
-        except ValueError:
-            strict_raised = True
-        if strict_raised != bool(m.must):
-            yield f"strict parsing disagreed with the presence of bare musts:\n{text}"
-        else:
-            yield None
+    m = random_mts(rng, random_alphabet(rng, cfg.max_labels), cfg.max_states)
+    # Print by hand, leaving out the may twins of must transitions.
+    lines = ["mts"]
+    if m.actions:
+        lines.append("actions: " + " ".join(str(a) for a in sorted_actions(m.actions)))
+    lines.append("states: " + " ".join(sorted(m.states)))
+    lines.append(f"init: {m.init}")
+    for src, lab, dst in sorted(m.may - m.must, key=_triple_key):
+        lines.append(f"may: {src} {lab} {dst}")
+    for src, lab, dst in sorted(m.must, key=_triple_key):
+        lines.append(f"must: {src} {lab} {dst}")
+    text = "\n".join(lines) + "\n"
+    parsed = parse_system_details(text)
+    if parsed.system != m:
+        return f"twin repair did not rebuild the system from:\n{text}"
+    if len(parsed.warnings) != len(m.must):
+        return f"expected {len(m.must)} repair warnings, got {len(parsed.warnings)} from:\n{text}"
+    strict_raised = False
+    try:
+        parse_system(text, strict=True)
+    except ValueError:
+        strict_raised = True
+    if strict_raised != bool(m.must):
+        return f"strict parsing disagreed with the presence of bare musts:\n{text}"
+    return None
 
 
 @prop("textio.golden-files-stable")
@@ -797,13 +789,11 @@ def _prop_embedding_corollary(cfg: SelfCheckConfig, rng: random.Random):
                 return f"sink row pair ({sink}, {x})"
         return None
 
-    for _ in range(cfg.cases):
-        p, q = random_lts_pair(rng, cfg.max_states)
-        if disagreement(p, q) is not None:
-            p, q = shrink_pair(p, q, lambda a, b: disagreement(a, b) is not None)
-            yield f"embedding broke the simulation/refinement match at {disagreement(p, q)} on\n{_show_pair(p, q)}"
-        else:
-            yield None
+    p, q = random_lts_pair(rng, cfg.max_states)
+    if disagreement(p, q) is None:
+        return None
+    p, q = shrink_pair(p, q, lambda a, b: disagreement(a, b) is not None)
+    return f"embedding broke the simulation/refinement match at {disagreement(p, q)} on\n{_show_pair(p, q)}"
 
 
 @prop("translate.encoding-preserves-refinement")
@@ -814,204 +804,181 @@ def _prop_encoding_corollary(cfg: SelfCheckConfig, rng: random.Random):
             != greatest(CCSim(), lts_of_mts(m), lts_of_mts(n)).pairs
         )
 
-    for _ in range(cfg.cases):
-        m, n = random_mts_pair(rng, cfg.max_states, cfg.max_labels)
-        if disagrees(m, n):
-            m, n = shrink_pair(m, n, disagrees)
-            yield f"encoding broke the refinement/simulation match on\n{_show_pair(m, n)}"
-        else:
-            yield None
+    m, n = random_mts_pair(rng, cfg.max_states, cfg.max_labels)
+    if not disagrees(m, n):
+        return None
+    m, n = shrink_pair(m, n, disagrees)
+    return f"encoding broke the refinement/simulation match on\n{_show_pair(m, n)}"
 
 
 @prop("translate.encoding-roundtrip")
 def _prop_encoding_roundtrip(cfg: SelfCheckConfig, rng: random.Random):
-    for _ in range(cfg.cases):
-        m = random_mts(rng, random_alphabet(rng, cfg.max_labels), cfg.max_states)
-        back = mts_of_encoded_lts(lts_of_mts(m))
-        if back != m:
-            yield f"decoding the encoding changed the system:\n{print_system(m)}"
-        else:
-            yield None
+    m = random_mts(rng, random_alphabet(rng, cfg.max_labels), cfg.max_states)
+    back = mts_of_encoded_lts(lts_of_mts(m))
+    if back != m:
+        return f"decoding the encoding changed the system:\n{print_system(m)}"
+    return None
 
 
 @prop("translate.encoding-range-rejects")
 def _prop_encoding_range(cfg: SelfCheckConfig, rng: random.Random):
-    for _ in range(cfg.cases):
-        m = random_mts(rng, random_alphabet(rng, cfg.max_labels), cfg.max_states)
-        if not m.must:
-            forced = (m.init, sorted_actions(m.actions)[0], m.init)
-            m = replace(m, may=m.may | {forced}, must=m.must | {forced})
-        encoded = lts_of_mts(m)
-        sig = encoded.signature
-        first_cv = sorted_actions(sig.covariant)[0]
-        mutants = [
-            (
-                "a bivariant label slipped through",
-                replace(
-                    encoded,
-                    signature=CCSignature(
-                        sig.covariant, sig.contravariant, frozenset({Action("z")})
-                    ),
+    m = random_mts(rng, random_alphabet(rng, cfg.max_labels), cfg.max_states)
+    if not m.must:
+        forced = (m.init, sorted_actions(m.actions)[0], m.init)
+        m = replace(m, may=m.may | {forced}, must=m.must | {forced})
+    encoded = lts_of_mts(m)
+    sig = encoded.signature
+    first_cv = sorted_actions(sig.covariant)[0]
+    mutants = [
+        (
+            "a bivariant label slipped through",
+            replace(
+                encoded,
+                signature=CCSignature(
+                    sig.covariant, sig.contravariant, frozenset({Action("z")})
                 ),
             ),
-            (
-                "an undecorated covariant label slipped through",
-                replace(
-                    encoded,
-                    signature=CCSignature(
-                        sig.covariant | {Action("z")}, sig.contravariant, frozenset()
-                    ),
+        ),
+        (
+            "an undecorated covariant label slipped through",
+            replace(
+                encoded,
+                signature=CCSignature(
+                    sig.covariant | {Action("z")}, sig.contravariant, frozenset()
                 ),
             ),
-            (
-                "mismatched base alphabets slipped through",
-                replace(
-                    encoded,
-                    signature=CCSignature(
-                        sig.covariant,
-                        frozenset(
-                            lab
-                            for lab in sig.contravariant
-                            if lab.base != first_cv.base
-                        ),
-                        frozenset(),
+        ),
+        (
+            "mismatched base alphabets slipped through",
+            replace(
+                encoded,
+                signature=CCSignature(
+                    sig.covariant,
+                    frozenset(
+                        lab
+                        for lab in sig.contravariant
+                        if lab.base != first_cv.base
                     ),
+                    frozenset(),
                 ),
             ),
-        ]
-        cv_triples = sorted(
-            (t for t in encoded.transitions if t[1].mark == "cv"), key=_triple_key
-        )
-        src, lab, dst = cv_triples[0]
-        broken = replace(
-            encoded,
-            transitions=encoded.transitions - {(src, Action(mark="ct", base=lab.base), dst)},
-        )
-        mutants.append(("a missing contravariant twin slipped through", broken))
-        if mts_of_encoded_lts(encoded) != m:
-            yield "the unmutated encoding failed to invert"
+        ),
+    ]
+    cv_triples = sorted(
+        (t for t in encoded.transitions if t[1].mark == "cv"), key=_triple_key
+    )
+    src, lab, dst = cv_triples[0]
+    broken = replace(
+        encoded,
+        transitions=encoded.transitions - {(src, Action(mark="ct", base=lab.base), dst)},
+    )
+    mutants.append(("a missing contravariant twin slipped through", broken))
+    if mts_of_encoded_lts(encoded) != m:
+        return "the unmutated encoding failed to invert"
+    for what, mutant in mutants:
+        try:
+            mts_of_encoded_lts(mutant)
+        except NotInEncodingRange:
             continue
-        for what, mutant in mutants:
-            try:
-                mts_of_encoded_lts(mutant)
-            except NotInEncodingRange:
-                continue
-            yield what
-            break
-        else:
-            yield None
+        return what
+    return None
 
 
 @prop("translate.plain-reading-matches-pbsim")
 def _prop_plain_reading(cfg: SelfCheckConfig, rng: random.Random):
-    for _ in range(cfg.cases):
-        acts = random_alphabet(rng, cfg.max_labels)
-        p = random_plain_lts(rng, acts, cfg.max_states, prefix="p")
-        q = random_plain_lts(rng, acts, cfg.max_states, prefix="q")
-        bset = _random_bset(rng, acts)
-        direct = greatest(PartialBisim(bset), p, q).pairs
-        through = greatest(
-            Refinement(), mts_of_plain_lts(q, bset), mts_of_plain_lts(p, bset)
-        ).inverse().pairs
-        if direct != through:
-            yield f"modal reading with set {sorted_actions(bset)} disagreed on\n{_show_pair(p, q)}"
-        else:
-            yield None
+    acts = random_alphabet(rng, cfg.max_labels)
+    p = random_plain_lts(rng, acts, cfg.max_states, prefix="p")
+    q = random_plain_lts(rng, acts, cfg.max_states, prefix="q")
+    bset = _random_bset(rng, acts)
+    direct = greatest(PartialBisim(bset), p, q).pairs
+    through = greatest(
+        Refinement(), mts_of_plain_lts(q, bset), mts_of_plain_lts(p, bset)
+    ).inverse().pairs
+    if direct != through:
+        return f"modal reading with set {sorted_actions(bset)} disagreed on\n{_show_pair(p, q)}"
+    return None
 
 
 @prop("translate.results-validate")
 def _prop_translations_validate(cfg: SelfCheckConfig, rng: random.Random):
-    for _ in range(cfg.cases):
-        sig = random_signature(rng, cfg.max_labels)
-        p = random_lts(rng, sig, cfg.max_states)
-        m = random_mts(rng, random_alphabet(rng, cfg.max_labels), cfg.max_states)
-        checks = [
-            ("embedding", validate_mts(mts_of_lts(p))),
-            ("encoding", validate_cc_lts(lts_of_mts(m))),
-            ("plain reading", validate_mts(mts_of_plain_lts(p, _random_bset(rng, sig.actions)))),
-            ("bivariant elimination", validate_cc_lts(eliminate_bivariant(p))),
-        ]
-        flat = random_lts(
-            rng,
-            random_signature(rng, cfg.max_labels, classes=(COVARIANT, CONTRAVARIANT)),
-            cfg.max_states,
-        )
-        checks.append(("class decoration", validate_cc_lts(decorate_by_class(flat))))
-        for what, problems in checks:
-            if problems:
-                yield f"{what} produced an ill-formed system: {problems}"
-                break
-        else:
-            yield None
+    sig = random_signature(rng, cfg.max_labels)
+    p = random_lts(rng, sig, cfg.max_states)
+    m = random_mts(rng, random_alphabet(rng, cfg.max_labels), cfg.max_states)
+    checks = [
+        ("embedding", validate_mts(mts_of_lts(p))),
+        ("encoding", validate_cc_lts(lts_of_mts(m))),
+        ("plain reading", validate_mts(mts_of_plain_lts(p, _random_bset(rng, sig.actions)))),
+        ("bivariant elimination", validate_cc_lts(eliminate_bivariant(p))),
+    ]
+    flat = random_lts(
+        rng,
+        random_signature(rng, cfg.max_labels, classes=(COVARIANT, CONTRAVARIANT)),
+        cfg.max_states,
+    )
+    checks.append(("class decoration", validate_cc_lts(decorate_by_class(flat))))
+    for what, problems in checks:
+        if problems:
+            return f"{what} produced an ill-formed system: {problems}"
+    return None
 
 
 @prop("translate.formula-codec-roundtrip")
 def _prop_formula_codec(cfg: SelfCheckConfig, rng: random.Random):
-    for _ in range(cfg.cases):
-        acts = random_alphabet(rng, cfg.max_labels)
-        phi = random_bl_formula(rng, acts, cfg.max_formula_depth)
-        encoded_sig = lts_of_mts(
-            PointedMTS(frozenset({"s"}), acts, frozenset(), frozenset(), "s")
-        ).signature
-        psi = random_cc_formula(rng, encoded_sig, cfg.max_formula_depth)
-        if decode_formula(encode_formula(phi)) != phi:
-            yield f"decode(encode(..)) changed {formula_text(phi)}"
-        elif encode_formula(decode_formula(psi)) != psi:
-            yield f"encode(decode(..)) changed {formula_text(psi)}"
-        else:
-            yield None
+    acts = random_alphabet(rng, cfg.max_labels)
+    phi = random_bl_formula(rng, acts, cfg.max_formula_depth)
+    encoded_sig = lts_of_mts(
+        PointedMTS(frozenset({"s"}), acts, frozenset(), frozenset(), "s")
+    ).signature
+    psi = random_cc_formula(rng, encoded_sig, cfg.max_formula_depth)
+    if decode_formula(encode_formula(phi)) != phi:
+        return f"decode(encode(..)) changed {formula_text(phi)}"
+    if encode_formula(decode_formula(psi)) != psi:
+        return f"encode(decode(..)) changed {formula_text(psi)}"
+    return None
 
 
 @prop("translate.formula-embedding-truth")
 def _prop_embed_truth(cfg: SelfCheckConfig, rng: random.Random):
-    for _ in range(cfg.cases):
-        sig = random_signature(rng, cfg.max_labels)
-        p = random_lts(rng, sig, cfg.max_states)
-        s = random_state(rng, p)
-        phi = random_cc_formula(rng, sig, cfg.max_formula_depth)
-        if mc_cc(p, s, phi) != mc_mts(mts_of_lts(p), s, embed_formula(phi)):
-            yield f"embedding changed the truth of {formula_text(phi)} at {s} on\n{print_system(p)}"
-        else:
-            yield None
+    sig = random_signature(rng, cfg.max_labels)
+    p = random_lts(rng, sig, cfg.max_states)
+    s = random_state(rng, p)
+    phi = random_cc_formula(rng, sig, cfg.max_formula_depth)
+    if mc_cc(p, s, phi) != mc_mts(mts_of_lts(p), s, embed_formula(phi)):
+        return f"embedding changed the truth of {formula_text(phi)} at {s} on\n{print_system(p)}"
+    return None
 
 
 @prop("translate.formula-encoding-truth")
 def _prop_encode_truth(cfg: SelfCheckConfig, rng: random.Random):
-    for _ in range(cfg.cases):
-        m = random_mts(rng, random_alphabet(rng, cfg.max_labels), cfg.max_states)
-        s = random_state(rng, m)
-        phi = random_bl_formula(rng, m.actions, cfg.max_formula_depth)
-        if mc_mts(m, s, phi) != mc_cc(lts_of_mts(m), s, encode_formula(phi)):
-            yield f"encoding changed the truth of {formula_text(phi)} at {s} on\n{print_system(m)}"
-        else:
-            yield None
+    m = random_mts(rng, random_alphabet(rng, cfg.max_labels), cfg.max_states)
+    s = random_state(rng, m)
+    phi = random_bl_formula(rng, m.actions, cfg.max_formula_depth)
+    if mc_mts(m, s, phi) != mc_cc(lts_of_mts(m), s, encode_formula(phi)):
+        return f"encoding changed the truth of {formula_text(phi)} at {s} on\n{print_system(m)}"
+    return None
 
 
 @prop("translate.formula-decoding-truth")
 def _prop_decode_truth(cfg: SelfCheckConfig, rng: random.Random):
-    for _ in range(cfg.cases):
-        m = random_mts(rng, random_alphabet(rng, cfg.max_labels), cfg.max_states)
-        encoded = lts_of_mts(m)
-        back = mts_of_encoded_lts(encoded)
-        s = random_state(rng, encoded)
-        psi = random_cc_formula(rng, encoded.signature, cfg.max_formula_depth)
-        if mc_cc(encoded, s, psi) != mc_mts(back, s, decode_formula(psi)):
-            yield f"decoding changed the truth of {formula_text(psi)} at {s} on\n{print_system(m)}"
-        else:
-            yield None
+    m = random_mts(rng, random_alphabet(rng, cfg.max_labels), cfg.max_states)
+    encoded = lts_of_mts(m)
+    back = mts_of_encoded_lts(encoded)
+    s = random_state(rng, encoded)
+    psi = random_cc_formula(rng, encoded.signature, cfg.max_formula_depth)
+    if mc_cc(encoded, s, psi) != mc_mts(back, s, decode_formula(psi)):
+        return f"decoding changed the truth of {formula_text(psi)} at {s} on\n{print_system(m)}"
+    return None
 
 
 @prop("translate.approximation-sound")
 def _prop_approx_sound(cfg: SelfCheckConfig, rng: random.Random):
-    for _ in range(cfg.cases):
-        sig = random_signature(rng, cfg.max_labels)
-        p = random_lts(rng, sig, cfg.max_states)
-        s = random_state(rng, p)
-        phi = random_bl_formula(rng, sig.actions, cfg.max_formula_depth)
-        if mc_mts(mts_of_lts(p), s, phi) and not mc_cc(p, s, approximate_formula(phi, sig)):
-            yield f"approximation of {formula_text(phi)} is unsound at {s} on\n{print_system(p)}"
-        else:
-            yield None
+    sig = random_signature(rng, cfg.max_labels)
+    p = random_lts(rng, sig, cfg.max_states)
+    s = random_state(rng, p)
+    phi = random_bl_formula(rng, sig.actions, cfg.max_formula_depth)
+    if mc_mts(mts_of_lts(p), s, phi) and not mc_cc(p, s, approximate_formula(phi, sig)):
+        return f"approximation of {formula_text(phi)} is unsound at {s} on\n{print_system(p)}"
+    return None
 
 
 def _approx_converse_violation(
@@ -1023,33 +990,29 @@ def _approx_converse_violation(
 
 @prop("translate.approximation-complete-existential")
 def _prop_approx_existential(cfg: SelfCheckConfig, rng: random.Random):
-    for _ in range(cfg.cases):
-        sig = random_signature(rng, cfg.max_labels)
-        p = random_lts(rng, sig, cfg.max_states)
-        s = random_state(rng, p)
-        phi = random_bl_formula(rng, sig.actions, cfg.max_formula_depth, existential=True)
-        if not is_existential(phi):
-            yield f"generator produced a non-existential formula {formula_text(phi)}"
-        elif _approx_converse_violation(p, s, phi):
-            yield f"approximation of existential {formula_text(phi)} is incomplete at {s} on\n{print_system(p)}"
-        else:
-            yield None
+    sig = random_signature(rng, cfg.max_labels)
+    p = random_lts(rng, sig, cfg.max_states)
+    s = random_state(rng, p)
+    phi = random_bl_formula(rng, sig.actions, cfg.max_formula_depth, existential=True)
+    if not is_existential(phi):
+        return f"generator produced a non-existential formula {formula_text(phi)}"
+    if _approx_converse_violation(p, s, phi):
+        return f"approximation of existential {formula_text(phi)} is incomplete at {s} on\n{print_system(p)}"
+    return None
 
 
 @prop("translate.approximation-complete-no-covariant")
 def _prop_approx_no_covariant(cfg: SelfCheckConfig, rng: random.Random):
-    for _ in range(cfg.cases):
-        sig = random_signature(rng, cfg.max_labels, classes=(CONTRAVARIANT, BIVARIANT))
-        p = random_lts(rng, sig, cfg.max_states)
-        s = random_state(rng, p)
-        phi = random_bl_formula(rng, sig.actions, cfg.max_formula_depth)
-        if _approx_converse_violation(p, s, phi):
-            yield (
-                f"approximation of {formula_text(phi)} is incomplete without covariant labels "
-                f"at {s} on\n{print_system(p)}"
-            )
-        else:
-            yield None
+    sig = random_signature(rng, cfg.max_labels, classes=(CONTRAVARIANT, BIVARIANT))
+    p = random_lts(rng, sig, cfg.max_states)
+    s = random_state(rng, p)
+    phi = random_bl_formula(rng, sig.actions, cfg.max_formula_depth)
+    if _approx_converse_violation(p, s, phi):
+        return (
+            f"approximation of {formula_text(phi)} is incomplete without covariant labels "
+            f"at {s} on\n{print_system(p)}"
+        )
+    return None
 
 
 @prop("translate.approximation-complete-unguarded", expect_fail=True)
@@ -1142,21 +1105,19 @@ def _prop_decorated_bridge(cfg: SelfCheckConfig, rng: random.Random):
 
 @prop("translate.eliminate-bivariant-preserves")
 def _prop_eliminate_bivariant(cfg: SelfCheckConfig, rng: random.Random):
-    for _ in range(cfg.cases):
-        p, q = random_lts_pair(rng, cfg.max_states)
-        before = greatest(CCSim(), p, q).pairs
-        after = greatest(CCSim(), eliminate_bivariant(p), eliminate_bivariant(q)).pairs
-        changed = [
-            (pp, qq)
-            for pp in sorted(p.states)
-            for qq in sorted(q.states)
-            if ((pp, qq) in before) != ((pp, qq) in after)
-        ]
-        if changed:
-            pp, qq = changed[0]
-            yield f"bivariant elimination changed pair ({pp}, {qq}) on\n{_show_pair(p, q)}"
-        else:
-            yield None
+    p, q = random_lts_pair(rng, cfg.max_states)
+    before = greatest(CCSim(), p, q).pairs
+    after = greatest(CCSim(), eliminate_bivariant(p), eliminate_bivariant(q)).pairs
+    changed = [
+        (pp, qq)
+        for pp in sorted(p.states)
+        for qq in sorted(q.states)
+        if ((pp, qq) in before) != ((pp, qq) in after)
+    ]
+    if changed:
+        pp, qq = changed[0]
+        return f"bivariant elimination changed pair ({pp}, {qq}) on\n{_show_pair(p, q)}"
+    return None
 
 
 # --------------------------------------------------------------------------
@@ -1261,16 +1222,14 @@ def _prop_cc_transport(cfg: SelfCheckConfig, rng: random.Random):
 
 @prop("charform.omega-satisfied-everywhere")
 def _prop_omega_formula(cfg: SelfCheckConfig, rng: random.Random):
-    for _ in range(cfg.cases):
-        acts = random_alphabet(rng, cfg.max_labels)
-        m = random_mts(rng, acts, cfg.max_states)
-        result = characteristic_formula(Omega(), acts)
-        if result.simplified != Top():
-            yield f"loosest-process formula simplified to {formula_text(result.simplified)}"
-        elif satisfying_states_mts(m, result.formula) != m.states:
-            yield f"loosest-process formula rejected a state of\n{print_system(m)}"
-        else:
-            yield None
+    acts = random_alphabet(rng, cfg.max_labels)
+    m = random_mts(rng, acts, cfg.max_states)
+    result = characteristic_formula(Omega(), acts)
+    if result.simplified != Top():
+        return f"loosest-process formula simplified to {formula_text(result.simplified)}"
+    if satisfying_states_mts(m, result.formula) != m.states:
+        return f"loosest-process formula rejected a state of\n{print_system(m)}"
+    return None
 
 
 # --------------------------------------------------------------------------
@@ -1280,54 +1239,48 @@ def _prop_omega_formula(cfg: SelfCheckConfig, rng: random.Random):
 @prop("institutions.satisfaction-condition.mts", _MTS)
 @prop("institutions.satisfaction-condition.cc", _CC)
 def _prop_satisfaction(cfg: SelfCheckConfig, rng: random.Random, view: _View):
-    for _ in range(cfg.cases):
-        f = view.morphism(rng, cfg)
-        m = view.system(rng, f.target, cfg.max_states)
-        s = random_state(rng, m)
-        phi = view.formula(rng, f.source, cfg.max_formula_depth)
-        if not check_satisfaction_condition(f, m, s, phi):
-            yield f"satisfaction condition broke for {formula_text(phi)} at {s} on\n{print_system(m)}"
-        else:
-            yield None
+    f = view.morphism(rng, cfg)
+    m = view.system(rng, f.target, cfg.max_states)
+    s = random_state(rng, m)
+    phi = view.formula(rng, f.source, cfg.max_formula_depth)
+    if not check_satisfaction_condition(f, m, s, phi):
+        return f"satisfaction condition broke for {formula_text(phi)} at {s} on\n{print_system(m)}"
+    return None
 
 
 @prop("institutions.morphism-composition")
 def _prop_morphism_composition(cfg: SelfCheckConfig, rng: random.Random):
-    for _ in range(cfg.cases):
-        f = _random_mts_morphism(rng, cfg)
-        mid_choices = sorted_actions(f.source)
-        inner = [Action(f"y{i}") for i in range(rng.randint(1, 3))]
-        g = mts_morphism(
-            inner,
-            f.source,
-            {a: mid_choices[rng.randrange(len(mid_choices))] for a in inner},
-        )
-        composed = compose_morphisms(f, g)
-        phi = random_bl_formula(rng, g.source, cfg.max_formula_depth)
-        m = random_mts(rng, f.target, cfg.max_states)
-        if sen_map(composed, phi) != sen_map(f, sen_map(g, phi)):
-            yield f"sentence maps disagreed under composition for {formula_text(phi)}"
-        elif reduct(m, composed) != reduct(reduct(m, f), g):
-            yield f"reducts disagreed under composition on\n{print_system(m)}"
-        elif compose_morphisms(f, identity_morphism(f.source)) != f:
-            yield "composing with the source identity changed the morphism"
-        elif compose_morphisms(identity_morphism(f.target), f) != f:
-            yield "composing with the target identity changed the morphism"
-        else:
-            yield None
+    f = _random_mts_morphism(rng, cfg)
+    mid_choices = sorted_actions(f.source)
+    inner = [Action(f"y{i}") for i in range(rng.randint(1, 3))]
+    g = mts_morphism(
+        inner,
+        f.source,
+        {a: mid_choices[rng.randrange(len(mid_choices))] for a in inner},
+    )
+    composed = compose_morphisms(f, g)
+    phi = random_bl_formula(rng, g.source, cfg.max_formula_depth)
+    m = random_mts(rng, f.target, cfg.max_states)
+    if sen_map(composed, phi) != sen_map(f, sen_map(g, phi)):
+        return f"sentence maps disagreed under composition for {formula_text(phi)}"
+    if reduct(m, composed) != reduct(reduct(m, f), g):
+        return f"reducts disagreed under composition on\n{print_system(m)}"
+    if compose_morphisms(f, identity_morphism(f.source)) != f:
+        return "composing with the source identity changed the morphism"
+    if compose_morphisms(identity_morphism(f.target), f) != f:
+        return "composing with the target identity changed the morphism"
+    return None
 
 
 @prop("institutions.morphism-condition")
 def _prop_morphism_condition(cfg: SelfCheckConfig, rng: random.Random):
-    for _ in range(cfg.cases):
-        m = random_mts(rng, random_alphabet(rng, cfg.max_labels), cfg.max_states)
-        s = random_state(rng, m)
-        encoded_sig = lts_of_mts(m).signature
-        phi = random_cc_formula(rng, encoded_sig, cfg.max_formula_depth)
-        if not check_morphism_condition(m, s, phi):
-            yield f"institution morphism condition broke for {formula_text(phi)} at {s} on\n{print_system(m)}"
-        else:
-            yield None
+    m = random_mts(rng, random_alphabet(rng, cfg.max_labels), cfg.max_states)
+    s = random_state(rng, m)
+    encoded_sig = lts_of_mts(m).signature
+    phi = random_cc_formula(rng, encoded_sig, cfg.max_formula_depth)
+    if not check_morphism_condition(m, s, phi):
+        return f"institution morphism condition broke for {formula_text(phi)} at {s} on\n{print_system(m)}"
+    return None
 
 
 @prop("institutions.weakly-final-cc", _CC, weakly_final_implementation, True,
@@ -1341,16 +1294,14 @@ def _prop_extremal(
 ):
     """The system that ``build`` makes from some labels lies above every
     state of every system over them if ``final``, and below it if not."""
-    for _ in range(cfg.cases):
-        labels = view.term_labels(rng, cfg)
-        w = build(labels)
-        system = view.system(rng, labels, cfg.max_states)
-        # Read with ``w`` on the left either way.
-        rel = greatest(view.kind, system, w).inverse() if final else greatest(view.kind, w, system)
-        if any((w.init, s) not in rel for s in system.states):
-            yield f"{failure}\n{print_system(system)}"
-        else:
-            yield None
+    labels = view.term_labels(rng, cfg)
+    w = build(labels)
+    system = view.system(rng, labels, cfg.max_states)
+    # Read with ``w`` on the left either way.
+    rel = greatest(view.kind, system, w).inverse() if final else greatest(view.kind, w, system)
+    if any((w.init, s) not in rel for s in system.states):
+        return f"{failure}\n{print_system(system)}"
+    return None
 
 
 def _subsets(items: list) -> Iterator[frozenset]:

@@ -142,8 +142,7 @@ def fold(root: Hashable, step: Callable[[Hashable], Generator], memo: dict | Non
     is sent that value back, and returns the value of ``key``; a recursive
     walk becomes a step by writing ``(yield x)`` for each call on ``x``.
     Values are memoised by key in ``memo``, so a node shared in ``root`` is
-    stepped once and the walk costs the size of the DAG, not of the tree;
-    a key whose value ``memo`` declines to keep is stepped at each use.
+    stepped once and the walk costs the size of the DAG, not of the tree.
     Open steps wait on a list instead of the call stack, so nesting depth is
     bounded by memory alone.  No key may need itself, directly or not.
     """

@@ -102,12 +102,27 @@ def test_default_report_matches_the_golden_file():
     assert report == GOLDEN_REPORT.read_text(encoding="utf-8")
 
 
-def test_status_mapping_for_a_failing_property():
-    def bad(config, rng):
-        yield "it broke"
+SHAPES = ["generator", "one-case"]
 
-    def good(config, rng):
-        yield None
+
+def _shaped(shape, case):
+    """The property that runs ``case(config, rng, *args)`` once per case:
+    ``case`` itself for the runner to call, or a generator that loops over
+    the cases on its own."""
+    if shape == "one-case":
+        return case
+
+    def loop(config, rng, *args):
+        for _ in range(config.cases):
+            yield case(config, rng, *args)
+
+    return loop
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_status_mapping_for_a_failing_property(shape):
+    bad = _shaped(shape, lambda config, rng: "it broke")
+    good = _shaped(shape, lambda config, rng: None)
 
     _REGISTRY["zz.test-bad"] = _PropertyDef("zz.test-bad", bad)
     _REGISTRY["zz.test-good-but-expected-bad"] = _PropertyDef(
@@ -117,7 +132,7 @@ def test_status_mapping_for_a_failing_property():
         report = run_property("zz.test-bad", QUICK)
         assert report.status == "fail"
         assert not report.ok
-        assert report.failures == ("it broke",)
+        assert report.failures == ("it broke",) * _FAILURE_CAP
 
         surprise = run_property("zz.test-good-but-expected-bad", QUICK)
         assert surprise.status == "unexpected-pass"
@@ -133,20 +148,23 @@ def test_status_mapping_for_a_failing_property():
         del _REGISTRY["zz.test-good-but-expected-bad"]
 
 
-def test_runner_counts_cases_and_stops_at_the_cap():
+@pytest.mark.parametrize("shape", SHAPES)
+def test_runner_counts_cases_and_stops_at_the_cap(shape):
     ran = []
+    calls = []
 
     def always_bad(config, rng):
-        for case in range(config.cases):
-            ran.append(case)
-            yield f"case {case} broke"
+        ran.append(len(ran))
+        return f"case {ran[-1]} broke"
 
     def never_bad(config, rng):
-        for _ in range(config.cases):
-            yield None
+        calls.append((config, rng))
+        return None
 
-    _REGISTRY["zz.test-always-bad"] = _PropertyDef("zz.test-always-bad", always_bad)
-    _REGISTRY["zz.test-never-bad"] = _PropertyDef("zz.test-never-bad", never_bad, expect_fail=True)
+    _REGISTRY["zz.test-always-bad"] = _PropertyDef("zz.test-always-bad", _shaped(shape, always_bad))
+    _REGISTRY["zz.test-never-bad"] = _PropertyDef(
+        "zz.test-never-bad", _shaped(shape, never_bad), expect_fail=True
+    )
     try:
         capped = run_property("zz.test-always-bad", QUICK)
         assert capped.status == "fail"
@@ -158,6 +176,10 @@ def test_runner_counts_cases_and_stops_at_the_cap():
         assert surprise.status == "unexpected-pass"
         assert surprise.cases == QUICK.cases
         assert surprise.failures == ()
+        # Every case sees the one config and the one seeded random generator.
+        assert len(calls) == QUICK.cases
+        assert {id(config) for config, _ in calls} == {id(QUICK)}
+        assert len({id(rng) for _, rng in calls}) == 1
     finally:
         del _REGISTRY["zz.test-always-bad"]
         del _REGISTRY["zz.test-never-bad"]
@@ -198,22 +220,24 @@ def test_text_rendering():
     assert "\x1b[31m[fail]\x1b[0m" in colored
 
 
-def test_one_body_runs_under_each_id_with_its_args():
+@pytest.mark.parametrize("shape", SHAPES)
+def test_one_body_runs_under_each_id_with_its_args(shape):
     from modalsim.selfcheck import prop
 
     seen = []
 
-    @prop("zz.test-args-one", "one")
-    @prop("zz.test-args-two", "two", expect_fail=True)
-    def body(config, rng, tag):
+    def case(config, rng, tag):
         seen.append(tag)
-        yield None if tag == "one" else f"{tag} broke"
+        return None if tag == "one" else f"{tag} broke"
 
+    body = _shaped(shape, case)
+    prop("zz.test-args-one", "one")(body)
+    prop("zz.test-args-two", "two", expect_fail=True)(body)
     try:
         assert run_property("zz.test-args-one", QUICK).status == "pass"
-        assert run_property("zz.test-args-two", QUICK).failures == ("two broke",)
+        assert run_property("zz.test-args-two", QUICK).failures == ("two broke",) * _FAILURE_CAP
         assert run_property("zz.test-args-two", QUICK).status == "expected-fail"
-        assert seen == ["one", "two", "two"]
+        assert seen == ["one"] * QUICK.cases + ["two"] * (2 * _FAILURE_CAP)
     finally:
         del _REGISTRY["zz.test-args-one"]
         del _REGISTRY["zz.test-args-two"]
@@ -235,6 +259,22 @@ def test_one_body_runs_under_each_id_with_its_args():
 def test_a_law_of_both_worlds_has_one_body(ids):
     assert len({_REGISTRY[pid].fn for pid in ids}) == 1
     assert len({_REGISTRY[pid].args for pid in ids}) == len(ids)
+
+
+@pytest.mark.parametrize(
+    "sizes, message",
+    [
+        ({"max_states": 0}, "max_states must be at least 1, got 0"),
+        ({"term_height": -5}, "term_height must be at least 1, got -5"),
+        ({"cases": -3}, "cases must be at least 0, got -3"),
+    ],
+    ids=["max_states", "term_height", "cases"],
+)
+def test_config_refuses_sizes_below_their_bounds(sizes, message):
+    # The config refuses them itself, so run_property never sees them.
+    with pytest.raises(ValueError) as error:
+        SelfCheckConfig(**sizes)
+    assert str(error.value) == message
 
 
 def test_duplicate_registration_is_rejected():
