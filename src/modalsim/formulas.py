@@ -46,7 +46,7 @@ class Formula(Interned):
         nodes, shared = shared_nodes(self)
         if shared:
             return f"<{type(self).__name__} of {len(nodes)} nodes besides tt and ff>"
-        return formula_text(self)
+        return _formula_text(self, shared)
 
 
 class Bottom(Formula):
@@ -102,7 +102,11 @@ def formula_text(phi: Formula) -> str:
     copied at its later occurrences, so work and memory are linear in the
     length of the (tree) text plus the size of the DAG.
     """
-    shared = shared_nodes(phi)[1]
+    return _formula_text(phi, shared_nodes(phi)[1])
+
+
+def _formula_text(phi: Formula, shared: set[Formula]) -> str:
+    # formula_text, for a caller that already has phi's shared nodes.
     texts: dict[tuple[Formula, int], str] = {}
     opened: list[tuple[tuple[Formula, int], int]] = []  # (key, its first piece)
     out: list[str] = []

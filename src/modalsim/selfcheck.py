@@ -156,7 +156,7 @@ _SHRINK_BUDGET = 200
 # The sizes a config states, with the least value each may take; a report
 # lists them under ``config``.
 _LOWER_BOUNDS = (
-    ("cases", 0),
+    ("cases", 1),
     ("max_states", 1),
     ("max_labels", 1),
     ("max_formula_depth", 0),

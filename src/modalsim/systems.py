@@ -40,6 +40,12 @@ def _forget(entry: _Entry, nodes: dict = _NODES) -> None:
         del nodes[entry.key]
 
 
+def _keep(key: tuple, node: Interned) -> Interned:
+    entry = _NODES[key] = _Entry(node, _forget)
+    entry.key = key
+    return node
+
+
 class Interned:
     """Base of the hash-consed labels, formulae and terms (Filliâtre and
     Conchon, "Type-safe modular hash-consing", 2006).
@@ -48,23 +54,21 @@ class Interned:
     read-only.  Building a node equal to a live one returns that node, so
     ``==`` and ``hash`` are identity and cost O(1) on any DAG.  The table
     holds nodes weakly, so a node lives only as long as its users.
+
+    Each class records once, when it is made, a constructor of its arity
+    (0, 2 or 3 fields) that sets the slots of a new node directly, and in
+    ``_subnodes`` the slots that hold subnodes: every slot but ``action``,
+    unless the class passes ``subnodes=``.  A class with its own
+    ``__new__``, such as :class:`Action`, builds a node through ``_build``.
     """
 
     __slots__ = ("__weakref__",)
 
-    def __new__(cls, *fields):
-        key = (cls, *fields)
-        entry = _NODES.get(key)
-        node = None if entry is None else entry()
-        if node is None:
-            if len(fields) != len(cls.__slots__):
-                raise TypeError(f"{cls.__name__} takes fields {cls.__slots__}, got {len(fields)}")
-            node = object.__new__(cls)
-            for name, value in zip(cls.__slots__, fields):
-                object.__setattr__(node, name, value)
-            entry = _NODES[key] = _Entry(node, _forget)
-            entry.key = key
-        return node
+    def __init_subclass__(cls, subnodes: tuple[str, ...] | None = None) -> None:
+        cls._subnodes = tuple(f for f in cls.__slots__ if f != "action") if subnodes is None else subnodes
+        cls._build = _constructor(cls)
+        if "__new__" not in vars(cls):
+            cls.__new__ = cls._build
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"{type(self).__name__} nodes are immutable")
@@ -73,7 +77,50 @@ class Interned:
         return type(self), tuple(getattr(self, name) for name in self.__slots__)
 
 
-class Action(Interned):
+def _constructor(cls: type) -> staticmethod:
+    """The ``__new__`` of node class ``cls``, by the number of its slots."""
+    fields = cls.__slots__
+    new = object.__new__
+    setters = [getattr(cls, name).__set__ for name in fields]  # past __setattr__
+    if not fields:
+        def __new__(cls, /):
+            entry = _NODES.get((cls,))
+            node = None if entry is None else entry()
+            return _keep((cls,), new(cls)) if node is None else node
+    elif len(fields) == 2:
+        set_first, set_second = setters
+
+        def __new__(cls, first, second, /):
+            key = (cls, first, second)
+            entry = _NODES.get(key)
+            node = None if entry is None else entry()
+            if node is None:
+                node = new(cls)
+                set_first(node, first)
+                set_second(node, second)
+                _keep(key, node)
+            return node
+    elif len(fields) == 3:
+        set_first, set_second, set_third = setters
+
+        def __new__(cls, first, second, third, /):
+            key = (cls, first, second, third)
+            entry = _NODES.get(key)
+            node = None if entry is None else entry()
+            if node is None:
+                node = new(cls)
+                set_first(node, first)
+                set_second(node, second)
+                set_third(node, third)
+                _keep(key, node)
+            return node
+    else:
+        raise TypeError(f"{cls.__name__} nodes take 0, 2 or 3 fields, not {len(fields)}")
+    __new__.__qualname__ = f"{cls.__qualname__}.__new__"
+    return staticmethod(__new__)
+
+
+class Action(Interned, subnodes=()):
     """A transition label.
 
     ``mark`` is ``"plain"`` for ordinary named labels, ``"cv"`` or ``"ct"``
@@ -83,6 +130,11 @@ class Action(Interned):
     __slots__ = ("name", "mark", "base")
 
     def __new__(cls, name: str = "", mark: str = PLAIN, base: "Action | None" = None) -> "Action":
+        # An invalid label never enters the table, so a hit needs no check.
+        entry = _NODES.get((cls, name, mark, base))
+        label = None if entry is None else entry()
+        if label is not None:
+            return label
         if mark == PLAIN:
             if base is not None:
                 raise ValueError("plain labels carry no base label")
@@ -95,7 +147,7 @@ class Action(Interned):
                 raise ValueError(f"{mark} labels carry no name of their own")
         else:
             raise ValueError(f"unknown label mark: {mark!r}")
-        return super().__new__(cls, name, mark, base)
+        return cls._build(cls, name, mark, base)
 
     def __str__(self) -> str:
         if self.mark == PLAIN:
@@ -112,9 +164,10 @@ class Action(Interned):
 
 def shared_nodes(root: Interned) -> tuple[set[Interned], set[Interned]]:
     """The nodes of ``root`` other than the field-less constants, and those
-    of them with more than one parent.  A node's subnodes are its fields
-    that are nodes but not labels.  The constants are singletons, so they
-    would be shared in almost every DAG; they print in O(1) anyway."""
+    of them with more than one parent.  A node's subnodes are the fields its
+    class records in ``_subnodes``, so labels are not subnodes.  The
+    constants are singletons, so they would be shared in almost every DAG;
+    they print in O(1) anyway."""
     seen: set[Interned] = set()
     shared: set[Interned] = set()
     stack = [root]
@@ -124,10 +177,8 @@ def shared_nodes(root: Interned) -> tuple[set[Interned], set[Interned]]:
             shared.add(node)
         elif node.__slots__:
             seen.add(node)
-            for name in node.__slots__:
-                sub = getattr(node, name)
-                if isinstance(sub, Interned) and not isinstance(sub, Action):
-                    stack.append(sub)
+            for name in node._subnodes:
+                stack.append(getattr(node, name))
     return seen, shared
 
 

@@ -460,7 +460,8 @@ def test_selfcheck_config_is_built_from_the_options_given(capsys, monkeypatch):
         ("--max-states", "0", "max_states must be at least 1, got 0"),
         ("--max-labels", "0", "max_labels must be at least 1, got 0"),
         ("--term-height", "0", "term_height must be at least 1, got 0"),
-        ("--cases", "-3", "cases must be at least 0, got -3"),
+        ("--cases", "-3", "cases must be at least 1, got -3"),
+        ("--cases", "0", "cases must be at least 1, got 0"),
         ("--max-depth", "-1", "max_formula_depth must be at least 0, got -1"),
     ],
 )

@@ -4,6 +4,7 @@ import time
 import pytest
 from hypothesis import given, strategies as st
 
+from modalsim import formulas
 from modalsim.formulas import (
     And,
     BLLogic,
@@ -30,7 +31,7 @@ from modalsim.formulas import (
 from modalsim.charform import characteristic_formula
 from modalsim.preorders import Refinement, distinguishing_formula
 from modalsim.sampling import random_bl_formula, random_cc_formula, random_lts, random_mts, random_signature
-from modalsim.systems import CCSignature, action, actions, lts, mts, signature
+from modalsim.systems import CCSignature, action, actions, lts, mts, shared_nodes, signature
 from modalsim.terms import MustPrefix, Zero
 
 A = action("a")
@@ -128,7 +129,7 @@ def test_walks_of_a_shared_formula_cost_its_dag_size():
     assert time.perf_counter() - start < 1.0
 
 
-def test_equal_formulae_are_one_node_and_show_in_their_dag_size():
+def test_equal_formulae_are_one_node_and_show_in_their_dag_size(monkeypatch):
     # Two separate builds of 40 levels of <b>(f & f) over [a]tt: a tree of
     # about 2**42 nodes, so a tree walk in ==, hash or repr never finishes.
     def build():
@@ -144,7 +145,11 @@ def test_equal_formulae_are_one_node_and_show_in_their_dag_size():
     assert hash(x) == hash(y)
     assert repr(x) == "<Diamond of 81 nodes besides tt and ff>"
     assert time.perf_counter() - start < 1.0
+    # The repr finds the shared nodes once and prints with them.
+    walks = []
+    monkeypatch.setattr(formulas, "shared_nodes", lambda phi: walks.append(phi) or shared_nodes(phi))
     assert repr(And(Diamond(A, Top()), Or(Top(), Box(B, Bottom())))) == "<a>tt & (tt | [b]ff)"
+    assert len(walks) == 1
 
 
 def test_check_wf_repeats_a_shared_subformula_problem_at_each_occurrence():

@@ -266,9 +266,10 @@ def test_a_law_of_both_worlds_has_one_body(ids):
     [
         ({"max_states": 0}, "max_states must be at least 1, got 0"),
         ({"term_height": -5}, "term_height must be at least 1, got -5"),
-        ({"cases": -3}, "cases must be at least 0, got -3"),
+        ({"cases": -3}, "cases must be at least 1, got -3"),
+        ({"cases": 0}, "cases must be at least 1, got 0"),
     ],
-    ids=["max_states", "term_height", "cases"],
+    ids=["max_states", "term_height", "cases", "no-cases"],
 )
 def test_config_refuses_sizes_below_their_bounds(sizes, message):
     # The config refuses them itself, so run_property never sees them.

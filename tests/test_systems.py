@@ -1,18 +1,21 @@
 import copy
 import gc
 import pickle
+import random
 
 import pytest
 
 from modalsim import systems
-from modalsim.formulas import And, Bottom, Diamond, Top
-from modalsim.terms import Sum, Zero
+from modalsim.formulas import And, Bottom, Box, Diamond, Or, Top
+from modalsim.sampling import random_bl_formula, random_cc_formula, random_term
+from modalsim.terms import MustPrefix, Omega, Prefix, Sum, Zero
 from modalsim.textio import parse_formula
 from modalsim.systems import (
     CT,
     CV,
     Action,
     CCSignature,
+    Interned,
     action,
     cv,
     ct,
@@ -21,6 +24,7 @@ from modalsim.systems import (
     mts,
     plain_signature,
     rename_actions,
+    shared_nodes,
     signature,
     sorted_actions,
     successor_index,
@@ -163,9 +167,6 @@ def test_interned_constructor_contract():
     assert copy.deepcopy(phi) is phi
     assert pickle.loads(pickle.dumps(phi)) is phi
 
-    for wrong_arity in (And, lambda: Diamond(action("a")), lambda: Sum(Zero())):
-        with pytest.raises(TypeError):
-            wrong_arity()
     for fields, message in [
         ({"name": "a b"}, "bad label name: 'a b'"),
         ({"name": "a", "base": action("b")}, "plain labels carry no base label"),
@@ -173,14 +174,12 @@ def test_interned_constructor_contract():
         ({"name": "x", "mark": CT, "base": action("b")}, "ct labels carry no name of their own"),
         ({"mark": "zz"}, "unknown label mark: 'zz'"),
     ]:
-        with pytest.raises(ValueError) as raised:
-            Action(**fields)
-        assert str(raised.value) == message
-
-    with pytest.raises(AttributeError):
-        phi.left = Bottom()
-    with pytest.raises(AttributeError):
-        action("a").name = "b"
+        # Labels are checked only when the table misses, and an invalid
+        # label never enters it, so every call is refused alike.
+        for _ in range(3):
+            with pytest.raises(ValueError) as raised:
+                Action(**fields)
+            assert str(raised.value) == message
 
     # The table holds nodes weakly: a dropped formula of 10,000 nodes (tt,
     # 5,000 diamonds over fresh labels, 4,999 conjunctions) leaves no entry.
@@ -194,3 +193,75 @@ def test_interned_constructor_contract():
     del level
     gc.collect()
     assert len(systems._NODES) == before
+    # So does a dropped batch of 9,000 fresh labels, decorated ones included.
+    labels = [Action(f"dropped{i}") for i in range(3000)]
+    labels += [cv(ct(f"dropped{i}")) for i in range(3000)]
+    assert len(systems._NODES) >= before + 9000
+    del labels
+    gc.collect()
+    assert len(systems._NODES) == before
+
+
+def _node_fields(cls):
+    """Fields of one node of ``cls``."""
+    phi, t = Diamond(action("b"), Top()), Prefix(action("b"), Zero())
+    return {
+        And: (phi, Top()), Or: (phi, Bottom()),
+        Diamond: (cv("a"), phi), Box: (action("a"), phi),
+        Prefix: (ct("a"), t), MustPrefix: (action("a"), t), Sum: (t, Omega()),
+        Action: ("", CV, action("a")),
+    }.get(cls, ())
+
+
+@pytest.mark.parametrize(
+    "cls",
+    [Top, Bottom, And, Or, Diamond, Box, Zero, Omega, Prefix, MustPrefix, Sum, Action],
+    ids=lambda cls: cls.__name__,
+)
+def test_every_node_class_keeps_the_constructor_contract(cls):
+    fields = _node_fields(cls)
+    node = cls(*fields)
+    assert cls(*fields) is node
+    assert [getattr(node, name) for name in cls.__slots__] == list(fields)
+    assert copy.deepcopy(node) is node
+    assert pickle.loads(pickle.dumps(node)) is node
+    with pytest.raises(TypeError):
+        cls(*fields, Top())
+    if fields and cls is not Action:  # Action's fields have defaults
+        with pytest.raises(TypeError):
+            cls(*fields[:1])
+    for name in cls.__slots__ or ("name",):
+        with pytest.raises(AttributeError):
+            setattr(node, name, Top())
+
+
+def _reference_shared_nodes(root):
+    """The per-slot scan that the per-class ``_subnodes`` record replaced:
+    every field that is a node but not a label is a subnode."""
+    seen, shared, stack = set(), set(), [root]
+    while stack:
+        node = stack.pop()
+        if node in seen:
+            shared.add(node)
+        elif node.__slots__:
+            seen.add(node)
+            for name in node.__slots__:
+                sub = getattr(node, name)
+                if isinstance(sub, Interned) and not isinstance(sub, Action):
+                    stack.append(sub)
+    return seen, shared
+
+
+def test_shared_nodes_matches_the_per_slot_scan():
+    rng = random.Random(22)
+    labels = [action("a"), cv("b"), ct(cv("c"))]
+    sig = signature(cov=labels[:1], con=labels[1:2], bi=labels[2:])
+    forms = [(lab, must) for lab in labels for must in (False, True)]
+    roots = [*labels, Top(), Zero()]
+    for _ in range(200):
+        roots.append(random_bl_formula(rng, frozenset(labels), max_depth=6))
+        roots.append(random_cc_formula(rng, sig, max_depth=6))
+        roots.append(random_term(rng, forms, max_height=6))
+    for root in roots:
+        assert shared_nodes(root) == _reference_shared_nodes(root)
+    assert sum(bool(shared_nodes(root)[1]) for root in roots) > 50
