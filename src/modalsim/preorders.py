@@ -20,19 +20,23 @@ answers one pair, with a distinguishing formula when it is unrelated, from
 a local solver and the engine run near the pair, or from the whole relation
 when that is asked for too.
 
-All four run through one engine over interned states and labels.  Each
-round removes, together, every pair that violates the relation at the start
-of the round, so a pair's rank is the round that removes it and every pair
-its violation cites has a smaller rank.  The whole relation is solved as bit
-rows, one int per left state over the right states, with the removal sets
-of Henzinger, Henzinger and Kopke (FOCS 1995) as bit operations (Ranzato
-and Tapparo, LICS 2007, give the partition-relation form).  Round 1 is a
+All four run through one engine over interned states and labels.  Each round
+removes, together, every pair that violates the relation at the start of the
+round, so a pair's rank is the round that removes it and every pair its
+violation cites has a smaller rank.  The whole relation is solved as bit
+rows, one int per left state over the right states, with the removal sets of
+Henzinger, Henzinger and Kopke (FOCS 1995) as bit operations (Ranzato and
+Tapparo, LICS 2007, give the partition-relation form).  Round 1 is a
 label-mask test per row; a later round tests only the pairs that the
-removals of the round before can break.  Near one pair the engine is a local
-solver for the verdict.  Ranks come from one place, a support-counter
-worklist (after Bloom and Paige, SCP 1995): a witness's ranks from running
-it on a ball of pairs around the unrelated pair, and :func:`fixpoint_rounds`
-from running it on the whole product.
+removals of the round before can break.  It tests each clause from the
+smaller side of the rows it reads (after Paige and Tarjan, SIAM J. Comput.
+1987): what a row kept or what it just lost.  Both sides remove the same
+pairs, because every pair still standing met its clauses against the rows of
+the round before, which are the kept and the lost bits together.  Near one
+pair the engine is a local solver for the verdict.  Ranks come from one
+place, a support-counter worklist (after Bloom and Paige, SCP 1995): a
+witness's ranks from running it on a ball of pairs around the unrelated
+pair, and :func:`fixpoint_rounds` from running it on the whole product.
 :func:`oracle_greatest` recomputes the relation by brute force (enumerating
 every subset of the product) and exists purely so the fixpoint can be
 tested against an independent path; it is capped at products of 12 pairs.
@@ -225,6 +229,17 @@ def _image(bits: int, into: list[int]) -> int:
         image |= into[low.bit_length() - 1]
         bits ^= low
     return image
+
+
+def _meeting(bits: int, masks: list[int], target: int) -> int:
+    """The set bits ``i`` of ``bits`` whose ``masks[i]`` meets ``target``."""
+    met = 0
+    while bits:
+        low = bits & -bits
+        if masks[low.bit_length() - 1] & target:
+            met |= low
+        bits ^= low
+    return met
 
 
 class _Game:
@@ -466,8 +481,8 @@ def _fixpoint(
     # Indexes of the later rounds.  Leftward: per p2 and label, the left
     # states stepping to it; per label, each right state's answers and the
     # right states answering into each.  Rightward: per p2, the (p, label)
-    # whose answers include it; per label, the right states stepping into
-    # each right state.
+    # whose answers include it; per label, each right state's steps and the
+    # right states stepping into each.
     stepped, users = defaultdict(dict), defaultdict(list)
     if gone:
         for src, a, dst in p_steps:
@@ -482,37 +497,64 @@ def _fixpoint(
             for a, p2s in answered.items():
                 for p2 in p2s:
                     users[p2].append((p, a))
-        stepping = defaultdict(lambda: [0] * m)
+        steps, stepping = defaultdict(lambda: [0] * m), defaultdict(lambda: [0] * m)
         if users:
             for src, a, dst in q_steps:
-                stepping[a][right_id[dst]] |= 1 << right_id[src]
+                q, q2 = right_id[src], right_id[dst]
+                steps[a][q] |= 1 << q2
+                stepping[a][q2] |= 1 << q
     # Round k + 1 tests only the pairs that the removals ``gone`` of round k
-    # can break, and applies its own removals together.
+    # can break, and applies its own removals together.  Every pair still
+    # standing met each of its obligations against the rows of round k, and
+    # those are the rows now plus ``gone``.  So each clause below can be
+    # tested from either side of a row, what it kept or what it just lost,
+    # and both remove the same pairs; each test takes the side with fewer
+    # bits to walk.
     rounds = 0
     while gone:
         rounds += 1
         fall = defaultdict(int)
-        # (p, q) with a step of p to p2 on a falls when q's a-answers have
-        # all left p2's row; one of them left it in round k.
+        # (p, q) with a step of p to p2 on a falls when q has no a-answer
+        # left in p2's row.  Kept side: every q outside the image of the
+        # row falls at once.  Lost side: only a q with an a-answer in what
+        # the row lost can fall, since one into the row before met the step,
+        # so each such q is tested on its own.  A lost bit is weighed as
+        # four kept ones: besides its own image bit, each right state that
+        # answers into it is tested once per mover.
         for p2, lost in gone.items():
             row2 = rows[p2]
+            kept_side = row2.bit_count() < 4 * lost.bit_count()
             for a, movers in stepped.get(p2, {}).items():
+                if kept_side:
+                    alive = _image(row2, answering[a])
+                    for p in movers:
+                        hit = rows[p] & ~alive
+                        if hit:
+                            fall[p] |= hit
+                    continue
                 pre, found = _image(lost, answering[a]), answers[a]
                 for p in movers:
                     rest = pre & rows[p]
-                    while rest:
-                        low = rest & -rest
-                        if not found[low.bit_length() - 1] & row2:
-                            fall[p] |= low
-                        rest ^= low
-        # (p, q) falls when q steps on a to a right state that has just left
-        # the union of the rows of p's a-answers.
+                    if rest:
+                        hit = rest & ~_meeting(rest, found, row2)
+                        if hit:
+                            fall[p] |= hit
+        # (p, q) falls when q steps on a to a right state outside the union
+        # of the rows of p's a-answers; that union held every such step in
+        # round k, so the step goes into ``fresh``, what just left it.
+        # Either the right states stepping into ``fresh``, or each q of the
+        # row with an a-step, tested on its own, whichever is fewer.
         for p, a in {use for p2 in gone for use in users.get(p2, ())}:
             union = lost = 0
             for p2 in targets[p][a]:
                 union |= rows[p2]
                 lost |= gone.get(p2, 0)
-            hit = _image(lost & ~union, stepping[a]) & rows[p]
+            fresh, row = lost & ~union, rows[p]
+            scan = row & has_step[a]
+            if scan.bit_count() < fresh.bit_count():
+                hit = _meeting(scan, steps[a], fresh)
+            else:
+                hit = _image(fresh, stepping[a]) & row
             if hit:
                 fall[p] |= hit
         for p, bits in fall.items():

@@ -9,15 +9,21 @@ and cc-simulation, the distinguishing formula text byte for byte, where both
 drop a repeated operand of ``&`` and ``|``.  The cases here go far beyond
 the brute-force oracle's 12-pair cap: chains up to 30 steps, width-2 ladders
 up to 12 levels, random 40-state sparse pairs and 80-state ones, whose bit
-rows span two machine words.
+rows span two machine words, and a pair on the edge of the rule by which each
+round of the bit rows picks the side of a row to walk.  A traced run shows
+that every side of those choices runs on these cases.
 """
 
+import inspect
 import random
+import sys
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 
+from modalsim import preorders
 from modalsim.formulas import Box, Diamond, conj, disj, formula_text, mc_cc, mc_mts
 from modalsim.preorders import (
     CCSim,
@@ -254,15 +260,33 @@ def planted_refinement(n, seed):
     return mts(left_names, labels, left_may, left_must, left_names[0]), mts(names, labels, may, must, names[0])
 
 
+def _edge_case():
+    """A refinement pair on the edge of both side choices.  Round 1 leaves
+    p2's row the 4 right states with a b-step and takes r from it: 4 kept
+    bits against 1 lost.  In round 2, p's only may step goes to p2, so the
+    union of its answers' rows has just lost one bit, r, and p's row holds
+    one state with an a-step, r: one bit to scan against one to image.
+    (p, r) falls, since r may step to itself."""
+    left_steps = [("p", "a", "p2"), ("p2", "b", "p2")]
+    right_steps = [(f"q{i}", "b", f"q{i}") for i in range(4)] + [("r", "a", "r"), ("r", "a", "q0")]
+    left = mts(["p", "p2"], ["a", "b"], left_steps, left_steps, "p")
+    right = mts(["q0", "q1", "q2", "q3", "r"], ["a", "b"], right_steps, right_steps, "r")
+    return "edge-refine", Refinement(), (left, right)
+
+
 CASES = list(_line_cases()) + list(_sparse_cases())
 # Right systems of more than 64 states, so each bit row spans several words.
 WIDE_CASES = list(_sparse_cases(n=80, seeds=(4,), tag="wide"))
+EDGE_CASES = [_edge_case()]
 
 
 # ---------------------------------------------------------------- tests
 
 
-@pytest.mark.parametrize("name,kind,systems", CASES + WIDE_CASES, ids=[c[0] for c in CASES + WIDE_CASES])
+ENGINE_CASES = CASES + WIDE_CASES + EDGE_CASES
+
+
+@pytest.mark.parametrize("name,kind,systems", ENGINE_CASES, ids=[c[0] for c in ENGINE_CASES])
 def test_engine_reproduces_the_removal_loop(name, kind, systems):
     p_sys, q_sys = systems
     find, q_answers, p_answers = reference_finder(kind, p_sys, q_sys)
@@ -359,3 +383,82 @@ def test_whole_relation_keeps_no_record_of_its_rounds():
     assert not related and len(relation.pairs) == 151
     assert formula_text(witness) == "<a>" * 151 + "tt"
     assert peak < 0.8 * 2**20, peak
+
+
+# Each side of each choice in the rounds of ``preorders._fixpoint``, by the
+# text of the line that only that side runs.
+SIDES = {
+    "leftward kept": "alive = _image(row2, answering[a])",
+    "leftward lost": "pre, found = _image(lost, answering[a]), answers[a]",
+    "rightward scan": "hit = _meeting(scan, steps[a], fresh)",
+    "rightward image": "hit = _image(fresh, stepping[a]) & row",
+}
+
+
+def _sides_taken(cases):
+    """How often each side of ``SIDES`` runs over ``cases``, and how often
+    the lost and image sides run on the edge of their rule."""
+    source, first = inspect.getsourcelines(preorders._fixpoint)
+    line_of = {}
+    for side, text in SIDES.items():
+        found = [first + i for i, line in enumerate(source) if line.strip() == text]
+        assert len(found) == 1, f"{side}: {text!r} is not one line of _fixpoint"
+        line_of[found[0]] = side
+    code, taken = preorders._fixpoint.__code__, Counter()
+
+    def on_line(frame, event, arg):
+        side = line_of.get(frame.f_lineno) if event == "line" else None
+        if side:
+            taken[side] += 1
+            local = frame.f_locals
+            if side == "leftward lost" and local["row2"].bit_count() == 4 * local["lost"].bit_count():
+                taken["leftward edge"] += 1
+            if side == "rightward image" and local["scan"].bit_count() == local["fresh"].bit_count():
+                taken["rightward edge"] += 1
+        return on_line
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: on_line if frame.f_code is code else None)
+    try:
+        for _, kind, (p_sys, q_sys) in cases:
+            greatest(kind, p_sys, q_sys)
+    finally:
+        sys.settrace(previous)
+    return taken
+
+
+def test_every_side_of_the_rounds_is_checked_against_the_removal_loop():
+    # Each side runs often on the cases the removal loop checks, so neither
+    # side of a choice stands unchecked.
+    taken = _sides_taken(CASES + WIDE_CASES)
+    assert all(taken[side] >= 100 for side in SIDES), taken
+    # On the edge of its rule, each choice takes the lost or the image side.
+    taken = _sides_taken(EDGE_CASES)
+    assert taken["leftward edge"] and taken["rightward edge"], taken
+    _, kind, (left, right) = EDGE_CASES[0]
+    assert greatest(kind, left, right).pairs == {("p2", f"q{i}") for i in range(4)}
+
+
+def test_rounds_walk_the_smaller_side(monkeypatch):
+    # The bits each round walks: those fed to an image and those tested one
+    # by one.  The removal sets taken on the lost side only, imaging what
+    # each row lost and testing each right state answering into it, walked
+    # 1,188,886 image bits and 62,167 tested bits here.
+    walked = Counter()
+    image, meeting = preorders._image, preorders._meeting
+
+    def counted_image(bits, into):
+        walked["image"] += bits.bit_count()
+        return image(bits, into)
+
+    def counted_meeting(bits, masks, target):
+        walked["tested"] += bits.bit_count()
+        return meeting(bits, masks, target)
+
+    monkeypatch.setattr(preorders, "_image", counted_image)
+    monkeypatch.setattr(preorders, "_meeting", counted_meeting)
+    for seed in (7, 8):
+        left, right = planted_refinement(300, seed)
+        assert (left.init, right.init) in greatest(Refinement(), left, right)
+        assert len(greatest(Refinement(), right, right).pairs) >= 300
+    assert walked["image"] + walked["tested"] <= 240_000, walked
