@@ -34,7 +34,7 @@ from dataclasses import dataclass, replace
 from importlib import resources
 from typing import Callable, Iterator, Optional, Union
 
-from .charform import characteristic_formula, encode_term
+from .charform import characteristic_formula, characteristic_formula_cc, encode_term
 from .formulas import (
     BLLogic,
     Bottom,
@@ -1214,7 +1214,7 @@ def _prop_cc_transport(cfg: SelfCheckConfig, rng: random.Random):
     right = _union([expand_lts_term(s, encoded_sig) for s in enumerate_lts_terms(encoded_sig, height)])
     big = greatest(CCSim(), left, right)
     for t in terms:
-        phi = encode_formula(characteristic_formula(t, acts).formula)
+        phi = characteristic_formula_cc(t, acts)
         sat = satisfying_states_cc(right, phi)
         row = frozenset(s for s in right.states if (expansions[term_text(t)].init, s) in big.pairs)
         yield _mismatch(t, "encoded formula", sat, row)

@@ -19,7 +19,7 @@ from modalsim.selfcheck import SelfCheckConfig, property_ids, run_selfcheck
 from modalsim.systems import PointedMTS, action
 from modalsim.terms import term_text
 from modalsim.textio import parse_formula, parse_system, parse_term, print_system
-from modalsim.translate import decorate_by_class, lts_of_mts, mts_of_lts
+from modalsim.translate import decorate_by_class, eliminate_bivariant, lts_of_mts, mts_of_lts
 from test_fixpoint_reference import CASES
 
 # The directory that holds the package, for interpreters the tests start.
@@ -38,6 +38,7 @@ VENDING = (
 )
 LOOP_A = "lts loop_a\ncov: a\ncon: b\nstates: p\ninit: p\ntrans: p a p\n"
 LOOP_AB = "lts loop_ab\ncov: a\ncon: b\nstates: q\ninit: q\ntrans: q a q\ntrans: q b q\n"
+BIVARIANT = "lts bi\ncov: a\nbi: b\nstates: p q\ninit: p\ntrans: p b q\ntrans: q a p\n"
 
 
 @pytest.fixture
@@ -173,9 +174,36 @@ def test_usage_error_does_not_spoil_the_next_call(files, capsys):
 
 def test_check_kind_mismatch_is_an_error(files, capsys):
     path = files("ccex.lts", CCEX)
-    code, _, err = run(capsys, "check", "refine", path, path)
-    assert code == 2
-    assert "refine compares two mts files" in err
+    code, out, err = run(capsys, "check", "refine", path, path, "--format", "json")
+    assert (code, out, err) == (2, "", "error: refinement compares two MTSs\n")
+
+
+# The engine's refusal of each kind on systems of the other kind.
+KIND_MISMATCH = {
+    "refine": "refinement compares two MTSs",
+    "ccsim": "covariant-contravariant simulation compares two LTSs",
+    "pbsim": "partial bisimulation and simulation compare two LTSs",
+    "sim": "partial bisimulation and simulation compare two LTSs",
+}
+
+
+@pytest.mark.parametrize(
+    "kind,left,right",
+    [
+        ("refine", "lts", "lts"),
+        ("refine", "mts", "lts"),
+        ("ccsim", "mts", "mts"),
+        ("ccsim", "lts", "mts"),
+        ("pbsim", "mts", "mts"),
+        ("pbsim", "mts", "lts"),
+        ("sim", "mts", "mts"),
+        ("sim", "lts", "mts"),
+    ],
+)
+def test_every_kind_refuses_files_of_the_other_kind(files, capsys, kind, left, right):
+    paths = {"mts": files("v.mts", VENDING), "lts": files("ccex.lts", CCEX)}
+    code, out, err = run(capsys, "check", kind, paths[left], paths[right])
+    assert (code, out, err) == (2, "", f"error: {KIND_MISMATCH[kind]}\n")
 
 
 def test_check_unknown_state_is_an_error(files, capsys):
@@ -224,6 +252,47 @@ def test_translate_round_trip_through_files(files, capsys):
     code, _, err = run(capsys, "translate", "cinv", plain)
     assert code == 2
     assert "error:" in err
+
+
+def test_translate_debi_matches_the_library(files, capsys):
+    assert parse_system(BIVARIANT).signature.bivariant
+    path = files("bi.lts", BIVARIANT)
+    expected = print_system(eliminate_bivariant(parse_system(BIVARIANT)))
+    assert run(capsys, "translate", "debi", path) == (0, expected, "")
+    assert parse_system(expected).signature.bivariant == frozenset()
+    code, out, err = run(capsys, "translate", "debi", path, "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"op": "debi", "kind": "lts", "text": expected}
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["check", "refine", "{empty}", "{mts}"],
+         "{empty}: line 1, col 1: expected an 'mts' or 'lts' header line"),
+        (["check", "refine", "{blank}", "{mts}"],
+         "{blank}: line 3, col 1: expected an 'mts' or 'lts' header line"),
+        (["translate", "m", "{mts}"], "m embeds an lts file"),
+        (["translate", "n", "{mts}"], "n reads an lts file"),
+        (["translate", "cinv", "{mts}"], "cinv decodes an lts file"),
+        (["translate", "debi", "{mts}"], "debi rewrites an lts file"),
+        (["translate", "c", "{lts}"], "c encodes an mts file"),
+        (["translate", "rho", "{enc}", "--like", "{mts}"],
+         "renamed labels a are outside the target action set"),
+    ],
+    ids=["no-header", "only-blanks-and-comments", "translate-m", "translate-n",
+         "translate-cinv", "translate-debi", "translate-c", "translate-rho-like"],
+)
+def test_input_of_the_wrong_shape_is_refused(files, capsys, argv, message):
+    paths = {
+        "empty": files("empty.mts", ""),
+        "blank": files("blank.mts", "\n  \n# no header\n"),
+        "mts": files("v.mts", VENDING),
+        "lts": files("ccex.lts", CCEX),
+        "enc": files("enc.mts", "mts enc\nactions: cv(a)\nstates: s\ninit: s\nmay: s cv(a) s\n"),
+    }
+    argv = [arg.format(**paths) for arg in argv]
+    assert run(capsys, *argv) == (2, "", f"error: {message.format(**paths)}\n")
 
 
 def test_translate_rho_needs_a_target_for_lts_input(files, capsys):
@@ -276,7 +345,7 @@ def test_mc_exit_codes(files, capsys):
         "holds": True,
     }
 
-    assert run(capsys, "mc", path, "zz", "tt")[0] == 2
+    assert run(capsys, "mc", path, "zz", "tt") == (2, "", "error: 'zz' is not a state of the system\n")
     code, _, err = run(capsys, "mc", path, "idle", "<zz>tt")
     assert code == 2
     assert "error:" in err
