@@ -37,7 +37,6 @@ from .textio import (
     print_system,
 )
 from .translate import (
-    NotInEncodingRange,
     TranslationReport,
     embedding_report,
     encode_formula,
@@ -50,9 +49,6 @@ from .translate import (
     strip_decorations,
 )
 
-class CliError(Exception):
-    """A user-facing error that should terminate with exit code 2."""
-
 
 def _read_text(path: str) -> str:
     if path == "-":
@@ -60,20 +56,20 @@ def _read_text(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc.strerror or exc}") from exc
+        raise ValueError(f"cannot read {path}: {exc.strerror or exc}") from exc
 
 
 def _read_stdin_once(*paths: Optional[str]) -> None:
     """Refuse ``-`` for more than one input: a second read of stdin is empty."""
     if paths.count("-") > 1:
-        raise CliError("-: standard input can be read for one input only")
+        raise ValueError("-: standard input can be read for one input only")
 
 
 def _load_system(path: str, strict: bool) -> System:
     try:
         parsed = parse_system_details(_read_text(path), strict=strict)
     except ParseError as exc:
-        raise CliError(f"{path}: {exc}") from exc
+        raise ValueError(f"{path}: {exc}") from exc
     for warning in parsed.warnings:
         print(f"warning: {path}: {warning}", file=sys.stderr)
     return parsed.system
@@ -93,7 +89,7 @@ def _parse_labels(text: str, option: str) -> frozenset[Action]:
             try:
                 labels.append(parse_label(label, line, col))
             except ParseError as exc:
-                raise CliError(f"{option}: {exc}") from exc
+                raise ValueError(f"{option}: {exc}") from exc
         start += len(piece) + 1
     return frozenset(labels)
 
@@ -116,7 +112,7 @@ _KINDS = {"refine": Refinement, "ccsim": CCSim, "sim": Simulation}
 
 def _cmd_check(args: argparse.Namespace) -> int:
     if args.bisimset is not None and args.kind != "pbsim":
-        raise CliError(f"--bisimset: only pbsim reads a bisimulation set, not {args.kind}")
+        raise ValueError(f"--bisimset: only pbsim reads a bisimulation set, not {args.kind}")
     _read_stdin_once(args.left, args.right)
     left = _load_system(args.left, args.strict)
     right = _load_system(args.right, args.strict)
@@ -150,51 +146,39 @@ def _cmd_check(args: argparse.Namespace) -> int:
 def _strip_target(system: System, args: argparse.Namespace):
     if args.like is None:
         if isinstance(system, PointedLTS):
-            raise CliError("stripping an lts needs --like FILE to supply the target signature")
+            raise ValueError("stripping an lts needs --like FILE to supply the target signature")
         return None
     like = _load_system(args.like, args.strict)
     if isinstance(system, PointedLTS):
         if not isinstance(like, PointedLTS):
-            raise CliError("--like must name an lts file when the input is an lts")
+            raise ValueError("--like must name an lts file when the input is an lts")
         return like.signature
     return like.actions if isinstance(like, PointedMTS) else like.signature.actions
 
 
 def _cmd_translate(args: argparse.Namespace) -> int:
     if args.bisimset is not None and args.op != "n":
-        raise CliError(f"--bisimset: only op n reads must labels, not {args.op}")
+        raise ValueError(f"--bisimset: only op n reads must labels, not {args.op}")
     if args.like is not None and args.op != "rho":
-        raise CliError(f"--like: only op rho reads a target system, not {args.op}")
+        raise ValueError(f"--like: only op rho reads a target system, not {args.op}")
     _read_stdin_once(args.file, args.like)
     system = _load_system(args.file, args.strict)
     report: Optional[TranslationReport] = None
-    try:
-        if args.op == "m":
-            if not isinstance(system, PointedLTS):
-                raise CliError("m embeds an lts file")
-            result: System = mts_of_lts(system)
-            report = embedding_report(system)
-        elif args.op == "c":
-            if not isinstance(system, PointedMTS):
-                raise CliError("c encodes an mts file")
-            result = lts_of_mts(system)
-            report = encoding_report(system)
-        elif args.op == "n":
-            if not isinstance(system, PointedLTS):
-                raise CliError("n reads an lts file")
-            result = mts_of_plain_lts(system, _parse_labels(args.bisimset or "", "--bisimset"))
-        elif args.op == "cinv":
-            if not isinstance(system, PointedLTS):
-                raise CliError("cinv decodes an lts file")
-            result = mts_of_encoded_lts(system)
-        elif args.op == "rho":
-            result = strip_decorations(system, _strip_target(system, args))
-        else:  # debi
-            if not isinstance(system, PointedLTS):
-                raise CliError("debi rewrites an lts file")
-            result = eliminate_bivariant(system)
-    except (NotInEncodingRange, ValueError) as exc:
-        raise CliError(str(exc)) from exc
+    # Each translation refuses a system of the other kind.
+    if args.op == "m":
+        result: System = mts_of_lts(system)
+        report = embedding_report(system)
+    elif args.op == "c":
+        result = lts_of_mts(system)
+        report = encoding_report(system)
+    elif args.op == "n":
+        result = mts_of_plain_lts(system, _parse_labels(args.bisimset or "", "--bisimset"))
+    elif args.op == "cinv":
+        result = mts_of_encoded_lts(system)
+    elif args.op == "rho":
+        result = strip_decorations(system, _strip_target(system, args))
+    else:  # debi
+        result = eliminate_bivariant(system)
     text = print_system(result)
     if args.format == "json":
         payload: dict = {"op": args.op, "kind": _system_kind(result), "text": text}
@@ -216,7 +200,7 @@ def _cmd_mc(args: argparse.Namespace) -> int:
     try:
         phi = parse_formula(args.formula)
     except ParseError as exc:
-        raise CliError(f"formula: {exc}") from exc
+        raise ValueError(f"formula: {exc}") from exc
     if isinstance(system, PointedMTS):
         holds = mc_mts(system, args.state, phi)
     else:
@@ -238,7 +222,7 @@ def _cmd_charform(args: argparse.Namespace) -> int:
     try:
         term = parse_term(args.term, "mts")
     except ParseError as exc:
-        raise CliError(f"term: {exc}") from exc
+        raise ValueError(f"term: {exc}") from exc
     ambient = term_labels(term) | _parse_labels(args.actions, "--actions")
     result = characteristic_formula(term, ambient)
     lines = [
@@ -415,7 +399,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print("error: standard output was closed", file=sys.stderr)
         return 2
-    except (CliError, ValueError, TypeError) as exc:
+    except (ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:

@@ -233,29 +233,29 @@ def check_morphism_condition(m: PointedMTS, state: str, phi: Formula) -> bool:
     return mc_mts(m, state, decode_formula(phi)) == mc_cc(lts_of_mts(m), state, phi)
 
 
-def weakly_final_implementation(sig: CCSignature, state: str = "s") -> PointedLTS:
-    """One state looping on every covariant label; weakly final among models
-    over a bivariant-free signature."""
-    if sig.bivariant:
-        raise ValueError("weak finality needs a signature without bivariant labels")
-    loops = frozenset((state, a, state) for a in sig.covariant)
-    return PointedLTS(frozenset({state}), sig, loops, state)
-
-
-def universal_specification(sig: CCSignature, state: str = "s") -> PointedLTS:
-    """One state looping on every contravariant label; weakly initial among
+def weakly_final_implementation(sig: CCSignature) -> PointedLTS:
+    """One state ``s`` looping on every covariant label; weakly final among
     models over a bivariant-free signature."""
     if sig.bivariant:
+        raise ValueError("weak finality needs a signature without bivariant labels")
+    loops = frozenset(("s", a, "s") for a in sig.covariant)
+    return PointedLTS(frozenset({"s"}), sig, loops, "s")
+
+
+def universal_specification(sig: CCSignature) -> PointedLTS:
+    """One state ``s`` looping on every contravariant label; weakly initial
+    among models over a bivariant-free signature."""
+    if sig.bivariant:
         raise ValueError("weak initiality needs a signature without bivariant labels")
-    loops = frozenset((state, a, state) for a in sig.contravariant)
-    return PointedLTS(frozenset({state}), sig, loops, state)
+    loops = frozenset(("s", a, "s") for a in sig.contravariant)
+    return PointedLTS(frozenset({"s"}), sig, loops, "s")
 
 
-def final_obstruction_pair(label: Union[str, Action] = "a") -> tuple[PointedMTS, PointedMTS]:
-    """Two MTSs over one letter that no single MTS can receive refinement
-    arrows from simultaneously: one demands an infinite must path, the other
-    forbids any may step."""
-    a = action(label)
+def final_obstruction_pair() -> tuple[PointedMTS, PointedMTS]:
+    """Two MTSs over the one letter ``a`` that no single MTS can receive
+    refinement arrows from simultaneously: one demands an infinite must
+    path, the other forbids any may step."""
+    a = action("a")
     demanding = PointedMTS(
         states=frozenset({"m"}),
         actions=frozenset({a}),
@@ -273,11 +273,11 @@ def final_obstruction_pair(label: Union[str, Action] = "a") -> tuple[PointedMTS,
     return demanding, silent
 
 
-def initial_obstruction_pair(label: Union[str, Action] = "c") -> tuple[PointedLTS, PointedLTS]:
-    """Two LTSs over one bivariant letter that no single model can simulate
-    into simultaneously: one loops on the bivariant label, the other is
-    silent."""
-    c = action(label)
+def initial_obstruction_pair() -> tuple[PointedLTS, PointedLTS]:
+    """Two LTSs over the one bivariant letter ``c`` that no single model can
+    simulate into simultaneously: one loops on the bivariant label, the
+    other is silent."""
+    c = action("c")
     sig = signature(bi=[c])
     looping = PointedLTS(frozenset({"p"}), sig, frozenset({("p", c, "p")}), "p")
     silent = PointedLTS(frozenset({"q"}), sig, frozenset(), "q")

@@ -208,13 +208,10 @@ def random_cc_formula(
     rng: random.Random,
     sig: CCSignature,
     max_depth: int = 4,
-    existential: bool = False,
 ) -> Formula:
     """A random formula that is well formed over ``sig``."""
     dia = sorted_actions(sig.covariant | sig.bivariant)
-    box: Sequence[Action] = (
-        () if existential else sorted_actions(sig.contravariant | sig.bivariant)
-    )
+    box = sorted_actions(sig.contravariant | sig.bivariant)
     return _random_formula(rng, dia, box, max_depth)
 
 

@@ -142,6 +142,7 @@ from .translate import (
     encode_formula,
     fresh_sink_name,
     lts_of_mts,
+    morphism_signature_map,
     mts_of_encoded_lts,
     mts_of_lts,
     mts_of_plain_lts,
@@ -926,9 +927,7 @@ def _prop_translations_validate(cfg: SelfCheckConfig, rng: random.Random):
 def _prop_formula_codec(cfg: SelfCheckConfig, rng: random.Random):
     acts = random_alphabet(rng, cfg.max_labels)
     phi = random_bl_formula(rng, acts, cfg.max_formula_depth)
-    encoded_sig = lts_of_mts(
-        PointedMTS(frozenset({"s"}), acts, frozenset(), frozenset(), "s")
-    ).signature
+    encoded_sig = morphism_signature_map(acts)
     psi = random_cc_formula(rng, encoded_sig, cfg.max_formula_depth)
     if decode_formula(encode_formula(phi)) != phi:
         return f"decode(encode(..)) changed {formula_text(phi)}"
@@ -1206,9 +1205,7 @@ def _prop_cc_transport(cfg: SelfCheckConfig, rng: random.Random):
     acts = frozenset(pool_labels(cfg.max_labels))
     height = cfg.term_height
     terms = enumerate_mts_terms(acts, height)
-    encoded_sig = lts_of_mts(
-        PointedMTS(frozenset({"s"}), acts, frozenset(), frozenset(), "s")
-    ).signature
+    encoded_sig = morphism_signature_map(acts)
     expansions = {term_text(t): expand_lts_term(encode_term(t), encoded_sig) for t in terms}
     left = _union(list(expansions.values()))
     right = _union([expand_lts_term(s, encoded_sig) for s in enumerate_lts_terms(encoded_sig, height)])

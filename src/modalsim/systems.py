@@ -380,19 +380,19 @@ def lts(
     )
 
 
-def universal_mts(acts: Iterable[Union[str, Action]], state: str = "u") -> PointedMTS:
-    """The one-state MTS that may loop on every action and requires nothing.
+def universal_mts(acts: Iterable[Union[str, Action]]) -> PointedMTS:
+    """The one-state MTS ``u`` that may loop on every action and requires nothing.
 
     Every MTS over the same alphabet refines it from its single state, which
     also makes it the weakly initial model among MTSs over that alphabet.
     """
     labels = actions(*acts)
     return PointedMTS(
-        states=frozenset({state}),
+        states=frozenset({"u"}),
         actions=labels,
-        may=frozenset((state, a, state) for a in labels),
+        may=frozenset(("u", a, "u") for a in labels),
         must=frozenset(),
-        init=state,
+        init="u",
     )
 
 

@@ -24,6 +24,9 @@ System maps:
 * :func:`eliminate_bivariant` composes the embedding with the encoding,
   yielding an equivalent system whose signature has no bivariant class.
 
+The first four maps and :func:`eliminate_bivariant` raise
+:class:`TypeError` on a system of the other kind, as the preorders do.
+
 Formula maps: :func:`embed_formula` (identity, LTS logic read as MTS
 logic), :func:`encode_formula` (decorates modalities to match
 :func:`lts_of_mts`), :func:`decode_formula` (its exact inverse) and
@@ -81,6 +84,12 @@ def fresh_sink_name(states: frozenset[str]) -> str:
     return name
 
 
+def _takes(system: object, kind: type, translation: str) -> None:
+    """Refuse a system of the other kind, as the preorders do."""
+    if not isinstance(system, kind):
+        raise TypeError(f"{translation} takes an {'LTS' if kind is PointedLTS else 'MTS'}")
+
+
 @dataclass(frozen=True)
 class TranslationReport:
     """What a system translation did: kinds, whether a sink state was added
@@ -94,6 +103,7 @@ class TranslationReport:
 
 def mts_of_lts(p: PointedLTS) -> PointedMTS:
     """Embed an LTS into an MTS over the same alphabet (plus a fresh sink)."""
+    _takes(p, PointedLTS, "the embedding")
     sig = p.signature
     forced = sig.covariant | sig.bivariant
     sink = fresh_sink_name(p.states)
@@ -137,6 +147,7 @@ def morphism_signature_map(alphabet: Iterable[Union[str, Action]]) -> CCSignatur
 
 def lts_of_mts(m: PointedMTS) -> PointedLTS:
     """Encode an MTS as an LTS over decorated copies of its alphabet."""
+    _takes(m, PointedMTS, "the encoding")
     # Each label is decorated once, including one that ``m.actions`` lacks.
     labels = {t[1] for rel in (m.may, m.must) for t in rel}
     may_label = {a: ct(a) for a in labels}
@@ -168,6 +179,7 @@ def mts_of_encoded_lts(p: PointedLTS) -> PointedMTS:
     ``cv(a)`` transition needs a matching ``ct(a)`` transition.  Anything
     else raises :class:`NotInEncodingRange`.
     """
+    _takes(p, PointedLTS, "the decoding")
     sig = p.signature
     if sig.bivariant:
         raise NotInEncodingRange("encodings have no bivariant labels")
@@ -203,6 +215,7 @@ def mts_of_plain_lts(p: PointedLTS, bset: Iterable[Action]) -> PointedMTS:
     """Read a plain LTS with bisimulation set ``bset`` as an MTS: all
     transitions may, ``bset``-labelled ones also must.  The signature
     classes of ``p`` are ignored; only its alphabet matters."""
+    _takes(p, PointedLTS, "the modal reading")
     universe = p.signature.actions
     bset = frozenset(bset)
     stray = bset - universe
@@ -272,6 +285,7 @@ def eliminate_bivariant(p: PointedLTS) -> PointedLTS:
     encoding.  Preserves and reflects covariant-contravariant simulation
     between any two systems over one signature (the sink state is added
     either way, also when the bivariant class was already empty)."""
+    _takes(p, PointedLTS, "the bivariant elimination")
     return lts_of_mts(mts_of_lts(p))
 
 

@@ -19,7 +19,13 @@ from modalsim.selfcheck import SelfCheckConfig, property_ids, run_selfcheck
 from modalsim.systems import PointedMTS, action
 from modalsim.terms import term_text
 from modalsim.textio import parse_formula, parse_system, parse_term, print_system
-from modalsim.translate import decorate_by_class, eliminate_bivariant, lts_of_mts, mts_of_lts
+from modalsim.translate import (
+    decorate_by_class,
+    eliminate_bivariant,
+    lts_of_mts,
+    mts_of_lts,
+    strip_decorations,
+)
 from test_fixpoint_reference import CASES
 
 # The directory that holds the package, for interpreters the tests start.
@@ -272,16 +278,20 @@ def test_translate_debi_matches_the_library(files, capsys):
          "{empty}: line 1, col 1: expected an 'mts' or 'lts' header line"),
         (["check", "refine", "{blank}", "{mts}"],
          "{blank}: line 3, col 1: expected an 'mts' or 'lts' header line"),
-        (["translate", "m", "{mts}"], "m embeds an lts file"),
-        (["translate", "n", "{mts}"], "n reads an lts file"),
-        (["translate", "cinv", "{mts}"], "cinv decodes an lts file"),
-        (["translate", "debi", "{mts}"], "debi rewrites an lts file"),
-        (["translate", "c", "{lts}"], "c encodes an mts file"),
+        (["translate", "m", "{mts}"], "the embedding takes an LTS"),
+        (["translate", "n", "{mts}"], "the modal reading takes an LTS"),
+        (["translate", "cinv", "{mts}"], "the decoding takes an LTS"),
+        (["translate", "debi", "{mts}"], "the bivariant elimination takes an LTS"),
+        (["translate", "c", "{lts}"], "the encoding takes an MTS"),
+        (["translate", "cinv", "{cov_a}"], "covariant label a is not a cv copy"),
+        (["translate", "rho", "{lts}", "--like", "{mts}"],
+         "--like must name an lts file when the input is an lts"),
         (["translate", "rho", "{enc}", "--like", "{mts}"],
          "renamed labels a are outside the target action set"),
     ],
     ids=["no-header", "only-blanks-and-comments", "translate-m", "translate-n",
-         "translate-cinv", "translate-debi", "translate-c", "translate-rho-like"],
+         "translate-cinv", "translate-debi", "translate-c", "translate-cinv-not-encoded",
+         "translate-rho-lts-like-mts", "translate-rho-like"],
 )
 def test_input_of_the_wrong_shape_is_refused(files, capsys, argv, message):
     paths = {
@@ -289,6 +299,7 @@ def test_input_of_the_wrong_shape_is_refused(files, capsys, argv, message):
         "blank": files("blank.mts", "\n  \n# no header\n"),
         "mts": files("v.mts", VENDING),
         "lts": files("ccex.lts", CCEX),
+        "cov_a": files("cov_a.lts", LOOP_A),
         "enc": files("enc.mts", "mts enc\nactions: cv(a)\nstates: s\ninit: s\nmay: s cv(a) s\n"),
     }
     argv = [arg.format(**paths) for arg in argv]
@@ -307,6 +318,12 @@ def test_translate_rho_needs_a_target_for_lts_input(files, capsys):
     code, out, _ = run(capsys, "translate", "rho", decorated_path, "--like", like)
     assert code == 0
     assert parse_system(out) == base
+
+
+def test_translate_rho_strips_an_mts_without_a_target(files, capsys):
+    text = "mts enc\nactions: cv(a) ct(a)\nstates: s\ninit: s\nmay: s ct(a) s\nmay: s cv(a) s\n"
+    expected = print_system(strip_decorations(parse_system(text)))
+    assert run(capsys, "translate", "rho", files("enc.mts", text)) == (0, expected, "")
 
 
 def test_translate_reads_stdin(files, capsys, monkeypatch):

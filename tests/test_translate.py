@@ -125,6 +125,24 @@ def test_decoding_rejects_systems_outside_the_image():
         mts_of_encoded_lts(with_bivariant)
 
 
+@pytest.mark.parametrize(
+    "translate,message",
+    [
+        (mts_of_lts, "the embedding takes an LTS"),
+        (lts_of_mts, "the encoding takes an MTS"),
+        (lambda p: mts_of_plain_lts(p, ()), "the modal reading takes an LTS"),
+        (mts_of_encoded_lts, "the decoding takes an LTS"),
+        (eliminate_bivariant, "the bivariant elimination takes an LTS"),
+    ],
+    ids=["embedding", "encoding", "modal-reading", "decoding", "bivariant-elimination"],
+)
+def test_each_translation_refuses_the_other_kind_of_system(translate, message):
+    other = CCEX if translate is lts_of_mts else mts_of_lts(CCEX)
+    with pytest.raises(TypeError) as info:
+        translate(other)
+    assert str(info.value) == message
+
+
 def test_mts_of_plain_lts_marks_the_chosen_labels():
     p = lts(
         ["s", "t"],
