@@ -32,8 +32,7 @@ telling which states are as loose as ``w``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Iterable, NamedTuple, Union
 
 from .formulas import (
     Bottom,
@@ -73,8 +72,7 @@ from .terms import (
 from .translate import encode_formula
 
 
-@dataclass(frozen=True)
-class CharFormResult:
+class CharFormResult(NamedTuple):
     """A term, its ambient alphabet, the characteristic formula as defined
     by the recursion, and the leaner equivalent form."""
 

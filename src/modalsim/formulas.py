@@ -18,8 +18,7 @@ several property suites exploit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Callable, NamedTuple, Sequence, Union
 
 from .systems import (
     Action,
@@ -73,15 +72,13 @@ class Box(Formula):
     __slots__ = ("action", "body")
 
 
-@dataclass(frozen=True)
-class BLLogic:
+class BLLogic(NamedTuple):
     """The logic interpreted over MTSs; labels range over ``actions``."""
 
     actions: frozenset[Action]
 
 
-@dataclass(frozen=True)
-class CCLogic:
+class CCLogic(NamedTuple):
     """The logic interpreted over LTSs with signature ``signature``."""
 
     signature: CCSignature

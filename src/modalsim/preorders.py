@@ -46,10 +46,9 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass
 from functools import reduce
 from itertools import compress
-from operator import or_
+from operator import attrgetter, or_
 from typing import Iterable, Optional, Sequence, Union
 
 from .formulas import Box, Diamond, Formula, conj, disj
@@ -65,26 +64,72 @@ from .systems import (
 )
 
 
-@dataclass(frozen=True)
-class Refinement:
+class _Value:
+    """Base of the preorder kinds and :class:`Relation`: a subclass names
+    its fields in ``__slots__``, and its values are read-only and equal and
+    hash by class and fields.  Tuples would not do: an empty one is false,
+    ``Refinement() == CCSim()`` would hold and a relation would have a
+    length."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        if cls.__slots__:
+            cls._key = staticmethod(attrgetter(*cls.__slots__))
+
+    @staticmethod
+    def _key(value: "_Value") -> object:
+        """What ``==`` and ``hash`` read of a value: its fields, none here."""
+        return ()
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        key = self._key
+        return key(self) == key(other)
+
+    def __hash__(self) -> int:
+        return hash((type(self), self._key(self)))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+
+class Refinement(_Value):
     """Modal refinement between MTSs."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class CCSim:
+
+class CCSim(_Value):
     """Covariant-contravariant simulation between same-signature LTSs."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class Simulation:
+
+class Simulation(_Value):
     """Plain simulation between LTSs (signature classes ignored)."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class PartialBisim:
+
+class PartialBisim(_Value):
     """Partial bisimulation with bisimulation set ``bset``."""
 
-    bset: frozenset[Action]
+    __slots__ = ("bset",)
+
+    def __init__(self, bset: frozenset[Action]) -> None:
+        object.__setattr__(self, "bset", bset)
 
 
 PreorderKind = Union[Refinement, CCSim, Simulation, PartialBisim]
@@ -96,11 +141,13 @@ ORACLE_PRODUCT_CAP = 12
 Pair = tuple[str, str]
 
 
-@dataclass(frozen=True)
-class Relation:
+class Relation(_Value):
     """A relation between the state sets of two systems."""
 
-    pairs: frozenset[Pair]
+    __slots__ = ("pairs",)
+
+    def __init__(self, pairs: frozenset[Pair]) -> None:
+        object.__setattr__(self, "pairs", pairs)
 
     def __contains__(self, pair: Pair) -> bool:
         return pair in self.pairs

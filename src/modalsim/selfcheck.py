@@ -30,7 +30,7 @@ from __future__ import annotations
 import inspect
 import json
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from importlib import resources
 from typing import Callable, Iterator, Optional, Union
 
@@ -333,9 +333,9 @@ def _show_pair(p: Union[PointedMTS, PointedLTS], q: Union[PointedMTS, PointedLTS
 
 def _mts_reductions(m: PointedMTS) -> Iterator[PointedMTS]:
     for t in sorted(m.must, key=_triple_key):
-        yield replace(m, must=m.must - {t})
+        yield m._replace(must=m.must - {t})
     for t in sorted(m.may - m.must, key=_triple_key):
-        yield replace(m, may=m.may - {t})
+        yield m._replace(may=m.may - {t})
     for s in sorted(m.states - {m.init}):
         keep = frozenset(tr for tr in m.may if s not in (tr[0], tr[2]))
         must = frozenset(tr for tr in m.must if s not in (tr[0], tr[2]))
@@ -344,7 +344,7 @@ def _mts_reductions(m: PointedMTS) -> Iterator[PointedMTS]:
 
 def _lts_reductions(p: PointedLTS) -> Iterator[PointedLTS]:
     for t in sorted(p.transitions, key=_triple_key):
-        yield replace(p, transitions=p.transitions - {t})
+        yield p._replace(transitions=p.transitions - {t})
     for s in sorted(p.states - {p.init}):
         keep = frozenset(tr for tr in p.transitions if s not in (tr[0], tr[2]))
         yield PointedLTS(p.states - {s}, p.signature, keep, p.init)
@@ -826,15 +826,14 @@ def _prop_encoding_range(cfg: SelfCheckConfig, rng: random.Random):
     m = random_mts(rng, random_alphabet(rng, cfg.max_labels), cfg.max_states)
     if not m.must:
         forced = (m.init, sorted_actions(m.actions)[0], m.init)
-        m = replace(m, may=m.may | {forced}, must=m.must | {forced})
+        m = m._replace(may=m.may | {forced}, must=m.must | {forced})
     encoded = lts_of_mts(m)
     sig = encoded.signature
     first_cv = sorted_actions(sig.covariant)[0]
     mutants = [
         (
             "a bivariant label slipped through",
-            replace(
-                encoded,
+            encoded._replace(
                 signature=CCSignature(
                     sig.covariant, sig.contravariant, frozenset({Action("z")})
                 ),
@@ -842,8 +841,7 @@ def _prop_encoding_range(cfg: SelfCheckConfig, rng: random.Random):
         ),
         (
             "an undecorated covariant label slipped through",
-            replace(
-                encoded,
+            encoded._replace(
                 signature=CCSignature(
                     sig.covariant | {Action("z")}, sig.contravariant, frozenset()
                 ),
@@ -851,8 +849,7 @@ def _prop_encoding_range(cfg: SelfCheckConfig, rng: random.Random):
         ),
         (
             "mismatched base alphabets slipped through",
-            replace(
-                encoded,
+            encoded._replace(
                 signature=CCSignature(
                     sig.covariant,
                     frozenset(
@@ -869,8 +866,7 @@ def _prop_encoding_range(cfg: SelfCheckConfig, rng: random.Random):
         (t for t in encoded.transitions if t[1].mark == "cv"), key=_triple_key
     )
     src, lab, dst = cv_triples[0]
-    broken = replace(
-        encoded,
+    broken = encoded._replace(
         transitions=encoded.transitions - {(src, Action(mark="ct", base=lab.base), dst)},
     )
     mutants.append(("a missing contravariant twin slipped through", broken))
@@ -1133,8 +1129,8 @@ def _union(systems: list, init: Optional[str] = None) -> Union[PointedMTS, Point
     states = merged("states")
     init = min(states) if init is None else init
     if isinstance(systems[0], PointedMTS):
-        return replace(systems[0], states=states, may=merged("may"), must=merged("must"), init=init)
-    return replace(systems[0], states=states, transitions=merged("transitions"), init=init)
+        return systems[0]._replace(states=states, may=merged("may"), must=merged("must"), init=init)
+    return systems[0]._replace(states=states, transitions=merged("transitions"), init=init)
 
 
 def _mts_term_universe(

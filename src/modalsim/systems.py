@@ -11,14 +11,15 @@ Two system kinds live here:
 States are plain strings.  Labels are :class:`Action` values; a label is
 either a plain name or a structural ``cv``/``ct`` copy of another label, so
 translations that decorate or strip labels never have to parse strings.
+Systems and signatures are named tuples: read-only, equal and hashed by
+their fields, and copied with some fields changed by ``_replace``.
 """
 
 from __future__ import annotations
 
 import re
 import weakref
-from dataclasses import dataclass
-from typing import Callable, Generator, Hashable, Iterable, Mapping, Union
+from typing import Callable, Generator, Hashable, Iterable, Mapping, NamedTuple, Union
 
 _NAME_RE = re.compile(r"[A-Za-z0-9_]+\Z")
 
@@ -265,8 +266,7 @@ CONTRAVARIANT = "contravariant"
 BIVARIANT = "bivariant"
 
 
-@dataclass(frozen=True)
-class CCSignature:
+class CCSignature(NamedTuple):
     """A partition of an action alphabet into covariant, contravariant and
     bivariant classes.
 
@@ -324,8 +324,7 @@ def _transitions(triples: Iterable[tuple]) -> frozenset[Transition]:
     return frozenset(out)
 
 
-@dataclass(frozen=True)
-class PointedMTS:
+class PointedMTS(NamedTuple):
     """A finite modal transition system with a distinguished initial state."""
 
     states: frozenset[str]
@@ -335,8 +334,7 @@ class PointedMTS:
     init: str
 
 
-@dataclass(frozen=True)
-class PointedLTS:
+class PointedLTS(NamedTuple):
     """A finite labelled transition system over a covariant-contravariant
     signature, with a distinguished initial state."""
 

@@ -39,7 +39,6 @@ by :func:`~modalsim.formulas.check_wf`.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .formulas import (
@@ -124,8 +123,7 @@ def _tokenize_line(text: str, line: int) -> list[_Token]:
     return out
 
 
-@dataclass(frozen=True)
-class ParsedSystem:
+class ParsedSystem(NamedTuple):
     """A parsed system together with its optional name and any warnings."""
 
     system: System

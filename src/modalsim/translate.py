@@ -24,8 +24,9 @@ System maps:
 * :func:`eliminate_bivariant` composes the embedding with the encoding,
   yielding an equivalent system whose signature has no bivariant class.
 
-The first four maps and :func:`eliminate_bivariant` raise
-:class:`TypeError` on a system of the other kind, as the preorders do.
+The first four maps, :func:`decorate_by_class`, :func:`eliminate_bivariant`
+and the two reports raise :class:`TypeError` on a system of the other kind,
+as the preorders do.
 
 Formula maps: :func:`embed_formula` (identity, LTS logic read as MTS
 logic), :func:`encode_formula` (decorates modalities to match
@@ -43,8 +44,7 @@ memoised walk :func:`~modalsim.systems.fold`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Union
+from typing import Callable, Iterable, NamedTuple, Optional, Union
 
 from .formulas import (
     Bottom,
@@ -90,8 +90,7 @@ def _takes(system: object, kind: type, translation: str) -> None:
         raise TypeError(f"{translation} takes an {'LTS' if kind is PointedLTS else 'MTS'}")
 
 
-@dataclass(frozen=True)
-class TranslationReport:
+class TranslationReport(NamedTuple):
     """What a system translation did: kinds, whether a sink state was added
     (true exactly for the LTS-to-MTS embedding) and the label map used."""
 
@@ -125,6 +124,7 @@ def mts_of_lts(p: PointedLTS) -> PointedMTS:
 
 
 def embedding_report(p: PointedLTS) -> TranslationReport:
+    _takes(p, PointedLTS, "the embedding report")
     return TranslationReport(
         source_kind="lts",
         result_kind="mts",
@@ -164,6 +164,7 @@ def lts_of_mts(m: PointedMTS) -> PointedLTS:
 
 
 def encoding_report(m: PointedMTS) -> TranslationReport:
+    _takes(m, PointedMTS, "the encoding report")
     pairs = []
     for a in sorted_actions(m.actions):
         pairs.append((str(a), str(cv(a))))
@@ -269,6 +270,7 @@ def decorate_by_class(p: PointedLTS) -> PointedLTS:
     matches what :func:`lts_of_mts` produces for any MTS over the same
     alphabet and the two can be compared directly.
     """
+    _takes(p, PointedLTS, "the decoration by class")
     sig = p.signature
     if sig.bivariant:
         raise ValueError("only signatures without bivariant labels can be decorated by class")

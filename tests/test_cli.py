@@ -596,8 +596,8 @@ SUITE_ONLY = {"modalsim.selfcheck", "modalsim.sampling", "modalsim.institutions"
 
 
 def _imported(*args):
-    """The ``modalsim`` modules that a fresh interpreter started with
-    ``args`` imports, read from ``-X importtime``, and its stdout."""
+    """The modules that a fresh interpreter started with ``args`` imports,
+    read from ``-X importtime``, and its stdout."""
     done = subprocess.run(
         [sys.executable, "-X", "importtime", *args],
         capture_output=True,
@@ -605,23 +605,32 @@ def _imported(*args):
         env={**os.environ, "PYTHONPATH": SRC},
     )
     assert done.returncode == 0, done.stderr
-    names = {line.rpartition("|")[2].strip() for line in done.stderr.splitlines()}
-    return {name for name in names if name.partition(".")[0] == "modalsim"}, done.stdout
+    return {line.rpartition("|")[2].strip() for line in done.stderr.splitlines()}, done.stdout
+
+
+def _package(modules):
+    return {name for name in modules if name.partition(".")[0] == "modalsim"}
 
 
 def test_commands_import_only_what_they_use():
-    assert _imported("-c", "import modalsim")[0] == {"modalsim"}
+    assert _package(_imported("-c", "import modalsim")[0]) == {"modalsim"}
+    # What the interpreter imports on its own, which site hooks may extend.
+    bare = _imported("-c", "pass")[0]
     vending = str(Path(SRC, "modalsim", "fixtures", "vending.mts"))
     for args in (
         ("-c", "import modalsim.cli"),
         ("-m", "modalsim", "check", "refine", vending, vending),
         ("-m", "modalsim", "mc", vending, "idle", "<coin>tt"),
+        ("-m", "modalsim", "translate", "c", vending),
+        ("-m", "modalsim", "charform", "--cc", "a!0 + b.w"),
     ):
         modules = _imported(*args)[0]
         assert "modalsim.cli" in modules, args  # the probe sees the imports
         assert not modules & SUITE_ONLY, args
+        # dataclasses brings inspect, ast, dis and tokenize with it.
+        assert not (modules - bare) & {"dataclasses", "inspect"}, args
     modules, out = _imported("-m", "modalsim", "selfcheck", "--list")
-    assert SUITE_ONLY <= modules
+    assert SUITE_ONLY <= _package(modules)
     assert out.split() == property_ids()
     assert len(property_ids()) == 53
 

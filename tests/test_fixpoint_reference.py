@@ -19,7 +19,6 @@ import random
 import sys
 import tracemalloc
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 
@@ -100,7 +99,7 @@ def reference_finder(kind, p_sys, q_sys):
     bset = kind.bset if isinstance(kind, PartialBisim) else frozenset()
     universe = p_sys.signature.actions
     sig = CCSignature(covariant=universe - bset, contravariant=frozenset(), bivariant=bset)
-    return _ccsim_finder(replace(p_sys, signature=sig), replace(q_sys, signature=sig))
+    return _ccsim_finder(p_sys._replace(signature=sig), q_sys._replace(signature=sig))
 
 
 def reference_fixpoint(left_states, right_states, find):

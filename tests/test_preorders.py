@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -112,6 +114,27 @@ def test_relation_helpers():
     assert rel.inverse().pairs == frozenset({("y", "x"), ("z", "y")})
     composed = compose_relations(rel, Relation(frozenset({("y", "w")})))
     assert composed.pairs == frozenset({("x", "w")})
+
+
+def test_kinds_and_relations_are_read_only_values():
+    assert Refinement() == Refinement()
+    assert Refinement() != CCSim()
+    assert bool(Simulation())
+    assert PartialBisim(frozenset({A})) == PartialBisim(bset=frozenset({A}))
+    assert hash(PartialBisim(frozenset({A}))) == hash(PartialBisim(frozenset({A})))
+    assert PartialBisim(frozenset({A})) != PartialBisim(frozenset({B}))
+    rel = Relation(frozenset({("x", "y")}))
+    assert rel == Relation(pairs=frozenset({("x", "y")}))
+    assert rel != rel.inverse()
+    with pytest.raises(TypeError):
+        len(rel)
+    assert repr(rel) == "Relation(pairs=frozenset({('x', 'y')}))"
+    assert repr(PartialBisim(frozenset({A}))) == "PartialBisim(bset=frozenset({Action('a')}))"
+    assert repr(CCSim()) == "CCSim()"
+    for value, field in ((rel, "pairs"), (PartialBisim(frozenset()), "bset"), (Refinement(), "bset")):
+        with pytest.raises(AttributeError):
+            setattr(value, field, frozenset())
+        assert copy.copy(value) == pickle.loads(pickle.dumps(value)) == value
 
 
 def test_fixpoint_rounds_shrink_from_the_full_product():

@@ -16,6 +16,8 @@ from modalsim.systems import (
     Action,
     CCSignature,
     Interned,
+    PointedLTS,
+    PointedMTS,
     action,
     cv,
     ct,
@@ -157,6 +159,21 @@ def test_systems_are_hashable_values():
     assert one == two
     assert hash(one) == hash(two)
     assert len({one, two}) == 1
+    assert repr(one) == (
+        "PointedMTS(states=frozenset({'s'}), actions=frozenset({Action('a')}), "
+        "may=frozenset({('s', Action('a'), 's')}), must=frozenset(), init='s')"
+    )
+    assert PointedMTS(one.states, one.actions, one.may, one.must, one.init) == one
+    lts_one = lts(["s"], signature(cov=["a"]), [("s", "a", "s")], "s")
+    assert PointedLTS(lts_one.states, lts_one.signature, lts_one.transitions, lts_one.init) == lts_one
+    sig = CCSignature(frozenset({action("a")}), frozenset(), frozenset())
+    assert sig == CCSignature(covariant=frozenset({action("a")}), contravariant=frozenset(), bivariant=frozenset())
+    for value, field in ((one, "init"), (lts_one, "signature"), (sig, "bivariant")):
+        with pytest.raises(AttributeError):
+            setattr(value, field, None)
+    moved = one._replace(init="t")
+    assert moved.init == "t"
+    assert [f for f in moved._fields if getattr(moved, f) != getattr(one, f)] == ["init"]
 
 
 def test_interned_constructor_contract():

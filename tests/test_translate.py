@@ -133,11 +133,23 @@ def test_decoding_rejects_systems_outside_the_image():
         (lambda p: mts_of_plain_lts(p, ()), "the modal reading takes an LTS"),
         (mts_of_encoded_lts, "the decoding takes an LTS"),
         (eliminate_bivariant, "the bivariant elimination takes an LTS"),
+        (embedding_report, "the embedding report takes an LTS"),
+        (encoding_report, "the encoding report takes an MTS"),
+        (decorate_by_class, "the decoration by class takes an LTS"),
     ],
-    ids=["embedding", "encoding", "modal-reading", "decoding", "bivariant-elimination"],
+    ids=[
+        "embedding",
+        "encoding",
+        "modal-reading",
+        "decoding",
+        "bivariant-elimination",
+        "embedding-report",
+        "encoding-report",
+        "decoration-by-class",
+    ],
 )
 def test_each_translation_refuses_the_other_kind_of_system(translate, message):
-    other = CCEX if translate is lts_of_mts else mts_of_lts(CCEX)
+    other = CCEX if translate in (lts_of_mts, encoding_report) else mts_of_lts(CCEX)
     with pytest.raises(TypeError) as info:
         translate(other)
     assert str(info.value) == message
