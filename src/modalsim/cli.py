@@ -20,7 +20,6 @@ import functools
 import io
 import os
 import sys
-from pathlib import Path
 from typing import Optional
 
 from .charform import characteristic_formula, encode_term
@@ -54,7 +53,8 @@ def _read_text(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as f:
+            return f.read()
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc.strerror or exc}") from exc
 

@@ -90,16 +90,6 @@ class _Token(NamedTuple):
 _LINE_TOKEN = r'([^ \t\r#"]+)|"((?:[^"\\]|\\["\\])*)(")?|#'
 _ESCAPE = r'\\(["\\])'
 
-# A whole plain relation line: a directive at the start, then exactly three
-# bare operands, with no quote, no comment and no blank but `` \t\r``.  Such
-# a line splits into the tokens ``_LINE_TOKEN`` would give, so the reader
-# takes its operands from the match and tokenizes only the other lines.
-_PLAIN_RELATION = (
-    r'(may|must|trans):[ \t\r]+([^\s#"]+)[ \t\r]+([^\s#"]+)[ \t\r]+([^\s#"]+)[ \t\r]*'
-)
-# A plain ``states:`` line, read the same way; group 1 splits into its operands.
-_PLAIN_STATES = r'states:((?:[ \t\r]+[^\s#"]+)*)[ \t\r]*'
-
 
 def _tokenize_line(text: str, line: int) -> list[_Token]:
     out: list[_Token] = []
@@ -123,6 +113,13 @@ def _tokenize_line(text: str, line: int) -> list[_Token]:
     return out
 
 
+def _plain(text: str) -> bool:
+    """True when ``str.split`` splits each line of ``text`` into the tokens
+    :func:`_tokenize_line` gives: blanks other than `` \t``, quotes and
+    comments need the tokenizer."""
+    return text.isascii() and '"' not in text and "#" not in text and "\x1f" not in text
+
+
 class ParsedSystem(NamedTuple):
     """A parsed system together with its optional name and any warnings."""
 
@@ -139,112 +136,97 @@ def parse_system_details(text: str, strict: bool = False) -> ParsedSystem:
     """Parse the line format, returning the system, its name and warnings."""
     kind: Optional[str] = None
     name: Optional[str] = None
-    mts_actions: dict[Action, _Token] = {}
-    classes: dict[str, dict[Action, _Token]] = {"cov": {}, "con": {}, "bi": {}}
+    # Where each label was first declared, as (line, token index), the
+    # initial state with its line, and each transition with the first line
+    # that gives it: an error finds its column by tokenizing its line again.
+    mts_actions: dict[Action, tuple[int, int]] = {}
+    classes: dict[str, dict[Action, tuple[int, int]]] = {"cov": {}, "con": {}, "bi": {}}
     states: set[str] = set()
-    init_tok: Optional[_Token] = None
-    # Each transition with the first line that gives it; an error finds its
-    # column by tokenizing that line again.
+    init: Optional[tuple[str, int]] = None
     rels: dict[str, dict[Transition, int]] = {"may": {}, "must": {}, "trans": {}}
-    plain_rels: tuple[str, ...] = ()  # the relations of the kind the header names
+    directives: dict[str, str] = {}  # those of the kind the header names, by head
     labels: dict[str, Action] = {}
     lines = text.splitlines()
-    plain_relation = re.compile(_PLAIN_RELATION).fullmatch
-    plain_states = re.compile(_PLAIN_STATES).fullmatch
 
-    def label(tok: _Token) -> Action:
+    def label(words: list[str], quoted, line: int, k: int) -> Action:
         # Each distinct label text is parsed once per file.
-        if tok.quoted:
-            raise ParseError("labels cannot be quoted", tok.line, tok.col)
-        lab = labels.get(tok.text)
+        if k in quoted:
+            raise _error_at("labels cannot be quoted", lines, line, k)
+        lab = labels.get(words[k])
         if lab is None:
-            lab = labels[tok.text] = parse_label(tok.text, tok.line, tok.col)
+            try:
+                lab = labels[words[k]] = parse_label(words[k])
+            except ParseError as exc:
+                # A token holds no line break, so the error is on its line.
+                col = _tokenize_line(lines[line - 1], line)[k].col + exc.col - 1
+                raise ParseError(exc.message, line, col) from None
         return lab
 
+    all_plain = _plain(text)
     for lineno, raw in enumerate(lines, start=1):
-        m = plain_relation(raw)
-        if m is not None:
-            directive, src, labtext, dst = m.groups()
-            lab = labels.get(labtext)
-            # A label seen for the first time is parsed on the general path,
-            # which knows its position should it be malformed.
-            if lab is not None and directive in plain_rels:
-                rels[directive].setdefault((src, lab, dst), lineno)
-                continue
-        elif kind is not None:
-            m = plain_states(raw)
-            if m is not None:
-                states.update(m[1].split())
-                continue
-        tokens = _tokenize_line(raw, lineno)
-        if not tokens:
+        if all_plain or _plain(raw):
+            words = raw.split()
+            quoted = ()
+        else:
+            tokens = _tokenize_line(raw, lineno)
+            words = [tok.text for tok in tokens]
+            quoted = [k for k, tok in enumerate(tokens) if tok.quoted]
+        if not words:
             continue
-        head = tokens[0]
-        if kind is None:
-            if head.quoted or head.text not in ("mts", "lts"):
-                raise ParseError(
-                    "expected an 'mts' or 'lts' header line", head.line, head.col
+        head = words[0]
+        directive = directives.get(head)
+        if directive is None or 0 in quoted:
+            if kind is None:
+                if 0 in quoted or head not in ("mts", "lts"):
+                    raise _error_at("expected an 'mts' or 'lts' header line", lines, lineno, 0)
+                kind = head
+                allowed = _MTS_DIRECTIVES if kind == "mts" else _LTS_DIRECTIVES
+                directives = {d: d[:-1] for d in allowed}
+                if len(words) > 2:
+                    raise _error_at("the header line takes at most a name", lines, lineno, 2)
+                if len(words) == 2:
+                    name = words[1]
+                continue
+            if 0 in quoted or not head.endswith(":"):
+                raise _error_at(f"expected a directive, found {head!r}", lines, lineno, 0)
+            if head in (_LTS_DIRECTIVES if kind == "mts" else _MTS_DIRECTIVES):
+                raise _error_at(
+                    f"directive {head!r} is not valid in a {kind} file", lines, lineno, 0
                 )
-            kind = head.text
-            plain_rels = ("may", "must") if kind == "mts" else ("trans",)
-            if len(tokens) > 2:
-                extra = tokens[2]
-                raise ParseError(
-                    "the header line takes at most a name", extra.line, extra.col
+            raise _error_at(f"unknown directive {head!r}", lines, lineno, 0)
+        if directive in rels:
+            if len(words) != 4:
+                raise _error_at(
+                    f"{head} takes exactly three operands: source label target", lines, lineno, 0
                 )
-            if len(tokens) == 2:
-                name = tokens[1].text
-            continue
-        if head.quoted or not head.text.endswith(":"):
-            raise ParseError(
-                f"expected a directive, found {head.text!r}", head.line, head.col
-            )
-        allowed = _MTS_DIRECTIVES if kind == "mts" else _LTS_DIRECTIVES
-        if head.text not in allowed:
-            other = _LTS_DIRECTIVES if kind == "mts" else _MTS_DIRECTIVES
-            if head.text in other:
-                raise ParseError(
-                    f"directive {head.text!r} is not valid in a {kind} file",
-                    head.line,
-                    head.col,
-                )
-            raise ParseError(f"unknown directive {head.text!r}", head.line, head.col)
-        directive = head.text[:-1]
-        operands = tokens[1:]
-        if directive in ("actions", "cov", "con", "bi"):
+            lab = labels.get(words[2])
+            if lab is None or quoted:
+                lab = label(words, quoted, lineno, 2)
+            rels[directive].setdefault((words[1], lab, words[3]), lineno)
+        elif directive == "states":
+            states.update(words[1:])
+        elif directive == "init":
+            if len(words) != 2:
+                raise _error_at("init: takes exactly one state", lines, lineno, 0)
+            if init is not None:
+                raise _error_at("init: was already given", lines, lineno, 0)
+            init = (words[1], lineno)
+        else:
             if kind == "mts":
                 target = mts_actions
             else:
                 target = classes["cov" if directive == "actions" else directive]
-            for tok in operands:
-                target.setdefault(label(tok), tok)
-        elif directive == "states":
-            states.update(tok.text for tok in operands)
-        elif directive == "init":
-            if len(operands) != 1:
-                raise ParseError("init: takes exactly one state", head.line, head.col)
-            if init_tok is not None:
-                raise ParseError("init: was already given", head.line, head.col)
-            init_tok = operands[0]
-        else:
-            if len(operands) != 3:
-                raise ParseError(
-                    f"{head.text} takes exactly three operands: source label target",
-                    head.line,
-                    head.col,
-                )
-            src, labtok, dst = operands
-            rels[directive].setdefault((src.text, label(labtok), dst.text), lineno)
+            for k in range(1, len(words)):
+                target.setdefault(label(words, quoted, lineno, k), (lineno, k))
 
     last_line = max(len(lines), 1)
     if kind is None:
         raise ParseError("expected an 'mts' or 'lts' header line", last_line, 1)
-    if init_tok is None:
+    if init is None:
         raise ParseError("missing init: directive", last_line, 1)
-    if init_tok.text not in states:
-        raise ParseError(
-            f"undeclared state {init_tok.text!r}", init_tok.line, init_tok.col
-        )
+    init_state, init_line = init
+    if init_state not in states:
+        raise _error_at(f"undeclared state {init_state!r}", lines, init_line, 1)
 
     warnings: list[str] = []
     if kind == "mts":
@@ -257,11 +239,11 @@ def parse_system_details(text: str, strict: bool = False) -> ParsedSystem:
                 s, lab, d = triple
                 msg = f"must transition {s} {lab} {d} has no may twin"
                 if strict:
-                    raise _error_at_operand(msg, lines, line, 2)
+                    raise _error_at(msg, lines, line, 2)
                 warnings.append(f"line {line}: {msg}; adding it")
                 may.add(triple)
         system: System = PointedMTS(
-            frozenset(states), declared, frozenset(may), frozenset(rels["must"]), init_tok.text
+            frozenset(states), declared, frozenset(may), frozenset(rels["must"]), init_state
         )
     else:
         sig = CCSignature(
@@ -270,19 +252,13 @@ def parse_system_details(text: str, strict: bool = False) -> ParsedSystem:
             bivariant=frozenset(classes["bi"]),
         )
         for lab in sig.overlaps():
-            decls = sorted(
-                (d[lab] for d in classes.values() if lab in d),
-                key=lambda t: (t.line, t.col),
-            )
-            where = decls[-1]
-            raise ParseError(
-                f"label {lab} is declared in more than one signature class",
-                where.line,
-                where.col,
+            line, k = max(d[lab] for d in classes.values() if lab in d)
+            raise _error_at(
+                f"label {lab} is declared in more than one signature class", lines, line, k
             )
         _check_endpoints(rels["trans"], states, sig.actions, lines)
         trans = frozenset(rels["trans"])
-        system = PointedLTS(frozenset(states), sig, trans, init_tok.text)
+        system = PointedLTS(frozenset(states), sig, trans, init_state)
     return ParsedSystem(system=system, name=name, warnings=tuple(warnings))
 
 
@@ -294,16 +270,16 @@ def _check_endpoints(
 ) -> None:
     for (src, lab, dst), line in entries.items():
         if src not in states:
-            raise _error_at_operand(f"undeclared state {src!r}", lines, line, 1)
+            raise _error_at(f"undeclared state {src!r}", lines, line, 1)
         if dst not in states:
-            raise _error_at_operand(f"undeclared state {dst!r}", lines, line, 3)
+            raise _error_at(f"undeclared state {dst!r}", lines, line, 3)
         if lab not in declared:
-            raise _error_at_operand(f"undeclared label {lab}", lines, line, 2)
+            raise _error_at(f"undeclared label {lab}", lines, line, 2)
 
 
-def _error_at_operand(message: str, lines: list[str], line: int, k: int) -> ParseError:
-    """The error at the ``k``-th token of a relation line, found by
-    tokenizing that line again."""
+def _error_at(message: str, lines: list[str], line: int, k: int) -> ParseError:
+    """The error at the ``k``-th token of a line, found by tokenizing that
+    line again."""
     tok = _tokenize_line(lines[line - 1], line)[k]
     return ParseError(message, tok.line, tok.col)
 
@@ -366,13 +342,26 @@ def print_system(system: System, name: Optional[str] = None) -> str:
     shown = _Shown(_show_state)
     lines.append("states: " + " ".join(shown[s] for s in sorted(system.states)))
     lines.append(f"init: {shown[system.init]}")
-    # Each label and state is shown once; the (state, label text, state)
-    # triples sort as ``_triple_key`` orders the transitions.
+    # Each label and state is shown once.  The lines sort as ``_triple_key``
+    # orders the transitions while every state shows bare, since a blank
+    # sorts below every character of a bare name or a label; a quoted state
+    # needs the (state, label text, state) triples sorted instead.
     label_text = _Shown(str)
+    bare = '"' not in "".join(shown.values())
     for rel_name, rel in rels:
-        keyed = [(src, label_text[lab], dst) for src, lab, dst in rel]
-        keyed.sort()
-        lines += [f"{rel_name}: {shown[src]} {lab} {shown[dst]}" for src, lab, dst in keyed]
+        if bare:
+            texts = [
+                f"{rel_name}: {shown[src]} {label_text[lab]} {shown[dst]}" for src, lab, dst in rel
+            ]
+            # An endpoint outside the states may be quoted.
+            bare = '"' not in "".join(shown.values())
+        if bare:
+            texts.sort()
+        else:
+            keyed = [(src, label_text[lab], dst) for src, lab, dst in rel]
+            keyed.sort()
+            texts = [f"{rel_name}: {shown[src]} {lab} {shown[dst]}" for src, lab, dst in keyed]
+        lines += texts
     return "\n".join(lines) + "\n"
 
 
@@ -475,6 +464,8 @@ def parse_label(text: str, line: int = 1, col: int = 1) -> Action:
     """Parse a label written structurally, such as ``a`` or ``cv(ct(b))``,
     as formulae and terms read it.  An error is placed as if ``text``
     started at ``line`` and ``col``."""
+    if is_name_token(text):
+        return Action(text)
     try:
         return _read(text, _FORMULA_TOKEN, _FORMULA_SCANNER, _whole_label)
     except ParseError as exc:

@@ -561,13 +561,18 @@ def test_system_reader_matches_the_tokenizing_reference(seed):
 
 
 
-EDIT_PIECES = ["#", '"', "\\", " ", "\t", "\r", "\n", "\u00a0", "\u2028", ":", "(", "a"]
+# "\x1f" and "\u3000" are blanks to ``str.split`` and name characters to
+# the tokenizer.
+EDIT_PIECES = ["#", '"', "\\", " ", "\t", "\r", "\n", "\u00a0", "\u2028", ":", "(", "a",
+               "\x1f", "\u3000"]
 
 
 @pytest.mark.parametrize("text", [
     'mts m\nactions: a cv(b)\nstates: p "q r"\ninit: p\n'
     'may: p a "q r"\nmay: "q r" cv(b) p\nmust: p a "q r"\n',
     "lts\ncov: a\ncon: b\nbi: c\nstates: p q\ninit: p\ntrans: p a q\ntrans: q c p\n",
+    'mts m # note\nstates: p "x y" \u00fc q\nactions: a\ninit: \u00fc\n'
+    'may: p\tcv(b) "x y"\nmay: \u00fc a q # note\nmust: \u00fc a q\nactions: cv(b)\n',
 ])
 def test_system_reader_matches_the_reference_on_every_single_edit(text):
     # Every deleted or inserted character, and every line dropped or moved first.

@@ -18,7 +18,7 @@ from modalsim.formulas import (
     formula_text,
 )
 from modalsim import textio
-from modalsim.systems import action, actions, cv, ct, lts, mts, signature
+from modalsim.systems import _triple_key, action, actions, cv, ct, lts, mts, signature
 from modalsim.terms import MustPrefix, Omega, Prefix, Sum, Zero, term_text
 from modalsim.textio import (
     ParseError,
@@ -90,6 +90,38 @@ def test_canonical_print_is_sorted_and_quoted():
         "trans: a a a\n"
         'trans: "b state" z a\n'
     )
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_relation_lines_print_in_triple_order(seed):
+    # Bare states that are prefixes of one another, plain and decorated
+    # labels; a quoted state sorts by its name, not its text, and so does a
+    # quoted endpoint outside the states.
+    rng = random.Random(seed)
+    bare = ["q1", "q10", "q1_", "Q", "_9", "q"]
+    labels = [A, B, cv(A), ct(cv(B))]
+    sig = signature(cov=[A, B], con=[cv(A)], bi=[ct(cv(B))])
+    for quoted in ([], ["q1 0"]):
+        states = bare + quoted
+        triples = [(s, a, d) for s in states for a in labels for d in states]
+        for _ in range(20):
+            may = rng.sample(triples, rng.randint(0, 60))
+            must = rng.sample(may, rng.randint(0, len(may)))
+            m = mts(states, labels, may, must, "q1")
+            p = lts(states, sig, may, "q1")
+            cases = [(m, True), (p, True), (m._replace(states=frozenset(bare)), False)]
+            for system, valid in cases:
+                text = print_system(system)
+                if valid:
+                    assert parse_system(text) == system
+                rels = [("may", system.may), ("must", system.must)] if system is not p else [
+                    ("trans", system.transitions)
+                ]
+                for rel_name, rel in rels:
+                    assert [raw for raw in text.splitlines() if raw.startswith(rel_name + ":")] == [
+                        f"{rel_name}: {textio._show_state(s)} {a} {textio._show_state(d)}"
+                        for s, a, d in sorted(rel, key=_triple_key)
+                    ]
 
 
 def test_must_twin_repair_and_strict_mode():
@@ -219,6 +251,19 @@ def test_parse_label_structure():
         parse_label("cv(a")
     with pytest.raises(ParseError):
         parse_label("(a)")
+
+
+def test_name_labels_skip_the_token_reader(monkeypatch):
+    reads = []
+    read = textio._read
+    monkeypatch.setattr(textio, "_read", lambda text, *rest: reads.append(text) or read(text, *rest))
+    assert parse_label("a") is A
+    assert parse_label("x_9", 3, 7) is action("x_9")
+    system = parse_system("lts\ncov: a b\ncon: c\nstates: p\ninit: p\ntrans: p c p\n")
+    assert system == lts(["p"], signature(cov=["a", "b"], con=["c"]), [("p", "c", "p")], "p")
+    assert reads == []
+    assert parse_label("cv(a)") is cv(A)
+    assert reads == ["cv(a)"]
 
 
 @pytest.mark.parametrize("text, col, message", [
@@ -369,21 +414,43 @@ def test_plain_relation_lines_skip_the_tokenizer(monkeypatch):
     monkeypatch.setattr(
         textio, "_tokenize_line", lambda raw, line: tokenized.append(raw) or tokenize(raw, line)
     )
-    for system in (
-        mts(states, labels, may, must, "s0"),
-        lts(states, signature(cov=["a", "b"], con=[cv("a")]), may, "s0"),
-    ):
+    # A comment, a non-ASCII character and a \x1f, which ``str.split`` reads
+    # as a blank and the tokenizer as part of a name.
+    extra = ["# note", "states: s1 # s2", "states: s1\u00a0", "states: s1\x1f"]
+    for quoted in (False, True):
+        chosen = states if quoted else states[:-1]
+        chosen_may = {t for t in may if t[0] in chosen and t[2] in chosen}
+        chosen_must = must & chosen_may
+        for system in (
+            mts(chosen, labels, chosen_may, chosen_must, "s0"),
+            lts(chosen, signature(cov=["a", "b"], con=[cv("a")]), chosen_may, "s0"),
+        ):
+            tokenized.clear()
+            text = print_system(system, "sys")
+            assert len([raw for raw in text.splitlines() if "may:" in raw or "trans:" in raw]) >= 150
+            assert parse_system(text) == system
+            # Only lines with a quote reach the tokenizer.
+            assert tokenized == [raw for raw in text.splitlines() if '"' in raw]
+            assert bool(tokenized) is quoted
+            tokenized.clear()
+            again = parse_system(text + "\n".join(extra) + "\n")
+            assert again == system._replace(states=system.states | {"s1\u00a0", "s1\x1f"})
+            assert tokenized[-len(extra):] == extra
+    # An error on a plain line is placed by tokenizing that line alone.
+    head = "mts\nactions: a\nstates: p q\ninit: p\n"
+    for line, col, message in [
+        ("may:  p\ta  nowhere", 12, "undeclared state 'nowhere'"),
+        ("may: \tnowhere a p", 7, "undeclared state 'nowhere'"),
+        ("must: p  zz\tq", 10, "undeclared label zz"),
+        ("may: p  cv(a q", 13, "expected ')', found end of input"),
+        ("may: p\ta-b q", 9, "unexpected character '-'"),
+        ("  must: p a", 3, "must: takes exactly three operands: source label target"),
+        ("\tinit: p q", 2, "init: takes exactly one state"),
+        ("actions:  a   cv(", 18, "expected a label, found end of input"),
+    ]:
         tokenized.clear()
-        text = print_system(system, "sys")
-        assert parse_system(text) == system
-        relation_lines = [raw for raw in text.splitlines() if raw.startswith(("may:", "must:", "trans:"))]
-        assert len(relation_lines) >= 250
-        # Only the header, label and init lines and the lines with a quoted
-        # state go through the tokenizer.
-        assert tokenized == [
-            raw for raw in text.splitlines()
-            if '"' in raw or not raw.startswith(("may:", "must:", "trans:", "states:"))
-        ]
+        assert position(parse_system, head + "states: x\n" + line + "\n") == (6, col, message)
+        assert tokenized == [line]
 
 
 def test_formulae_and_terms_are_positioned_only_on_error(monkeypatch):
