@@ -33,7 +33,12 @@ smaller side of the rows it reads (after Paige and Tarjan, SIAM J. Comput.
 1987): what a row kept or what it just lost.  Both sides remove the same
 pairs, because every pair still standing met its clauses against the rows of
 the round before, which are the kept and the lost bits together.  Near one
-pair the engine is a local solver for the verdict.  Ranks come from one
+pair the engine is a local solver for the verdict.  It tests each pair
+against round 2 before exploring it: a pair with an obligation that no
+candidate passing round 1 can meet falls at once and pushes no candidate,
+and a pair that nothing standing rests on any more is dropped unexplored.
+The indexes list labels in label order, so the solver's work does not move
+with the hash seed that orders the transition sets.  Ranks come from one
 place, a support-counter worklist (after Bloom and Paige, SCP 1995): a
 witness's ranks from running it on a ball of pairs around the unrelated
 pair, and :func:`fixpoint_rounds` from running it on the whole product.
@@ -48,7 +53,7 @@ import math
 from collections import defaultdict
 from functools import reduce
 from itertools import compress
-from operator import attrgetter, or_
+from operator import attrgetter, invert, or_
 from typing import Iterable, Optional, Sequence, Union
 
 from .formulas import Box, Diamond, Formula, conj, disj
@@ -226,13 +231,17 @@ Index = list[dict[int, list[int]]]
 def _index(
     transitions: Iterable[Transition], state_id: dict[str, int], label_id: dict[Action, int]
 ) -> Index:
-    """Successors of each state, targets ascending."""
-    succ: Index = [{} for _ in state_id]
+    """Successors of each state, labels and targets ascending, so that the
+    order of ``transitions`` (a set's, which moves with the hash seed) never
+    reaches the solvers."""
+    by_label: list[dict[int, list[int]]] = [{} for _ in label_id]
     for src, lab, dst in transitions:
-        succ[state_id[src]].setdefault(label_id[lab], []).append(state_id[dst])
-    for row in succ:
-        for targets in row.values():
+        by_label[label_id[lab]].setdefault(state_id[src], []).append(state_id[dst])
+    succ: Index = [{} for _ in state_id]
+    for a, rows in enumerate(by_label):
+        for s, targets in rows.items():
             targets.sort()
+            succ[s][a] = targets
     return succ
 
 
@@ -246,7 +255,9 @@ def _reverse(index: Index) -> Index:
 
 
 def _masks(index: Index) -> list[int]:
-    return [sum(1 << a for a in row) for row in index]
+    """Per state, the labels of its row as bits."""
+    bit = (1).__lshift__
+    return [sum(map(bit, row)) for row in index]
 
 
 _BITS = bytes.maketrans(b"01", b"\0\1")
@@ -312,26 +323,50 @@ class _Game:
         self.q_answers = _index(q_answers, self.right_id, label_id)
         self.q_steps = _index(q_steps, self.right_id, label_id)
         self.p_answers = _index(p_answers, self.left_id, label_id)
-        self.masks = list(map(_masks, (self.p_steps, self.q_answers, self.q_steps, self.p_answers)))
+        # Round 1 removes (p, q) when p steps on a label that q has no answer
+        # on, or q steps on one that p has none on: per state, as label bits,
+        # the labels it steps on and those it has no answer on.
+        self.masks = (
+            _masks(self.p_steps),
+            list(map(invert, _masks(self.q_answers))),
+            _masks(self.q_steps),
+            list(map(invert, _masks(self.p_answers))),
+        )
         self.predecessors: Optional[list[Index]] = None
 
     def _pair(self, p: str, q: str) -> int:
         return self.left_id[p] * len(self.right) + self.right_id[q]
 
-    def _candidates(self, pair: int):
+    def _candidates(self, pair: int, standing: bool = False):
         """Per obligation of ``pair``, the pairs that would meet it: each
         ``p_steps`` move needs a related pair with a ``q_answers`` move on
-        its label, each ``q_steps`` move one with a ``p_answers`` move."""
+        its label, each ``q_steps`` move one with a ``p_answers`` move.
+        With ``standing``, only the pairs that pass round 1's label-mask
+        test: the others fall in round 1."""
         m = len(self.right)
         p, q = divmod(pair, m)
+        if standing:
+            p_step_masks, q_unanswered, q_step_masks, p_unanswered = self.masks
         answers = self.q_answers[q]
         for a, targets in self.p_steps[p].items():
+            q2s = answers.get(a, ())
             for p2 in targets:
-                yield [p2 * m + q2 for q2 in answers.get(a, ())]
+                if standing:
+                    steps, unanswered = p_step_masks[p2], p_unanswered[p2]
+                    yield [p2 * m + q2 for q2 in q2s
+                           if not (steps & q_unanswered[q2] or q_step_masks[q2] & unanswered)]
+                else:
+                    yield [p2 * m + q2 for q2 in q2s]
         answers = self.p_answers[p]
         for a, targets in self.q_steps[q].items():
+            p2s = answers.get(a, ())
             for q2 in targets:
-                yield [p2 * m + q2 for p2 in answers.get(a, ())]
+                if standing:
+                    steps, unanswered = q_step_masks[q2], q_unanswered[q2]
+                    yield [p2 * m + q2 for p2 in p2s
+                           if not (p_step_masks[p2] & unanswered or steps & p_unanswered[p2])]
+                else:
+                    yield [p2 * m + q2 for p2 in p2s]
 
     def holds(self, p: str, q: str) -> bool:
         """Whether the greatest relation relates ``p`` to ``q``, by a local
@@ -339,16 +374,37 @@ class _Game:
         ICALP 1998).  An explored pair is assumed related, and each of its
         obligations rests on one candidate, moving to the next when that one
         falls; a pair whose obligation runs out falls.  At the end the
-        explored pairs still standing meet every obligation among themselves."""
-        m = len(self.right)
-        p_step_masks, q_answer_masks, q_step_masks, p_answer_masks = self.masks
+        explored pairs still standing meet every obligation among themselves.
+
+        Each pair is tested against round 2 before it is explored: its
+        obligations keep only the candidates that pass round 1's label-mask
+        test, and a pair with an obligation left empty falls at once, before
+        any of its obligations rests on a candidate or pushes a new pair.
+        A pair that fails round 1 has an obligation with no candidate at all,
+        so the test covers round 1 too, and the root meets it first.  A pair
+        taken off the worklist when every pair with an obligation resting on
+        it has fallen is dropped unexplored."""
         root = self._pair(p, q)
         resting: dict[int, list] = {root: []}  # pair -> obligations resting on it
         fallen: set[int] = set()
         todo = [root]
+        # Only an explored pair falls, so every pair on ``todo`` is standing.
         while todo and root not in fallen:
             pair = todo.pop()
-            moves = [(pair, iter(c)) for c in self._candidates(pair)]
+            waiting = resting[pair]
+            if waiting and waiting[-1][0] in fallen and all(owner in fallen for owner, _ in waiting):
+                # Nothing standing rests on the pair.  Forgotten, it is
+                # pushed again if an obligation moves on to it, so every
+                # standing obligation still rests on a pair to explore.
+                del resting[pair]
+                continue
+            moves = []
+            for kept in self._candidates(pair, standing=True):
+                if not kept:
+                    fallen.add(pair)
+                    moves = list(resting[pair])
+                    break
+                moves.append((pair, iter(kept)))
             while moves:
                 owner, candidates = moves.pop()
                 if owner in fallen:
@@ -357,13 +413,6 @@ class _Game:
                     if c in fallen:
                         continue
                     if c not in resting:
-                        # A pair with a move that has no answer on its label
-                        # falls without being explored.
-                        p2, q2 = divmod(c, m)
-                        if (p_step_masks[p2] & ~q_answer_masks[q2]
-                                or q_step_masks[q2] & ~p_answer_masks[p2]):
-                            fallen.add(c)
-                            continue
                         resting[c] = []
                         todo.append(c)
                     resting[c].append((owner, candidates))
@@ -383,13 +432,13 @@ class _Game:
             indexes = self.p_steps, self.q_answers, self.q_steps, self.p_answers
             self.predecessors = list(map(_reverse, indexes))
         p_steps_pred, q_answers_pred, q_steps_pred, p_answers_pred = self.predecessors
-        p_step_masks, q_answer_masks, q_step_masks, p_answer_masks = self.masks
+        p_step_masks, q_unanswered, q_step_masks, p_unanswered = self.masks
         # A pair outside the ball never leaves.
         rank = defaultdict(lambda: math.inf, dict.fromkeys(ball, 0))
         frontier = []
         for pair in ball:
             p, q = divmod(pair, m)
-            if p_step_masks[p] & ~q_answer_masks[q] or q_step_masks[q] & ~p_answer_masks[p]:
+            if p_step_masks[p] & q_unanswered[q] or q_step_masks[q] & p_unanswered[p]:
                 rank[pair] = 1
                 frontier.append(pair)
         left_count: dict[int, int] = {}

@@ -259,6 +259,20 @@ def planted_refinement(n, seed):
     return mts(left_names, labels, left_may, left_must, left_names[0]), mts(names, labels, may, must, names[0])
 
 
+def planted_simulation(n, seed):
+    """A sparse LTS of ``n`` states, all labels covariant, and, left of it,
+    a copy under fresh names that keeps each step with probability 0.8, so
+    that simulation relates their initial states."""
+    rng = random.Random(seed)
+    names = _names(rng, n)
+    steps = _sparse_steps(rng, names, ["a", "b", "c"], 3)
+    fresh = dict(zip(names, _names(rng, n)))
+    left_steps = {(fresh[s], a, fresh[d]) for s, a, d in sorted(steps) if rng.random() < 0.8}
+    left_names = [fresh[s] for s in names]
+    sig = signature(cov=["a", "b", "c"])
+    return lts(left_names, sig, left_steps, left_names[0]), lts(names, sig, steps, names[0])
+
+
 def _edge_case():
     """A refinement pair on the edge of both side choices.  Round 1 leaves
     p2's row the 4 right states with a b-step and takes r from it: 4 kept

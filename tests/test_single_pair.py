@@ -22,8 +22,8 @@ from modalsim.preorders import (
     fixpoint_rounds,
 )
 from modalsim.sampling import random_lts_pair, random_mts_pair
-from modalsim.systems import action, lts, signature
-from test_fixpoint_reference import CASES
+from modalsim.systems import action, lts, mts, signature
+from test_fixpoint_reference import CASES, _names, _sparse_steps, planted_refinement, planted_simulation
 
 
 def _small_cases():
@@ -152,3 +152,108 @@ def test_text_check_does_not_build_the_product(tmp_path, capsys):
     assert capsys.readouterr().out == f"not related\ndistinguishing formula: {expected}\n"
     # The 301 x 300 product alone takes about 20 MB in the full game.
     assert peak < 5 * 2**20
+
+
+# The labels re-signed as ``_sparse_cases`` signs them, so that every clause
+# of cc-simulation and partial bisimulation has work.
+MIXED = signature(cov=["a"], con=["b"], bi=["c"])
+
+
+def _resigned(systems):
+    return tuple(s._replace(signature=MIXED) for s in systems)
+
+
+def _planted_kinds(n, seed):
+    systems = planted_simulation(n, seed)
+    yield Simulation(), systems
+    yield CCSim(), _resigned(systems)
+    yield PartialBisim(frozenset({action("b")})), _resigned(systems)
+
+
+def _assert_holds_matches_whole(kind, p_sys, q_sys, sample, seed):
+    """The initial pair and ``sample`` seeded pairs: the local verdict is
+    membership in the whole relation."""
+    clauses = _prepare(kind, p_sys, q_sys)
+    rel = _fixpoint(p_sys.states, q_sys.states, clauses)[0]
+    game = _Game(p_sys.states, q_sys.states, clauses)
+    rng = random.Random(seed)
+    pairs = [(p_sys.init, q_sys.init)]
+    pairs += [(rng.choice(game.left), rng.choice(game.right)) for _ in range(sample)]
+    for p, q in pairs:
+        assert game.holds(p, q) == ((p, q) in rel), (p, q)
+
+
+@pytest.mark.parametrize("seed", [7, 8])
+def test_holds_on_planted_pairs_matches_the_whole_relation(seed):
+    # 6,400 pairs each; a seeded sample of them keeps the test short.
+    for kind, (p_sys, q_sys) in _planted_kinds(80, seed):
+        _assert_holds_matches_whole(kind, p_sys, q_sys, 200, seed)
+
+
+def _explored(game, p, q):
+    """The verdict of ``game.holds(p, q)`` and the pairs it explored, in
+    order: each explored pair has its obligations listed once."""
+    listed, explored = game._candidates, []
+
+    def listing(pair, standing=False):
+        explored.append(pair)
+        return listed(pair, standing)
+
+    game._candidates = listing
+    try:
+        return game.holds(p, q), explored
+    finally:
+        del game._candidates
+
+
+@pytest.mark.parametrize("seed", [7, 8])
+def test_related_planted_pair_explores_few_pairs(seed):
+    # The solver explores 439 and 436 pairs here.  The bound fails a solver
+    # that keeps the candidates that fail round 1 (806 and 849) or explores
+    # the pairs that nothing standing rests on (542 and 669).
+    n = 300
+    p_sys, q_sys = planted_simulation(n, seed)
+    game = _Game(p_sys.states, q_sys.states, _prepare(Simulation(), p_sys, q_sys))
+    related, explored = _explored(game, p_sys.init, q_sys.init)
+    assert related
+    assert len(explored) == len(set(explored)) <= 1.5 * n
+
+
+def test_solver_work_does_not_follow_the_order_of_transitions():
+    # Transitions come in a set's order, which moves with PYTHONHASHSEED;
+    # the indexes, and so the pairs the solver explores, must not.
+    p_sys, q_sys = _resigned(planted_simulation(60, 7))
+    clauses = _prepare(CCSim(), p_sys, q_sys)
+    games = [_Game(p_sys.states, q_sys.states, [list(rel)[::step] for rel in clauses])
+             for step in (1, -1)]
+    indexes = [[[list(row.items()) for row in index]
+                for index in (g.p_steps, g.q_answers, g.q_steps, g.p_answers)] for g in games]
+    assert indexes[0] == indexes[1]
+    assert _explored(games[0], p_sys.init, q_sys.init) == _explored(games[1], p_sys.init, q_sys.init)
+
+
+def _one_label_mts_pair(seed):
+    rng = random.Random(seed)
+    left, right = _names(rng, rng.randint(5, 20)), _names(rng, rng.randint(5, 20))
+    may = [_sparse_steps(rng, names, ["a"], 3) for names in (left, right)]
+    must = [{t for t in sorted(steps) if rng.random() < 0.5} for steps in may]
+    return tuple(mts(names, ["a"], m, n, names[0]) for names, m, n in zip((left, right), may, must))
+
+
+@pytest.mark.parametrize("seed", [30, 84, 123])
+def test_pair_dropped_from_the_worklist_is_pushed_again(seed):
+    # The solver drops a pair once every pair with an obligation resting on
+    # it has fallen.  On these pairs an obligation later moves on to such a
+    # pair, and a solver that kept it as seen without exploring it would
+    # call unrelated pairs related.
+    p_sys, q_sys = _one_label_mts_pair(seed)
+    _assert_single_pair_matches_whole(Refinement(), p_sys, q_sys)
+
+
+def test_holds_at_scale_matches_the_whole_relation():
+    # 10^6 pairs per product; the single-pair path explores a few thousand.
+    p_sys, q_sys = planted_refinement(1000, 7)
+    _assert_holds_matches_whole(Refinement(), p_sys, q_sys, 20, 7)
+    systems = planted_simulation(1000, 7)
+    _assert_holds_matches_whole(Simulation(), *systems, 20, 7)
+    _assert_holds_matches_whole(CCSim(), *_resigned(systems), 20, 7)
