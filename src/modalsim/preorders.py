@@ -39,9 +39,10 @@ candidate passing round 1 can meet falls at once and pushes no candidate,
 and a pair that nothing standing rests on any more is dropped unexplored.
 The indexes list labels in label order, so the solver's work does not move
 with the hash seed that orders the transition sets.  Ranks come from one
-place, a support-counter worklist (after Bloom and Paige, SCP 1995): a
-witness's ranks from running it on a ball of pairs around the unrelated
-pair, and :func:`fixpoint_rounds` from running it on the whole product.
+place, a support-counter worklist (after Bloom and Paige, SCP 1995) with
+one counter per obligation of each pair it is given: a witness's ranks
+from the obligations of a ball of pairs around the unrelated pair, and
+:func:`fixpoint_rounds` from those of every pair of the product.
 :func:`oracle_greatest` recomputes the relation by brute force (enumerating
 every subset of the product) and exists purely so the fixpoint can be
 tested against an independent path; it is capped at products of 12 pairs.
@@ -245,15 +246,6 @@ def _index(
     return succ
 
 
-def _reverse(index: Index) -> Index:
-    pred: Index = [{} for _ in index]
-    for s, row in enumerate(index):
-        for a, targets in row.items():
-            for d in targets:
-                pred[d].setdefault(a, []).append(s)
-    return pred
-
-
 def _masks(index: Index) -> list[int]:
     """Per state, the labels of its row as bits."""
     bit = (1).__lshift__
@@ -308,8 +300,9 @@ class _Game:
     and the hot loop never hashes an :class:`Action`.  The pair ``(p, q)``
     is the number ``p * len(right) + q``.  :meth:`holds` answers one pair
     from the successor indexes alone.  :meth:`solve_around` ranks the pairs
-    near one pair by the support-counter worklist; ``rank[pair]`` is then
-    the round in which the pair leaves the relation (0 if it never does).
+    near one pair from their obligations by the support-counter worklist;
+    ``rank[pair]`` is then the round in which the pair leaves the relation
+    (0 if it never does).
     """
 
     def __init__(self, left_states: Iterable[str], right_states: Iterable[str], clauses: Clauses):
@@ -332,7 +325,6 @@ class _Game:
             _masks(self.q_steps),
             list(map(invert, _masks(self.p_answers))),
         )
-        self.predecessors: Optional[list[Index]] = None
 
     def _pair(self, p: str, q: str) -> int:
         return self.left_id[p] * len(self.right) + self.right_id[q]
@@ -422,61 +414,38 @@ class _Game:
                     moves += resting[owner]
         return root not in fallen
 
-    def _solve(self, ball: set[int]) -> None:
-        """Rank the pairs by the support-counter worklist, letting only the
-        pairs in ``ball`` fall; counters still start at the full answer
-        count.  A counter is created at its first decrement."""
-        m, labels = len(self.right), len(self.labels)
-        if self.predecessors is None:
-            # Built at the first solve and kept for the later ones of solve_around.
-            indexes = self.p_steps, self.q_answers, self.q_steps, self.p_answers
-            self.predecessors = list(map(_reverse, indexes))
-        p_steps_pred, q_answers_pred, q_steps_pred, p_answers_pred = self.predecessors
-        p_step_masks, q_unanswered, q_step_masks, p_unanswered = self.masks
-        # A pair outside the ball never leaves.
+    def _solve(self, ball: dict[int, list[list[int]]]) -> None:
+        """Rank the pairs of ``ball``, given as each pair's obligations, by
+        the support-counter worklist; a pair outside the ball never falls.
+        Each obligation counts its candidates still standing, inside the
+        ball or not.  A pair with an obligation that has no candidate falls
+        in round 1, and a pair falls in round ``k`` when one of its counters
+        reaches 0 while the pairs of round ``k - 1`` are processed."""
         rank = defaultdict(lambda: math.inf, dict.fromkeys(ball, 0))
+        counts, owners = [], []
+        counting = defaultdict(list)  # pair of the ball -> obligations it counts in
         frontier = []
-        for pair in ball:
-            p, q = divmod(pair, m)
-            if p_step_masks[p] & q_unanswered[q] or q_step_masks[q] & p_unanswered[p]:
+        for pair, obligations in ball.items():
+            if not all(obligations):
                 rank[pair] = 1
                 frontier.append(pair)
-        left_count: dict[int, int] = {}
-        right_count: dict[int, int] = {}
+                continue
+            for candidates in obligations:
+                for c in candidates:
+                    if c in ball:
+                        counting[c].append(len(counts))
+                counts.append(len(candidates))
+                owners.append(pair)
         k = 1
         while frontier:
             k += 1
             fallen = []
-            for pair in frontier:
-                p2, q2 = divmod(pair, m)
-                stepping = p_steps_pred[p2]
-                for a, answering in q_answers_pred[q2].items():
-                    movers = stepping.get(a)
-                    if movers is None:
-                        continue
-                    for q in answering:
-                        key = (p2 * labels + a) * m + q
-                        left = left_count.get(key, len(self.q_answers[q][a])) - 1
-                        left_count[key] = left
-                        if not left:
-                            for p in movers:
-                                if not rank[p * m + q]:
-                                    rank[p * m + q] = k
-                                    fallen.append(p * m + q)
-                stepping = q_steps_pred[q2]
-                for a, answering in p_answers_pred[p2].items():
-                    movers = stepping.get(a)
-                    if movers is None:
-                        continue
-                    for p in answering:
-                        key = (p * labels + a) * m + q2
-                        left = right_count.get(key, len(self.p_answers[p][a])) - 1
-                        right_count[key] = left
-                        if not left:
-                            for q in movers:
-                                if not rank[p * m + q]:
-                                    rank[p * m + q] = k
-                                    fallen.append(p * m + q)
+            for c in frontier:
+                for i in counting[c]:
+                    counts[i] -= 1
+                    if not counts[i] and not rank[owners[i]]:
+                        rank[owners[i]] = k
+                        fallen.append(owners[i])
             frontier = fallen
         self.rank = rank
 
@@ -490,13 +459,17 @@ class _Game:
         whose rank is ``j <= radius - d + 1`` gets rank ``j``.  So once the
         root falls by round ``radius + 1`` (or the ball holds every pair it
         can reach) the root and every pair its witness cites have their
-        true ranks.  The radius starts at 1 and doubles."""
+        true ranks.  The radius starts at 1 and doubles.  A pair's
+        obligations are listed once, when it joins the ball, and the next
+        layer is read off them."""
         root = self._pair(p, q)
-        ball, layer, depth, radius = {root}, {root}, 0, 1
+        ball = {root: list(self._candidates(root))}
+        layer, depth, radius = [root], 0, 1
         while True:
             while layer and depth < radius:
-                layer = {c for pair in layer for cs in self._candidates(pair) for c in cs} - ball
-                ball |= layer
+                layer = {c for pair in layer for cs in ball[pair] for c in cs if c not in ball}
+                for pair in layer:
+                    ball[pair] = list(self._candidates(pair))
                 depth += 1
             self._solve(ball)
             if not layer or 0 < self.rank[root] <= radius + 1:
@@ -684,7 +657,7 @@ def fixpoint_rounds(
     property tests."""
     game = _Game(p_sys.states, q_sys.states, _prepare(kind, p_sys, q_sys))
     m = len(game.right)
-    game._solve(set(range(len(game.left) * m)))
+    game._solve({pair: list(game._candidates(pair)) for pair in range(len(game.left) * m)})
     rank = {(game.left[pair // m], game.right[pair % m]): k for pair, k in game.rank.items()}
     return [frozenset(pair for pair, k in rank.items() if not 0 < k <= j)
             for j in range(max(rank.values(), default=0) + 1)]

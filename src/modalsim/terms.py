@@ -16,8 +16,8 @@ from the root, so expanding equal terms always yields identical systems.
 from __future__ import annotations
 
 from functools import cmp_to_key, reduce
-from itertools import zip_longest
-from typing import Iterable, Iterator, Union
+from itertools import chain, zip_longest
+from typing import Container, Iterable, Iterator, Union
 
 from .systems import (
     Action,
@@ -98,44 +98,64 @@ def must_prefix(a: Union[str, Action], rest: Term) -> MustPrefix:
 def term_text(t: Term) -> str:
     """Canonical concrete syntax; prefixes bind tighter than ``+``.  As in
     :func:`~modalsim.formulas.formula_text`, a subterm with more than one
-    parent is printed once and its text copied, and a sum is printed in
-    one step."""
-    return fold(t, _text_step)
+    parent is printed once and its text copied, and only those texts are
+    kept, so memory is linear in the length of the text."""
+    return "".join(_text_pieces(t, _printed_nodes(t)[1], {}))
 
 
-def _text_step(t: Term):
-    if isinstance(t, Zero):
-        return "0"
-    if isinstance(t, Omega):
-        return "w"
-    if isinstance(t, (Prefix, MustPrefix)):
-        body = yield t.rest
-        if isinstance(t.rest, Sum):
-            body = f"({body})"
-        return f"{t.action}{'.' if isinstance(t, Prefix) else '!'}{body}"
-    if not isinstance(t, Sum):
-        raise TypeError(f"not a term: {type(t).__name__}")
-    texts = []
-    for s in summands(t):
-        texts.append((yield s))
-    return " + ".join(texts)
+def _printed_nodes(t: Term) -> tuple[set[Term], set[Term]]:
+    """The prefixes and sum chains of ``t``, and those of them with more
+    than one parent.  The sums inside a chain are left out, so a long chain
+    of ``+`` costs no table of its nodes."""
+    seen: set[Term] = set()
+    shared: set[Term] = set()
+    stack = [t]
+    while stack:
+        node = stack.pop()
+        if node in seen:
+            shared.add(node)
+        elif isinstance(node, (Sum, Prefix, MustPrefix)):
+            seen.add(node)
+            stack += summands(node) if isinstance(node, Sum) else (node.rest,)
+    return seen, shared
 
 
-def _text_chars(t: Term) -> Iterator[str]:
-    """The text of ``t``, character by character, built only as far as it
-    is read."""
-    stack: list = [t]
+def _text_pieces(t: Term, keep: Container[Term], texts: dict[Term, str]) -> Iterator[str]:
+    """The text of ``t`` in pieces, built only as far as it is read: a
+    label, ``.`` or ``!``, an atom, a parenthesis and `` + `` each.
+    The text of a node in ``keep`` is joined when it is first printed,
+    stored in ``texts`` and comes as one piece."""
+    opened: list[tuple[Term, list[str]]] = []  # nodes of keep being printed, with their pieces
+    stack: list = [t]  # terms, pieces, and None, the end of the innermost opened node
     while stack:
         t = stack.pop()
-        if isinstance(t, str):
-            yield from t
-        elif isinstance(t, Sum):
-            stack += (t.right, " + ", t.left)
-        elif isinstance(t, (Prefix, MustPrefix)):
-            yield from f"{t.action}{'.' if isinstance(t, Prefix) else '!'}"
-            stack += (")", t.rest, "(") if isinstance(t.rest, Sum) else (t.rest,)
+        kind = t.__class__
+        if kind is str:
+            pass
+        elif t is None:
+            node, pieces = opened.pop()
+            t = texts[node] = "".join(pieces)
+        elif t in texts:
+            t = texts[t]
         else:
-            yield "0" if isinstance(t, Zero) else "w"
+            if t in keep:
+                opened.append((t, []))
+                stack.append(None)
+            if kind is Sum:
+                stack += (t.right, " + ", t.left)
+                continue
+            if kind is Prefix or kind is MustPrefix:
+                stack += (")", t.rest, "(") if t.rest.__class__ is Sum else (t.rest,)
+                stack.append("." if kind is Prefix else "!")
+                t = str(t.action)
+            elif kind is Zero or kind is Omega:
+                t = "0" if kind is Zero else "w"
+            else:
+                raise TypeError(f"not a term: {kind.__name__}")
+        if opened:
+            opened[-1][1].append(t)
+        else:
+            yield t
 
 
 def _text_order(x: Term, y: Term) -> int:
@@ -144,7 +164,8 @@ def _text_order(x: Term, y: Term) -> int:
     compare in O(1) however long the texts are."""
     if x is y:
         return 0
-    pairs = zip_longest(_text_chars(x), _text_chars(y), fillvalue="")
+    x_chars, y_chars = (chain.from_iterable(_text_pieces(t, (), {})) for t in (x, y))
+    pairs = zip_longest(x_chars, y_chars, fillvalue="")
     return next(((a > b) - (a < b) for a, b in pairs if a != b), 0)
 
 
@@ -202,6 +223,9 @@ def _expand(
     every reachable canonical subterm, and the may and must moves between
     them (``w`` may loop on ``loop_labels``).  Each state is named once."""
     root = canonical_term(t)
+    # Every name is stored anyway, so the printer keeps the text of every
+    # prefix and sum chain, and each is printed once.
+    keep = _printed_nodes(root)[0]
     names: dict[Term, str] = {}
     texts: dict[Term, str] = {}
     moves: list[tuple[Term, Action, Term, bool]] = []
@@ -210,7 +234,7 @@ def _expand(
         node = stack.pop()
         if node in names:
             continue
-        names[node] = fold(node, _text_step, texts)
+        names[node] = "".join(_text_pieces(node, keep, texts))
         start = len(moves)
         for s in summands(node):
             if isinstance(s, Omega):

@@ -1,0 +1,146 @@
+"""Mutation gate: small faults planted in ``src/modalsim`` that the tests
+must catch.
+
+Each mutant is one exact text edit in one file, with the pytest selection
+that must fail once the edit is made.  A mutant is applied to a temporary
+copy of ``src/``, ``tests/`` and ``pyproject.toml``, never to the checkout;
+the copy's ``pyproject.toml`` puts the copy's ``src`` first on the path.
+The selections are first run on an unmutated copy, where they must pass.
+
+Run from anywhere, with pytest installed::
+
+    python tests/mutants.py
+
+One JSON line is printed per mutant, with its status (``killed``,
+``survived`` or ``timeout``, which counts as killed) and seconds.  Exit
+status 1 means a mutant survived, 2 that a mutant's old text does not occur
+exactly once or that a selection fails without any mutant.  Not part of the
+tier-1 suite: pytest collects only ``test_*.py``.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT_S = 300
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str  # relative to src/modalsim
+    old: str
+    new: str
+    selection: tuple[str, ...]
+
+
+MUTANTS = [
+    Mutant(
+        "solve-skips-round-1-seeding", "preorders.py",
+        "                rank[pair] = 1\n                frontier.append(pair)\n",
+        "                rank[pair] = 1\n",
+        ("tests/test_single_pair.py", "-k", "root_of_rank_one or chain10"),
+    ),
+    Mutant(
+        "solve-decrements-by-two", "preorders.py",
+        "counts[i] -= 1", "counts[i] -= 2",
+        ("tests/test_single_pair.py", "-k", "chain10 or small1-"),
+    ),
+    Mutant(
+        "solve-ranks-one-round-late", "preorders.py",
+        "rank[owners[i]] = k\n", "rank[owners[i]] = k + 1\n",
+        ("tests/test_single_pair.py", "-k", "root_rank"),
+    ),
+    Mutant(
+        "violation-cites-its-own-round", "preorders.py",
+        "if all(0 < rank[c] < k for c in cited):\n                    return a, 1, cited",
+        "if all(0 < rank[c] <= k for c in cited):\n                    return a, 1, cited",
+        ("tests/test_single_pair.py", "-k", "sparse"),
+    ),
+    Mutant(
+        "holds-keeps-round-1-candidates", "preorders.py",
+        "        p, q = divmod(pair, m)\n        if standing:\n",
+        "        p, q = divmod(pair, m)\n        standing = False\n        if standing:\n",
+        ("tests/test_single_pair.py", "-k", "explores_few_pairs"),
+    ),
+    Mutant(
+        "mc-mts-swaps-may-and-must", "formulas.py",
+        "return _state_test(BLLogic(m.actions), m.states, m.may, m.must, phi)",
+        "return _state_test(BLLogic(m.actions), m.states, m.must, m.may, phi)",
+        ("tests/test_formulas.py",),
+    ),
+    Mutant(
+        "encoding-marks-must-copies-contravariant", "translate.py",
+        "must_label = {a: cv(a) for a in labels}",
+        "must_label = {a: ct(a) for a in labels}",
+        ("tests/test_translate.py",),
+    ),
+]
+
+
+def _copy(into: Path) -> None:
+    skip = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache", "*.egg-info")
+    for name in ("src", "tests"):
+        shutil.copytree(ROOT / name, into / name, ignore=skip)
+    shutil.copy2(ROOT / "pyproject.toml", into / "pyproject.toml")
+
+
+def _run(copy: Path, selection: tuple[str, ...]) -> tuple[str, float]:
+    """``passed``, ``failed`` or ``timeout`` for ``selection`` in ``copy``,
+    and the seconds it took."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    env["PYTHONDONTWRITEBYTECODE"] = "1"
+    argv = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *selection]
+    start = time.perf_counter()
+    try:
+        done = subprocess.run(argv, cwd=copy, env=env, stdout=subprocess.DEVNULL,
+                              stderr=subprocess.DEVNULL, timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return "timeout", time.perf_counter() - start
+    return ("failed" if done.returncode else "passed"), time.perf_counter() - start
+
+
+def main() -> int:
+    sources = {}
+    for mutant in MUTANTS:
+        path = ROOT / "src" / "modalsim" / mutant.path
+        text = sources.setdefault(path, path.read_text(encoding="utf-8"))
+        found = text.count(mutant.old)
+        if found != 1:
+            print(f"error: mutant {mutant.name}: its old text occurs {found} times in {mutant.path}",
+                  file=sys.stderr)
+            return 2
+    survived = 0
+    with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
+        copy = Path(tmp)
+        _copy(copy)
+        for selection in dict.fromkeys(m.selection for m in MUTANTS):
+            status, _ = _run(copy, selection)
+            if status != "passed":
+                print(f"error: {' '.join(selection)} is {status} without any mutant", file=sys.stderr)
+                return 2
+        for mutant in MUTANTS:
+            target = copy / "src" / "modalsim" / mutant.path
+            original = target.read_text(encoding="utf-8")
+            target.write_text(original.replace(mutant.old, mutant.new), encoding="utf-8")
+            try:
+                status, seconds = _run(copy, mutant.selection)
+            finally:
+                target.write_text(original, encoding="utf-8")
+            status = {"failed": "killed", "passed": "survived"}.get(status, status)
+            survived += status == "survived"
+            print(json.dumps({"mutant": mutant.name, "status": status, "seconds": round(seconds, 2)}),
+                  flush=True)
+    return 1 if survived else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
