@@ -26,7 +26,6 @@ from .systems import (
     Interned,
     PointedLTS,
     PointedMTS,
-    SuccIndex,
     Transition,
     fold,
     shared_nodes,

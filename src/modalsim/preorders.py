@@ -10,10 +10,12 @@ Four preorder kinds are supported:
   moves of the right are matched leftwards;
 * :class:`PartialBisim` between LTSs read as plain systems: every move of
   the left is matched rightwards, moves of the right on actions in the
-  bisimulation set are matched leftwards.  This is exactly covariant-
-  contravariant simulation after reclassifying the alphabet, and it is
-  computed that way;
-* :class:`Simulation`: partial bisimulation with the empty bisimulation set.
+  bisimulation set are matched leftwards.  This is covariant-contravariant
+  simulation with the actions outside the set covariant and those inside it
+  bivariant;
+* :class:`Simulation`: partial bisimulation with the empty bisimulation set,
+  and a subclass of :class:`PartialBisim`, so the engine reads every kind of
+  the two through its ``bset``.
 
 :func:`greatest` returns the greatest relation of a kind; :func:`decide`
 answers one pair, with a distinguishing formula when it is unrelated, from
@@ -123,12 +125,6 @@ class CCSim(_Value):
     __slots__ = ()
 
 
-class Simulation(_Value):
-    """Plain simulation between LTSs (signature classes ignored)."""
-
-    __slots__ = ()
-
-
 class PartialBisim(_Value):
     """Partial bisimulation with bisimulation set ``bset``."""
 
@@ -138,7 +134,18 @@ class PartialBisim(_Value):
         object.__setattr__(self, "bset", bset)
 
 
-PreorderKind = Union[Refinement, CCSim, Simulation, PartialBisim]
+class Simulation(PartialBisim):
+    """Plain simulation between LTSs: partial bisimulation with the empty
+    bisimulation set.  It keeps its own name, so it neither prints nor
+    compares as ``PartialBisim(frozenset())``."""
+
+    __slots__ = ()
+
+    def __init__(self) -> None:
+        super().__init__(frozenset())
+
+
+PreorderKind = Union[Refinement, CCSim, PartialBisim]
 # The kinds whose unrelated pairs have a distinguishing formula.
 _WITNESSED = (Refinement, CCSim)
 
@@ -187,9 +194,9 @@ def _prepare(
     The leftward clause asks every ``p_steps`` move of the left state to be
     answered by a ``q_answers`` move of the right state on the same label
     with related targets; the rightward clause asks the same of ``q_steps``
-    moves, answered by ``p_answers`` moves.  Partial bisimulation is
-    cc-simulation with the labels outside ``bset`` covariant and those
-    inside bivariant; simulation has the empty ``bset``.
+    moves, answered by ``p_answers`` moves.  Partial bisimulation steps
+    with every move of the left and with the ``bset`` moves of the right;
+    simulation is the case of the empty ``bset``.
     """
     if isinstance(kind, Refinement):
         if not (isinstance(p_sys, PointedMTS) and isinstance(q_sys, PointedMTS)):
@@ -205,24 +212,20 @@ def _prepare(
         sig = p_sys.signature
         forward = sig.covariant | sig.bivariant
         backward = sig.contravariant | sig.bivariant
-    elif isinstance(kind, (PartialBisim, Simulation)):
+        p_steps = [t for t in p_sys.transitions if t[1] in forward]
+    elif isinstance(kind, PartialBisim):
         if not (isinstance(p_sys, PointedLTS) and isinstance(q_sys, PointedLTS)):
             raise TypeError("partial bisimulation and simulation compare two LTSs")
         if p_sys.signature.actions != q_sys.signature.actions:
             raise ValueError("partial bisimulation and simulation need both systems over the same alphabet")
-        forward = p_sys.signature.actions
-        backward = kind.bset if isinstance(kind, PartialBisim) else frozenset()
-        stray = backward - forward
+        backward = kind.bset
+        stray = backward - p_sys.signature.actions
         if stray:
             raise ValueError(f"bisimulation set labels {actions_text(stray)} are outside the alphabet")
+        p_steps = p_sys.transitions
     else:
         raise TypeError(f"unknown preorder kind: {kind!r}")
-    return (
-        [t for t in p_sys.transitions if t[1] in forward],
-        q_sys.transitions,
-        [t for t in q_sys.transitions if t[1] in backward],
-        p_sys.transitions,
-    )
+    return p_steps, q_sys.transitions, [t for t in q_sys.transitions if t[1] in backward], p_sys.transitions
 
 
 # Per state, its targets by label; states and labels are interned ints.
@@ -312,10 +315,12 @@ class _Game:
         p_steps, q_answers, q_steps, p_answers = clauses
         self.labels = sorted_actions({t[1] for rel in clauses for t in rel})
         label_id = {a: i for i, a in enumerate(self.labels)}
-        self.p_steps = _index(p_steps, self.left_id, label_id)
+        # Partial bisimulation steps with every move of the left, the very
+        # transitions it answers with, so they are indexed once.
+        self.p_answers = _index(p_answers, self.left_id, label_id)
+        self.p_steps = self.p_answers if p_steps is p_answers else _index(p_steps, self.left_id, label_id)
         self.q_answers = _index(q_answers, self.right_id, label_id)
         self.q_steps = _index(q_steps, self.right_id, label_id)
-        self.p_answers = _index(p_answers, self.left_id, label_id)
         # Round 1 removes (p, q) when p steps on a label that q has no answer
         # on, or q steps on one that p has none on: per state, as label bits,
         # the labels it steps on and those it has no answer on.
@@ -711,8 +716,7 @@ def _oracle_obligations(
                         obligations[i].append(mask([(p2, q2) for p2 in p_succ[p].get(a, ())]))
         return obligations
 
-    if isinstance(kind, (PartialBisim, Simulation)):
-        bset = kind.bset if isinstance(kind, PartialBisim) else frozenset()
+    if isinstance(kind, PartialBisim):
         p_succ = successor_index(p_sys.states, p_sys.transitions)
         q_succ = successor_index(q_sys.states, q_sys.transitions)
         for i, (p, q) in enumerate(pairs):
@@ -720,7 +724,7 @@ def _oracle_obligations(
                 for p2 in targets:
                     obligations[i].append(mask([(p2, q2) for q2 in q_succ[q].get(a, ())]))
             for a, targets in q_succ[q].items():
-                if a in bset:
+                if a in kind.bset:
                     for q2 in targets:
                         obligations[i].append(mask([(p2, q2) for p2 in p_succ[p].get(a, ())]))
         return obligations

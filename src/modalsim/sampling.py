@@ -138,14 +138,10 @@ def random_mts_pair(
     )
 
 
-def random_lts_pair(
-    rng: random.Random,
-    max_states: int = 4,
-    max_per_class: int = 1,
-    classes: Sequence[str] = ALL_CLASSES,
-) -> tuple[PointedLTS, PointedLTS]:
-    """Two LTSs over one shared signature (states prefixed ``p``/``q``)."""
-    sig = random_signature(rng, max_per_class, classes)
+def random_lts_pair(rng: random.Random, max_states: int = 4) -> tuple[PointedLTS, PointedLTS]:
+    """Two LTSs over one shared signature of at most one label per class
+    (states prefixed ``p``/``q``)."""
+    sig = random_signature(rng)
     return (
         random_lts(rng, sig, max_states, prefix="p"),
         random_lts(rng, sig, max_states, prefix="q"),

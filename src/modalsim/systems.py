@@ -443,18 +443,19 @@ def _triple_key(t: Transition) -> tuple[str, str, str]:
     return (t[0], str(t[1]), t[2])
 
 
-SuccIndex = dict[str, dict[Action, tuple[str, ...]]]
+SuccIndex = dict[str, dict[Action, list[str]]]
 
 
 def successor_index(states: Iterable[str], transitions: Iterable[Transition]) -> SuccIndex:
-    """Map each state to its successors grouped by label (targets sorted)."""
-    raw: dict[str, dict[Action, set[str]]] = {s: {} for s in states}
+    """Map each state to its successors grouped by label (targets sorted).
+    A relation is a set of transitions, so no target repeats."""
+    index: SuccIndex = {s: {} for s in states}
     for src, lab, dst in transitions:
-        raw.setdefault(src, {}).setdefault(lab, set()).add(dst)
-    return {
-        s: {lab: tuple(sorted(dsts)) for lab, dsts in labmap.items()}
-        for s, labmap in raw.items()
-    }
+        index.setdefault(src, {}).setdefault(lab, []).append(dst)
+    for labmap in index.values():
+        for dsts in labmap.values():
+            dsts.sort()
+    return index
 
 
 def rename_actions(

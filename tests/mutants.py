@@ -83,6 +83,61 @@ MUTANTS = [
         "must_label = {a: ct(a) for a in labels}",
         ("tests/test_translate.py",),
     ),
+    Mutant(
+        "fixpoint-round-1-ignores-unanswered-right-steps", "preorders.py",
+        "            if a not in answered:\n                rows[p] &= ~bits\n",
+        "            if a not in answered:\n                pass\n",
+        ("tests/test_fixpoint_reference.py", "-k", "engine_reproduces"),
+    ),
+    Mutant(
+        "fixpoint-lost-side-keeps-the-unmet", "preorders.py",
+        "hit = rest & ~_meeting(rest, found, row2)", "hit = rest & _meeting(rest, found, row2)",
+        ("tests/test_fixpoint_reference.py", "-k", "engine_reproduces"),
+    ),
+    Mutant(
+        "fixpoint-fresh-is-what-stayed", "preorders.py",
+        "fresh, row = lost & ~union, rows[p]", "fresh, row = lost & union, rows[p]",
+        ("tests/test_fixpoint_reference.py", "-k", "engine_reproduces"),
+    ),
+    Mutant(
+        "fixpoint-kept-side-removes-the-image", "preorders.py",
+        "hit = rows[p] & ~alive", "hit = rows[p] & alive",
+        ("tests/test_fixpoint_reference.py", "-k", "engine_reproduces"),
+    ),
+    Mutant(
+        "embedding-drops-covariant-sink-edges", "translate.py",
+        "    for a in sig.covariant:\n        for s in states:\n            may.add((s, a, sink))\n",
+        "",
+        ("tests/test_translate.py",),
+    ),
+    Mutant(
+        "modal-reading-musts-the-complement", "translate.py",
+        "if a in bset}", "if a not in bset}",
+        ("tests/test_translate.py",),
+    ),
+    Mutant(
+        "decoding-skips-the-twin-check", "translate.py",
+        "for triple in sorted(must - may, key=_triple_key):",
+        "for triple in sorted(set(), key=_triple_key):",
+        ("tests/test_translate.py",),
+    ),
+    Mutant(
+        "partial-bisimulation-filters-left-moves-by-alphabet", "preorders.py",
+        "        p_steps = p_sys.transitions\n",
+        "        p_steps = [t for t in p_sys.transitions if t[1] in p_sys.signature.actions]\n",
+        ("tests/test_preorders.py", "-k", "outside_the_alphabet"),
+    ),
+    Mutant(
+        "game-always-shares-the-left-index", "preorders.py",
+        "self.p_answers if p_steps is p_answers else _index(p_steps, self.left_id, label_id)",
+        "self.p_answers",
+        ("tests/test_single_pair.py", "-k", "small"),
+    ),
+    Mutant(
+        "successor-index-left-unsorted", "systems.py",
+        "            dsts.sort()\n", "",
+        ("tests/test_systems.py", "-k", "successor_index"),
+    ),
 ]
 
 

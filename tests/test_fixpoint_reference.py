@@ -96,9 +96,8 @@ def reference_finder(kind, p_sys, q_sys):
         return _refinement_finder(p_sys, q_sys)
     if isinstance(kind, CCSim):
         return _ccsim_finder(p_sys, q_sys)
-    bset = kind.bset if isinstance(kind, PartialBisim) else frozenset()
     universe = p_sys.signature.actions
-    sig = CCSignature(covariant=universe - bset, contravariant=frozenset(), bivariant=bset)
+    sig = CCSignature(covariant=universe - kind.bset, contravariant=frozenset(), bivariant=kind.bset)
     return _ccsim_finder(p_sys._replace(signature=sig), q_sys._replace(signature=sig))
 
 

@@ -13,6 +13,8 @@ from modalsim.preorders import (
     Refinement,
     Relation,
     Simulation,
+    _Game,
+    _prepare,
     compose_relations,
     decide,
     distinguishing_formula,
@@ -106,6 +108,52 @@ def test_pbsim_rejects_labels_outside_the_alphabet():
     p = lts(["p0"], plain_signature(["a"]), [], "p0")
     with pytest.raises(ValueError):
         greatest(PartialBisim(frozenset({action("z")})), p, p)
+
+
+def test_simulation_is_partial_bisimulation_with_the_empty_set():
+    assert isinstance(Simulation(), PartialBisim)
+    assert Simulation().bset == frozenset()
+    assert Simulation() == Simulation()
+    assert Simulation() != PartialBisim(frozenset())
+    assert repr(Simulation()) == "Simulation()"
+    assert type(copy.copy(Simulation())) is type(pickle.loads(pickle.dumps(Simulation()))) is Simulation
+
+
+# Left moves on ``b``, outside the alphabet {a}: the definitions match every
+# move of the left, whatever its label.
+STRAY_CASES = [
+    (lts(["p0", "p1"], plain_signature(["a"]), [("p0", "b", "p1")], "p0"),
+     lts(["q0"], plain_signature(["a"]), [], "q0")),
+    (lts(["p0", "p1"], plain_signature(["a"]), [("p0", "b", "p1"), ("p0", "a", "p0")], "p0"),
+     lts(["q0", "q1"], plain_signature(["a"]), [("q0", "a", "q0"), ("q0", "b", "q1")], "q0")),
+    (lts(["p0", "p1"], plain_signature(["a"]), [("p0", "a", "p1"), ("p1", "b", "p1")], "p0"),
+     lts(["q0", "q1", "q2"], plain_signature(["a"]), [("q0", "a", "q1"), ("q0", "a", "q2"), ("q2", "b", "q2")],
+         "q0")),
+]
+
+
+@pytest.mark.parametrize("kind", [Simulation(), PartialBisim(frozenset({A}))], ids=["sim", "pbsim"])
+@pytest.mark.parametrize("case", range(len(STRAY_CASES)))
+def test_left_moves_outside_the_alphabet_are_matched(kind, case):
+    p, q = STRAY_CASES[case]
+    expected = oracle_greatest(kind, p, q).pairs
+    assert greatest(kind, p, q).pairs == expected
+    for pp in sorted(p.states):
+        for qq in sorted(q.states):
+            assert decide(kind, p, pp, q, qq)[0] == ((pp, qq) in expected), (pp, qq)
+            assert decide(kind, p, pp, q, qq, whole=True)[0] == ((pp, qq) in expected), (pp, qq)
+
+
+def test_partial_bisimulation_games_index_the_left_moves_once():
+    p, q = STRAY_CASES[1]
+    for kind in (Simulation(), PartialBisim(frozenset({A}))):
+        game = _Game(p.states, q.states, _prepare(kind, p, q))
+        assert game.p_steps is game.p_answers
+    left = lts(["s", "t"], CC_SIG, [("s", "a", "t"), ("s", "b", "t")], "s")
+    m = mts(["s", "t"], ["a"], [("s", "a", "t")], [("s", "a", "t")], "s")
+    for kind, system in ((CCSim(), left), (Refinement(), m)):
+        game = _Game(system.states, system.states, _prepare(kind, system, system))
+        assert game.p_steps is not game.p_answers
 
 
 def test_relation_helpers():

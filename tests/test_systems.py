@@ -132,9 +132,13 @@ def test_successor_index_groups_by_label():
         init="s",
     )
     index = successor_index(m.states, m.may)
-    assert index["s"][action("a")] == ("s", "t")
-    assert index["s"][action("b")] == ("t",)
+    assert index["s"][action("a")] == ["s", "t"]
+    assert index["s"][action("b")] == ["t"]
     assert index["t"] == {}
+    # Targets are sorted whatever order the transitions come in.
+    moves = sorted(m.may, key=str)
+    for order in (moves, moves[::-1]):
+        assert successor_index(m.states, order) == index
 
 
 def test_rename_actions_merges_targets():
