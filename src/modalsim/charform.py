@@ -23,15 +23,17 @@ continuation; that variant breaks the characterisation already for ``a.0``
 and is kept behind ``literal_prefix_clause`` purely to demonstrate the
 failure.
 
-A leaner equivalent shape is read off one expansion of the term: one
-diamond per must transition, and one box per action whose may successors
-are all distinguishable from ``w`` (for the others the box is a tautology
-and is dropped), with one refinement fixpoint against the universal MTS
-telling which states are as loose as ``w``.
+A leaner equivalent shape is read off the canonical subterms of the term,
+which are the states of its expansion: one diamond per must move, and one
+box per ambient action over the may moves, ``w`` moving to itself on every
+action.  A subterm as loose as ``w`` is exactly one whose lean form
+simplifies to ``tt``, so a box over such a successor simplifies away with
+no refinement check.
 """
 
 from __future__ import annotations
 
+from functools import cmp_to_key
 from typing import Iterable, NamedTuple, Union
 
 from .formulas import (
@@ -46,18 +48,7 @@ from .formulas import (
     disj,
     formula_text,
 )
-from .preorders import Refinement, greatest
-from .systems import (
-    Action,
-    PointedMTS,
-    action,
-    ct,
-    cv,
-    fold,
-    sorted_actions,
-    successor_index,
-    universal_mts,
-)
+from .systems import Action, action, actions_text, ct, cv, fold, sorted_actions
 from .terms import (
     MustPrefix,
     Omega,
@@ -65,9 +56,10 @@ from .terms import (
     Sum,
     Term,
     Zero,
+    _text_order,
     canonical_term,
-    expand_mts_term,
     summands,
+    term_labels,
 )
 from .translate import encode_formula
 
@@ -85,16 +77,16 @@ class CharFormResult(NamedTuple):
 def is_omega_equivalent(t: Term, acts: Iterable[Union[str, Action]]) -> bool:
     """Is ``t`` refinement-equivalent to the loosest process ``w`` over the
     given alphabet?"""
-    expansion = expand_mts_term(t, acts)
-    return expansion.init in _omega_states(expansion)
+    return isinstance(_lean(canonical_term(t), sorted_actions(_ambient(t, acts))), Top)
 
 
-def _omega_states(m: PointedMTS) -> frozenset[str]:
-    """The states of ``m`` that are refinement-equivalent to ``w``: those
-    ``s`` with ``s <= w``, since every state refines ``w`` (``w <= s``)."""
-    u = universal_mts(m.actions)
-    forward = greatest(Refinement(), m, u)
-    return frozenset(s for s in m.states if (s, u.init) in forward)
+def _ambient(t: Term, acts: Iterable[Union[str, Action]]) -> frozenset[Action]:
+    """The alphabet ``acts``, which must hold every label of ``t``."""
+    ambient = frozenset(action(a) for a in acts)
+    stray = term_labels(t) - ambient
+    if stray:
+        raise ValueError(f"term labels {actions_text(stray)} are outside the ambient action set")
+    return ambient
 
 
 def _characteristic_step(ambient: list[Action], literal_prefix_clause: bool):
@@ -142,40 +134,49 @@ def characteristic_formula(
     variant that does not characterise (see the module docstring); it only
     affects ``formula``, never ``simplified``.
     """
-    ambient = frozenset(action(a) for a in acts)
+    ambient = _ambient(t, acts)
     ordered = sorted_actions(ambient)
     root = canonical_term(t)
-    simplified = _simplified(expand_mts_term(root, ambient), ordered)
     formula = fold(root, _characteristic_step(ordered, literal_prefix_clause))
-    return CharFormResult(term=root, actions=ambient, formula=formula, simplified=simplified)
+    return CharFormResult(term=root, actions=ambient, formula=formula, simplified=_lean(root, ordered))
 
 
-def _simplified(m: PointedMTS, ordered: list[Action]) -> Formula:
-    """The lean form, read off the expansion ``m`` of the term."""
-    must = successor_index(m.states, m.must)
-    may = successor_index(m.states, m.may)
-    loose = _omega_states(m)
-    # Each state's conjunction is simplified against one memo, so that the
+def _lean(root: Term, ordered: list[Action]) -> Formula:
+    """The lean form of the canonical term ``root``, one step per subterm."""
+    # Each subterm's conjunction is simplified against one memo, so that the
     # simplified formulae of its successors are not walked again.
     simplified: dict[Formula, Formula] = {}
 
-    def lean(state: str):
+    def targets(terms: list[Term]) -> list[Term]:
+        return sorted(set(terms), key=cmp_to_key(_text_order))
+
+    def lean(node: Term):
+        if isinstance(node, Omega):
+            return Top()
+        moves: dict[Action, tuple[list[Term], list[Term]]] = {a: ([], []) for a in ordered}
+        for s in summands(node):
+            if isinstance(s, Omega):
+                for _, may in moves.values():
+                    may.append(s)
+            elif isinstance(s, (Prefix, MustPrefix)):
+                must, may = moves[s.action]
+                may.append(s.rest)
+                if isinstance(s, MustPrefix):
+                    must.append(s.rest)
         parts = []
         for a in ordered:
-            for nxt in must[state].get(a, ()):
+            for nxt in targets(moves[a][0]):
                 parts.append(Diamond(a, (yield nxt)))
         for a in ordered:
-            targets = may[state].get(a, ())
-            # Drop the box when some may successor is as loose as w: the
-            # bound it would state is vacuous.  No a-successors gives [a]ff.
-            if loose.isdisjoint(targets):
-                bounds = []
-                for nxt in targets:
-                    bounds.append((yield nxt))
-                parts.append(Box(a, disj(bounds)))
+            # A successor as loose as w gives tt, which makes the box tt and
+            # drops it.  No a-successors gives [a]ff.
+            bounds = []
+            for nxt in targets(moves[a][1]):
+                bounds.append((yield nxt))
+            parts.append(Box(a, disj(bounds)))
         return fold(conj(parts), _simplify_node, simplified)
 
-    return fold(m.init, lean)
+    return fold(root, lean)
 
 
 def encode_term(t: Term) -> Term:

@@ -134,6 +134,16 @@ MUTANTS = [
         ("tests/test_single_pair.py", "-k", "small"),
     ),
     Mutant(
+        "lean-reads-must-prefixes-as-may", "charform.py",
+        "                if isinstance(s, MustPrefix):\n                    must.append(s.rest)\n", "",
+        ("tests/test_charform_reference.py",),
+    ),
+    Mutant(
+        "lean-takes-targets-in-summand-order", "charform.py",
+        "sorted(set(terms), key=cmp_to_key(_text_order))", "list(dict.fromkeys(terms))",
+        ("tests/test_charform_reference.py",),
+    ),
+    Mutant(
         "successor-index-left-unsorted", "systems.py",
         "            dsts.sort()\n", "",
         ("tests/test_systems.py", "-k", "successor_index"),

@@ -164,3 +164,5 @@ def test_simplified_must_chain_stays_linear():
 def test_term_labels_outside_the_alphabet_are_rejected(term):
     with pytest.raises(ValueError, match=r"^term labels b are outside the ambient"):
         characteristic_formula(term, ["a"])
+    with pytest.raises(ValueError, match=r"^term labels b are outside the ambient"):
+        is_omega_equivalent(term, ["a"])

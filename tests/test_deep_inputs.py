@@ -4,7 +4,9 @@ Every walk that builds a value per node of a formula, term or expansion
 state runs through ``systems.fold``; the formula printer, the label scan
 of ``check_wf`` and both parsers keep their own stack.  So no Python frame
 is spent per nesting level, chains of ``&``, ``|`` and ``+`` print flat,
-and the formula printer's work and memory are linear in its output.
+the formula printer's work and memory are linear in its output, and the
+lean characteristic formula of a nested term takes memory linear in its
+depth.
 """
 
 import json
@@ -17,6 +19,7 @@ from pathlib import Path
 
 import pytest
 
+from modalsim.charform import characteristic_formula
 from modalsim.cli import main
 from modalsim.formulas import And, Box, Diamond, Or, Top, formula_text
 from modalsim.systems import action
@@ -148,17 +151,33 @@ def test_nested_formula_prints_in_memory_linear_in_its_depth():
     assert peaks[1] < 3 * peaks[0]
 
 
+def _nested_term(n):
+    """``a.(`` n times, ``0``, then `` + w)`` n times."""
+    a = action("a")
+    t = Zero()
+    for _ in range(n):
+        t = Prefix(a, Sum(t, Omega()))
+    return t
+
+
 def test_nested_term_prints_in_memory_linear_in_its_depth():
     # A printer that kept the text of every subterm held 7.8 and 30.9 MB
     # here, four times over for twice the depth.
-    a = action("a")
     peaks = []
     for n in (1000, 2000):
-        t = Zero()
-        for _ in range(n):
-            t = Prefix(a, Sum(t, Omega()))
-        printed, peak = _printed(term_text, t)
+        printed, peak = _printed(term_text, _nested_term(n))
         assert printed == "a.(" * n + "0" + " + w)" * n
+        peaks.append(peak)
+    assert peaks[1] < 3 * peaks[0]
+
+
+def test_nested_term_gets_its_lean_formula_in_memory_linear_in_its_depth():
+    # An expansion that named each state by the text of its subterm held
+    # 8.8 and 33.4 MB here.
+    peaks = []
+    for n in (1000, 2000):
+        result, peak = _printed(lambda t: characteristic_formula(t, ["a"]), _nested_term(n))
+        assert isinstance(result.simplified, Top)
         peaks.append(peak)
     assert peaks[1] < 3 * peaks[0]
 

@@ -11,7 +11,9 @@ the brute-force oracle's 12-pair cap: chains up to 30 steps, width-2 ladders
 up to 12 levels, random 40-state sparse pairs and 80-state ones, whose bit
 rows span two machine words, and a pair on the edge of the rule by which each
 round of the bit rows picks the side of a row to walk.  A traced run shows
-that every side of those choices runs on these cases.
+that every side of those choices runs on these cases.  A last pair has a
+left move outside the alphabet, which simulation and partial bisimulation
+match like any other.
 """
 
 import inspect
@@ -96,7 +98,8 @@ def reference_finder(kind, p_sys, q_sys):
         return _refinement_finder(p_sys, q_sys)
     if isinstance(kind, CCSim):
         return _ccsim_finder(p_sys, q_sys)
-    universe = p_sys.signature.actions
+    # Every move of the left is matched, whatever its label.
+    universe = p_sys.signature.actions | {a for _, a, _ in p_sys.transitions}
     sig = CCSignature(covariant=universe - kind.bset, contravariant=frozenset(), bivariant=kind.bset)
     return _ccsim_finder(p_sys._replace(signature=sig), q_sys._replace(signature=sig))
 
@@ -286,16 +289,25 @@ def _edge_case():
     return "edge-refine", Refinement(), (left, right)
 
 
+def _stray_cases():
+    """The left steps on ``b``, outside the alphabet ``{a}``, and the right
+    has no moves: no kind relates the initial states."""
+    sig = signature(cov=["a"])
+    pair = lts(["p0", "p1"], sig, [("p0", "b", "p1")], "p0"), lts(["q0"], sig, [], "q0")
+    return [("stray-sim", Simulation(), pair), ("stray-pbsim", PartialBisim(frozenset({action("a")})), pair)]
+
+
 CASES = list(_line_cases()) + list(_sparse_cases())
 # Right systems of more than 64 states, so each bit row spans several words.
 WIDE_CASES = list(_sparse_cases(n=80, seeds=(4,), tag="wide"))
 EDGE_CASES = [_edge_case()]
+STRAY_CASES = _stray_cases()
 
 
 # ---------------------------------------------------------------- tests
 
 
-ENGINE_CASES = CASES + WIDE_CASES + EDGE_CASES
+ENGINE_CASES = CASES + WIDE_CASES + EDGE_CASES + STRAY_CASES
 
 
 @pytest.mark.parametrize("name,kind,systems", ENGINE_CASES, ids=[c[0] for c in ENGINE_CASES])
