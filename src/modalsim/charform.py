@@ -23,12 +23,15 @@ continuation; that variant breaks the characterisation already for ``a.0``
 and is kept behind ``literal_prefix_clause`` purely to demonstrate the
 failure.
 
-A leaner equivalent shape is read off the canonical subterms of the term,
-which are the states of its expansion: one diamond per must move, and one
-box per ambient action over the may moves, ``w`` moving to itself on every
-action.  A subterm as loose as ``w`` is exactly one whose lean form
-simplifies to ``tt``, so a box over such a successor simplifies away with
-no refinement check.
+One walk over the canonical subterm nodes of the term, which are the
+states of its expansion, reads each node's summands once and builds
+``chi``, ``gamma_a`` and a leaner equivalent form together.  Both forms
+take their diamonds from the must moves, one per target, ordered by action
+and then by the text of the target.  The lean form has one box per ambient
+action over the may moves, ``w`` moving to itself on every action.  A
+subterm as loose as ``w`` is exactly one whose lean form simplifies to
+``tt``, so a box over such a successor simplifies away with no refinement
+check.
 """
 
 from __future__ import annotations
@@ -41,12 +44,10 @@ from .formulas import (
     Box,
     Diamond,
     Formula,
-    Or,
     Top,
     _simplify_node,
     conj,
     disj,
-    formula_text,
 )
 from .systems import Action, action, actions_text, ct, cv, fold, sorted_actions
 from .terms import (
@@ -77,7 +78,7 @@ class CharFormResult(NamedTuple):
 def is_omega_equivalent(t: Term, acts: Iterable[Union[str, Action]]) -> bool:
     """Is ``t`` refinement-equivalent to the loosest process ``w`` over the
     given alphabet?"""
-    return isinstance(_lean(canonical_term(t), sorted_actions(_ambient(t, acts))), Top)
+    return isinstance(characteristic_formula(t, acts).simplified, Top)
 
 
 def _ambient(t: Term, acts: Iterable[Union[str, Action]]) -> frozenset[Action]:
@@ -87,40 +88,6 @@ def _ambient(t: Term, acts: Iterable[Union[str, Action]]) -> frozenset[Action]:
     if stray:
         raise ValueError(f"term labels {actions_text(stray)} are outside the ambient action set")
     return ambient
-
-
-def _characteristic_step(ambient: list[Action], literal_prefix_clause: bool):
-    """The step of the paper's recursion: a term ``t`` gives ``chi(t)`` and
-    a pair ``(t, a)`` gives ``gamma_a(t)``; ``delta(t)`` is read off the
-    summands of ``t``."""
-
-    def step(key):
-        if isinstance(key, Term):
-            diamonds = []
-            for s in summands(key):
-                if isinstance(s, MustPrefix):
-                    diamonds.append(Diamond(s.action, (yield s.rest)))
-            parts = list(dict.fromkeys(diamonds))
-            if len(parts) > 1:
-                # Each key prints its whole subformula.
-                parts.sort(key=formula_text)
-            for a in ambient:
-                parts.append(Box(a, (yield (key, a))))
-            return conj(parts)
-        t, a = key
-        if isinstance(t, Zero):
-            return Bottom()
-        if isinstance(t, Omega):
-            return Top()
-        if isinstance(t, (Prefix, MustPrefix)):
-            if t.action != a:
-                return Bottom()
-            return (yield (t.rest, a) if literal_prefix_clause else t.rest)
-        if isinstance(t, Sum):
-            return Or((yield (t.left, a)), (yield (t.right, a)))
-        raise TypeError(f"not a term: {t!r}")
-
-    return step
 
 
 def characteristic_formula(
@@ -135,48 +102,63 @@ def characteristic_formula(
     affects ``formula``, never ``simplified``.
     """
     ambient = _ambient(t, acts)
-    ordered = sorted_actions(ambient)
     root = canonical_term(t)
-    formula = fold(root, _characteristic_step(ordered, literal_prefix_clause))
-    return CharFormResult(term=root, actions=ambient, formula=formula, simplified=_lean(root, ordered))
+    forms = fold(root, _forms_step(sorted_actions(ambient), literal_prefix_clause))
+    return CharFormResult(term=root, actions=ambient, formula=forms.chi, simplified=forms.lean)
 
 
-def _lean(root: Term, ordered: list[Action]) -> Formula:
-    """The lean form of the canonical term ``root``, one step per subterm."""
-    # Each subterm's conjunction is simplified against one memo, so that the
-    # simplified formulae of its successors are not walked again.
+class _Forms(NamedTuple):
+    """The walk's value of a canonical subterm."""
+
+    chi: Formula
+    gamma: dict[Action, Formula]
+    lean: Formula
+
+
+def _forms_step(ordered: list[Action], literal_prefix_clause: bool):
+    """The step of the one walk: a canonical subterm gives its ``_Forms``,
+    read off its summands."""
+    # Each subterm's lean conjunction is simplified against one memo, so that
+    # the simplified formulae of its successors are not walked again.
     simplified: dict[Formula, Formula] = {}
 
-    def targets(terms: list[Term]) -> list[Term]:
-        return sorted(set(terms), key=cmp_to_key(_text_order))
+    def step(node: Term):
+        parts = summands(node)
+        rests: dict[Term, _Forms] = {}
+        for s in parts:
+            if isinstance(s, (Prefix, MustPrefix)) and s.rest not in rests:
+                rests[s.rest] = yield s.rest
 
-    def lean(node: Term):
-        if isinstance(node, Omega):
-            return Top()
-        moves: dict[Action, tuple[list[Term], list[Term]]] = {a: ([], []) for a in ordered}
-        for s in summands(node):
+        def targets(a: Action, kinds) -> list[Term]:
+            """Each ``a``-successor through a prefix of ``kinds`` once, in
+            the order of their texts."""
+            nxt = {s.rest for s in parts if isinstance(s, kinds) and s.action == a}
+            return sorted(nxt, key=cmp_to_key(_text_order))
+
+        def disjunct(s: Term, a: Action) -> Formula:
+            """The summand ``s``'s part of ``gamma_a``."""
             if isinstance(s, Omega):
-                for _, may in moves.values():
-                    may.append(s)
-            elif isinstance(s, (Prefix, MustPrefix)):
-                must, may = moves[s.action]
-                may.append(s.rest)
-                if isinstance(s, MustPrefix):
-                    must.append(s.rest)
-        parts = []
-        for a in ordered:
-            for nxt in targets(moves[a][0]):
-                parts.append(Diamond(a, (yield nxt)))
-        for a in ordered:
-            # A successor as loose as w gives tt, which makes the box tt and
-            # drops it.  No a-successors gives [a]ff.
-            bounds = []
-            for nxt in targets(moves[a][1]):
-                bounds.append((yield nxt))
-            parts.append(Box(a, disj(bounds)))
-        return fold(conj(parts), _simplify_node, simplified)
+                return Top()
+            if isinstance(s, Zero) or s.action != a:
+                return Bottom()
+            return rests[s.rest].gamma[a] if literal_prefix_clause else rests[s.rest].chi
 
-    return fold(root, lean)
+        chi, lean = [], []
+        for a in ordered:
+            for nxt in targets(a, MustPrefix):
+                chi.append(Diamond(a, rests[nxt].chi))
+                lean.append(Diamond(a, rests[nxt].lean))
+        gamma = {a: disj([disjunct(s, a) for s in parts]) for a in ordered}
+        chi = list(dict.fromkeys(chi)) + [Box(a, gamma[a]) for a in ordered]
+        # A w summand, or a successor as loose as w, gives tt, which makes
+        # the box tt and drops it.  No a-successors gives [a]ff.
+        if not any(isinstance(s, Omega) for s in parts):
+            for a in ordered:
+                bounds = [rests[nxt].lean for nxt in targets(a, (Prefix, MustPrefix))]
+                lean.append(Box(a, disj(bounds)))
+        return _Forms(conj(chi), gamma, fold(conj(lean), _simplify_node, simplified))
+
+    return step
 
 
 def encode_term(t: Term) -> Term:

@@ -135,13 +135,25 @@ MUTANTS = [
     ),
     Mutant(
         "lean-reads-must-prefixes-as-may", "charform.py",
-        "                if isinstance(s, MustPrefix):\n                    must.append(s.rest)\n", "",
+        "targets(a, MustPrefix)", "targets(a, ())",
         ("tests/test_charform_reference.py",),
     ),
     Mutant(
         "lean-takes-targets-in-summand-order", "charform.py",
-        "sorted(set(terms), key=cmp_to_key(_text_order))", "list(dict.fromkeys(terms))",
+        "return sorted(nxt, key=cmp_to_key(_text_order))",
+        "return list(dict.fromkeys(s.rest for s in parts if s.rest in nxt))",
         ("tests/test_charform_reference.py",),
+    ),
+    Mutant(
+        "chi-literal-clause-reads-the-rest-s-chi", "charform.py",
+        "rests[s.rest].gamma[a] if literal_prefix_clause else rests[s.rest].chi",
+        "rests[s.rest].chi",
+        ("tests/test_charform_reference.py", "-k", "chi_matches"),
+    ),
+    Mutant(
+        "chi-diamonds-over-may-targets", "charform.py",
+        "targets(a, MustPrefix)", "targets(a, (Prefix, MustPrefix))",
+        ("tests/test_charform_reference.py", "-k", "chi_matches"),
     ),
     Mutant(
         "successor-index-left-unsorted", "systems.py",

@@ -43,6 +43,12 @@ def test_forced_prefix_gets_both_clauses():
     assert formula_text(result.simplified) == "<a>[a]ff & [a][a]ff"
 
 
+def test_same_label_diamonds_follow_the_text_of_their_targets():
+    result = characteristic_formula(Sum(MUST_A, MustPrefix(A, Prefix(A, Omega()))), ["a"])
+    assert formula_text(result.formula) == "<a>[a]ff & <a>[a][a]tt & [a]([a]ff | [a][a]tt)"
+    assert formula_text(result.simplified) == "<a>[a]ff & <a>tt"
+
+
 def test_deadlock_forbids_every_action():
     result = characteristic_formula(Zero(), ["a", "b"])
     assert formula_text(result.formula) == "[a]ff & [b]ff"

@@ -1,13 +1,18 @@
-"""The lean characteristic formula built term by term, kept as a test-only
-reference for :func:`modalsim.charform.characteristic_formula`.
+"""Test-only references for :func:`modalsim.charform.characteristic_formula`.
 
-The reference walks the term itself: for each may successor it asks anew
-whether that subterm is as loose as ``w``, expanding the subterm and running
-two refinement fixpoints against the expansion of ``w``.  The library runs
-no fixpoint: it reads a subterm as loose as ``w`` off its lean form, which
-is then ``tt``.  Both must print the same lean formula byte for byte, and
-the library's answer to the per-term question must agree with the
-fixpoints' at every state of the expansion.
+The characteristic formula is checked against a plain recursion that
+transcribes the module docstring's ``delta``/``gamma`` clauses, with either
+prefix clause; its diamonds are ordered by action and then by the text of
+the target.  The library builds it in one walk over the canonical subterm
+nodes, together with the lean form.
+
+The lean form is checked against a reference that walks the term itself:
+for each may successor it asks anew whether that subterm is as loose as
+``w``, expanding the subterm and running two refinement fixpoints against
+the expansion of ``w``.  The library runs no fixpoint: it reads a subterm
+as loose as ``w`` off its lean form, which is then ``tt``.  Both must print
+the same formula byte for byte, and the library's answer to the per-term
+question must agree with the fixpoints' at every state of the expansion.
 """
 
 import random
@@ -15,7 +20,7 @@ import random
 import pytest
 
 from modalsim.charform import characteristic_formula, is_omega_equivalent
-from modalsim.formulas import Box, Diamond, conj, disj, formula_text, simplify
+from modalsim.formulas import Bottom, Box, Diamond, Or, Top, conj, disj, formula_text, simplify
 from modalsim.preorders import Refinement, greatest
 from modalsim.systems import action, sorted_actions
 from modalsim.terms import (
@@ -24,6 +29,7 @@ from modalsim.terms import (
     Prefix,
     Sum,
     Zero,
+    canonical_term,
     enumerate_mts_terms,
     expand_mts_term,
     term_text,
@@ -84,6 +90,37 @@ def reference_simplified(root, acts):
     return lean(root)
 
 
+def reference_chi(root, acts, literal_prefix_clause=False):
+    """``chi`` of the canonical term ``root`` by the clauses of the module
+    docstring of :mod:`modalsim.charform`, one call per clause."""
+    ordered = sorted_actions(frozenset(action(a) for a in acts))
+
+    def delta(t):
+        if isinstance(t, Sum):
+            return delta(t.left) | delta(t.right)
+        if isinstance(t, MustPrefix):
+            return {(t.action, t.rest)}
+        return set()
+
+    def gamma(t, a):
+        if isinstance(t, Zero):
+            return Bottom()
+        if isinstance(t, Omega):
+            return Top()
+        if isinstance(t, Sum):
+            return Or(gamma(t.left, a), gamma(t.right, a))
+        if t.action != a:
+            return Bottom()
+        return gamma(t.rest, a) if literal_prefix_clause else chi(t.rest)
+
+    def chi(t):
+        moves = sorted(delta(t), key=lambda m: (str(m[0]), term_text(m[1])))
+        diamonds = dict.fromkeys(Diamond(a, chi(nxt)) for a, nxt in moves)
+        return conj(list(diamonds) + [Box(a, gamma(t, a)) for a in ordered])
+
+    return chi(root)
+
+
 # ---------------------------------------------------------------- cases
 
 
@@ -112,6 +149,14 @@ def test_the_random_cases_have_w_and_must_prefixes():
     assert sum("w" in s for s in texts) > 50
     assert sum("!" in s for s in texts) > 50
     assert max(len(s) for s in texts) > 100
+
+
+@pytest.mark.parametrize("literal", [False, True], ids=["paper-clause", "literal-clause"])
+def test_chi_matches_the_recursion_reference(literal):
+    for t, acts in CASES:
+        result = characteristic_formula(t, acts, literal_prefix_clause=literal)
+        expected = reference_chi(canonical_term(t), acts, literal)
+        assert formula_text(result.formula) == formula_text(expected), term_text(t)
 
 
 @pytest.mark.parametrize("start", range(0, len(CASES), 60))
