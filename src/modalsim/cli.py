@@ -101,6 +101,27 @@ def _emit_json(payload: dict) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True))
 
 
+def _check_json(payload: dict, relation: frozenset) -> str:
+    """``json.dumps(payload, indent=2, sort_keys=True)`` with ``relation``, a
+    set of state pairs, as the ``relation`` field of sorted rows.  json's
+    indented encoder is pure Python, so the rows are written here, each name
+    through ``encode_basestring_ascii``, the C function that json calls for
+    every string."""
+    # Imported here, as in _emit_json.
+    import json
+    from json.encoder import encode_basestring_ascii as quote
+
+    text = json.dumps({**payload, "relation": []}, indent=2, sort_keys=True)
+    if not relation:
+        return text
+    # A JSON string holds no line break, so this is the field's own line.
+    head, _, tail = text.partition('\n  "relation": []')
+    rows = "\n    ],\n    [\n      ".join(
+        [f"{quote(p)},\n      {quote(q)}" for p, q in sorted(relation)]
+    )
+    return f'{head}\n  "relation": [\n    [\n      {rows}\n    ]\n  ]{tail}'
+
+
 def _system_kind(system: System) -> str:
     return "mts" if isinstance(system, PointedMTS) else "lts"
 
@@ -126,16 +147,14 @@ def _cmd_check(args: argparse.Namespace) -> int:
     whole = args.format == "json"
     related, rel, witness = decide(kind, left, left_state, right, right_state, whole)
     if whole:
-        _emit_json(
-            {
-                "kind": args.kind,
-                "left_state": left_state,
-                "right_state": right_state,
-                "related": related,
-                "relation": sorted([p, q] for p, q in rel.pairs),
-                "distinguishing_formula": None if witness is None else formula_text(witness),
-            }
-        )
+        payload = {
+            "kind": args.kind,
+            "left_state": left_state,
+            "right_state": right_state,
+            "related": related,
+            "distinguishing_formula": None if witness is None else formula_text(witness),
+        }
+        print(_check_json(payload, rel.pairs))
     else:
         print("related" if related else "not related")
         if witness is not None:

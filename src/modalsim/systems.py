@@ -21,7 +21,9 @@ import re
 import weakref
 from typing import Callable, Generator, Hashable, Iterable, Mapping, NamedTuple, Union
 
-_NAME_RE = re.compile(r"[A-Za-z0-9_]+\Z")
+# A bare name token: every label name, and the state names printed unquoted.
+NAME_TOKEN = r"[A-Za-z0-9_]+"
+_NAME_RE = re.compile(rf"{NAME_TOKEN}\Z")
 
 PLAIN = "plain"
 CV = "cv"

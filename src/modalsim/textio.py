@@ -39,6 +39,7 @@ by :func:`~modalsim.formulas.check_wf`.
 from __future__ import annotations
 
 import re
+from operator import itemgetter
 from typing import NamedTuple, Optional
 
 from .formulas import (
@@ -51,6 +52,7 @@ from .formulas import (
     Top,
 )
 from .systems import (
+    NAME_TOKEN,
     Action,
     CCSignature,
     PointedLTS,
@@ -162,6 +164,8 @@ def parse_system_details(text: str, strict: bool = False) -> ParsedSystem:
                 raise ParseError(exc.message, line, col) from None
         return lab
 
+    # The relation directives of the header's kind, by head, once it is read.
+    relations: dict[str, dict[Transition, int]] = {}
     all_plain = _plain(text)
     for lineno, raw in enumerate(lines, start=1):
         if all_plain or _plain(raw):
@@ -171,6 +175,13 @@ def parse_system_details(text: str, strict: bool = False) -> ParsedSystem:
             tokens = _tokenize_line(raw, lineno)
             words = [tok.text for tok in tokens]
             quoted = [k for k, tok in enumerate(tokens) if tok.quoted]
+        # Most lines are transitions: four words under a relation directive.
+        if len(words) == 4 and 0 not in quoted and (rel := relations.get(words[0])) is not None:
+            lab = labels.get(words[2])
+            if lab is None or quoted:
+                lab = label(words, quoted, lineno, 2)
+            rel.setdefault((words[1], lab, words[3]), lineno)
+            continue
         if not words:
             continue
         head = words[0]
@@ -182,6 +193,7 @@ def parse_system_details(text: str, strict: bool = False) -> ParsedSystem:
                 kind = head
                 allowed = _MTS_DIRECTIVES if kind == "mts" else _LTS_DIRECTIVES
                 directives = {d: d[:-1] for d in allowed}
+                relations = {d: rels[d[:-1]] for d in allowed if d[:-1] in rels}
                 if len(words) > 2:
                     raise _error_at("the header line takes at most a name", lines, lineno, 2)
                 if len(words) == 2:
@@ -195,15 +207,10 @@ def parse_system_details(text: str, strict: bool = False) -> ParsedSystem:
                 )
             raise _error_at(f"unknown directive {head!r}", lines, lineno, 0)
         if directive in rels:
-            if len(words) != 4:
-                raise _error_at(
-                    f"{head} takes exactly three operands: source label target", lines, lineno, 0
-                )
-            lab = labels.get(words[2])
-            if lab is None or quoted:
-                lab = label(words, quoted, lineno, 2)
-            rels[directive].setdefault((words[1], lab, words[3]), lineno)
-        elif directive == "states":
+            raise _error_at(
+                f"{head} takes exactly three operands: source label target", lines, lineno, 0
+            )
+        if directive == "states":
             states.update(words[1:])
         elif directive == "init":
             if len(words) != 2:
@@ -234,14 +241,15 @@ def parse_system_details(text: str, strict: bool = False) -> ParsedSystem:
         for rel_name in ("may", "must"):
             _check_endpoints(rels[rel_name], states, declared, lines)
         may = set(rels["may"])
-        for triple, line in rels["must"].items():
-            if triple not in may:
-                s, lab, d = triple
-                msg = f"must transition {s} {lab} {d} has no may twin"
-                if strict:
-                    raise _error_at(msg, lines, line, 2)
-                warnings.append(f"line {line}: {msg}; adding it")
-                may.add(triple)
+        if not may.issuperset(rels["must"]):
+            for triple, line in rels["must"].items():
+                if triple not in may:
+                    s, lab, d = triple
+                    msg = f"must transition {s} {lab} {d} has no may twin"
+                    if strict:
+                        raise _error_at(msg, lines, line, 2)
+                    warnings.append(f"line {line}: {msg}; adding it")
+                    may.add(triple)
         system: System = PointedMTS(
             frozenset(states), declared, frozenset(may), frozenset(rels["must"]), init_state
         )
@@ -268,6 +276,14 @@ def _check_endpoints(
     declared: frozenset[Action],
     lines: list[str],
 ) -> None:
+    # Tested by set inclusion; the entries are walked only to word the
+    # first error.
+    if (
+        states.issuperset(map(itemgetter(0), entries))
+        and states.issuperset(map(itemgetter(2), entries))
+        and declared.issuperset(map(itemgetter(1), entries))
+    ):
+        return
     for (src, lab, dst), line in entries.items():
         if src not in states:
             raise _error_at(f"undeclared state {src!r}", lines, line, 1)
@@ -297,6 +313,10 @@ def _show_state(s: str) -> str:
         raise ValueError(f"cannot print {s!r}: the line format has no escape for its line break")
     escaped = s.replace("\\", "\\\\").replace('"', '\\"')
     return f'"{escaped}"'
+
+
+# Name tokens, each followed by one blank but the last.
+_BARE_NAMES = rf"{NAME_TOKEN}(?: {NAME_TOKEN})*\Z"
 
 
 class _Shown(dict):
@@ -339,23 +359,32 @@ def print_system(system: System, name: Optional[str] = None) -> str:
                     f"{directive}: " + " ".join(str(a) for a in sorted_actions(cls))
                 )
         rels = (("trans", system.transitions),)
-    shown = _Shown(_show_state)
-    lines.append("states: " + " ".join(shown[s] for s in sorted(system.states)))
-    lines.append(f"init: {shown[system.init]}")
-    # Each label and state is shown once.  The lines sort as ``_triple_key``
-    # orders the transitions while every state shows bare, since a blank
-    # sorts below every character of a bare name or a label; a quoted state
-    # needs the (state, label text, state) triples sorted instead.
+    states = sorted(system.states)
+    joined = " ".join(states)
+    # Decided once: every state is a nonempty token (``joined`` is tokens
+    # between single blanks, one blank per join, so no name holds a blank)
+    # and every state printed is one of them, so every state shows bare.
+    bare = (
+        re.match(_BARE_NAMES, joined) is not None
+        and joined.count(" ") == len(states) - 1
+        and system.init in system.states
+        and all(system.states.issuperset(map(itemgetter(k), rel)) for _, rel in rels for k in (0, 2))
+    )
+    if bare:
+        lines.append(f"states: {joined}")
+        lines.append(f"init: {system.init}")
+    else:
+        shown = _Shown(_show_state)
+        lines.append("states: " + " ".join(shown[s] for s in states))
+        lines.append(f"init: {shown[system.init]}")
+    # Each label is shown once.  Bare lines sort as ``_triple_key`` orders
+    # the transitions, since a blank sorts below every character of a bare
+    # name or a label; a quoted state needs the (state, label text, state)
+    # triples sorted instead.
     label_text = _Shown(str)
-    bare = '"' not in "".join(shown.values())
     for rel_name, rel in rels:
         if bare:
-            texts = [
-                f"{rel_name}: {shown[src]} {label_text[lab]} {shown[dst]}" for src, lab, dst in rel
-            ]
-            # An endpoint outside the states may be quoted.
-            bare = '"' not in "".join(shown.values())
-        if bare:
+            texts = [f"{rel_name}: {src} {label_text[lab]} {dst}" for src, lab, dst in rel]
             texts.sort()
         else:
             keyed = [(src, label_text[lab], dst) for src, lab, dst in rel]

@@ -160,6 +160,27 @@ MUTANTS = [
         "            dsts.sort()\n", "",
         ("tests/test_systems.py", "-k", "successor_index"),
     ),
+    Mutant(
+        "printer-reads-bareness-off-the-joined-names", "textio.py",
+        '        and joined.count(" ") == len(states) - 1\n', "",
+        ("tests/test_textio.py", "-k", "per_name_path"),
+    ),
+    Mutant(
+        "printer-checks-only-sources-are-states", "textio.py",
+        "for _, rel in rels for k in (0, 2))", "for _, rel in rels for k in (0,))",
+        ("tests/test_textio.py", "-k", "per_name_path"),
+    ),
+    Mutant(
+        "reader-checks-only-sources-are-states", "textio.py",
+        "        and states.issuperset(map(itemgetter(2), entries))\n", "",
+        ("tests/test_textio.py", "-k", "undeclared_endpoint"),
+    ),
+    Mutant(
+        "json-rows-skip-the-string-encoder", "cli.py",
+        '[f"{quote(p)},\\n      {quote(q)}" for p, q in sorted(relation)]',
+        '[f\'"{p}",\\n      "{q}"\' for p, q in sorted(relation)]',
+        ("tests/test_cli.py", "-k", "byte_for_byte"),
+    ),
 ]
 
 

@@ -16,7 +16,7 @@ from modalsim.cli import main
 from modalsim.formulas import formula_text, mc_mts
 from modalsim.preorders import fixpoint_rounds
 from modalsim.selfcheck import SelfCheckConfig, property_ids, run_selfcheck
-from modalsim.systems import PointedMTS, action
+from modalsim.systems import PointedMTS, action, mts
 from modalsim.terms import term_text
 from modalsim.textio import parse_formula, parse_system, parse_term, print_system
 from modalsim.translate import (
@@ -176,6 +176,41 @@ def test_usage_error_does_not_spoil_the_next_call(files, capsys):
     u = files("u.mts", UNIVERSAL)
     m = files("m.mts", DEMANDING)
     assert run(capsys, "check", "refine", u, m) == (0, "related\n", "")
+
+
+# States whose JSON strings need escapes: a quote, a backslash, a tab, a
+# non-ASCII letter and a character outside the Basic Multilingual Plane.
+ESCAPED = ['say "hi"', "back\\slash", "tab\there", "\u00e9t\u00e9", "\U0001f600"]
+
+
+@pytest.mark.parametrize("case", ["related", "unrelated", "empty-relation"])
+def test_check_json_is_json_dumps_byte_for_byte(files, capsys, case):
+    steps = list(zip(ESCAPED, "a" * len(ESCAPED), ESCAPED[1:] + ESCAPED[:1]))
+    loose = mts(ESCAPED, ["a"], steps, [], ESCAPED[0])
+    states = []
+    if case == "related":
+        left = right = loose
+    elif case == "unrelated":
+        # Only the first state promises its step.
+        left = right = loose._replace(must=frozenset(steps[:1]))
+        states = ["--left-state", ESCAPED[1], "--right-state", ESCAPED[0]]
+    else:
+        # A promised step that the right cannot answer.
+        loop = [(ESCAPED[2], "a", ESCAPED[2])]
+        left = mts(ESCAPED[2:3], ["a"], loop, loop, ESCAPED[2])
+        right = mts(ESCAPED[3:4], ["a"], [], [], ESCAPED[3])
+    code, out, err = run(
+        capsys, "check", "refine", files("l.mts", print_system(left)),
+        files("r.mts", print_system(right)), "--format", "json", *states,
+    )
+    assert (code, err) == (0 if case == "related" else 1, "")
+    payload = json.loads(out)
+    assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    assert (payload["distinguishing_formula"] is None) == (case == "related")
+    if case == "empty-relation":
+        assert payload["relation"] == []
+    else:
+        assert all([s, s] in payload["relation"] for s in ESCAPED)
 
 
 def test_check_kind_mismatch_is_an_error(files, capsys):

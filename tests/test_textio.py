@@ -18,7 +18,18 @@ from modalsim.formulas import (
     formula_text,
 )
 from modalsim import textio
-from modalsim.systems import _triple_key, action, actions, cv, ct, lts, mts, signature
+from modalsim.systems import (
+    PointedMTS,
+    _triple_key,
+    action,
+    actions,
+    ct,
+    cv,
+    lts,
+    mts,
+    signature,
+    sorted_actions,
+)
 from modalsim.terms import MustPrefix, Omega, Prefix, Sum, Zero, term_text
 from modalsim.textio import (
     ParseError,
@@ -122,6 +133,94 @@ def test_relation_lines_print_in_triple_order(seed):
                         f"{rel_name}: {textio._show_state(s)} {a} {textio._show_state(d)}"
                         for s, a, d in sorted(rel, key=_triple_key)
                     ]
+
+
+def per_name_text(system):
+    """The canonical text as the per-name path writes it: every state shown
+    on its own, every relation sorted by its (state, label text, state)
+    triples."""
+    show = textio._show_state
+    if isinstance(system, PointedMTS):
+        lines = ["mts"]
+        if system.actions:
+            lines.append("actions: " + " ".join(str(a) for a in sorted_actions(system.actions)))
+        rels = [("may", system.may), ("must", system.must)]
+    else:
+        sig = system.signature
+        lines = ["lts"] + [
+            f"{directive}: " + " ".join(str(a) for a in sorted_actions(cls))
+            for directive, cls in (
+                ("cov", sig.covariant), ("con", sig.contravariant), ("bi", sig.bivariant)
+            )
+            if cls
+        ]
+        rels = [("trans", system.transitions)]
+    lines.append("states: " + " ".join(show(s) for s in sorted(system.states)))
+    lines.append(f"init: {show(system.init)}")
+    for rel_name, rel in rels:
+        lines += [
+            f"{rel_name}: {show(s)} {a} {show(d)}" for s, a, d in sorted(rel, key=_triple_key)
+        ]
+    return "\n".join(lines) + "\n"
+
+
+# Each case changes one thing of an all-bare system, ``p``/``q`` over ``a``.
+@pytest.mark.parametrize(
+    "states, steps, init",
+    [
+        (["p", "q"], [("p", "a", "q"), ("q", "a", "p")], "p"),
+        # Joined by blanks, these read as three bare names.
+        (["a", "b state"], [("a", "a", "b state")], "a"),
+        (["", "p"], [("p", "a", ""), ("", "a", "p")], "p"),
+        (["\u00e9", "p"], [("p", "a", "\u00e9")], "p"),
+        (["p", "q"], [("p", "a", "q"), ("q", "a", "x y")], "p"),
+        (["p", "q"], [("p", "a", "q"), ("x y", "a", "p")], "p"),
+        (["p", "q"], [("p", "a", "q"), ("q", "a", "x")], "p"),
+        (["p", "q"], [("p", "a", "q")], "x y"),
+        (["p", "q"], [("p", "a", "q")], "x"),
+    ],
+    ids=[
+        "all-bare", "blank-in-a-name", "empty-name", "non-ascii-name", "quoted-target-outside",
+        "quoted-source-outside", "bare-target-outside", "quoted-init-outside", "bare-init-outside",
+    ],
+)
+def test_printing_matches_the_per_name_path(states, steps, init):
+    systems = [
+        mts(states, ["a"], steps, steps[:1], init),
+        lts(states, signature(cov=["a"]), steps, init),
+    ]
+    for system in systems:
+        assert print_system(system) == per_name_text(system)
+
+
+@pytest.mark.parametrize("kind", ["mts", "lts"])
+def test_the_first_undeclared_endpoint_is_reported_on_its_line(kind):
+    rel, head = ("may", "actions: a\n") if kind == "mts" else ("trans", "cov: a\n")
+    text = f"{kind} m\n{head}states: p\ninit: p\n"
+    for first, second, where in [
+        ("p a nowhere", "elsewhere a p", (5, len(rel) + 7, "undeclared state 'nowhere'")),
+        ("elsewhere a p", "p a nowhere", (5, len(rel) + 3, "undeclared state 'elsewhere'")),
+        ("p b p", "p a nowhere", (5, len(rel) + 5, "undeclared label b")),
+        ("p a nowhere", "p b p", (5, len(rel) + 7, "undeclared state 'nowhere'")),
+        ("p a p", "p a nowhere", (6, len(rel) + 7, "undeclared state 'nowhere'")),
+    ]:
+        assert position(parse_system, f"{text}{rel}: {first}\n{rel}: {second}\n") == where
+
+
+def test_musts_without_twins_warn_in_line_order():
+    text = (
+        "mts m\nactions: a b\nstates: s t\ninit: s\n"
+        "must: t b s\nmay: s a t\nmust: s a t\nmust: s b t\nmust: t b s\nmust: s a s\n"
+    )
+    parsed = parse_system_details(text)
+    assert parsed.warnings == (
+        "line 5: must transition t b s has no may twin; adding it",
+        "line 8: must transition s b t has no may twin; adding it",
+        "line 10: must transition s a s has no may twin; adding it",
+    )
+    assert parsed.system.must <= parsed.system.may
+    failure = err(text, strict=True)
+    assert (failure.line, failure.col) == (5, 9)
 
 
 def test_must_twin_repair_and_strict_mode():
