@@ -38,7 +38,7 @@ from .textio import (
 from .translate import (
     TranslationReport,
     embedding_report,
-    encode_formula,
+    encoded_formula_text,
     encoding_report,
     eliminate_bivariant,
     lts_of_mts,
@@ -244,19 +244,19 @@ def _cmd_charform(args: argparse.Namespace) -> int:
         raise ValueError(f"term: {exc}") from exc
     ambient = term_labels(term) | _parse_labels(args.actions, "--actions")
     result = characteristic_formula(term, ambient)
-    lines = [
-        ("term", term_text(result.term)),
-        ("actions", " ".join(str(a) for a in sorted_actions(result.actions))),
-        ("formula", formula_text(result.formula)),
-        ("simplified", formula_text(result.simplified)),
-    ]
+    fields = {
+        "term": term_text(result.term),
+        "actions": " ".join(str(a) for a in sorted_actions(result.actions)),
+        "formula": formula_text(result.formula),
+        "simplified": formula_text(result.simplified),
+    }
     if args.cc:
-        lines.append(("encoded term", term_text(encode_term(result.term))))
-        lines.append(("encoded formula", formula_text(encode_formula(result.formula))))
+        fields["encoded term"] = term_text(encode_term(result.term))
+        fields["encoded formula"] = encoded_formula_text(fields["formula"])
     if args.format == "json":
-        _emit_json({key.replace(" ", "_"): value for key, value in lines})
+        _emit_json({key.replace(" ", "_"): value for key, value in fields.items()})
     else:
-        for key, value in lines:
+        for key, value in fields.items():
             print(f"{key}: {value}")
     return 0
 

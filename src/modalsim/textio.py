@@ -394,11 +394,6 @@ def print_system(system: System, name: Optional[str] = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _scanner(token: str) -> str:
-    """One match per newline, run of blanks, token or stray character."""
-    return rf"(?P<newline>\n)|[ \t\r]+|(?P<token>{token})|(?P<bad>.)"
-
-
 def _scan_tokens(text: str, scanner: str) -> list[_Token]:
     tokens: list[_Token] = []
     line, line_start = 1, 0
@@ -426,24 +421,28 @@ def _expected(tokens: list[str], i: int, wanted: str) -> _Unplaced:
     return _Unplaced(i, f"expected {wanted}, found {found}")
 
 
-def _read(text: str, token: str, scanner: str, parse):
-    """``parse`` run on the token strings of ``text``, as ``token`` splits it.
+def _read(text: str, punctuation: str, parse):
+    """``parse`` run on the token strings of ``text``: names and single marks.
 
-    Positions are worked out only for an error.  Then ``scanner``, whose
-    tokens are ``token``'s, reads ``text`` once more with lines and columns:
-    it raises on a stray character itself, so that error comes before any
-    other, and otherwise places the error at its token or at the end.
+    Positions are worked out only for an error.  Then a scanner of the same
+    tokens reads ``text`` once more with lines and columns: it raises on a
+    stray character itself, so that error comes before any other, and
+    otherwise places the error at its token or at the end.
     """
-    tokens = re.findall(token, text)
-    # Tokens hold no blank and do not overlap, so they cover every other
-    # character exactly when their lengths add up to the count of those.
-    blanks = text.count(" ") + text.count("\t") + text.count("\r") + text.count("\n")
-    if len("".join(tokens)) + blanks == len(text):
+    # ``str.split`` also splits at blanks the scanner refuses, such as
+    # ``\x0b``; text of name characters, punctuation and `` \t\r\n`` alone
+    # splits into the scanner's tokens once each mark is spaced off.
+    if text.isascii() and not text.encode().translate(None, _NAMES_AND_BLANKS + punctuation.encode()):
+        spaced = text
+        for mark in punctuation:
+            spaced = spaced.replace(mark, f" {mark} ")
         try:
-            return parse(tokens)
+            return parse(spaced.split())
         except _Unplaced as exc:
             index, message = exc.args
     # Without a parse error, a character is stray, and the scan raises on it.
+    # The scanner matches once per newline, run of blanks, token or stray character.
+    scanner = rf"(?P<newline>\n)|[ \t\r]+|(?P<token>{NAME_TOKEN}|[{re.escape(punctuation)}])|(?P<bad>.)"
     positioned = _scan_tokens(text, scanner)
     if index < len(positioned):
         tok = positioned[index]
@@ -480,13 +479,15 @@ def _label(tokens: list[str], i: int, plain: dict[str, Action]) -> tuple[Action,
     return label, i
 
 
-_FORMULA_TOKEN = r"[A-Za-z0-9_]+|[<>\[\]()&|]"
-_FORMULA_SCANNER = _scanner(_FORMULA_TOKEN)
+# With a grammar's punctuation, the only characters formula, term and label
+# text may hold: name characters and the blanks the scanner skips.
+_NAMES_AND_BLANKS = bytes(c for c in range(128) if is_name_token(chr(c))) + b" \t\r\n"
+_FORMULA_PUNCTUATION = "<>[]()&|"
 
 
 def parse_formula(text: str) -> Formula:
     """Parse a formula; syntax errors raise :class:`ParseError`."""
-    return _read(text, _FORMULA_TOKEN, _FORMULA_SCANNER, _formula)
+    return _read(text, _FORMULA_PUNCTUATION, _formula)
 
 
 def parse_label(text: str, line: int = 1, col: int = 1) -> Action:
@@ -496,7 +497,7 @@ def parse_label(text: str, line: int = 1, col: int = 1) -> Action:
     if is_name_token(text):
         return Action(text)
     try:
-        return _read(text, _FORMULA_TOKEN, _FORMULA_SCANNER, _whole_label)
+        return _read(text, _FORMULA_PUNCTUATION, _whole_label)
     except ParseError as exc:
         shift = col - 1 if exc.line == 1 else 0
         raise ParseError(exc.message, exc.line + line - 1, exc.col + shift) from None
@@ -562,8 +563,7 @@ def _formula(tokens: list[str]) -> Formula:
             disjunction, conjunction = stack.pop()[1]
 
 
-_TERM_TOKEN = r"[A-Za-z0-9_]+|[+.!()]"
-_TERM_SCANNER = _scanner(_TERM_TOKEN)
+_TERM_PUNCTUATION = "+.!()"
 
 TERM_KINDS = ("mts", "lts")
 
@@ -575,7 +575,7 @@ def parse_term(text: str, kind: str = "mts") -> Term:
     """
     if kind not in TERM_KINDS:
         raise ValueError(f"unknown term kind {kind!r}; pick one of {TERM_KINDS}")
-    return _read(text, _TERM_TOKEN, _TERM_SCANNER, lambda tokens: _term(tokens, kind))
+    return _read(text, _TERM_PUNCTUATION, lambda tokens: _term(tokens, kind))
 
 
 def _term(tokens: list[str], kind: str) -> Term:

@@ -324,6 +324,17 @@ def encode_formula(phi: Formula) -> Formula:
     return relabel(phi, cv, ct)
 
 
+def encoded_formula_text(text: str) -> str:
+    """``formula_text(encode_formula(phi))`` from ``text``, the
+    ``formula_text`` of ``phi``, with no formula built.
+
+    Formula text holds ``<``, ``>``, ``[`` and ``]`` only around modality
+    labels, and label text holds none of them; relabelling keeps the
+    formula's shape, so everything outside the brackets prints the same.
+    """
+    return text.replace("<", "<cv(").replace(">", ")>").replace("[", "[ct(").replace("]", ")]")
+
+
 def _base_of(mark: str, modality: str) -> Callable[[Action], Action]:
     def base(a: Action) -> Action:
         if a.mark != mark:

@@ -181,6 +181,17 @@ MUTANTS = [
         '[f\'"{p}",\\n      "{q}"\' for p, q in sorted(relation)]',
         ("tests/test_cli.py", "-k", "byte_for_byte"),
     ),
+    Mutant(
+        "tokenizer-lets-a-vertical-tab-through", "textio.py",
+        'b" \\t\\r\\n"', 'b" \\t\\r\\n\\x0b"',
+        ("tests/test_parser_reference.py", "-k", "recursive_reference"),
+    ),
+    Mutant(
+        "encoded-text-leaves-box-labels-open", "translate.py",
+        '.replace("]", ")]")', '.replace("]", "]")',
+        ("tests/test_translate.py", "tests/test_cli.py", "-k",
+         "encoded_formula_text or decorated_label"),
+    ),
 ]
 
 

@@ -490,6 +490,14 @@ def test_charform_output(files, capsys):
     assert run(capsys, "charform", "a!")[0] == 2
 
 
+def test_charform_encodes_a_decorated_label_inside_its_modalities(capsys):
+    code, out, _ = run(capsys, "charform", "--cc", "cv(a)!0")
+    assert code == 0
+    assert out.splitlines()[-1] == (
+        "encoded formula: <cv(cv(a))>[ct(cv(a))]ff & [ct(cv(a))][ct(cv(a))]ff"
+    )
+
+
 @pytest.mark.parametrize("labels, where, message", [
     ("b,cv(", "line 1, col 6", "expected a label, found end of input"),
     ("b, cv(a", "line 1, col 8", "expected ')', found end of input"),

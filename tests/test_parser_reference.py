@@ -30,10 +30,8 @@ from modalsim.systems import (
 )
 from modalsim.terms import MustPrefix, Omega, Prefix, Sum, Zero
 from modalsim.textio import (
-    _FORMULA_SCANNER,
     _LTS_DIRECTIVES,
     _MTS_DIRECTIVES,
-    _TERM_SCANNER,
     ParseError,
     ParsedSystem,
     _scan_tokens,
@@ -102,6 +100,12 @@ def _label_from_stream(cur: _Cursor, tok: Optional[_Token] = None) -> Action:
         cur.expect(")")
         label = Action(mark=mark, base=label)
     return label
+
+
+# The scanners the references ran on: one match per newline, run of blanks,
+# token or stray character.
+_FORMULA_SCANNER = r"(?P<newline>\n)|[ \t\r]+|(?P<token>[A-Za-z0-9_]+|[<>\[\]()&|])|(?P<bad>.)"
+_TERM_SCANNER = r"(?P<newline>\n)|[ \t\r]+|(?P<token>[A-Za-z0-9_]+|[+.!()])|(?P<bad>.)"
 
 
 def reference_parse_formula(text):
@@ -382,9 +386,10 @@ def _random_term(rng, depth):
 
 # Pieces a mutation may insert: every token of both grammars, names that are
 # reserved or decorate labels, blanks, a newline and characters no scanner
-# accepts.
+# accepts, among them every other kind of character ``str.split`` splits at.
 PIECES = ["tt", "ff", "0", "w", "a", "cv", "ct", "(", ")", "<", ">", "[", "]", "&", "|",
-          "+", ".", "!", " ", "\n", "#", ",", "~"]
+          "+", ".", "!", " ", "\n", "#", ",", "~", "\t", "\r", "\x0b", "\x0c", "\x1c",
+          "\x1f", "\x85", "\xa0", "\u00e9"]
 
 
 def _mutate(rng, text):

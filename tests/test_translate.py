@@ -8,7 +8,9 @@ from modalsim.formulas import (
     Bottom,
     Box,
     Diamond,
+    Or,
     Top,
+    formula_text,
     mc_cc,
     mc_mts,
 )
@@ -24,6 +26,7 @@ from modalsim.translate import (
     embed_formula,
     embedding_report,
     encode_formula,
+    encoded_formula_text,
     encoding_report,
     fresh_sink_name,
     lts_of_mts,
@@ -215,6 +218,30 @@ def test_formula_codecs_keep_shared_subformulae_shared():
     decoded = decode_formula(encoded)
     assert decoded.body.left is decoded.body.right
     assert decoded.action == B
+
+
+def _random_shared_formula(rng):
+    """A formula DAG over plain and decorated labels, whose nodes are often
+    reused, so shared subformulae print in several contexts."""
+    labels = [A, cv(A), ct(cv(B)), action("c_1")]
+    nodes = [Top(), Bottom()]
+    for _ in range(rng.randint(1, 12)):
+        pick = rng.randrange(4)
+        if pick < 2:
+            modality = Diamond if pick == 0 else Box
+            nodes.append(modality(rng.choice(labels), rng.choice(nodes)))
+        else:
+            connective = And if pick == 2 else Or
+            nodes.append(connective(rng.choice(nodes), rng.choice(nodes)))
+    return nodes[-1]
+
+
+def test_encoded_formula_text_is_the_text_of_the_encoded_formula():
+    rng = random.Random(34)
+    for _ in range(1500):
+        phi = _random_shared_formula(rng)
+        expected = formula_text(encode_formula(phi))
+        assert encoded_formula_text(formula_text(phi)) == expected, formula_text(phi)
 
 
 def test_approximation_by_class():
