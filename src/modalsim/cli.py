@@ -290,7 +290,10 @@ def _cmd_selfcheck(args: argparse.Namespace) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on the first call and reused by every
     later :func:`main` call in the process, because building it costs far
-    more than parsing one command line."""
+    more than parsing one command line.  It is the one statement of the
+    grammar: :func:`_argv_table` is read off its subparsers, and it alone
+    reads a command line that the table does not (help, abbreviations,
+    ``--opt=value``, errors)."""
     fmt = argparse.ArgumentParser(add_help=False)
     fmt.add_argument(
         "--format", choices=["text", "json"], default="text", help="output format"
@@ -396,9 +399,85 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The actions that _read_argv reads as argparse does; an option of any other
+# class, such as help, is left out of the table, so argparse reads it.
+_TABLED = (argparse._StoreAction, argparse._StoreTrueAction, argparse._AppendAction)
+
+
+@functools.cache
+def _argv_table() -> dict:
+    """For each command of :func:`_build_parser`: the namespace it starts
+    from (the command's name, ``set_defaults`` and each default but
+    ``SUPPRESS`` ones), its positionals in order, and its options of
+    :data:`_TABLED` by exact option string."""
+    commands = next(a for a in _build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction))
+    table = {}
+    for name, sub in commands.choices.items():
+        defaults = {a.dest: a.default for a in sub._actions if a.default is not argparse.SUPPRESS}
+        table[name] = (
+            {commands.dest: name, **sub._defaults, **defaults},
+            [a for a in sub._actions if not a.option_strings],
+            {s: a for a in sub._actions if type(a) in _TABLED for s in a.option_strings},
+        )
+    return table
+
+
+def _value(action: argparse.Action, word: str):
+    """``word`` converted by ``action``'s type; ValueError if not in its choices."""
+    value = word if action.type is None else action.type(word)
+    if action.choices is not None and value not in action.choices:
+        raise ValueError(value)
+    return value
+
+
+def _read_argv(argv: list[str]) -> Optional[argparse.Namespace]:
+    """The namespace that ``_build_parser().parse_args(argv)`` returns, read
+    in one pass off :func:`_argv_table`, or None for a command line that
+    argparse must read.  That is one whose first word is no command, that
+    holds a word starting with ``-`` other than a lone ``-`` or an exact
+    option string (help, an abbreviation, ``--opt=value``, ``--``, a negative
+    number), whose option lacks its value or whose value starts with ``-``,
+    fails its type or choices, or whose positionals are too few or too many.
+    argparse reads those itself, with its own help, usage and messages."""
+    command = _argv_table().get(argv[0]) if argv else None
+    if command is None:
+        return None
+    start, positionals, options = command
+    values = dict(start)
+    given = []
+    words = iter(argv[1:])
+    try:
+        for word in words:
+            action = options.get(word)
+            if action is None:
+                if word.startswith("-") and word != "-":
+                    return None
+                given.append(word)
+            elif action.nargs == 0:
+                values[action.dest] = action.const
+            else:
+                value = next(words, None)
+                if value is None or value.startswith("-"):
+                    return None
+                value = _value(action, value)
+                if type(action) is argparse._AppendAction:
+                    # A fresh list, as argparse makes: the default is shared.
+                    value = [*(values.get(action.dest) or ()), value]
+                values[action.dest] = value
+        if len(given) != len(positionals):
+            return None
+        for action, word in zip(positionals, given):
+            values[action.dest] = _value(action, word)
+    except ValueError:
+        return None
+    return argparse.Namespace(**values)
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _read_argv(sys.argv[1:] if argv is None else argv)
+    if args is None:
+        args = _build_parser().parse_args(argv)
     stdout = sys.stdout
     if type(getattr(stdout, "buffer", None)) is io.FileIO:
         # Unbuffered (``python -u``, ``PYTHONUNBUFFERED``): a text write

@@ -192,6 +192,16 @@ MUTANTS = [
         ("tests/test_translate.py", "tests/test_cli.py", "-k",
          "encoded_formula_text or decorated_label"),
     ),
+    Mutant(
+        "table-reader-skips-positional-choices", "cli.py",
+        "values[action.dest] = _value(action, word)", "values[action.dest] = word",
+        ("tests/test_cli.py", "-k", "table_reader"),
+    ),
+    Mutant(
+        "table-reader-append-overwrites", "cli.py",
+        "value = [*(values.get(action.dest) or ()), value]", "value = [value]",
+        ("tests/test_cli.py", "-k", "table_reader"),
+    ),
 ]
 
 

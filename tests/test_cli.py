@@ -1,3 +1,5 @@
+import argparse
+import contextlib
 import io
 import json
 import os
@@ -9,10 +11,11 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import modalsim
 from modalsim.charform import characteristic_formula, encode_term
-from modalsim.cli import main
+from modalsim.cli import _build_parser, _read_argv, main
 from modalsim.formulas import formula_text, mc_mts
 from modalsim.preorders import fixpoint_rounds
 from modalsim.selfcheck import SelfCheckConfig, property_ids, run_selfcheck
@@ -176,6 +179,91 @@ def test_usage_error_does_not_spoil_the_next_call(files, capsys):
     u = files("u.mts", UNIVERSAL)
     m = files("m.mts", DEMANDING)
     assert run(capsys, "check", "refine", u, m) == (0, "related\n", "")
+
+
+# main reads a command line off a table built from the parser's own
+# subparsers, and hands every other command line to parse_args.
+
+COMMANDS = next(
+    a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+).choices
+# Words that argparse reads by its own rules: help, an abbreviation, an
+# attached value, the end of options, a negative number, an empty word, a
+# word with a blank and a lone dash.
+ADVERSARIAL = ["-", "--", "-1", "--form", "--format=json", "", "a b", "-h"]
+WORDS = ["f.mts", "s0", "<a>tt & [b]ff", "a!0 + b.w", "a,b"]
+NUMBERS = ["0", "7", "42", "x"]
+
+
+@st.composite
+def command_lines(draw):
+    """A command line of the parser's own commands: each positional once
+    (sometimes not, or twice), each option but help up to twice with its
+    value, shuffled, then up to two adversarial words put anywhere.  A word
+    comes from the action's choices and one word outside them, or else from
+    words of its type."""
+    name = draw(st.sampled_from([*COMMANDS, "nope"]))
+    groups = []
+    for action in COMMANDS[name]._actions if name in COMMANDS else ():
+        if isinstance(action, argparse._HelpAction):
+            continue
+        pool = [*action.choices, "f.mts"] if action.choices else NUMBERS if action.type is int else WORDS
+        if not action.option_strings:
+            groups += [[draw(st.sampled_from(pool))]] * draw(st.sampled_from([1, 1, 1, 1, 1, 1, 0, 2]))
+            continue
+        for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+            option = draw(st.sampled_from(action.option_strings))
+            groups.append([option] if action.nargs == 0 else [option, draw(st.sampled_from(pool))])
+    argv = [name, *(word for group in draw(st.permutations(groups)) for word in group)]
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(ADVERSARIAL)))
+    return argv
+
+
+@settings(max_examples=400, deadline=None)
+@given(command_lines())
+# Always tried: a positional outside its choices, and an appended option given twice.
+@example(["check", "f.mts", "f.mts", "f.mts"])
+@example(["selfcheck", "--property", "a,b", "--seed", "7", "--property", "s0"])
+def test_table_reader_declines_or_agrees_with_argparse(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            expected = vars(_build_parser().parse_args(argv))
+        except SystemExit as exc:
+            expected = f"exit {exc.code}"
+    read = _read_argv(argv)
+    assert read is None or vars(read) == expected
+
+
+def test_benchmark_command_lines_never_reach_argparse(files, capsys, monkeypatch):
+    calls = []
+    parse_args = argparse.ArgumentParser.parse_args
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return parse_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", counted)
+    mts_pair = [files("u.mts", UNIVERSAL), files("m.mts", DEMANDING)]
+    lts_pair = [files("p.lts", LOOP_A), files("q.lts", LOOP_AB)]
+    vending = files("v.mts", VENDING)
+    json_or_not = ([], ["--format", "json"])
+    argvs = [
+        *(["check", kind, *pair, *bisimset, *fmt]
+          for kind, pair, bisimset in [
+              ("refine", mts_pair, []), ("ccsim", lts_pair, []), ("sim", lts_pair, []),
+              ("pbsim", lts_pair, ["--bisimset", "a"]), ("pbsim", lts_pair, ["--bisimset", ""])]
+          for fmt in json_or_not),
+        *(["translate", op, path, *fmt] for op, path in [("c", vending), ("m", lts_pair[0])]
+          for fmt in json_or_not),
+        *(["mc", vending, "idle", "<coin>tt & [tea]ff", *fmt] for fmt in json_or_not),
+        *(["charform", "--cc", "a!0 + b.w", *actions, *fmt]
+          for actions in ([], ["--actions", "c,d"]) for fmt in json_or_not),
+        ["selfcheck", "--format", "json", "--seed", "42", "--property", "textio.golden-files-stable"],
+    ]
+    for argv in argvs:
+        assert run(capsys, *argv)[0] in (0, 1), argv
+    assert calls == []
 
 
 # States whose JSON strings need escapes: a quote, a backslash, a tab, a
