@@ -49,7 +49,7 @@ from .formulas import (
     conj,
     disj,
 )
-from .systems import Action, action, actions_text, ct, cv, fold, sorted_actions
+from .systems import Action, ct, cv, fold, sorted_actions
 from .terms import (
     MustPrefix,
     Omega,
@@ -57,10 +57,10 @@ from .terms import (
     Sum,
     Term,
     Zero,
+    _ambient,
     _text_order,
     canonical_term,
     summands,
-    term_labels,
 )
 from .translate import encode_formula
 
@@ -79,15 +79,6 @@ def is_omega_equivalent(t: Term, acts: Iterable[Union[str, Action]]) -> bool:
     """Is ``t`` refinement-equivalent to the loosest process ``w`` over the
     given alphabet?"""
     return isinstance(characteristic_formula(t, acts).simplified, Top)
-
-
-def _ambient(t: Term, acts: Iterable[Union[str, Action]]) -> frozenset[Action]:
-    """The alphabet ``acts``, which must hold every label of ``t``."""
-    ambient = frozenset(action(a) for a in acts)
-    stray = term_labels(t) - ambient
-    if stray:
-        raise ValueError(f"term labels {actions_text(stray)} are outside the ambient action set")
-    return ambient
 
 
 def characteristic_formula(

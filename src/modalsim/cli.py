@@ -29,6 +29,7 @@ from .systems import Action, PointedLTS, PointedMTS, System, sorted_actions
 from .terms import term_labels, term_text
 from .textio import (
     ParseError,
+    _line_col,
     parse_formula,
     parse_label,
     parse_system_details,
@@ -84,10 +85,8 @@ def _parse_labels(text: str, option: str) -> frozenset[Action]:
         label = piece.strip()
         if label:
             at = start + len(piece) - len(piece.lstrip())
-            before = text[:at]
-            line, col = before.count("\n") + 1, at - before.rfind("\n")
             try:
-                labels.append(parse_label(label, line, col))
+                labels.append(parse_label(label, *_line_col(text, at)))
             except ParseError as exc:
                 raise ValueError(f"{option}: {exc}") from exc
         start += len(piece) + 1

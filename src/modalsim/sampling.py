@@ -24,6 +24,7 @@ from .systems import (
     PointedMTS,
     System,
     Transition,
+    _triple_key,
     action,
     plain_signature,
     signature,
@@ -98,7 +99,7 @@ def random_mts(
     states = [f"{prefix}{i}" for i in range(n)]
     labels = sorted_actions(acts)
     may = _random_triples(rng, states, labels)
-    may_list = sorted(may, key=lambda t: (t[0], str(t[1]), t[2]))
+    may_list = sorted(may, key=_triple_key)
     must = frozenset(rng.sample(may_list, rng.randint(0, len(may_list))))
     return PointedMTS(frozenset(states), acts, may, must, f"{prefix}0")
 

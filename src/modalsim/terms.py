@@ -247,16 +247,22 @@ def _expand(
     return names[root], frozenset(names.values()), may, must
 
 
+def _ambient(t: Term, acts: Iterable[Union[str, Action]]) -> frozenset[Action]:
+    """The alphabet ``acts``, which must hold every label of ``t``."""
+    ambient = frozenset(action(a) for a in acts)
+    stray = term_labels(t) - ambient
+    if stray:
+        raise ValueError(f"term labels {actions_text(stray)} are outside the ambient action set")
+    return ambient
+
+
 def expand_mts_term(t: Term, acts: Iterable[Union[str, Action]]) -> PointedMTS:
     """The sub-MTS of the universal MTS over ``acts`` reachable from ``t``.
 
     States are the canonically printed reachable subterms, so syntactically
     duplicate subterms share one state and ``w`` is a single shared state.
     """
-    ambient = frozenset(action(a) for a in acts)
-    stray = term_labels(t) - ambient
-    if stray:
-        raise ValueError(f"term labels {actions_text(stray)} are outside the ambient action set")
+    ambient = _ambient(t, acts)
     root, states, may, must = _expand(t, sorted_actions(ambient))
     return PointedMTS(
         states=states,

@@ -394,22 +394,6 @@ def print_system(system: System, name: Optional[str] = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _scan_tokens(text: str, scanner: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    line, line_start = 1, 0
-    for m in re.finditer(scanner, text):
-        kind = m.lastgroup
-        if kind == "token":
-            tokens.append(_Token(m.group(), line, m.start() - line_start + 1))
-        elif kind == "newline":
-            line, line_start = line + 1, m.end()
-        elif kind == "bad":
-            raise ParseError(
-                f"unexpected character {m.group()!r}", line, m.start() - line_start + 1
-            )
-    return tokens
-
-
 class _Unplaced(Exception):
     """``(index, message)``: a syntax error at the ``index``-th token string,
     or at the end of the input when ``index`` is their count, before
@@ -424,33 +408,39 @@ def _expected(tokens: list[str], i: int, wanted: str) -> _Unplaced:
 def _read(text: str, punctuation: str, parse):
     """``parse`` run on the token strings of ``text``: names and single marks.
 
-    Positions are worked out only for an error.  Then a scanner of the same
-    tokens reads ``text`` once more with lines and columns: it raises on a
-    stray character itself, so that error comes before any other, and
-    otherwise places the error at its token or at the end.
+    Positions are worked out only for an error.  A stray character, one
+    outside the name characters, ``punctuation`` and `` \\t\\r\\n``, is placed
+    where it first occurs, before any other error.  Otherwise the token
+    strings are looked up in ``text`` in turn up to the one the parse stopped
+    at, and the error is placed at its start, or at the end of the last
+    token when the parse stopped at the end of the input.
     """
-    # ``str.split`` also splits at blanks the scanner refuses, such as
-    # ``\x0b``; text of name characters, punctuation and `` \t\r\n`` alone
-    # splits into the scanner's tokens once each mark is spaced off.
-    if text.isascii() and not text.encode().translate(None, _NAMES_AND_BLANKS + punctuation.encode()):
-        spaced = text
-        for mark in punctuation:
-            spaced = spaced.replace(mark, f" {mark} ")
-        try:
-            return parse(spaced.split())
-        except _Unplaced as exc:
-            index, message = exc.args
-    # Without a parse error, a character is stray, and the scan raises on it.
-    # The scanner matches once per newline, run of blanks, token or stray character.
-    scanner = rf"(?P<newline>\n)|[ \t\r]+|(?P<token>{NAME_TOKEN}|[{re.escape(punctuation)}])|(?P<bad>.)"
-    positioned = _scan_tokens(text, scanner)
-    if index < len(positioned):
-        tok = positioned[index]
-        raise ParseError(message, tok.line, tok.col)
-    if not positioned:
-        raise ParseError(message, 1, 1)
-    last = positioned[-1]
-    raise ParseError(message, last.line, last.col + len(last.text))
+    allowed = _NAMES_AND_BLANKS + punctuation
+    # ``str.split`` also splits at other blanks, such as ``\x0b``; text of
+    # allowed characters alone splits into the tokens once each mark is
+    # spaced off.
+    if not text.isascii() or text.encode().translate(None, allowed.encode()):
+        at = next(k for k, c in enumerate(text) if c not in allowed)
+        raise ParseError(f"unexpected character {text[at]!r}", *_line_col(text, at))
+    spaced = text
+    for mark in punctuation:
+        spaced = spaced.replace(mark, f" {mark} ")
+    tokens = spaced.split()
+    try:
+        return parse(tokens)
+    except _Unplaced as exc:
+        index, message = exc.args
+    end = 0
+    for tok in tokens[: index + 1]:
+        end = text.index(tok, end) + len(tok)
+    if index < len(tokens):
+        end -= len(tokens[index])
+    raise ParseError(message, *_line_col(text, end))
+
+
+def _line_col(text: str, offset: int) -> tuple[int, int]:
+    """The 1-based line and column of ``text[offset]``; lines end at ``\\n``."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
 def _label(tokens: list[str], i: int, plain: dict[str, Action]) -> tuple[Action, int]:
@@ -480,8 +470,8 @@ def _label(tokens: list[str], i: int, plain: dict[str, Action]) -> tuple[Action,
 
 
 # With a grammar's punctuation, the only characters formula, term and label
-# text may hold: name characters and the blanks the scanner skips.
-_NAMES_AND_BLANKS = bytes(c for c in range(128) if is_name_token(chr(c))) + b" \t\r\n"
+# text may hold: name characters and the blanks between tokens.
+_NAMES_AND_BLANKS = "".join(c for c in map(chr, range(128)) if is_name_token(c)) + " \t\r\n"
 _FORMULA_PUNCTUATION = "<>[]()&|"
 
 

@@ -183,8 +183,13 @@ MUTANTS = [
     ),
     Mutant(
         "tokenizer-lets-a-vertical-tab-through", "textio.py",
-        'b" \\t\\r\\n"', 'b" \\t\\r\\n\\x0b"',
+        '" \\t\\r\\n"', '" \\t\\r\\n\\x0b"',
         ("tests/test_parser_reference.py", "-k", "recursive_reference"),
+    ),
+    Mutant(
+        "parse-error-lands-after-its-token", "textio.py",
+        "end -= len(tokens[index])", "pass",
+        ("tests/test_parser_reference.py",),
     ),
     Mutant(
         "encoded-text-leaves-box-labels-open", "translate.py",

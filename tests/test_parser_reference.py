@@ -11,6 +11,7 @@ message, line and column.
 """
 
 import random
+import re
 from typing import Optional
 
 import pytest
@@ -34,7 +35,6 @@ from modalsim.textio import (
     _MTS_DIRECTIVES,
     ParseError,
     ParsedSystem,
-    _scan_tokens,
     _Token,
     _tokenize_line,
     parse_formula,
@@ -100,6 +100,23 @@ def _label_from_stream(cur: _Cursor, tok: Optional[_Token] = None) -> Action:
         cur.expect(")")
         label = Action(mark=mark, base=label)
     return label
+
+
+def _scan_tokens(text: str, scanner: str) -> list[_Token]:
+    """The positioned tokens of ``text``; a stray character raises."""
+    tokens: list[_Token] = []
+    line, line_start = 1, 0
+    for m in re.finditer(scanner, text):
+        kind = m.lastgroup
+        if kind == "token":
+            tokens.append(_Token(m.group(), line, m.start() - line_start + 1))
+        elif kind == "newline":
+            line, line_start = line + 1, m.end()
+        elif kind == "bad":
+            raise ParseError(
+                f"unexpected character {m.group()!r}", line, m.start() - line_start + 1
+            )
+    return tokens
 
 
 # The scanners the references ran on: one match per newline, run of blanks,

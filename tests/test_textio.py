@@ -554,9 +554,9 @@ def test_plain_relation_lines_skip_the_tokenizer(monkeypatch):
 
 def test_formulae_and_terms_are_positioned_only_on_error(monkeypatch):
     scans = []
-    scan = textio._scan_tokens
+    line_col = textio._line_col
     monkeypatch.setattr(
-        textio, "_scan_tokens", lambda text, scanner: scans.append(text) or scan(text, scanner)
+        textio, "_line_col", lambda text, offset: scans.append(text) or line_col(text, offset)
     )
     for text in ["<cv(a)>tt &\n[ct(b)](ff | <cv>tt)", "(tt)", "[0][w]ff"]:
         parse_formula(text)
