@@ -188,15 +188,18 @@ def is_existential(phi: Formula) -> bool:
 
 
 def check_wf(phi: Formula, logic: LogicKind) -> list[str]:
-    """Well-formedness violations of ``phi`` under ``logic``, in
-    deterministic (discovery) order, with a shared subformula's violations
-    repeated at each of its occurrences.
+    """Well-formedness violations of ``phi`` under ``logic``: one per
+    modality node whose label ``logic`` does not allow there, in the order
+    of first occurrence, reading left to right.
 
-    One scan over the nodes of ``phi`` collects the labels under ``<.>``
-    and under ``[.]``; when they all fit ``logic`` there is nothing to
-    word, and only otherwise (or at a node that is not a formula) does the
-    walk below run."""
-    labels: dict[type, set[Action]] = {Diamond: set(), Box: set()}
+    One loop pops the nodes off a stack and skips a node it has seen, so a
+    shared subformula is tested once and the list is bounded by the DAG."""
+    if isinstance(logic, BLLogic):
+        allowed = {Diamond: logic.actions, Box: logic.actions}
+    else:
+        sig = logic.signature
+        allowed = {Diamond: sig.covariant | sig.bivariant, Box: sig.contravariant | sig.bivariant}
+    problems: list[str] = []
     seen: set[Formula] = set()
     stack = [phi]
     while stack:
@@ -206,49 +209,26 @@ def check_wf(phi: Formula, logic: LogicKind) -> list[str]:
             continue
         seen.add(node)
         if kind is And or kind is Or:
-            stack += (node.left, node.right)
+            stack += (node.right, node.left)
         elif kind is Diamond or kind is Box:
-            labels[kind].add(node.action)
+            if node.action not in allowed[kind]:
+                problems.append(_wf_problem(node, logic))
             stack.append(node.body)
         else:
-            break
-    else:
-        if isinstance(logic, BLLogic):
-            fits = labels[Diamond] | labels[Box] <= logic.actions
-        else:
-            sig = logic.signature
-            fits = (labels[Diamond] <= sig.covariant | sig.bivariant
-                    and labels[Box] <= sig.contravariant | sig.bivariant)
-        if fits:
-            return []
+            raise TypeError(f"not a formula: {node!r}")
+    return problems
 
-    def step(phi: Formula):
-        # A node's value is the tuple of the problems found below it.
-        if isinstance(phi, (Bottom, Top)):
-            return ()
-        if isinstance(phi, (And, Or)):
-            return (yield phi.left) + (yield phi.right)
-        if not isinstance(phi, (Diamond, Box)):
-            raise TypeError(f"not a formula: {phi!r}")
-        problem = None
-        if isinstance(logic, BLLogic):
-            if phi.action not in logic.actions:
-                problem = f"label {phi.action} is not in the alphabet"
-        else:
-            sig = logic.signature
-            modality, side, allowed = (
-                ("diamond", "covariant", sig.covariant)
-                if isinstance(phi, Diamond)
-                else ("box", "contravariant", sig.contravariant)
-            )
-            if phi.action not in sig.actions:
-                problem = f"label {phi.action} is not in the signature"
-            elif phi.action not in allowed | sig.bivariant:
-                problem = f"{modality} modality needs a {side} or bivariant label: {phi.action}"
-        below = yield phi.body
-        return below if problem is None else (problem, *below)
 
-    return list(fold(phi, step))
+def _wf_problem(node: Union[Diamond, Box], logic: LogicKind) -> str:
+    # The wording of check_wf's one problem at ``node``.
+    a = node.action
+    if isinstance(logic, BLLogic):
+        return f"label {a} is not in the alphabet"
+    if a not in logic.signature.actions:
+        return f"label {a} is not in the signature"
+    if type(node) is Diamond:
+        return f"diamond modality needs a covariant or bivariant label: {a}"
+    return f"box modality needs a contravariant or bivariant label: {a}"
 
 
 def _require_wf(phi: Formula, logic: LogicKind) -> None:

@@ -30,8 +30,6 @@ from .systems import (
     signature,
     sorted_actions,
 )
-# The prefix form builders are defined in ``terms`` and offered here beside
-# ``random_term``, which takes their output.
 from .terms import (
     MustPrefix,
     Omega,
@@ -39,8 +37,6 @@ from .terms import (
     Sum,
     Term,
     Zero,
-    lts_term_forms,
-    mts_term_forms,
     prefix_label,
 )
 

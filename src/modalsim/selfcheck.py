@@ -83,8 +83,6 @@ from .preorders import (
     oracle_greatest,
 )
 from .sampling import (
-    lts_term_forms,
-    mts_term_forms,
     pool_labels,
     random_alphabet,
     random_bl_formula,
@@ -123,6 +121,8 @@ from .terms import (
     enumerate_mts_terms,
     expand_lts_term,
     expand_mts_term,
+    lts_term_forms,
+    mts_term_forms,
     term_text,
 )
 from .textio import (

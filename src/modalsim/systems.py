@@ -188,9 +188,8 @@ def shared_nodes(root: Interned) -> tuple[set[Interned], set[Interned]]:
 def fold(root: Hashable, step: Callable[[Hashable], Generator], memo: dict | None = None):
     """The walk that builds a value per node of a formula, term or other
     acyclic structure: the value of ``root`` under ``step``.  Walks that
-    only emit text or test labels (``formula_text``, the label scan of
-    ``check_wf``) loop on their own stack instead, without a generator per
-    node.
+    only emit text or test labels (``formula_text``, ``check_wf``) loop on
+    their own stack instead, without a generator per node.
 
     ``step(key)`` is a generator that yields each key whose value it needs,
     is sent that value back, and returns the value of ``key``; a recursive

@@ -78,6 +78,12 @@ MUTANTS = [
         ("tests/test_formulas.py",),
     ),
     Mutant(
+        "check-wf-revisits-shared-nodes", "formulas.py",
+        "if kind is Top or kind is Bottom or node in seen:",
+        "if kind is Top or kind is Bottom:",
+        ("tests/test_formulas.py", "-k", "bounded_by_its_dag"),
+    ),
+    Mutant(
         "encoding-marks-must-copies-contravariant", "translate.py",
         "must_label = {a: cv(a) for a in labels}",
         "must_label = {a: ct(a) for a in labels}",

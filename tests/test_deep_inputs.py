@@ -1,8 +1,8 @@
 """Deeply nested and long flat inputs are answered, not refused.
 
 Every walk that builds a value per node of a formula, term or expansion
-state runs through ``systems.fold``; the formula printer, the label scan
-of ``check_wf`` and both parsers keep their own stack.  So no Python frame
+state runs through ``systems.fold``; the formula printer, ``check_wf``
+and both parsers keep their own stack.  So no Python frame
 is spent per nesting level, chains of ``&``, ``|`` and ``+`` print flat,
 the formula printer's work and memory are linear in its output, and the
 lean characteristic formula of a nested term takes memory linear in its

@@ -1,5 +1,6 @@
 import random
 import time
+from functools import reduce
 
 import pytest
 from hypothesis import given, strategies as st
@@ -32,7 +33,7 @@ from modalsim.charform import characteristic_formula
 from modalsim.preorders import Refinement, distinguishing_formula
 from modalsim.sampling import random_bl_formula, random_cc_formula, random_lts, random_mts, random_signature
 from modalsim.systems import CCSignature, action, actions, lts, mts, shared_nodes, signature
-from modalsim.terms import MustPrefix, Zero
+from modalsim.terms import MustPrefix, Sum, Zero
 
 A = action("a")
 B = action("b")
@@ -152,20 +153,38 @@ def test_equal_formulae_are_one_node_and_show_in_their_dag_size(monkeypatch):
     assert len(walks) == 1
 
 
-def test_check_wf_repeats_a_shared_subformula_problem_at_each_occurrence():
+def test_check_wf_reports_a_shared_subformula_problem_once():
     inner = Box(action("x"), Top())
     outer = Diamond(action("y"), inner)
     phi = And(And(outer, inner), outer)
     x, y = (f"label {name} is not in the alphabet" for name in "xy")
-    assert check_wf(phi, BLLogic(frozenset({A}))) == [y, x, x, y, x]
+    assert check_wf(phi, BLLogic(frozenset({A}))) == [y, x]
 
 
-def _wf_reference(phi, logic):
-    # check_wf as a recursion over the tree.
-    if isinstance(phi, (Bottom, Top)):
+def test_check_wf_of_a_shared_characteristic_formula_is_bounded_by_its_dag():
+    # chi(t_k), t_k = a!t_(k-1) + b!t_(k-1), is a DAG linear in k whose tree
+    # is exponential in k; over {a} its b-modalities are ill formed.
+    def chi(k):
+        term = reduce(lambda t, _: Sum(MustPrefix(A, t), MustPrefix(B, t)), range(k), Zero())
+        return characteristic_formula(term, ["a", "b"]).formula
+
+    phi = chi(10)
+    problems = check_wf(phi, BLLogic(frozenset({A})))
+    assert 0 < len(problems) <= len(shared_nodes(phi)[0])
+    one = mts(states=["s"], acts=["a"], may=[("s", "a", "s")], must=[("s", "a", "s")], init="s")
+    with pytest.raises(ValueError, match="label b is not in the alphabet"):
+        mc_mts(one, "s", chi(40))
+
+
+def _wf_reference(phi, logic, seen=None):
+    # check_wf as a recursion over the tree that skips a node it has visited.
+    if seen is None:
+        seen = set()
+    if isinstance(phi, (Bottom, Top)) or phi in seen:
         return []
+    seen.add(phi)
     if isinstance(phi, (And, Or)):
-        return _wf_reference(phi.left, logic) + _wf_reference(phi.right, logic)
+        return _wf_reference(phi.left, logic, seen) + _wf_reference(phi.right, logic, seen)
     if not isinstance(phi, (Diamond, Box)):
         raise TypeError(f"not a formula: {phi!r}")
     a, problems = phi.action, []
@@ -180,7 +199,7 @@ def _wf_reference(phi, logic):
         elif a not in (sig.covariant if dia else sig.contravariant) | sig.bivariant:
             modality, side = ("diamond", "covariant") if dia else ("box", "contravariant")
             problems.append(f"{modality} modality needs a {side} or bivariant label: {a}")
-    return problems + _wf_reference(phi.body, logic)
+    return problems + _wf_reference(phi.body, logic, seen)
 
 
 def _misfit_case(rng, case):

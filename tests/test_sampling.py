@@ -6,8 +6,6 @@ import pytest
 from modalsim.formulas import BLLogic, Box, CCLogic, check_wf, modal_depth
 from modalsim.sampling import (
     LABEL_POOL,
-    lts_term_forms,
-    mts_term_forms,
     pool_labels,
     random_alphabet,
     random_bl_formula,
@@ -26,7 +24,7 @@ from modalsim.systems import (
     validate_cc_lts,
     validate_mts,
 )
-from modalsim.terms import MustPrefix, Prefix, Sum, Term
+from modalsim.terms import MustPrefix, Prefix, Sum, Term, lts_term_forms, mts_term_forms
 
 
 def test_pool_labels():

@@ -1,12 +1,14 @@
 """Every small system, not a sample: the engine against the oracle on every
-pair of pointed 2-state systems over one label.
+pair of pointed 2-state systems over one label, and on every pair of a
+1-state and a 2-state LTS over two labels.
 
-Each system has the states ``s0`` and ``s1``, with ``s0`` initial, and each
-of its four edges ``si -a-> sj`` is chosen independently: for MTSs absent,
-may or must (81 systems), for LTSs absent or present (16 systems).  On
-every pair, ``greatest`` equals ``oracle_greatest``, the single-pair
-``decide`` that ``check`` prints as text agrees with it on every state
-pair, and every witness holds on the left and fails on the right.
+Each system has the states ``s0`` and ``s1`` (or ``s0`` alone), with ``s0``
+initial, and each of its edges ``si -a-> sj`` is chosen independently: for
+MTSs absent, may or must (81 systems), for LTSs absent or present (16
+systems over one label; 4 and 256 over two).  On every pair, ``greatest``
+equals ``oracle_greatest``, the single-pair ``decide`` that ``check``
+prints as text agrees with it on every pair of the two systems' states,
+and every witness holds on the left and fails on the right.
 """
 
 from itertools import product
@@ -31,10 +33,10 @@ def _all_mtss():
     return out
 
 
-def _all_ltss(sig, labels=("a",)):
-    steps = [(src, lab, dst) for lab in labels for src, dst in EDGES]
+def _all_ltss(sig, labels=("a",), states=STATES):
+    steps = [(src, lab, dst) for lab in labels for src in states for dst in states]
     return [
-        lts(STATES, sig, [t for t, present in zip(steps, choice) if present], "s0")
+        lts(states, sig, [t for t, present in zip(steps, choice) if present], "s0")
         for choice in product((False, True), repeat=len(steps))
     ]
 
@@ -45,8 +47,8 @@ def _assert_matches_oracle(kind, left, right, check):
     ``check`` (None for the kinds without witnesses).  Returns the relation."""
     pairs = greatest(kind, left, right).pairs
     assert pairs == oracle_greatest(kind, left, right).pairs
-    for p in STATES:
-        for q in STATES:
+    for p in sorted(left.states):
+        for q in sorted(right.states):
             related, _, witness = decide(kind, left, p, right, q)
             assert related == ((p, q) in pairs), (p, q)
             if check is not None and not related:
@@ -83,3 +85,17 @@ def test_left_moves_outside_the_alphabet(kind):
     assert len(lefts) == 256
     for left, right in product(lefts, rights):
         _assert_matches_oracle(kind, left, right, None)
+
+
+@pytest.mark.parametrize(
+    "sig",
+    [signature(cov=["a"], con=["b"]), signature(cov=["a"], bi=["b"]), signature(con=["a"], bi=["b"])],
+    ids=["a-cov-b-con", "a-cov-b-bi", "a-con-b-bi"],
+)
+def test_every_one_state_against_two_state_lts_over_two_labels(sig):
+    ones = _all_ltss(sig, ("a", "b"), ("s0",))
+    twos = _all_ltss(sig, ("a", "b"))
+    assert (len(ones), len(twos)) == (4, 256)
+    for one, two in product(ones, twos):
+        _assert_matches_oracle(CCSim(), one, two, mc_cc)
+        _assert_matches_oracle(CCSim(), two, one, mc_cc)

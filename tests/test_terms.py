@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from modalsim.charform import encode_term
-from modalsim.sampling import lts_term_forms, mts_term_forms, random_term
+from modalsim.sampling import random_term
 from modalsim.systems import action, cv, signature
 from modalsim.textio import parse_term
 from modalsim.terms import (
@@ -21,7 +21,9 @@ from modalsim.terms import (
     expand_lts_term,
     expand_mts_term,
     is_lts_term,
+    lts_term_forms,
     must_prefix,
+    mts_term_forms,
     prefix,
     summands,
     term_labels,
