@@ -49,7 +49,7 @@ from .formulas import (
     conj,
     disj,
 )
-from .systems import Action, ct, cv, fold, sorted_actions
+from .systems import Action, _operands, ct, cv, fold, sorted_actions
 from .terms import (
     MustPrefix,
     Omega,
@@ -60,7 +60,6 @@ from .terms import (
     _ambient,
     _text_order,
     canonical_term,
-    summands,
 )
 from .translate import encode_formula
 
@@ -114,7 +113,7 @@ def _forms_step(ordered: list[Action], literal_prefix_clause: bool):
     simplified: dict[Formula, Formula] = {}
 
     def step(node: Term):
-        parts = summands(node)
+        parts = _operands(node)
         rests: dict[Term, _Forms] = {}
         for s in parts:
             if isinstance(s, (Prefix, MustPrefix)) and s.rest not in rests:

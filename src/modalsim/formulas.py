@@ -27,6 +27,7 @@ from .systems import (
     PointedLTS,
     PointedMTS,
     Transition,
+    _operands,
     fold,
     shared_nodes,
     successor_index,
@@ -145,28 +146,13 @@ def _formula_text(phi: Formula, shared: set[Formula]) -> str:
                 out.append("(")
                 stack.append(")")
             separator = " & " if inner else " | "
-            parts = operands(phi)
+            parts = _operands(phi)
             stack.append((parts.pop(), inner))
             while parts:
                 stack += (separator, (parts.pop(), inner))
         else:
             raise TypeError(f"not a formula: {type(phi).__name__}")
     return "".join(out)
-
-
-def operands(phi: Formula) -> list[Formula]:
-    """Flatten a chain of ``phi``'s binary connective into the operands
-    that are not that connective, left to right; ``[phi]`` for any other
-    formula."""
-    out: list[Formula] = []
-    stack = [phi]
-    while stack:
-        sub = stack.pop()
-        if type(sub) is type(phi) and isinstance(sub, (And, Or)):
-            stack += (sub.right, sub.left)
-        else:
-            out.append(sub)
-    return out
 
 
 def modal_depth(phi: Formula) -> int:
@@ -197,8 +183,7 @@ def check_wf(phi: Formula, logic: LogicKind) -> list[str]:
     if isinstance(logic, BLLogic):
         allowed = {Diamond: logic.actions, Box: logic.actions}
     else:
-        sig = logic.signature
-        allowed = {Diamond: sig.covariant | sig.bivariant, Box: sig.contravariant | sig.bivariant}
+        allowed = {Diamond: logic.signature.forward, Box: logic.signature.backward}
     problems: list[str] = []
     seen: set[Formula] = set()
     stack = [phi]
@@ -232,9 +217,10 @@ def _wf_problem(node: Union[Diamond, Box], logic: LogicKind) -> str:
 
 
 def _require_wf(phi: Formula, logic: LogicKind) -> None:
+    # Each distinct problem once, in order of first occurrence.
     problems = check_wf(phi, logic)
     if problems:
-        raise ValueError("; ".join(problems))
+        raise ValueError("; ".join(dict.fromkeys(problems)))
 
 
 def _state_test(

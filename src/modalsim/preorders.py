@@ -209,9 +209,7 @@ def _prepare(
             raise TypeError("covariant-contravariant simulation compares two LTSs")
         if p_sys.signature != q_sys.signature:
             raise ValueError("covariant-contravariant simulation needs identical signatures")
-        sig = p_sys.signature
-        forward = sig.covariant | sig.bivariant
-        backward = sig.contravariant | sig.bivariant
+        forward, backward = p_sys.signature.forward, p_sys.signature.backward
         p_steps = [t for t in p_sys.transitions if t[1] in forward]
     elif isinstance(kind, PartialBisim):
         if not (isinstance(p_sys, PointedLTS) and isinstance(q_sys, PointedLTS)):

@@ -63,17 +63,12 @@ def random_signature(
 ) -> CCSignature:
     """A signature with up to ``max_per_class`` labels in each allowed class
     (never empty overall); labels are drawn from the pool in order."""
+    pool = iter(pool_labels(max_per_class * len(classes)))
     counts = [rng.randint(0, max_per_class) for _ in classes]
     if not any(counts):
         counts[rng.randrange(len(classes))] = 1
-    pool = iter(LABEL_POOL)
-    buckets: dict[str, list[str]] = {cls: [] for cls in ALL_CLASSES}
-    for cls, count in zip(classes, counts):
-        for _ in range(count):
-            buckets[cls].append(next(pool))
-    return signature(
-        cov=buckets[COVARIANT], con=buckets[CONTRAVARIANT], bi=buckets[BIVARIANT]
-    )
+    drawn = {cls: [next(pool) for _ in range(count)] for cls, count in zip(classes, counts)}
+    return signature(*(drawn.get(cls, ()) for cls in ALL_CLASSES))
 
 
 def _random_triples(
@@ -203,9 +198,7 @@ def random_cc_formula(
     max_depth: int = 4,
 ) -> Formula:
     """A random formula that is well formed over ``sig``."""
-    dia = sorted_actions(sig.covariant | sig.bivariant)
-    box = sorted_actions(sig.contravariant | sig.bivariant)
-    return _random_formula(rng, dia, box, max_depth)
+    return _random_formula(rng, sorted_actions(sig.forward), sorted_actions(sig.backward), max_depth)
 
 
 def random_term(

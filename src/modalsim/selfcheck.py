@@ -83,6 +83,8 @@ from .preorders import (
     oracle_greatest,
 )
 from .sampling import (
+    ALL_CLASSES,
+    LABEL_POOL,
     pool_labels,
     random_alphabet,
     random_bl_formula,
@@ -181,6 +183,9 @@ class SelfCheckConfig:
         for name, bound in _LOWER_BOUNDS:
             if getattr(self, name) < bound:
                 raise ValueError(f"{name} must be at least {bound}, got {getattr(self, name)}")
+        most = len(LABEL_POOL) // len(ALL_CLASSES)  # what the pool fills in every class
+        if self.max_labels > most:
+            raise ValueError(f"max_labels must be at most {most}, got {self.max_labels}")
 
 
 @dataclass(frozen=True)

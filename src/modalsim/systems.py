@@ -185,6 +185,25 @@ def shared_nodes(root: Interned) -> tuple[set[Interned], set[Interned]]:
     return seen, shared
 
 
+def _operands(node: Interned) -> list[Interned]:
+    """Flatten the chain of ``node``'s own binary connective (``&``, ``|``
+    or ``+``: a class with two subnodes) into the operands that are not that
+    connective, left to right; ``[node]`` for a node of any other class."""
+    kind = type(node)
+    if len(kind._subnodes) != 2:
+        return [node]
+    left, right = kind._subnodes
+    out: list[Interned] = []
+    stack = [node]
+    while stack:
+        sub = stack.pop()
+        if type(sub) is kind:
+            stack += (getattr(sub, right), getattr(sub, left))
+        else:
+            out.append(sub)
+    return out
+
+
 def fold(root: Hashable, step: Callable[[Hashable], Generator], memo: dict | None = None):
     """The walk that builds a value per node of a formula, term or other
     acyclic structure: the value of ``root`` under ``step``.  Walks that
@@ -283,6 +302,18 @@ class CCSignature(NamedTuple):
     @property
     def actions(self) -> frozenset[Action]:
         return self.covariant | self.contravariant | self.bivariant
+
+    @property
+    def forward(self) -> frozenset[Action]:
+        """The covariant and bivariant labels: those ``<a>`` may carry, and
+        on which the left's moves are matched rightwards."""
+        return self.covariant | self.bivariant
+
+    @property
+    def backward(self) -> frozenset[Action]:
+        """The contravariant and bivariant labels: those ``[a]`` may carry,
+        and on which the right's moves are matched leftwards."""
+        return self.contravariant | self.bivariant
 
     def overlaps(self) -> list[Action]:
         doubled = (

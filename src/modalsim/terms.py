@@ -26,6 +26,7 @@ from .systems import (
     PointedLTS,
     PointedMTS,
     Transition,
+    _operands,
     action,
     actions_text,
     fold,
@@ -116,7 +117,7 @@ def _printed_nodes(t: Term) -> tuple[set[Term], set[Term]]:
             shared.add(node)
         elif isinstance(node, (Sum, Prefix, MustPrefix)):
             seen.add(node)
-            stack += summands(node) if isinstance(node, Sum) else (node.rest,)
+            stack += _operands(node) if isinstance(node, Sum) else (node.rest,)
     return seen, shared
 
 
@@ -180,19 +181,6 @@ def is_lts_term(t: Term) -> bool:
     return not any(isinstance(node, MustPrefix) for node in shared_nodes(t)[0])
 
 
-def summands(t: Term) -> list[Term]:
-    """Flatten nested sums into their non-sum summands, left to right."""
-    out: list[Term] = []
-    stack = [t]
-    while stack:
-        t = stack.pop()
-        if isinstance(t, Sum):
-            stack += (t.right, t.left)
-        else:
-            out.append(t)
-    return out
-
-
 def canonical_term(t: Term) -> Term:
     """A canonical representative of ``t`` modulo associativity and
     commutativity of ``+``: summands canonicalised recursively, sorted by
@@ -210,7 +198,7 @@ def _canonical_node(t: Term):
         return MustPrefix(t.action, (yield t.rest))
     if isinstance(t, Sum):
         parts = []
-        for s in summands(t):
+        for s in _operands(t):
             parts.append((yield s))
         return reduce(Sum, sorted(parts, key=cmp_to_key(_text_order)))
     raise TypeError(f"not a term: {t!r}")
@@ -236,7 +224,7 @@ def _expand(
             continue
         names[node] = "".join(_text_pieces(node, keep, texts))
         start = len(moves)
-        for s in summands(node):
+        for s in _operands(node):
             if isinstance(s, Omega):
                 moves += ((node, a, s, False) for a in loop_labels)
             elif isinstance(s, (Prefix, MustPrefix)):

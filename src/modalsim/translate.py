@@ -104,7 +104,7 @@ def mts_of_lts(p: PointedLTS) -> PointedMTS:
     """Embed an LTS into an MTS over the same alphabet (plus a fresh sink)."""
     _takes(p, PointedLTS, "the embedding")
     sig = p.signature
-    forced = sig.covariant | sig.bivariant
+    forced = sig.forward
     sink = fresh_sink_name(p.states)
     states = p.states | {sink}
     may = set(p.transitions)
@@ -362,8 +362,7 @@ def approximate_formula(phi: Formula, sig: CCSignature) -> Formula:
     signatures without covariant labels, and fails in general.  A
     subformula shared in ``phi`` is approximated once and stays shared.
     """
-    forward = sig.covariant | sig.bivariant
-    backward = sig.contravariant | sig.bivariant
+    forward, backward = sig.forward, sig.backward
 
     def step(phi: Formula):
         if isinstance(phi, Diamond):

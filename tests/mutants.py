@@ -213,6 +213,16 @@ MUTANTS = [
         "value = [*(values.get(action.dest) or ()), value]", "value = [value]",
         ("tests/test_cli.py", "-k", "table_reader"),
     ),
+    Mutant(
+        "backward-labels-drop-the-bivariant", "systems.py",
+        "return self.contravariant | self.bivariant", "return self.contravariant",
+        ("tests/test_small_scope.py", "-k", "ab-bi"),
+    ),
+    Mutant(
+        "operands-flatten-one-level", "systems.py",
+        "        if type(sub) is kind:\n", "        if sub is node:\n",
+        ("tests/test_terms.py", "-k", "enumeration_is_sorted"),
+    ),
 ]
 
 

@@ -499,6 +499,12 @@ def test_mc_ill_formed_formula_lists_every_problem(files, capsys):
     assert err == "error: label x is not in the alphabet; label y is not in the alphabet\n"
 
 
+def test_mc_names_a_repeated_problem_once(files, capsys):
+    path = files("u.mts", UNIVERSAL)
+    code, out, err = run(capsys, "mc", path, "u", "<b>tt & [b]ff & <b><b>tt | [b]<b>tt")
+    assert (code, out, err) == (2, "", "error: label b is not in the alphabet\n")
+
+
 def test_mc_diamond_on_a_contravariant_label_is_an_error(files, capsys):
     path = files("ccex.lts", CCEX)
     code, out, err = run(capsys, "mc", path, "p", "<b>tt")
@@ -676,6 +682,7 @@ def test_selfcheck_config_is_built_from_the_options_given(capsys, monkeypatch):
     [
         ("--max-states", "0", "max_states must be at least 1, got 0"),
         ("--max-labels", "0", "max_labels must be at least 1, got 0"),
+        ("--max-labels", "12", "max_labels must be at most 8, got 12"),
         ("--term-height", "0", "term_height must be at least 1, got 0"),
         ("--cases", "-3", "cases must be at least 1, got -3"),
         ("--cases", "0", "cases must be at least 1, got 0"),

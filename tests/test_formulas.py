@@ -172,8 +172,10 @@ def test_check_wf_of_a_shared_characteristic_formula_is_bounded_by_its_dag():
     problems = check_wf(phi, BLLogic(frozenset({A})))
     assert 0 < len(problems) <= len(shared_nodes(phi)[0])
     one = mts(states=["s"], acts=["a"], may=[("s", "a", "s")], must=[("s", "a", "s")], init="s")
-    with pytest.raises(ValueError, match="label b is not in the alphabet"):
+    with pytest.raises(ValueError) as error:
         mc_mts(one, "s", chi(40))
+    # Every b-modality gives the same problem, which the refusal names once.
+    assert str(error.value) == "label b is not in the alphabet"
 
 
 def _wf_reference(phi, logic, seen=None):
@@ -235,7 +237,8 @@ def test_check_wf_matches_a_recursive_walk_where_labels_do_not_fit():
             worded += 1
             with pytest.raises(ValueError) as error:
                 check()
-            assert str(error.value) == "; ".join(problems)
+            # The refusal names each distinct problem once, in order of first occurrence.
+            assert str(error.value) == "; ".join(dict.fromkeys(problems))
         else:
             check()
         for bad in (And(phi, Zero()), Or(Zero(), phi), Diamond(A, Zero()), Zero()):

@@ -20,6 +20,8 @@ from modalsim.sampling import (
     random_term,
 )
 from modalsim.systems import (
+    CONTRAVARIANT,
+    COVARIANT,
     action,
     validate_cc_lts,
     validate_mts,
@@ -32,6 +34,18 @@ def test_pool_labels():
     assert len(LABEL_POOL) == 26
     with pytest.raises(ValueError):
         pool_labels(27)
+
+
+def test_random_signature_refuses_more_labels_than_the_pool_holds():
+    # 8 labels in each of three classes fit the 26 names; 9 do not, whatever
+    # the draw, and 13 in each of two classes fit exactly.
+    rng = random.Random(3)
+    for _ in range(50):
+        sig = random_signature(rng, max_per_class=8)
+        assert len(sig.actions) <= 24 and not sig.overlaps()
+    assert len(random_signature(rng, 13, classes=(COVARIANT, CONTRAVARIANT)).actions) <= 26
+    with pytest.raises(ValueError, match="the label pool holds only 26 names"):
+        random_signature(rng, max_per_class=9)
 
 
 def test_seeded_streams_are_reproducible():

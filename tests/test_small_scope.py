@@ -1,6 +1,8 @@
 """Every small system, not a sample: the engine against the oracle on every
 pair of pointed 2-state systems over one label, and on every pair of a
-1-state and a 2-state LTS over two labels.
+1-state and a 2-state LTS over two labels, both ways round: under
+cc-simulation for six signatures, three of them with both labels in one
+class, and under partial bisimulation for each bisimulation set.
 
 Each system has the states ``s0`` and ``s1`` (or ``s0`` alone), with ``s0``
 initial, and each of its edges ``si -a-> sj`` is chosen independently: for
@@ -89,8 +91,15 @@ def test_left_moves_outside_the_alphabet(kind):
 
 @pytest.mark.parametrize(
     "sig",
-    [signature(cov=["a"], con=["b"]), signature(cov=["a"], bi=["b"]), signature(con=["a"], bi=["b"])],
-    ids=["a-cov-b-con", "a-cov-b-bi", "a-con-b-bi"],
+    [
+        signature(cov=["a"], con=["b"]),
+        signature(cov=["a"], bi=["b"]),
+        signature(con=["a"], bi=["b"]),
+        signature(cov=["a", "b"]),
+        signature(con=["a", "b"]),
+        signature(bi=["a", "b"]),
+    ],
+    ids=["a-cov-b-con", "a-cov-b-bi", "a-con-b-bi", "ab-cov", "ab-con", "ab-bi"],
 )
 def test_every_one_state_against_two_state_lts_over_two_labels(sig):
     ones = _all_ltss(sig, ("a", "b"), ("s0",))
@@ -99,3 +108,14 @@ def test_every_one_state_against_two_state_lts_over_two_labels(sig):
     for one, two in product(ones, twos):
         _assert_matches_oracle(CCSim(), one, two, mc_cc)
         _assert_matches_oracle(CCSim(), two, one, mc_cc)
+
+
+@pytest.mark.parametrize("bset", [(), ("a",), ("b",), ("a", "b")], ids=["none", "a", "b", "ab"])
+def test_every_one_state_against_two_state_plain_lts_over_two_labels(bset):
+    sig = signature(cov=["a", "b"])
+    kind = PartialBisim(frozenset(map(action, bset)))
+    ones = _all_ltss(sig, ("a", "b"), ("s0",))
+    twos = _all_ltss(sig, ("a", "b"))
+    for one, two in product(ones, twos):
+        _assert_matches_oracle(kind, one, two, None)
+        _assert_matches_oracle(kind, two, one, None)

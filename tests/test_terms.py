@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from modalsim.charform import encode_term
 from modalsim.sampling import random_term
-from modalsim.systems import action, cv, signature
+from modalsim.systems import _operands, action, cv, signature
 from modalsim.textio import parse_term
 from modalsim.terms import (
     MustPrefix,
@@ -25,7 +25,6 @@ from modalsim.terms import (
     must_prefix,
     mts_term_forms,
     prefix,
-    summands,
     term_labels,
     term_text,
 )
@@ -96,7 +95,7 @@ def _tree_canonical(t):
         return t
     if isinstance(t, (Prefix, MustPrefix)):
         return type(t)(t.action, _tree_canonical(t.rest))
-    return reduce(Sum, sorted((_tree_canonical(s) for s in summands(t)), key=_tree_text))
+    return reduce(Sum, sorted((_tree_canonical(s) for s in _operands(t)), key=_tree_text))
 
 
 # Labels whose texts are prefixes of one another or of the constants, so
